@@ -130,13 +130,12 @@ def parse_feed(data: bytes, identifier: str) -> ArxivRecord:
 
 
 def _default_transport(url: str) -> bytes:
-    import requests
+    import urllib.request  # imported on first live request: it loads ssl
 
     try:
-        resp = requests.get(url, timeout=30)
-        resp.raise_for_status()
-        return resp.content
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            return resp.read()
+    except OSError as exc:  # URLError, HTTPError (4xx/5xx) and timeouts
         raise TransportError(str(exc)) from exc
 
 

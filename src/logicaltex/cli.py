@@ -20,7 +20,7 @@ from pathlib import Path
 from .arxiv import ArxivClient, ArxivError, is_valid_id
 from .converter import ConversionPolicy, Scope, convert
 from .degrader import PROFILE_NAMES, emit_pairs
-from .detector import classify, detect_all
+from .detector import classify_detections, detect_all
 from .lexer import decode_source, parse
 from .model import extract_logical, strip_styling
 from .validator import (
@@ -150,7 +150,7 @@ def cmd_detect(paths: list[Path], cfg: RunConfig) -> int:
     for path in paths:
         tree = parse(_read(path))
         dets = detect_all(tree)
-        cls = classify(tree)
+        cls = classify_detections(tree, dets)
         rows = _detection_rows(dets)
         human_lines = [f"{path}: {cls.label.value} (visual score {cls.score:.2f})"]
         for r in rows:
@@ -341,12 +341,10 @@ def _batch_worker(args: tuple[str, dict]) -> dict:
     cfg = RunConfig(**cfg_dict)
     path = Path(path_str)
     try:
-        source = _read(path)
-        cls_before = classify(parse(source))
         output, report, result = _validate_one(path, cfg, None)
         return {
             "path": path_str,
-            "class": cls_before.label.value,
+            "class": report.class_before.label.value,
             "verdict": result.verdict.value,
             "body_preserved": result.body_preserved,
             "structural_delta": len(result.structural_delta),
@@ -500,6 +498,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash is a failure, never exit 1 ("warning")
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"error: {error}", file=sys.stderr)
+        if cfg.report == "machine":
+            _Reporter(cfg.report).emit({"command": "error", "error": error}, error)
+        return EXIT_FAIL
     parser.error("unknown command")
     return EXIT_USAGE
 

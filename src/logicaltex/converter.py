@@ -16,7 +16,9 @@ from .detector import (
     DetectionKind,
     DetectionSet,
     FormattingClass,
+    _has_control_word,
     classify,
+    classify_detections,
     detect_all,
     extract_frontmatter,
     passes,
@@ -63,10 +65,6 @@ class Edit:
     span: Span
     replacement: str
     origin: str
-
-    @property
-    def zero_width(self) -> bool:
-        return self.span.start == self.span.end
 
 
 @dataclass(frozen=True)
@@ -126,26 +124,21 @@ class ConversionReport:
 _SECTION_COMMANDS = {1: "section", 2: "subsection", 3: "subsubsection"}
 
 
-def _gate(dets: DetectionSet, policy: ConversionPolicy):
-    accepted: list[Detection] = []
-    skipped: list[tuple[Detection, str]] = []
+def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
+    """Record on each detection why the policy skips it, if it does."""
     body_kinds = (DetectionKind.SECTION_HEADER, DetectionKind.EMPHASIS,
                   DetectionKind.THEOREM_LIKE)
     for det in dets.all():
         if det.kind is DetectionKind.TITLE and det is not dets.title:
-            skipped.append((det, "superseded by a higher-ranked title candidate"))
-            continue
-        if det.kind in body_kinds and policy.scope is Scope.METADATA_ONLY:
-            skipped.append((det, "outside metadata-only scope"))
-            continue
-        if det.kind is DetectionKind.THEOREM_LIKE and not policy.aggressive:
-            skipped.append((det, "theorem rewriting requires --aggressive"))
-            continue
-        if not policy.aggressive and not passes(det.confidence, policy.apply_threshold):
-            skipped.append((det, f"confidence {det.confidence:.2f} below apply threshold"))
-            continue
-        accepted.append(det)
-    return accepted, skipped
+            det.skip_reason = "superseded by a higher-ranked title candidate"
+        elif det.kind in body_kinds and policy.scope is Scope.METADATA_ONLY:
+            det.skip_reason = "outside metadata-only scope"
+        elif det.kind is DetectionKind.THEOREM_LIKE and not policy.aggressive:
+            det.skip_reason = "theorem rewriting requires --aggressive"
+        elif not policy.aggressive and not passes(det.confidence, policy.apply_threshold):
+            det.skip_reason = f"confidence {det.confidence:.2f} below apply threshold"
+        else:
+            det.skip_reason = None
 
 
 def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]) -> str | None:
@@ -181,10 +174,11 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
 
 def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
          policy: ConversionPolicy) -> PlanResult:
-    """Build the ordered, non-overlapping edit list for the accepted
-    detections, including \\maketitle placement and theorem preambles."""
+    """Build the ordered, non-overlapping edit list for the detections the
+    gate accepted, including \\maketitle placement and theorem preambles.
+    ``convert`` runs the gate, which records its verdict on each detection."""
     stream = tree.stream
-    accepted, skipped = _gate(dets, policy)
+    skipped = [(d, d.skip_reason) for d in dets.all() if d.skip_reason is not None]
     warnings: list[str] = list(fm.notes)
     applied: list[tuple[Detection, Edit]] = []
     edits: list[Edit] = []
@@ -195,8 +189,9 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         applied.append((det, e))
 
     accepted_by_kind: dict[DetectionKind, list[Detection]] = {}
-    for det in accepted:
-        accepted_by_kind.setdefault(det.kind, []).append(det)
+    for det in dets.all():
+        if det.skip_reason is None:
+            accepted_by_kind.setdefault(det.kind, []).append(det)
 
     # ---- front matter ----------------------------------------------------
     fm_claims: list[tuple[Detection, str | None]] = []
@@ -207,7 +202,6 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
             fm_claims.append((title_det, f"\\title{{{raw}}}"))
         else:
             skipped.append((title_det, "empty title content"))
-            accepted.remove(title_det)
             title_det = None
 
     author_dets = accepted_by_kind.get(DetectionKind.AUTHOR_LINE, [])
@@ -278,12 +272,10 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
                  "\\begin{abstract}\n" + content + "\n\\end{abstract}")
         else:
             skipped.append((abstract_det, "empty abstract content"))
-            accepted.remove(abstract_det)
 
     # \maketitle goes right after the last title/author/affiliation edit
     # (an abstract further down stays below it), never duplicating one
     # that already exists, even inside a \def body.
-    from .detector import _has_control_word  # local import to avoid cycle noise
     if last_fm_edit_end is not None and not _has_control_word(tree, "maketitle"):
         if title_det is not None or _has_control_word(tree, "title"):
             at = last_fm_edit_end
@@ -296,7 +288,6 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         heading = det.data.get("heading_raw", "").strip()
         if not heading:
             skipped.append((det, "empty heading content"))
-            accepted.remove(det)
             continue
         cmd = _SECTION_COMMANDS.get(det.level, "subsubsection")
         star = "" if det.data.get("numbered") else "*"
@@ -312,7 +303,6 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         content = det.data.get("content_raw", "").strip()
         if not content:
             skipped.append((det, "empty statement content"))
-            accepted.remove(det)
             continue
         env = det.keyword.lower()
         emit(det, det.span,
@@ -325,12 +315,10 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
     for det in accepted_by_kind.get(DetectionKind.EMPHASIS, []):
         if any(t.contains_span(det.span) for t in theorem_spans):
             skipped.append((det, "inside a converted theorem statement"))
-            accepted.remove(det)
             continue
         content = det.data.get("content_raw", "").strip()
         if not content:
             skipped.append((det, "empty emphasis content"))
-            accepted.remove(det)
             continue
         emit(det, det.span, f"\\emph{{{content}}}")
 
@@ -365,38 +353,19 @@ def convert(source: str | bytes,
     """
     policy = policy or ConversionPolicy()
     text = decode_source(source)
-    stream = tokenize(text)
-    tree = build_tree(stream)
-    before = classify(tree)
+    tree = build_tree(tokenize(text))
     dets = detect_all(tree)
-    accepted, _ = _gate(dets, policy)
-    fm = extract_frontmatter(tree, _filter_detections(dets, accepted))
-    result = plan(tree, dets, fm, policy)
+    _gate(dets, policy)
+    result = plan(tree, dets, extract_frontmatter(tree, dets), policy)
     out_text = apply(text, result.plan)
-    after = classify(build_tree(tokenize(out_text)))
     report = ConversionReport(
         applied=result.applied,
         skipped=result.skipped,
         warnings=result.warnings,
-        class_before=before,
-        class_after=after,
+        class_before=classify_detections(tree, dets),
+        class_after=classify(build_tree(tokenize(out_text))),
         plan=result.plan,
     )
     out: str | bytes = encode_source(out_text) if isinstance(source, bytes) else out_text
     return out, report
 
-
-def _filter_detections(dets: DetectionSet, accepted: list[Detection]) -> DetectionSet:
-    keep = set(map(id, accepted))
-    title = dets.title if dets.title is not None and id(dets.title) in keep else None
-    return DetectionSet(
-        region=dets.region,
-        title_candidates=[d for d in dets.title_candidates if id(d) in keep],
-        title=title,
-        authors=[d for d in dets.authors if id(d) in keep],
-        affiliations=[d for d in dets.affiliations if id(d) in keep],
-        abstract=dets.abstract if dets.abstract is not None and id(dets.abstract) in keep else None,
-        sections=[d for d in dets.sections if id(d) in keep],
-        emphases=[d for d in dets.emphases if id(d) in keep],
-        theorems=[d for d in dets.theorems if id(d) in keep],
-    )

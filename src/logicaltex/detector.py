@@ -9,6 +9,7 @@ a fixed scoring table, so rewriting can be gated conservatively.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +35,7 @@ from .model import (
     Marker,
     StyledText,
     extract_markers,
+    plain_text,
     resolve_affiliations,
     strip_styling,
 )
@@ -95,6 +97,9 @@ class Detection:
     level: int = 1
     keyword: str = ""
     data: dict = field(default_factory=dict)
+    # Set by the converter's gate: why this detection is not rewritten,
+    # or None when it is accepted.
+    skip_reason: str | None = None
 
     def has_cue(self, kind: CueKind) -> bool:
         return any(c.kind is kind for c in self.cues)
@@ -125,16 +130,13 @@ class FormattingClass:
 
 @dataclass(frozen=True)
 class Region:
+    """A stretch of the document body, segmented into lines once, plus the
+    document's protected spans; every detector reads both from here."""
+
     span: Span
+    lines: list[Line]
+    protected: list[Span]
     whole_body_fallback: bool = False
-
-    @property
-    def start(self) -> int:
-        return self.span.start
-
-    @property
-    def end(self) -> int:
-        return self.span.end
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +348,7 @@ class _Segmenter:
     def __init__(self, stream: TokenStream):
         self.stream = stream
         self.lines: list[Line] = []
+        self.token_starts = [t.span.start for t in stream.tokens]
 
     def run(self, nodes: list[Node], in_titlepage: bool = False) -> list[Line]:
         for block in self._blocks(nodes):
@@ -461,7 +464,10 @@ class _Segmenter:
         if span is None:
             span = _nodes_span(content, stream)
         info = analyze_styles(content)
-        raw = stream.text(span)
+        # Lines are made of whole nodes, so their spans fall on token
+        # boundaries and the line's own tokens give its plain text.
+        first = bisect_left(self.token_starts, span.start)
+        last = bisect_left(self.token_starts, span.end, first)
         line = Line(
             span=span,
             content_nodes=content,
@@ -477,8 +483,8 @@ class _Segmenter:
             small=info.small,
             fully_wrapped=info.fully_wrapped,
             core_nodes=info.core,
-            raw=raw,
-            plain=strip_styling(raw),
+            raw=stream.text(span),
+            plain=plain_text(stream.tokens[first:last], stream.source),
         )
         self.lines.append(line)
         return line
@@ -497,6 +503,13 @@ def segment_lines(tree: BlockTree, region: Region) -> list[Line]:
     selected = [nd for nd in nodes
                 if region.span.start <= nd.span.start < region.span.end]
     return _Segmenter(tree.stream).run(selected)
+
+
+def _segmented(tree: BlockTree, span: Span, protected: list[Span],
+               whole_body_fallback: bool) -> Region:
+    region = Region(span, [], protected, whole_body_fallback)
+    region.lines.extend(segment_lines(tree, region))
+    return region
 
 
 def _core_raw(line: Line, stream: TokenStream) -> str:
@@ -678,7 +691,6 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
         if any(r0 <= a and b <= r1 for r0, r1 in mask):
             cuts.append((a, b))
     cuts.sort()
-    whole = _nodes_span(nodes, stream)
     bounds = [whole.start]
     for s, e in cuts:
         bounds.extend([s, e])
@@ -715,20 +727,22 @@ def frontmatter_region(tree: BlockTree) -> Region:
         elif isinstance(nd, EnvNode) and nd.name in ("titlepage", "abstract"):
             boundaries.append(nd.span.end)
     end = min(boundaries) if boundaries else body.end
-    fallback = not boundaries
-    coarse = Region(tree.stream.span(body.start, end), fallback)
+    protected = protected_spans(tree)
+    coarse = _segmented(tree, tree.stream.span(body.start, end), protected, not boundaries)
     det = detect_abstract(tree, coarse)
     if det is not None:
         construct_end = det.data.get("construct_end", det.span.end)
         if construct_end < end:
-            end = construct_end
-            fallback = False
-    return Region(tree.stream.span(body.start, end), fallback)
+            # Segmented apart from the coarse pass: over the shorter span
+            # a different paragraph can be the titlepage's last one.
+            return _segmented(tree, tree.stream.span(body.start, construct_end),
+                              protected, False)
+    return coarse
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
     _, body = document_body(tree)
-    return Region(tree.stream.span(fm.span.end, body.end))
+    return _segmented(tree, tree.stream.span(fm.span.end, body.end), fm.protected, False)
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +771,10 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     """Title candidates ranked by confidence, then position."""
     if _has_control_word(tree, "title"):
         return []
-    protected = protected_spans(tree)
+    protected = region.protected
     stream = tree.stream
     out: list[Detection] = []
-    for line in segment_lines(tree, region):
+    for line in region.lines:
         if not (line.centered or line.bold or line.large):
             continue
         plain = line.plain
@@ -795,14 +809,14 @@ def detect_authors_affiliations(
     """Author lines (name-shaped, optionally markered) and affiliation
     lines (institution keywords or marker-led), searched below the title."""
     stream = tree.stream
-    protected = protected_spans(tree)
+    protected = region.protected
     authors_suppressed = _has_control_word(tree, "author")
     affils_suppressed = authors_suppressed or _has_control_word(
         tree, "affiliation", "address", "institute")
     start = title.span.end if title is not None else region.span.start
     author_dets: list[Detection] = []
     affil_dets: list[Detection] = []
-    for line in segment_lines(tree, region):
+    for line in region.lines:
         if line.span.start < start:
             continue
         plain = line.plain
@@ -909,8 +923,8 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     if _has_environment(tree, "abstract"):
         return None
     stream = tree.stream
-    protected = protected_spans(tree)
-    lines = segment_lines(tree, region)
+    protected = region.protected
+    lines = region.lines
     candidates: list[Detection] = []
     trailing_titlepage: Line | None = None
     for ln in lines:
@@ -961,8 +975,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                     cues.add(Cue(CueKind.ITALIC, line.span))
                 if line.centered:
                     cues.add(Cue(CueKind.CENTERED, line.span))
-                ninfo = analyze_styles(nxt.content_nodes)
-                content_raw = stream.text(_nodes_span(ninfo.core, stream)) if ninfo.core else nxt.raw
+                content_raw = _core_raw(nxt, stream) or nxt.raw
                 candidates.append(Detection(
                     DetectionKind.ABSTRACT,
                     nxt.span,
@@ -996,8 +1009,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
             if not cues:
                 continue
-            info = analyze_styles(line.content_nodes)
-            content_raw = stream.text(_nodes_span(info.core, stream)) if info.core else line.raw
+            content_raw = _core_raw(line, stream) or line.raw
             span = line.container_span if (
                 line.container == "center-env" and line.env_line_count == 1) else line.span
             candidates.append(Detection(
@@ -1037,10 +1049,10 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     """Solitary bold/large paragraphs in the body, optionally number
     prefixed; level follows the numbering depth."""
     stream = tree.stream
-    protected = protected_spans(tree)
+    protected = region.protected
     damaged = [d.span for d in tree.diagnostics]
     out: list[Detection] = []
-    for line in segment_lines(tree, region):
+    for line in region.lines:
         if line.container != "paragraph" or not line.only_line_in_block:
             continue
         if not line.fully_wrapped or not (line.bold or line.large):
@@ -1094,7 +1106,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
     stream = tree.stream
-    protected = protected_spans(tree)
+    protected = region.protected
     skip_spans = _env_context_skip(tree)
     # Anything touched by a structural diagnostic (unclosed group, stray
     # \end, ...) is damaged; rewriting it could drag an environment
@@ -1103,8 +1115,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     out: list[Detection] = []
     claimed: list[Span] = []
 
-    lines = segment_lines(tree, region)
-    for line in lines:
+    for line in region.lines:
         if line.container != "paragraph":
             continue
         if line.only_line_in_block and line.fully_wrapped and (line.bold or line.large):
@@ -1266,7 +1277,11 @@ _LOGICAL_FRONTMATTER_WORDS = ("title", "author", "maketitle", "date",
 def classify(tree: BlockTree) -> FormattingClass:
     """Logical / Mixed / Visual, scored as the fraction of structural
     elements that are expressed visually."""
-    dets = detect_all(tree)
+    return classify_detections(tree, detect_all(tree))
+
+
+def classify_detections(tree: BlockTree, dets: DetectionSet) -> FormattingClass:
+    """``classify`` for a tree whose detections are already at hand."""
     structural: list[Detection] = []
     if dets.title is not None:
         structural.append(dets.title)
@@ -1298,16 +1313,20 @@ def classify(tree: BlockTree) -> FormattingClass:
     return FormattingClass(DocumentClass.MIXED, score, visual, logical)
 
 
+def _accepted(dets: list[Detection]) -> list[Detection]:
+    return [d for d in dets if d.skip_reason is None]
+
+
 def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
-    """Assemble authors, affiliations and their mapping from detections."""
+    """Assemble authors, affiliations and their mapping from the detections
+    the converter's gate did not skip."""
     fm = FrontMatter()
     region = dets.region
     fm.frontmatter_end = Span(region.span.end, region.span.end,
                               tree.stream.line_of(region.span.end))
-    if dets.title is not None:
+    if dets.title is not None and dets.title.skip_reason is None:
         fm.title = StyledText.from_raw(dets.title.data.get("core_raw", ""))
-        fm.title_span = dets.title.span
-    for det in dets.authors:
+    for det in _accepted(dets.authors):
         for seg in det.data.get("segments", []):
             fm.authors.append(Author(
                 name=StyledText.from_raw(seg.name_raw),
@@ -1315,7 +1334,7 @@ def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
                 span=seg.span,
             ))
     prev_line_for_merge: dict | None = None
-    for det in dets.affiliations:
+    for det in _accepted(dets.affiliations):
         marker = det.data.get("marker")
         text_raw = det.data.get("text_raw", "")
         mergeable = (
@@ -1346,12 +1365,6 @@ def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
     fm.author_affiliation_edges = resolution.edges
     fm.unresolved_markers = resolution.unresolved
     fm.notes = list(resolution.notes)
-    if dets.abstract is not None:
-        fm.abstract_span = dets.abstract.span
-    for nd in walk(tree.nodes):
-        if isinstance(nd, Leaf) and nd.token.is_control_word("maketitle"):
-            fm.maketitle_site = nd.span
-            break
     if region.whole_body_fallback:
         fm.notes.append("no front-matter boundary found; whole body considered")
     return fm

@@ -187,7 +187,13 @@ def strip_styling(raw: str) -> str:
     """Deterministic plain form: styling dropped, whitespace collapsed,
     accent and letter commands preserved verbatim.  Idempotent."""
     stream = tokenize(raw)
-    toks = stream.tokens
+    return plain_text(stream.tokens, stream.source)
+
+
+def plain_text(toks: list[Token], source: str) -> str:
+    """The plain form of a run of tokens lexed from ``source``.  A token
+    run that tiles a span of a larger stream gives the same result as
+    ``strip_styling`` of that span's text, without lexing it again."""
     parts: list[str] = []
     keep_group_depths: list[int] = []
     depth = 0
@@ -219,11 +225,11 @@ def strip_styling(raw: str) -> str:
             else:
                 parts.append(t.value or "")
         elif k is TokenKind.PARAMETER:
-            parts.append(stream.lexeme(t))
+            parts.append(source[t.span.start:t.span.end])
         elif k is TokenKind.CONTROL_SYMBOL:
             v = t.value or ""
             if v in ACCENT_SYMBOLS:
-                parts.append(stream.lexeme(t))
+                parts.append(source[t.span.start:t.span.end])
                 j = i + 1
                 if j < n and toks[j].kind is TokenKind.BEGIN_GROUP:
                     parts.append("{")
@@ -240,11 +246,11 @@ def strip_styling(raw: str) -> str:
             elif v in ",;:! ":
                 parts.append(" ")
             elif v in "&%$#_{}":
-                parts.append(stream.lexeme(t))
+                parts.append(source[t.span.start:t.span.end])
         elif k is TokenKind.CONTROL_WORD:
             name = t.value or ""
             if name in ACCENT_WORDS:
-                parts.append(stream.lexeme(t))
+                parts.append(source[t.span.start:t.span.end])
                 j = i + 1
                 while j < n and toks[j].kind is TokenKind.WHITESPACE:
                     j += 1
@@ -254,7 +260,7 @@ def strip_styling(raw: str) -> str:
                     keep_group_depths.append(depth)
                     i = j
             elif name in LETTER_WORDS:
-                parts.append(stream.lexeme(t))
+                parts.append(source[t.span.start:t.span.end])
                 if i + 1 < n and toks[i + 1].kind is TokenKind.TEXT:
                     parts.append(" ")
             elif name in STYLE_DECLS or name in SIZE_DECLS or name in _DECOR_WORDS:
@@ -276,7 +282,7 @@ def strip_styling(raw: str) -> str:
                         j += 1
                     i = j - 1
             else:
-                parts.append(stream.lexeme(t))
+                parts.append(source[t.span.start:t.span.end])
                 nxt = toks[i + 1] if i + 1 < n else None
                 if nxt is not None and nxt.kind is TokenKind.TEXT:
                     parts.append(" ")
@@ -312,12 +318,9 @@ class Affiliation:
 @dataclass
 class FrontMatter:
     title: StyledText | None = None
-    title_span: Span | None = None
     authors: list[Author] = field(default_factory=list)
     affiliations: list[Affiliation] = field(default_factory=list)
     author_affiliation_edges: set[tuple[int, int]] = field(default_factory=set)
-    abstract_span: Span | None = None
-    maketitle_site: Span | None = None
     frontmatter_end: Span | None = None
     unresolved_markers: list[tuple[int, Marker]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)

@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .converter import RewritePlan
 from .lexer import decode_source, latin1_fallback, parse
 from .model import strip_styling
@@ -142,26 +140,38 @@ def normalize_for_compare(text: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance, vectorized row by row."""
+    """Edit distance by Myers' bit-parallel algorithm (JACM 46(3), 1999)
+    in Hyyrö's 2001 formulation: bit i of the vectors holds the vertical
+    delta in row i of the dynamic-programming column, one Python int per
+    vector, with the shorter string as the pattern."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
         return len(a)
-    bn = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    prev = np.arange(len(b) + 1, dtype=np.int64)
-    idx = np.arange(1, len(b) + 1, dtype=np.int64)
-    for i, ch in enumerate(a, start=1):
-        cost = (bn != ord(ch)).astype(np.int64)
-        cur = np.empty_like(prev)
-        cur[0] = i
-        best = np.minimum(prev[1:] + 1, prev[:-1] + cost)
-        # cur[j] = min(best[j], cur[j-1] + 1) via the prefix-min identity
-        cur[1:] = np.minimum.accumulate(best - idx) + idx
-        cur[1:] = np.minimum(cur[1:], best)
-        prev = cur
-    return int(prev[-1])
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def edit_similarity(a: str, b: str) -> float:

@@ -203,3 +203,16 @@ def test_rate_gate_spaces_and_serializes_requests(tmp_path):
     assert len(stamps) == 3
     for a, b in zip(stamps, stamps[1:]):
         assert b - a >= 0.14, stamps
+
+
+def test_default_transport_maps_url_errors(tmp_path, monkeypatch):
+    import urllib.error
+    import urllib.request
+
+    def urlopen(url, timeout):
+        raise urllib.error.URLError("unreachable")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    client = ArxivClient(tmp_path, min_interval=0.0)
+    with pytest.raises(TransportError):
+        client.fetch("2401.77780")

@@ -283,3 +283,59 @@ def test_cache_dir_accepted_after_subcommand(tmp_path, capsys):
     rec = machine_records(out)[0]
     assert rec["metadata_scores"]["title_similarity"] == 1.0
     assert code in (0, 1)
+
+
+def test_unexpected_exception_is_a_failure(degraded_file, capsys, monkeypatch):
+    import logicaltex.cli
+
+    def crash(source, policy):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(logicaltex.cli, "convert", crash)
+    code, out, err = run(capsys, "convert", str(degraded_file))
+    assert code == 2
+    assert "error: RuntimeError: boom" in err
+    code, out, err = run(capsys, "--report", "machine", "convert", str(degraded_file))
+    assert code == 2
+    assert machine_records(out) == [
+        {"schema": 1, "command": "error", "error": "RuntimeError: boom"}]
+
+
+def _count_detect_all(monkeypatch, *modules):
+    from logicaltex import detector
+
+    calls = []
+    original = detector.detect_all
+
+    def counting(tree):
+        calls.append(tree)
+        return original(tree)
+
+    for module in (detector, *modules):
+        monkeypatch.setattr(module, "detect_all", counting)
+    return calls
+
+
+def test_detect_analyses_each_file_once(degraded_file, tmp_path, capsys, monkeypatch):
+    import logicaltex.cli
+
+    calls = _count_detect_all(monkeypatch, logicaltex.cli)
+    other = tmp_path / "logical.tex"
+    shutil.copy(LOGICAL_FIXTURES[0], other)
+    code, _, _ = run(capsys, "detect", str(degraded_file), str(other))
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_batch_detects_source_and_output_once(degraded_file, capsys, monkeypatch):
+    import logicaltex.cli
+    import logicaltex.converter
+    from logicaltex.detector import classify
+    from logicaltex.lexer import parse
+
+    calls = _count_detect_all(monkeypatch, logicaltex.cli, logicaltex.converter)
+    code, out, _ = run(capsys, "--report", "machine", "batch", str(degraded_file.parent),
+                       "--scope", "full", "--aggressive")
+    assert len(calls) == 2
+    row = next(r for r in machine_records(out) if r["command"] == "batch-file")
+    assert row["class"] == classify(parse(degraded_file.read_bytes())).label.value

@@ -286,3 +286,28 @@ def test_latin1_bytes_full_recovery():
     assert "Corps du texte." in text
     ok, _ = check_body_preservation(doc, out, rep.plan)
     assert ok
+
+
+def test_convert_analyses_each_tree_once(monkeypatch):
+    from logicaltex import converter, detector
+
+    detect_calls = []
+    protected_calls = []
+    detect_all, protected_spans = detector.detect_all, detector.protected_spans
+
+    def counting_detect_all(tree):
+        detect_calls.append(tree)
+        return detect_all(tree)
+
+    def counting_protected_spans(tree):
+        protected_calls.append(tree)
+        return protected_spans(tree)
+
+    for module in (detector, converter):
+        monkeypatch.setattr(module, "detect_all", counting_detect_all)
+    monkeypatch.setattr(detector, "protected_spans", counting_protected_spans)
+    convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
+    assert len(detect_calls) == 2
+    assert detect_calls[0] is not detect_calls[1]
+    assert len(protected_calls) <= 2
+    assert len({id(tree) for tree in protected_calls}) == len(protected_calls)

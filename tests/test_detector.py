@@ -1,3 +1,5 @@
+import itertools
+
 from logicaltex.detector import (
     AUTO_APPLY_THRESHOLD,
     CueKind,
@@ -14,11 +16,13 @@ from logicaltex.detector import (
     extract_frontmatter,
     frontmatter_region,
     passes,
+    segment_lines,
 )
+from logicaltex.degrader import degrade
 from logicaltex.lexer import parse, protected_spans
-from logicaltex.model import MarkerSymbol
+from logicaltex.model import MarkerSymbol, strip_styling
 
-from conftest import FULL_PROFILES, LOGICAL_FIXTURES
+from conftest import FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
 
 
 def cue_names(det):
@@ -407,3 +411,15 @@ def test_marker_stripping_idempotent():
     names2 = [s.name_raw for d in dets2.authors for s in d.data["segments"]]
     assert names2 == names
     assert all(not s.markers for d in dets2.authors for s in d.data["segments"])
+
+
+def test_line_plain_matches_strip_styling_of_raw(small_corpus):
+    checked = 0
+    for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
+        tree = parse(degrade(text, profiles, 0)[0])
+        fm = frontmatter_region(tree)
+        for region in (fm, body_region(tree, fm)):
+            for line in segment_lines(tree, region):
+                assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
+                checked += 1
+    assert checked

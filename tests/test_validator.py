@@ -135,7 +135,7 @@ def test_similarity_matches_independent_oracle():
 
 def test_levenshtein_against_oracle_randomized():
     rng = random.Random(99)
-    alphabet = "abcde \\{}$"
+    alphabet = "abcde \\{}$\udc81\U0001d400"
     for _ in range(400):
         a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
