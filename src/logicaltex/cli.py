@@ -150,7 +150,7 @@ def cmd_detect(paths: list[Path], cfg: RunConfig) -> int:
     for path in paths:
         tree = parse(_read(path))
         dets = detect_all(tree)
-        cls = classify_detections(tree, dets)
+        cls = classify_detections(dets)
         rows = _detection_rows(dets)
         human_lines = [f"{path}: {cls.label.value} (visual score {cls.score:.2f})"]
         for r in rows:

@@ -16,7 +16,6 @@ from .detector import (
     DetectionKind,
     DetectionSet,
     FormattingClass,
-    _has_control_word,
     classify,
     classify_detections,
     detect_all,
@@ -276,8 +275,9 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
     # \maketitle goes right after the last title/author/affiliation edit
     # (an abstract further down stays below it), never duplicating one
     # that already exists, even inside a \def body.
-    if last_fm_edit_end is not None and not _has_control_word(tree, "maketitle"):
-        if title_det is not None or _has_control_word(tree, "title"):
+    words = dets.region.contents.words
+    if last_fm_edit_end is not None and "maketitle" not in words:
+        if title_det is not None or "title" in words:
             at = last_fm_edit_end
             edits.append(Edit(stream.span(at, at), "\n\\maketitle\n", "maketitle-insert"))
         else:
@@ -362,7 +362,7 @@ def convert(source: str | bytes,
         applied=result.applied,
         skipped=result.skipped,
         warnings=result.warnings,
-        class_before=classify_detections(tree, dets),
+        class_before=classify_detections(dets),
         class_after=classify(build_tree(tokenize(out_text))),
         plan=result.plan,
     )

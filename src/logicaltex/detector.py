@@ -23,7 +23,6 @@ from .lexer import (
     Span,
     TokenKind,
     TokenStream,
-    in_any_span,
     latin1_fallback,
     protected_spans,
     walk,
@@ -129,13 +128,51 @@ class FormattingClass:
 
 
 @dataclass(frozen=True)
+class Contents:
+    """Where a tree's control words start and its environments lie, by
+    name and in document order, from one walk of the tree."""
+
+    words: dict[str, list[int]]
+    envs: dict[str, list[Span]]
+
+    def within(self, span: Span, words=(), envs=()) -> bool:
+        """Whether one of the named control words or environments starts
+        inside ``span``.  The tree nests, so over a span of whole sibling
+        nodes this is a search of those nodes and their descendants."""
+        for name in words:
+            starts = self.words.get(name, [])
+            i = bisect_left(starts, span.start)
+            if i < len(starts) and starts[i] < span.end:
+                return True
+        for name in envs:
+            spans = self.envs.get(name, [])
+            i = bisect_left(spans, span.start, key=lambda s: s.start)
+            if i < len(spans) and spans[i].start < span.end:
+                return True
+        return False
+
+
+def index_contents(tree: BlockTree) -> Contents:
+    words: dict[str, list[int]] = {}
+    envs: dict[str, list[Span]] = {}
+    for nd in walk(tree.nodes):
+        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
+            words.setdefault(nd.token.value or "", []).append(nd.span.start)
+        elif isinstance(nd, EnvNode):
+            envs.setdefault(nd.name, []).append(nd.span)
+    return Contents(words, envs)
+
+
+@dataclass(frozen=True)
 class Region:
     """A stretch of the document body, segmented into lines once, plus the
-    document's protected spans; every detector reads both from here."""
+    document's protected spans and contents; every detector reads them
+    from here."""
 
     span: Span
     lines: list[Line]
     protected: list[Span]
+    contents: Contents
     whole_body_fallback: bool = False
 
 
@@ -187,9 +224,6 @@ _WORD_RE = re.compile(r"^[A-Z][A-Za-z'\u00c0-\u024f\-]*\.?$")
 
 PHRASE_MAX = 160
 NEAR_START_WINDOW = 500
-
-MARKER_CONTROL_WORDS = frozenset({"dag", "ddag", "S", "P", "footnotemark",
-                                  "textsuperscript", "ast", "dagger", "ddagger", "star"})
 
 _ACCENT_STRIP = re.compile(r"\\[Huvcdbkrt]\s*\{(.{1,3})\}|\\['`\"^~=.]\s*\{?([A-Za-z])\}?")
 _LETTER_STRIP = re.compile(r"\\(ss|ae|AE|oe|OE|aa|AA|o|O|l|L|i|j)(?![a-zA-Z])\s?")
@@ -246,8 +280,6 @@ class Line:
     bold: bool = False
     italic: bool = False
     large: bool = False
-    small: bool = False
-    fully_wrapped: bool = False
     core_nodes: list[Node] = field(default_factory=list)
     raw: str = ""
     plain: str = ""
@@ -282,15 +314,13 @@ class _StyleInfo:
     bold: bool = False
     italic: bool = False
     large: bool = False
-    small: bool = False
     centered: bool = False
-    fully_wrapped: bool = False
     core: list[Node] = field(default_factory=list)
 
 
 def analyze_styles(content: list[Node]) -> _StyleInfo:
     """Peel style wrappers that cover the whole content; the remainder is
-    the core.  fully_wrapped is True when no unstyled siblings remained."""
+    the core."""
     info = _StyleInfo()
     nodes = _trim(content)
     while True:
@@ -320,7 +350,6 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
                 nodes = nodes[1:]
                 continue
             if name in SMALL_DECLS:
-                info.small = True
                 nodes = nodes[1:]
                 continue
             if name in ARG_STYLES:
@@ -337,10 +366,7 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
             nodes = nodes[0].children
             continue
         break
-    # Styles are only recorded for wrappers that covered the whole
-    # remainder, so any recorded style means the core is fully wrapped.
     info.core = _trim(nodes)
-    info.fully_wrapped = True
     return info
 
 
@@ -480,8 +506,6 @@ class _Segmenter:
             bold=info.bold,
             italic=info.italic,
             large=info.large,
-            small=info.small,
-            fully_wrapped=info.fully_wrapped,
             core_nodes=info.core,
             raw=stream.text(span),
             plain=plain_text(stream.tokens[first:last], stream.source),
@@ -506,8 +530,8 @@ def segment_lines(tree: BlockTree, region: Region) -> list[Line]:
 
 
 def _segmented(tree: BlockTree, span: Span, protected: list[Span],
-               whole_body_fallback: bool) -> Region:
-    region = Region(span, [], protected, whole_body_fallback)
+               contents: Contents, whole_body_fallback: bool) -> Region:
+    region = Region(span, [], protected, contents, whole_body_fallback)
     region.lines.extend(segment_lines(tree, region))
     return region
 
@@ -519,36 +543,17 @@ def _core_raw(line: Line, stream: TokenStream) -> str:
     return stream.text(span)
 
 
-def _has_control_word(tree: BlockTree, *names: str) -> bool:
-    prot = tree.stream.verbatim_spans
-    for nd in walk(tree.nodes):
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-            if nd.token.value in names and not in_any_span(nd.span.start, prot):
-                return True
-    return False
-
-
-def _has_environment(tree: BlockTree, name: str) -> bool:
-    return any(isinstance(nd, EnvNode) and nd.name == name for nd in walk(tree.nodes))
-
-
 _STRUCTURE_WORDS = frozenset({
     "title", "author", "maketitle", "thanks", "affiliation", "address",
     "institute", "date", "section", "subsection", "subsubsection", "abstract",
 })
 
 
-def _line_has_logical_commands(line: "Line") -> bool:
+def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
     """Lines already carrying structural commands are never candidates;
     this also keeps a second conversion pass from re-claiming its own
     output."""
-    for nd in walk(line.content_nodes):
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-            if (nd.token.value or "") in _STRUCTURE_WORDS:
-                return True
-        elif isinstance(nd, EnvNode) and nd.name == "abstract":
-            return True
-    return False
+    return contents.within(line.span, _STRUCTURE_WORDS, ("abstract",))
 
 
 def _containment_ok(span: Span, protected: list[Span]) -> bool:
@@ -718,17 +723,17 @@ def frontmatter_region(tree: BlockTree) -> Region:
     """Span from the start of the document body to the earliest of the
     first sectioning command, an existing \\maketitle, the end of the
     abstract, or the end of a titlepage environment."""
-    nodes, body = document_body(tree)
-    boundaries: list[int] = []
-    for nd in walk(nodes):
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-            if nd.token.value in ("section", "subsection", "subsubsection", "maketitle"):
-                boundaries.append(nd.span.start)
-        elif isinstance(nd, EnvNode) and nd.name in ("titlepage", "abstract"):
-            boundaries.append(nd.span.end)
+    _, body = document_body(tree)
+    contents = index_contents(tree)
+    # Nodes of the body are exactly those that start inside it.
+    boundaries = [start for name in ("section", "subsection", "subsubsection", "maketitle")
+                  for start in contents.words.get(name, []) if body.contains(start)]
+    boundaries += [span.end for name in ("titlepage", "abstract")
+                   for span in contents.envs.get(name, []) if body.contains(span.start)]
     end = min(boundaries) if boundaries else body.end
     protected = protected_spans(tree)
-    coarse = _segmented(tree, tree.stream.span(body.start, end), protected, not boundaries)
+    coarse = _segmented(tree, tree.stream.span(body.start, end), protected, contents,
+                        not boundaries)
     det = detect_abstract(tree, coarse)
     if det is not None:
         construct_end = det.data.get("construct_end", det.span.end)
@@ -736,13 +741,14 @@ def frontmatter_region(tree: BlockTree) -> Region:
             # Segmented apart from the coarse pass: over the shorter span
             # a different paragraph can be the titlepage's last one.
             return _segmented(tree, tree.stream.span(body.start, construct_end),
-                              protected, False)
+                              protected, contents, False)
     return coarse
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
     _, body = document_body(tree)
-    return _segmented(tree, tree.stream.span(fm.span.end, body.end), fm.protected, False)
+    return _segmented(tree, tree.stream.span(fm.span.end, body.end), fm.protected,
+                      fm.contents, False)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +756,7 @@ def body_region(tree: BlockTree, fm: Region) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def _line_cues(line: Line, stream: TokenStream) -> set[Cue]:
+def _line_cues(line: Line) -> set[Cue]:
     cues: set[Cue] = set()
     if line.centered:
         cues.add(Cue(CueKind.CENTERED, line.span))
@@ -769,7 +775,7 @@ def _line_cues(line: Line, stream: TokenStream) -> set[Cue]:
 
 def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     """Title candidates ranked by confidence, then position."""
-    if _has_control_word(tree, "title"):
+    if "title" in region.contents.words:
         return []
     protected = region.protected
     stream = tree.stream
@@ -782,14 +788,14 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if ABSTRACT_LABEL_RE.match(plain):
             continue
-        if _line_has_logical_commands(line):
+        if _line_has_logical_commands(line, region.contents):
             continue
         if not _containment_ok(line.span, protected):
             continue
         segs = split_author_segments(line, stream)
         if segs and segs[0].leading_marker:
             continue
-        cues = _line_cues(line, stream)
+        cues = _line_cues(line)
         if line.span.start - region.span.start <= NEAR_START_WINDOW:
             cues.add(Cue(CueKind.NEAR_DOCUMENT_START, line.span))
         out.append(Detection(
@@ -810,9 +816,10 @@ def detect_authors_affiliations(
     lines (institution keywords or marker-led), searched below the title."""
     stream = tree.stream
     protected = region.protected
-    authors_suppressed = _has_control_word(tree, "author")
-    affils_suppressed = authors_suppressed or _has_control_word(
-        tree, "affiliation", "address", "institute")
+    words = region.contents.words
+    authors_suppressed = "author" in words
+    affils_suppressed = authors_suppressed or any(
+        name in words for name in ("affiliation", "address", "institute"))
     start = title.span.end if title is not None else region.span.start
     author_dets: list[Detection] = []
     affil_dets: list[Detection] = []
@@ -827,7 +834,7 @@ def detect_authors_affiliations(
         label_hit = _leading_label(line, stream)
         if label_hit is not None and ABSTRACT_LABEL_RE.match(label_hit[0]["plain"]):
             continue  # an abstract-labeled paragraph, not a person or place
-        if _line_has_logical_commands(line):
+        if _line_has_logical_commands(line, region.contents):
             continue
         if not _containment_ok(line.span, protected):
             continue
@@ -837,7 +844,7 @@ def detect_authors_affiliations(
         low = plain.casefold()
         keyworded = any(k in low for k in INSTITUTION_KEYWORDS)
         leading = segs[0].leading_marker
-        cues = _line_cues(line, stream)
+        cues = _line_cues(line)
         marker_spans = [s for seg in segs for s in seg.marker_spans]
         if marker_spans:
             cues.add(Cue(CueKind.MARKER_SYMBOL, marker_spans[0]))
@@ -920,7 +927,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     """The abstract: a keyword-labeled paragraph, a label line followed by
     a paragraph, or an unlabeled centered paragraph (below the auto-apply
     threshold on its own)."""
-    if _has_environment(tree, "abstract"):
+    if "abstract" in region.contents.envs:
         return None
     stream = tree.stream
     protected = region.protected
@@ -929,10 +936,10 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     trailing_titlepage: Line | None = None
     for ln in lines:
         if ln.in_titlepage and ln.container == "paragraph" and len(ln.plain) >= 80 \
-                and not _line_has_logical_commands(ln):
+                and not _line_has_logical_commands(ln, region.contents):
             trailing_titlepage = ln
     for idx, line in enumerate(lines):
-        if _line_has_logical_commands(line):
+        if _line_has_logical_commands(line, region.contents):
             continue
         if not _containment_ok(line.span, protected):
             continue
@@ -1055,7 +1062,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     for line in region.lines:
         if line.container != "paragraph" or not line.only_line_in_block:
             continue
-        if not line.fully_wrapped or not (line.bold or line.large):
+        if not (line.bold or line.large):
             continue
         if not line.core_nodes:
             continue
@@ -1069,9 +1076,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if THEOREM_LABEL_RE.match(core_plain):
             continue
-        if any(isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD
-               and (nd.token.value or "") in BIB_DENYLIST
-               for nd in walk(line.content_nodes)):
+        if region.contents.within(line.span, BIB_DENYLIST):
             continue
         cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span)}
         if line.bold:
@@ -1097,17 +1102,11 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     return out
 
 
-def _env_context_skip(tree: BlockTree) -> list[Span]:
-    return [nd.span for nd in walk(tree.nodes)
-            if isinstance(nd, EnvNode) and nd.name in SKIP_ENVIRONMENTS]
-
-
 def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detection]:
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
     stream = tree.stream
     protected = region.protected
-    skip_spans = _env_context_skip(tree)
     # Anything touched by a structural diagnostic (unclosed group, stray
     # \end, ...) is damaged; rewriting it could drag an environment
     # boundary inside a command argument.
@@ -1118,7 +1117,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     for line in region.lines:
         if line.container != "paragraph":
             continue
-        if line.only_line_in_block and line.fully_wrapped and (line.bold or line.large):
+        if line.only_line_in_block and (line.bold or line.large):
             claimed.append(line.span)  # section candidates are not emphasis
             continue
         label_hit = _leading_label(line, stream)
@@ -1186,14 +1185,10 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             continue
         if not _disjoint(span, protected) or not _disjoint(span, damaged):
             continue
-        if any(s.contains_span(span) for s in skip_spans):
-            continue
         info = analyze_styles([group])
         if not info.core:
             continue
-        if any(isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD
-               and (nd.token.value or "") in (BIB_DENYLIST | {"begin", "end"})
-               for nd in walk(group.children)):
+        if region.contents.within(span, BIB_DENYLIST | {"begin", "end"}):
             continue
         content_span = _nodes_span(info.core, stream)
         content_raw = stream.text(content_span)
@@ -1277,10 +1272,10 @@ _LOGICAL_FRONTMATTER_WORDS = ("title", "author", "maketitle", "date",
 def classify(tree: BlockTree) -> FormattingClass:
     """Logical / Mixed / Visual, scored as the fraction of structural
     elements that are expressed visually."""
-    return classify_detections(tree, detect_all(tree))
+    return classify_detections(detect_all(tree))
 
 
-def classify_detections(tree: BlockTree, dets: DetectionSet) -> FormattingClass:
+def classify_detections(dets: DetectionSet) -> FormattingClass:
     """``classify`` for a tree whose detections are already at hand."""
     structural: list[Detection] = []
     if dets.title is not None:
@@ -1293,21 +1288,15 @@ def classify_detections(tree: BlockTree, dets: DetectionSet) -> FormattingClass:
     structural.extend(dets.theorems)
     visual = len(structural) + len(dets.emphases)
 
-    logical = 0
-    verbatim = tree.stream.verbatim_spans
-    for nd in walk(tree.nodes):
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-            if (nd.token.value or "") in _LOGICAL_STRUCTURE_WORDS \
-                    and not in_any_span(nd.span.start, verbatim):
-                logical += 1
-        elif isinstance(nd, EnvNode) and nd.name == "abstract":
-            logical += 1
+    contents = dets.region.contents
+    logical = len(contents.envs.get("abstract", [])) + sum(
+        len(contents.words.get(name, [])) for name in _LOGICAL_STRUCTURE_WORDS)
 
     score = visual / (visual + logical) if visual else 0.0
     if visual == 0:
         return FormattingClass(DocumentClass.LOGICAL, 0.0, visual, logical)
-    fm_logical = _has_control_word(tree, *_LOGICAL_FRONTMATTER_WORDS) \
-        or _has_environment(tree, "abstract")
+    fm_logical = "abstract" in contents.envs \
+        or any(name in contents.words for name in _LOGICAL_FRONTMATTER_WORDS)
     if score >= 0.8 and not fm_logical:
         return FormattingClass(DocumentClass.VISUAL, score, visual, logical)
     return FormattingClass(DocumentClass.MIXED, score, visual, logical)

@@ -679,12 +679,3 @@ def protected_spans(tree: BlockTree) -> list[Span]:
     """Math, verbatim and comment regions: never the target of a rewrite."""
     spans = math_spans(tree) + list(tree.stream.verbatim_spans) + comment_spans(tree)
     return merge_spans(spans)
-
-
-def in_any_span(offset: int, spans: list[Span]) -> bool:
-    for s in spans:
-        if s.contains(offset):
-            return True
-        if s.start > offset:
-            break
-    return False

@@ -21,9 +21,7 @@ from .lexer import (
     Token,
     TokenKind,
     TokenStream,
-    in_any_span,
     latin1_fallback,
-    protected_spans,
     tokenize,
 )
 
@@ -524,7 +522,6 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
     environment, \\maketitle, section commands and \\emph occurrences."""
     stream = tree.stream
     src = stream.source
-    protected = protected_spans(tree)
     doc = LogicalDocument()
 
     def scan(nodes: list[Node]):
@@ -546,7 +543,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 cur.i += 1
                 continue
             tok = nd.token
-            if tok.kind is not TokenKind.CONTROL_WORD or in_any_span(tok.span.start, protected):
+            if tok.kind is not TokenKind.CONTROL_WORD:
                 cur.i += 1
                 continue
             name = tok.value or ""

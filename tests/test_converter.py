@@ -311,3 +311,46 @@ def test_convert_analyses_each_tree_once(monkeypatch):
     assert detect_calls[0] is not detect_calls[1]
     assert len(protected_calls) <= 2
     assert len({id(tree) for tree in protected_calls}) == len(protected_calls)
+
+
+def test_convert_walks_each_tree_once(monkeypatch):
+    from logicaltex import converter, detector
+
+    walked = []
+    trees = []
+    walk, build_tree = detector.walk, converter.build_tree
+
+    def counting_walk(nodes):
+        walked.append(nodes)
+        return walk(nodes)
+
+    def recording_build_tree(stream):
+        trees.append(build_tree(stream))
+        return trees[-1]
+
+    monkeypatch.setattr(detector, "walk", counting_walk)
+    monkeypatch.setattr(converter, "build_tree", recording_build_tree)
+    convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
+    assert len(walked) == 2
+    assert len(trees) == 2
+    assert all(nodes is tree.nodes for nodes, tree in zip(walked, trees))
+
+
+def test_structure_commands_in_verbatim_are_not_logical():
+    from logicaltex.detector import DocumentClass
+    from logicaltex.model import extract_logical
+
+    src = wrap(
+        "\\centerline{\\Large\\bf A Study of Quiet Things}\n"
+        "\\centerline{Jane Doe}\n\n"
+        "\\begin{verbatim}\n"
+        "\\title{Old}\\author{Someone}\\section{Intro}\\maketitle\n"
+        "\\begin{abstract}Quoted.\\end{abstract}\n"
+        "\\end{verbatim}\n"
+        "Inline \\verb|\\title{x}| text.\n")
+    out, rep = convert(src, METADATA_ONLY)
+    assert rep.class_before.label is DocumentClass.VISUAL
+    assert rep.class_before.logical_count == 0
+    assert "\\title{A Study of Quiet Things}" in out
+    assert "\n\\maketitle\n" in out
+    assert extract_logical(parse(src)).title_raw is None
