@@ -182,7 +182,7 @@ class ArxivClient:
             return None
         try:
             return ArxivRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CacheError(f"unreadable cache record {path}: {exc}") from exc
 
     def cache_put(self, record: ArxivRecord) -> None:

@@ -120,10 +120,6 @@ class _Reporter:
             print(human, file=self.out)
 
 
-def _read(path: Path) -> bytes:
-    return path.read_bytes()
-
-
 def _worst(verdicts) -> int:
     order = {Verdict.PASS: EXIT_PASS, Verdict.WARN: EXIT_WARN, Verdict.FAIL: EXIT_FAIL}
     code = EXIT_PASS
@@ -148,7 +144,7 @@ def _detection_rows(dets) -> list[dict]:
 def cmd_detect(paths: list[Path], cfg: RunConfig) -> int:
     reporter = _Reporter(cfg.report)
     for path in paths:
-        tree = parse(_read(path))
+        tree = parse(path.read_bytes())
         dets = detect_all(tree)
         cls = classify_detections(dets)
         rows = _detection_rows(dets)
@@ -164,12 +160,6 @@ def cmd_detect(paths: list[Path], cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _convert_one(path: Path, cfg: RunConfig):
-    source = _read(path)
-    output, report = convert(source, cfg.policy())
-    return source, output, report
-
-
 def _output_path(path: Path, cfg: RunConfig) -> Path:
     return path.with_name(path.stem + cfg.suffix)
 
@@ -178,7 +168,8 @@ def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
     reporter = _Reporter(cfg.report)
     worst = EXIT_PASS
     for path in paths:
-        source, output, report = _convert_one(path, cfg)
+        source = path.read_bytes()
+        output, report = convert(source, cfg.policy())
         if cfg.output == "stdout":
             sys.stdout.write(decode_source(output))
         elif cfg.output == "inplace":
@@ -238,7 +229,7 @@ def cmd_degrade(paths: list[Path], cfg: RunConfig) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             stage = Path(tmp)
             for p in paths:
-                (stage / p.name).write_bytes(_read(p))
+                (stage / p.name).write_bytes(p.read_bytes())
             rows = emit_pairs(stage, out_dir, cfg.profiles, cfg.seeds)
     for row in rows:
         if "skipped" in row:
@@ -299,7 +290,7 @@ def _sidecar_reference(path: Path):
 
 
 def _validate_one(path: Path, cfg: RunConfig, client: ArxivClient | None):
-    source = _read(path)
+    source = path.read_bytes()
     output, report = convert(source, cfg.policy())
     scores: MetadataScores | None = None
     notes: list[str] = []

@@ -49,17 +49,10 @@ PROFILE_CODES = {
 @dataclass(frozen=True)
 class DegradationProfile:
     name: str
-    parameters: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
             raise ValueError(f"unknown degradation profile {self.name!r}")
-
-    def param(self, key: str, default: str = "") -> str:
-        for k, v in self.parameters:
-            if k == key:
-                return v
-        return default
 
 
 def as_profiles(profiles) -> list[DegradationProfile]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .lexer import (
@@ -174,6 +174,8 @@ class Region:
     protected: list[Span]
     contents: Contents
     whole_body_fallback: bool = False
+    # The front matter's abstract, found while bounding the region.
+    abstract: Detection | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,9 @@ class Line:
     core_nodes: list[Node] = field(default_factory=list)
     raw: str = ""
     plain: str = ""
+    label: Label | None = None
+    # Filled on first use by ``_author_segments``.
+    segments: list[Segment] | None = None
 
     @property
     def isolated(self) -> bool:
@@ -307,6 +312,27 @@ def _trim(nodes: list[Node]) -> list[Node]:
 
 def _nodes_span(nodes: list[Node], stream: TokenStream) -> Span:
     return stream.span(nodes[0].span.start, nodes[-1].span.end)
+
+
+@dataclass(frozen=True)
+class Label:
+    """A styled keyword construct opening a line, such as
+    ``{\\bf Abstract.}``, and the line's nodes after it."""
+
+    span: Span
+    plain: str
+    bold: bool
+    italic: bool
+    content: list[Node]
+
+
+def _span_plain(stream: TokenStream, span: Span) -> str:
+    """``strip_styling`` of a span made of whole tokens, from the tokens
+    the stream already holds."""
+    toks = stream.tokens
+    first = bisect_left(toks, span.start, key=lambda t: t.span.start)
+    last = bisect_left(toks, span.end, first, key=lambda t: t.span.start)
+    return plain_text(toks[first:last], stream.source)
 
 
 @dataclass
@@ -374,7 +400,6 @@ class _Segmenter:
     def __init__(self, stream: TokenStream):
         self.stream = stream
         self.lines: list[Line] = []
-        self.token_starts = [t.span.start for t in stream.tokens]
 
     def run(self, nodes: list[Node], in_titlepage: bool = False) -> list[Line]:
         for block in self._blocks(nodes):
@@ -492,8 +517,6 @@ class _Segmenter:
         info = analyze_styles(content)
         # Lines are made of whole nodes, so their spans fall on token
         # boundaries and the line's own tokens give its plain text.
-        first = bisect_left(self.token_starts, span.start)
-        last = bisect_left(self.token_starts, span.end, first)
         line = Line(
             span=span,
             content_nodes=content,
@@ -508,8 +531,9 @@ class _Segmenter:
             large=info.large,
             core_nodes=info.core,
             raw=stream.text(span),
-            plain=plain_text(stream.tokens[first:last], stream.source),
+            plain=_span_plain(stream, span),
         )
+        line.label = _leading_label(line, stream)
         self.lines.append(line)
         return line
 
@@ -714,6 +738,12 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     return segments
 
 
+def _author_segments(line: Line, stream: TokenStream) -> list[Segment]:
+    if line.segments is None:
+        line.segments = split_author_segments(line, stream)
+    return line.segments
+
+
 # ---------------------------------------------------------------------------
 # Front-matter region
 # ---------------------------------------------------------------------------
@@ -722,7 +752,8 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
 def frontmatter_region(tree: BlockTree) -> Region:
     """Span from the start of the document body to the earliest of the
     first sectioning command, an existing \\maketitle, the end of the
-    abstract, or the end of a titlepage environment."""
+    abstract, or the end of a titlepage environment.  The region keeps
+    the abstract detected while bounding it."""
     _, body = document_body(tree)
     contents = index_contents(tree)
     # Nodes of the body are exactly those that start inside it.
@@ -740,9 +771,10 @@ def frontmatter_region(tree: BlockTree) -> Region:
         if construct_end < end:
             # Segmented apart from the coarse pass: over the shorter span
             # a different paragraph can be the titlepage's last one.
-            return _segmented(tree, tree.stream.span(body.start, construct_end),
-                              protected, contents, False)
-    return coarse
+            shorter = _segmented(tree, tree.stream.span(body.start, construct_end),
+                                 protected, contents, False)
+            return replace(shorter, abstract=detect_abstract(tree, shorter))
+    return replace(coarse, abstract=det)
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
@@ -792,7 +824,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if not _containment_ok(line.span, protected):
             continue
-        segs = split_author_segments(line, stream)
+        segs = _author_segments(line, stream)
         if segs and segs[0].leading_marker:
             continue
         cues = _line_cues(line)
@@ -831,14 +863,13 @@ def detect_authors_affiliations(
             continue
         if ABSTRACT_LABEL_RE.match(plain):
             continue
-        label_hit = _leading_label(line, stream)
-        if label_hit is not None and ABSTRACT_LABEL_RE.match(label_hit[0]["plain"]):
+        if line.label is not None and ABSTRACT_LABEL_RE.match(line.label.plain):
             continue  # an abstract-labeled paragraph, not a person or place
         if _line_has_logical_commands(line, region.contents):
             continue
         if not _containment_ok(line.span, protected):
             continue
-        segs = split_author_segments(line, stream)
+        segs = _author_segments(line, stream)
         if not segs:
             continue
         low = plain.casefold()
@@ -851,11 +882,8 @@ def detect_authors_affiliations(
         if keyworded or leading:
             if affils_suppressed:
                 continue
-            whole = _scan_segment(
-                line.core_nodes, _nodes_span(line.core_nodes, stream), stream,
-                strip_commas=False) if line.core_nodes else None
-            if whole is None:
-                continue
+            whole = _scan_segment(line.core_nodes, _nodes_span(line.core_nodes, stream),
+                                  stream, strip_commas=False)
             affil_dets.append(Detection(
                 DetectionKind.AFFILIATION_LINE,
                 line.span,
@@ -883,9 +911,8 @@ def detect_authors_affiliations(
     return author_dets, affil_dets
 
 
-def _leading_label(line: Line, stream: TokenStream):
-    """A styled keyword construct opening the line: ({label span, styles,
-    keyword}, content nodes) or None."""
+def _leading_label(line: Line, stream: TokenStream) -> Label | None:
+    """The styled keyword construct opening the line, or None."""
     nodes = _trim(line.content_nodes)
     while nodes and isinstance(nodes[0], Leaf) \
             and nodes[0].token.kind is TokenKind.CONTROL_WORD \
@@ -913,14 +940,8 @@ def _leading_label(line: Line, stream: TokenStream):
     if not info.core:
         return None
     label_span = _nodes_span(label_nodes, stream)
-    label_plain = strip_styling(stream.text(label_span))
-    content = _trim(nodes[rest_index:])
-    return {
-        "span": label_span,
-        "plain": label_plain,
-        "bold": info.bold,
-        "italic": info.italic,
-    }, content
+    return Label(label_span, _span_plain(stream, label_span), info.bold, info.italic,
+                 _trim(nodes[rest_index:]))
 
 
 def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
@@ -943,34 +964,33 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             continue
         if not _containment_ok(line.span, protected):
             continue
-        label_hit = _leading_label(line, stream)
-        if label_hit is not None:
-            label, content = label_hit
-            if ABSTRACT_LABEL_RE.match(label["plain"]) and content:
-                cues = {Cue(CueKind.LEADING_KEYWORD, label["span"], "Abstract")}
-                if label["bold"]:
-                    cues.add(Cue(CueKind.BOLD, label["span"]))
-                content_span = _nodes_span(content, stream)
-                cinfo = analyze_styles(content)
-                if cinfo.italic or label["italic"]:
-                    cues.add(Cue(CueKind.ITALIC, content_span))
-                if line.centered:
-                    cues.add(Cue(CueKind.CENTERED, line.span))
-                if line.in_titlepage:
-                    cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
-                content_raw = stream.text(_nodes_span(cinfo.core, stream)) if cinfo.core else ""
-                candidates.append(Detection(
-                    DetectionKind.ABSTRACT,
-                    content_span,
-                    frozenset(cues),
-                    score_cues(cues),
-                    data={
-                        "label_span": label["span"],
-                        "content_raw": content_raw.strip(),
-                        "construct_end": line.span.end,
-                    },
-                ))
-                continue
+        label = line.label
+        if label is not None and label.content and ABSTRACT_LABEL_RE.match(label.plain):
+            content = label.content
+            cues = {Cue(CueKind.LEADING_KEYWORD, label.span, "Abstract")}
+            if label.bold:
+                cues.add(Cue(CueKind.BOLD, label.span))
+            content_span = _nodes_span(content, stream)
+            cinfo = analyze_styles(content)
+            if cinfo.italic or label.italic:
+                cues.add(Cue(CueKind.ITALIC, content_span))
+            if line.centered:
+                cues.add(Cue(CueKind.CENTERED, line.span))
+            if line.in_titlepage:
+                cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
+            content_raw = stream.text(_nodes_span(cinfo.core, stream)) if cinfo.core else ""
+            candidates.append(Detection(
+                DetectionKind.ABSTRACT,
+                content_span,
+                frozenset(cues),
+                score_cues(cues),
+                data={
+                    "label_span": label.span,
+                    "content_raw": content_raw.strip(),
+                    "construct_end": line.span.end,
+                },
+            ))
+            continue
         if ABSTRACT_LABEL_RE.match(line.plain) and (line.bold or line.italic or line.centered):
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
             if nxt is not None and nxt.container == "paragraph" and len(nxt.plain) >= 40 \
@@ -1001,7 +1021,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             # Unlabeled paragraph: long centered running text, or the
             # trailing paragraph of a titlepage; never a marker-led line,
             # an institution line or a list of person names.
-            segs = split_author_segments(line, stream)
+            segs = _author_segments(line, stream)
             if segs and segs[0].leading_marker:
                 continue
             if any(k in line.plain[:60].casefold() for k in INSTITUTION_KEYWORDS):
@@ -1027,7 +1047,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 data={
                     "label_span": None,
                     "content_raw": content_raw.strip(),
-                    "construct_end": span.end if span else line.span.end,
+                    "construct_end": span.end,
                     "replace_span": span,
                 },
             ))
@@ -1068,8 +1088,9 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
             continue
-        core_raw = _core_raw(line, stream)
-        core_plain = strip_styling(core_raw)
+        core_span = _nodes_span(line.core_nodes, stream)
+        core_raw = stream.text(core_span)
+        core_plain = _span_plain(stream, core_span)
         if not core_plain or len(core_plain) > 120:
             continue
         if CAPTION_PREFIX_RE.match(core_plain):
@@ -1120,24 +1141,21 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if line.only_line_in_block and (line.bold or line.large):
             claimed.append(line.span)  # section candidates are not emphasis
             continue
-        label_hit = _leading_label(line, stream)
-        if label_hit is None:
+        label = line.label
+        if label is None or not label.bold or not label.content:
             continue
-        label, content = label_hit
-        if not label["bold"] or not content:
-            continue
-        m = THEOREM_LABEL_RE.match(label["plain"])
+        m = THEOREM_LABEL_RE.match(label.plain)
         if not m:
             continue
         if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
-            claimed.append(label["span"])
+            claimed.append(label.span)
             continue
         keyword = m.group(1)
-        content_span = _nodes_span(content, stream)
+        content_span = _nodes_span(label.content, stream)
         content_raw = stream.text(content_span).lstrip(" .:-\u2014")
         cues = {
-            Cue(CueKind.BOLD, label["span"]),
-            Cue(CueKind.LEADING_KEYWORD, label["span"], keyword),
+            Cue(CueKind.BOLD, label.span),
+            Cue(CueKind.LEADING_KEYWORD, label.span, keyword),
         }
         out.append(Detection(
             DetectionKind.THEOREM_LIKE,
@@ -1145,9 +1163,9 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             frozenset(cues),
             score_cues(cues),
             keyword=keyword,
-            data={"content_raw": content_raw.strip(), "label_span": label["span"]},
+            data={"content_raw": content_raw.strip(), "label_span": label.span},
         ))
-        claimed.append(label["span"])
+        claimed.append(label.span)
 
     def group_candidates(nodes: list[Node]):
         for nd in nodes:
@@ -1192,8 +1210,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             continue
         content_span = _nodes_span(info.core, stream)
         content_raw = stream.text(content_span)
-        plain = strip_styling(content_raw)
-        if not plain:
+        if not _span_plain(stream, content_span):
             continue
         cues = set()
         if info.bold:
@@ -1246,7 +1263,6 @@ def detect_all(tree: BlockTree) -> DetectionSet:
     titles = detect_title(tree, region)
     chosen = titles[0] if titles else None
     authors, affils = detect_authors_affiliations(tree, region, chosen)
-    abstract = detect_abstract(tree, region)
     body = body_region(tree, region)
     sections = detect_section_headers(tree, body)
     emph_thm = detect_emphasis_and_theorems(tree, body)
@@ -1256,7 +1272,7 @@ def detect_all(tree: BlockTree) -> DetectionSet:
         title=chosen,
         authors=authors,
         affiliations=affils,
-        abstract=abstract,
+        abstract=region.abstract,
         sections=sections,
         emphases=[d for d in emph_thm if d.kind is DetectionKind.EMPHASIS],
         theorems=[d for d in emph_thm if d.kind is DetectionKind.THEOREM_LIKE],
@@ -1318,7 +1334,7 @@ def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
     for det in _accepted(dets.authors):
         for seg in det.data.get("segments", []):
             fm.authors.append(Author(
-                name=StyledText.from_raw(seg.name_raw),
+                name=StyledText(seg.name_raw, seg.name_plain),
                 markers=set(seg.markers),
                 span=seg.span,
             ))

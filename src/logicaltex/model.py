@@ -418,6 +418,8 @@ class _NodeCursor:
         self.nodes = nodes
         self.stream = stream
         self.i = 0
+        # Index of a text node whose leading "*" was taken by take_star.
+        self.star_at = -1
 
     def skip_ws(self):
         while self.i < len(self.nodes):
@@ -433,7 +435,7 @@ class _NodeCursor:
     def take_optional_bracket(self):
         nd = self.peek()
         if isinstance(nd, Leaf) and nd.token.kind is TokenKind.TEXT:
-            text = nd.token.value or ""
+            text = (nd.token.value or "")[1 if self.star_at == self.i else 0:]
             if text.startswith("[") and text.rstrip().endswith("]"):
                 self.i += 1
 
@@ -450,13 +452,10 @@ class _NodeCursor:
     def take_star(self) -> bool:
         nd = self.peek()
         if isinstance(nd, Leaf) and nd.token.kind is TokenKind.TEXT and (nd.token.value or "").startswith("*"):
-            tok = nd.token
-            rest = (tok.value or "")[1:]
-            if rest.strip("") == "":
+            if nd.token.value == "*":
                 self.i += 1
             else:
-                # split: leave remainder in place by faking consumption
-                self.nodes[self.i] = Leaf(Token(TokenKind.TEXT, Span(tok.span.start + 1, tok.span.end, tok.span.line), rest))
+                self.star_at = self.i
             return True
         return False
 

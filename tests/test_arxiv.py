@@ -82,6 +82,14 @@ def test_cache_error_is_distinct(tmp_path):
         client.cache_get("2401.10000")
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"2401.10000"', '{"id": "x", "title": "t", "authors": 5}'])
+def test_cache_record_of_the_wrong_shape_is_a_cache_error(tmp_path, text):
+    client = ArxivClient(tmp_path, offline=True)
+    client._cache_path("2401.10000").write_text(text, encoding="utf-8")
+    with pytest.raises(CacheError):
+        client.cache_get("2401.10000")
+
+
 def test_fetch_rejects_malformed_id_before_network(tmp_path):
     calls = []
 

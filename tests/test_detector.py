@@ -22,7 +22,7 @@ from logicaltex.degrader import degrade
 from logicaltex.lexer import parse, protected_spans
 from logicaltex.model import MarkerSymbol, strip_styling
 
-from conftest import FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
+from conftest import FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
 
 
 def cue_names(det):
@@ -414,7 +414,7 @@ def test_marker_stripping_idempotent():
 
 
 def test_line_plain_matches_strip_styling_of_raw(small_corpus):
-    checked = 0
+    checked = labels = 0
     for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
         tree = parse(degrade(text, profiles, 0)[0])
         fm = frontmatter_region(tree)
@@ -422,4 +422,40 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
             for line in segment_lines(tree, region):
                 assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
                 checked += 1
-    assert checked
+                if line.label is not None:
+                    label_raw = tree.stream.text(line.label.span)
+                    assert line.label.plain == strip_styling(label_raw), (name, label_raw)
+                    labels += 1
+    assert checked and labels
+
+
+def test_detect_all_analyses_each_line_once(monkeypatch):
+    from logicaltex import detector
+
+    searched, labelled, split = [], [], []
+    find_abstract, leading_label, split_segments = (
+        detector.detect_abstract, detector._leading_label, detector.split_author_segments)
+
+    def recording_detect_abstract(tree, region):
+        searched.append(region)
+        return find_abstract(tree, region)
+
+    def recording_leading_label(line, stream):
+        labelled.append(line)
+        return leading_label(line, stream)
+
+    def recording_split(line, stream):
+        split.append(line)
+        return split_segments(line, stream)
+
+    monkeypatch.setattr(detector, "detect_abstract", recording_detect_abstract)
+    monkeypatch.setattr(detector, "_leading_label", recording_leading_label)
+    monkeypatch.setattr(detector, "split_author_segments", recording_split)
+    detect_all(parse((FIXTURES / "visual" / "mixed_modern.tex").read_text()))
+    assert len(searched) == 1
+    labelled.clear()
+    split.clear()
+    detect_all(parse((FIXTURES / "visual" / "gaeta_style.tex").read_text()))
+    assert labelled and split
+    assert len({id(line) for line in labelled}) == len(labelled)
+    assert len({id(line) for line in split}) == len(split)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from logicaltex.lexer import Span, parse
+from logicaltex.lexer import Leaf, Span, parse, walk
 from logicaltex.model import (
     Affiliation,
     Author,
@@ -212,3 +212,12 @@ def test_extract_logical_affiliation_style_and_commas():
 def test_extract_logical_ignores_commented_commands():
     ld = extract_logical(parse("% \\title{Wrong}\n\\title{Right}\n"))
     assert ld.title_raw == "Right"
+
+
+def test_extract_logical_leaves_the_tree_untouched():
+    tree = parse("\\section*[Short]{Long heading}\nText.\n")
+    tokens = {id(t) for t in tree.stream.tokens}
+    first = extract_logical(tree)
+    assert [(s.heading_raw, s.starred) for s in first.sections] == [("Long heading", True)]
+    assert all(id(nd.token) in tokens for nd in walk(tree.nodes) if isinstance(nd, Leaf))
+    assert extract_logical(tree).sections == first.sections
