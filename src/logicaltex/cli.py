@@ -113,11 +113,16 @@ class _Reporter:
         self.out = out or sys.stdout
 
     def emit(self, record: dict, human: str):
-        if self.mode == "machine":
-            record = {"schema": SCHEMA_VERSION, **record}
-            print(json.dumps(record, ensure_ascii=False), file=self.out)
-        else:
-            print(human, file=self.out)
+        text = (json.dumps({"schema": SCHEMA_VERSION, **record}, ensure_ascii=False)
+                if self.mode == "machine" else human)
+        # Undecodable input bytes live on as lone surrogates: escape them, so
+        # that a strict UTF-8 stream prints the report (as valid JSON too).
+        print(text.encode("utf-8", "backslashreplace").decode("utf-8"), file=self.out)
+
+
+def _report_stream(command: str, cfg: RunConfig):
+    """With convert --output stdout, stdout carries only the converted bytes."""
+    return sys.stderr if command == "convert" and cfg.output == "stdout" else sys.stdout
 
 
 def _worst(verdicts) -> int:
@@ -128,13 +133,13 @@ def _worst(verdicts) -> int:
     return code
 
 
-def _detection_rows(dets) -> list[dict]:
+def _detection_rows(dets, stream) -> list[dict]:
     rows = []
     for det in sorted(dets.all(), key=lambda d: (d.span.start, d.kind.value)):
         rows.append({
             "kind": det.kind.value,
             "span": [det.span.start, det.span.end],
-            "line": det.span.line,
+            "line": stream.line_of(det.span.start),
             "confidence": det.confidence,
             "cues": sorted(c.kind.value for c in det.cues),
         })
@@ -147,7 +152,7 @@ def cmd_detect(paths: list[Path], cfg: RunConfig) -> int:
         tree = parse(path.read_bytes())
         dets = detect_all(tree)
         cls = classify_detections(dets)
-        rows = _detection_rows(dets)
+        rows = _detection_rows(dets, tree.stream)
         human_lines = [f"{path}: {cls.label.value} (visual score {cls.score:.2f})"]
         for r in rows:
             human_lines.append(
@@ -165,23 +170,20 @@ def _output_path(path: Path, cfg: RunConfig) -> Path:
 
 
 def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
-    reporter = _Reporter(cfg.report)
+    reporter = _Reporter(cfg.report, _report_stream("convert", cfg))
     worst = EXIT_PASS
     for path in paths:
         source = path.read_bytes()
         output, report = convert(source, cfg.policy())
-        if cfg.output == "stdout":
-            sys.stdout.write(decode_source(output))
-        elif cfg.output == "inplace":
-            path.write_bytes(output if isinstance(output, bytes) else output.encode())
+        target = {"copy": _output_path(path, cfg), "inplace": path}.get(cfg.output)
+        if target is None:
+            sys.stdout.buffer.write(output)
         else:
-            _output_path(path, cfg).write_bytes(
-                output if isinstance(output, bytes) else output.encode())
+            target.write_bytes(output)
         record = {
             "command": "convert",
             "path": str(path),
-            "output": (str(_output_path(path, cfg)) if cfg.output == "copy"
-                       else cfg.output),
+            "output": str(target) if cfg.output == "copy" else cfg.output,
             "class_before": report.class_before.label.value,
             "class_after": report.class_after.label.value,
             "applied": [
@@ -201,7 +203,7 @@ def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
             diff = difflib.unified_diff(
                 decode_source(source).splitlines(keepends=True),
                 decode_source(output).splitlines(keepends=True),
-                fromfile=str(path), tofile=str(_output_path(path, cfg)))
+                fromfile=str(path), tofile=str(target or "<stdout>"))
             human.append("".join(diff))
         for d, r in report.skipped:
             human.append(f"  skipped {d.kind.value} (conf {d.confidence:.2f}): {r}")
@@ -493,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         error = f"{type(exc).__name__}: {exc}"
         print(f"error: {error}", file=sys.stderr)
         if cfg.report == "machine":
-            _Reporter(cfg.report).emit({"command": "error", "error": error}, error)
+            _Reporter(cfg.report, _report_stream(args.command, cfg)).emit(
+                {"command": "error", "error": error}, error)
         return EXIT_FAIL
     parser.error("unknown command")
     return EXIT_USAGE

@@ -233,7 +233,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         span = det.span
         if line is not None:
             end = line.sep_span.end if line.sep_span else line.span.end
-            span = stream.span(line.span.start, end)
+            span = Span(line.span.start, end)
         emit(det, span, part or "")
         note_fm_end(span.end)
 
@@ -254,7 +254,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
             for det, part in claims:
                 line = det.data["line"]
                 end = line.sep_span.end if line.sep_span else line.span.end
-                span = stream.span(line.span.start, end)
+                span = Span(line.span.start, end)
                 emit(det, span, part or "")
                 note_fm_end(span.end)
 
@@ -266,7 +266,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
             label_span = abstract_det.data.get("label_span")
             start = min(replace_span.start, label_span.start) if label_span else replace_span.start
             end = max(replace_span.end, label_span.end) if label_span else replace_span.end
-            span = stream.span(start, end)
+            span = Span(start, end)
             emit(abstract_det, span,
                  "\\begin{abstract}\n" + content + "\n\\end{abstract}")
         else:
@@ -279,7 +279,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
     if last_fm_edit_end is not None and "maketitle" not in words:
         if title_det is not None or "title" in words:
             at = last_fm_edit_end
-            edits.append(Edit(stream.span(at, at), "\n\\maketitle\n", "maketitle-insert"))
+            edits.append(Edit(Span(at, at), "\n\\maketitle\n", "maketitle-insert"))
         else:
             warnings.append("no title available; \\maketitle not inserted")
 
@@ -295,7 +295,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         trailer = re.match(r"\\par(?![a-zA-Z])", stream.source[end:])
         if trailer:
             end += trailer.end()
-        emit(det, stream.span(det.span.start, end), f"\\{cmd}{star}{{{heading}}}")
+        emit(det, Span(det.span.start, end), f"\\{cmd}{star}{{{heading}}}")
 
     theorem_spans: list[Span] = []
     needed_theorems: list[str] = []
@@ -330,7 +330,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
                 break
         lines = "".join(
             f"\\newtheorem{{{env}}}{{{env.capitalize()}}}\n" for env in sorted(needed_theorems))
-        edits.append(Edit(stream.span(at, at), lines, "theorem-preamble"))
+        edits.append(Edit(Span(at, at), lines, "theorem-preamble"))
 
     edits.sort(key=lambda e: (e.span.start, e.span.end))
     rewrite = RewritePlan(tuple(edits))

@@ -310,8 +310,8 @@ def _trim(nodes: list[Node]) -> list[Node]:
     return nodes[a:b]
 
 
-def _nodes_span(nodes: list[Node], stream: TokenStream) -> Span:
-    return stream.span(nodes[0].span.start, nodes[-1].span.end)
+def _nodes_span(nodes: list[Node]) -> Span:
+    return Span(nodes[0].span.start, nodes[-1].span.end)
 
 
 @dataclass(frozen=True)
@@ -445,7 +445,7 @@ class _Segmenter:
                     self._add_line(
                         group.children, centered=True, in_titlepage=in_titlepage,
                         container="centerline",
-                        span=self.stream.span(nd.span.start, group.span.end),
+                        span=Span(nd.span.start, group.span.end),
                     )
                     i = j + 1
                     continue
@@ -513,7 +513,7 @@ class _Segmenter:
                   container_span: Span | None = None, sep_span: Span | None = None) -> Line:
         stream = self.stream
         if span is None:
-            span = _nodes_span(content, stream)
+            span = _nodes_span(content)
         info = analyze_styles(content)
         # Lines are made of whole nodes, so their spans fall on token
         # boundaries and the line's own tokens give its plain text.
@@ -542,8 +542,7 @@ def document_body(tree: BlockTree) -> tuple[list[Node], Span]:
     for nd in tree.nodes:
         if isinstance(nd, EnvNode) and nd.name == "document":
             return nd.children, nd.inner
-    end = len(tree.stream.source)
-    return tree.nodes, tree.stream.span(0, end) if end else Span(0, 0, 1)
+    return tree.nodes, Span(0, len(tree.stream.source))
 
 
 def segment_lines(tree: BlockTree, region: Region) -> list[Line]:
@@ -563,7 +562,7 @@ def _segmented(tree: BlockTree, span: Span, protected: list[Span],
 def _core_raw(line: Line, stream: TokenStream) -> str:
     if not line.core_nodes:
         return ""
-    span = _nodes_span(line.core_nodes, stream)
+    span = _nodes_span(line.core_nodes)
     return stream.text(span)
 
 
@@ -699,7 +698,7 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     nodes = line.core_nodes
     if not nodes:
         return []
-    whole = _nodes_span(nodes, stream)
+    whole = _nodes_span(nodes)
     cuts: list[tuple[int, int]] = []
     # Textual separators are matched over the joined top-level text so a
     # separator may straddle token boundaries; anything inside a group,
@@ -732,7 +731,7 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
         # Separators may fall inside a text token, so the segment range is
         # character-based; marker constructs never straddle a separator.
         seg_nodes = [nd for nd in nodes if nd.span.start >= a and nd.span.end <= b]
-        seg = _scan_segment(seg_nodes, stream.span(a, b), stream)
+        seg = _scan_segment(seg_nodes, Span(a, b), stream)
         if seg.name_raw or seg.markers:
             segments.append(seg)
     return segments
@@ -763,7 +762,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
                    for span in contents.envs.get(name, []) if body.contains(span.start)]
     end = min(boundaries) if boundaries else body.end
     protected = protected_spans(tree)
-    coarse = _segmented(tree, tree.stream.span(body.start, end), protected, contents,
+    coarse = _segmented(tree, Span(body.start, end), protected, contents,
                         not boundaries)
     det = detect_abstract(tree, coarse)
     if det is not None:
@@ -771,7 +770,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
         if construct_end < end:
             # Segmented apart from the coarse pass: over the shorter span
             # a different paragraph can be the titlepage's last one.
-            shorter = _segmented(tree, tree.stream.span(body.start, construct_end),
+            shorter = _segmented(tree, Span(body.start, construct_end),
                                  protected, contents, False)
             return replace(shorter, abstract=detect_abstract(tree, shorter))
     return replace(coarse, abstract=det)
@@ -779,7 +778,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
     _, body = document_body(tree)
-    return _segmented(tree, tree.stream.span(fm.span.end, body.end), fm.protected,
+    return _segmented(tree, Span(fm.span.end, body.end), fm.protected,
                       fm.contents, False)
 
 
@@ -882,7 +881,7 @@ def detect_authors_affiliations(
         if keyworded or leading:
             if affils_suppressed:
                 continue
-            whole = _scan_segment(line.core_nodes, _nodes_span(line.core_nodes, stream),
+            whole = _scan_segment(line.core_nodes, _nodes_span(line.core_nodes),
                                   stream, strip_commas=False)
             affil_dets.append(Detection(
                 DetectionKind.AFFILIATION_LINE,
@@ -939,7 +938,7 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
     info = analyze_styles(label_nodes)
     if not info.core:
         return None
-    label_span = _nodes_span(label_nodes, stream)
+    label_span = _nodes_span(label_nodes)
     return Label(label_span, _span_plain(stream, label_span), info.bold, info.italic,
                  _trim(nodes[rest_index:]))
 
@@ -970,7 +969,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             cues = {Cue(CueKind.LEADING_KEYWORD, label.span, "Abstract")}
             if label.bold:
                 cues.add(Cue(CueKind.BOLD, label.span))
-            content_span = _nodes_span(content, stream)
+            content_span = _nodes_span(content)
             cinfo = analyze_styles(content)
             if cinfo.italic or label.italic:
                 cues.add(Cue(CueKind.ITALIC, content_span))
@@ -978,7 +977,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 cues.add(Cue(CueKind.CENTERED, line.span))
             if line.in_titlepage:
                 cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
-            content_raw = stream.text(_nodes_span(cinfo.core, stream)) if cinfo.core else ""
+            content_raw = stream.text(_nodes_span(cinfo.core)) if cinfo.core else ""
             candidates.append(Detection(
                 DetectionKind.ABSTRACT,
                 content_span,
@@ -1088,7 +1087,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
             continue
-        core_span = _nodes_span(line.core_nodes, stream)
+        core_span = _nodes_span(line.core_nodes)
         core_raw = stream.text(core_span)
         core_plain = _span_plain(stream, core_span)
         if not core_plain or len(core_plain) > 120:
@@ -1151,7 +1150,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             claimed.append(label.span)
             continue
         keyword = m.group(1)
-        content_span = _nodes_span(label.content, stream)
+        content_span = _nodes_span(label.content)
         content_raw = stream.text(content_span).lstrip(" .:-\u2014")
         cues = {
             Cue(CueKind.BOLD, label.span),
@@ -1208,7 +1207,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             continue
         if region.contents.within(span, BIB_DENYLIST | {"begin", "end"}):
             continue
-        content_span = _nodes_span(info.core, stream)
+        content_span = _nodes_span(info.core)
         content_raw = stream.text(content_span)
         if not _span_plain(stream, content_span):
             continue
@@ -1327,8 +1326,7 @@ def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
     the converter's gate did not skip."""
     fm = FrontMatter()
     region = dets.region
-    fm.frontmatter_end = Span(region.span.end, region.span.end,
-                              tree.stream.line_of(region.span.end))
+    fm.frontmatter_end = Span(region.span.end, region.span.end)
     if dets.title is not None and dets.title.skip_reason is None:
         fm.title = StyledText.from_raw(dets.title.data.get("core_raw", ""))
     for det in _accepted(dets.authors):

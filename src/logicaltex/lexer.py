@@ -12,7 +12,6 @@ not interpreted and macros are never expanded.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
@@ -40,14 +39,14 @@ _VERBATIM_BEGIN = re.compile(
 class Span:
     """Half-open offset range [start, end) into the decoded source text.
 
-    ``line`` is the 1-based line number of ``start``.  Offsets index the
-    decoded text; when the input arrived as bytes it was decoded with
-    UTF-8/surrogateescape, so re-encoding reproduces the original bytes.
+    Offsets index the decoded text; when the input arrived as bytes it
+    was decoded with UTF-8/surrogateescape, so re-encoding reproduces the
+    original bytes.  ``TokenStream.line_of`` turns an offset into a line
+    number where a report prints one.
     """
 
     start: int
     end: int
-    line: int = 0
 
     def __post_init__(self):
         if self.start > self.end:
@@ -99,11 +98,6 @@ class TokenStream:
     source: str
     tokens: list[Token]
     verbatim_spans: list[Span] = field(default_factory=list)
-    _newlines: list[int] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._newlines:
-            self._newlines = [m.start() for m in re.finditer("\n", self.source)]
 
     def lexeme(self, token: Token) -> str:
         return self.source[token.span.start:token.span.end]
@@ -112,10 +106,8 @@ class TokenStream:
         return self.source[span.start:span.end]
 
     def line_of(self, offset: int) -> int:
-        return bisect_right(self._newlines, offset - 1) + 1
-
-    def span(self, start: int, end: int) -> Span:
-        return Span(start, end, self.line_of(start))
+        """1-based line number of ``offset``."""
+        return self.source.count("\n", 0, offset) + 1
 
     def reassemble(self) -> str:
         return "".join(self.lexeme(t) for t in self.tokens)
@@ -154,13 +146,11 @@ class _Scanner:
         self.s = source
         self.n = len(source)
         self.i = 0
-        self.line = 1
         self.tokens: list[Token] = []
         self.verbatim_spans: list[Span] = []
 
     def add(self, kind: TokenKind, start: int, end: int, value: str | None = None):
-        self.tokens.append(Token(kind, Span(start, end, self.line), value))
-        self.line += self.s.count("\n", start, end)
+        self.tokens.append(Token(kind, Span(start, end), value))
 
     def run(self) -> TokenStream:
         s, n = self.s, self.n
@@ -295,7 +285,7 @@ class _Scanner:
         else:
             end = close + 1
         self.add(TokenKind.TEXT, j, end, s[j:end])
-        self.verbatim_spans.append(Span(cmd_start, end, self.tokens[-1].span.line))
+        self.verbatim_spans.append(Span(cmd_start, end))
         self.i = end
 
     def _verbatim_environment(self, construct_start: int, begin_match: re.Match):
@@ -310,10 +300,7 @@ class _Scanner:
         body_end = m.start() if m else n
         if body_end > body_start:
             self.add(TokenKind.TEXT, body_start, body_end, s[body_start:body_end])
-        line = self.tokens[-1].span.line if self.tokens else 1
-        self.verbatim_spans.append(
-            Span(construct_start, m.end() if m else n, line)
-        )
+        self.verbatim_spans.append(Span(construct_start, m.end() if m else n))
         self.i = body_end
 
     def _scan_simple(self, start: int, end: int):
@@ -483,8 +470,8 @@ class _TreeBuilder:
                     f = self.stack.pop()
                     self.sink().append(GroupNode(
                         f.children,
-                        self.stream.span(f.start, t.span.end),
-                        self.stream.span(f.inner_start, t.span.start),
+                        Span(f.start, t.span.end),
+                        Span(f.inner_start, t.span.start),
                     ))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
@@ -499,13 +486,13 @@ class _TreeBuilder:
     def _unwind(self, eof: int):
         while self.stack:
             f = self.stack.pop()
-            span = self.stream.span(f.start, eof)
-            inner = self.stream.span(f.inner_start, eof)
+            span = Span(f.start, eof)
+            inner = Span(f.inner_start, eof)
             if f.kind == "group":
-                self.diags.append(Diagnostic("unclosed-group", "", self.stream.span(f.start, f.start + 1)))
+                self.diags.append(Diagnostic("unclosed-group", "", Span(f.start, f.start + 1)))
                 self.sink().append(GroupNode(f.children, span, inner))
             else:
-                self.diags.append(Diagnostic("unclosed-environment", f.name or "", self.stream.span(f.start, f.start + 1)))
+                self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
                 self.sink().append(EnvNode(f.name or "", f.children, span, inner))
 
     def _dollar_math(self, i: int) -> int:
@@ -540,10 +527,10 @@ class _TreeBuilder:
         kind = "display" if display else "inline"
         if close_end is None:
             end = toks[j].span.start if j < n else len(self.stream.source)
-            self.diags.append(Diagnostic("unterminated-math", kind, self.stream.span(open_tok.span.start, end)))
-            self.sink().append(MathNode(kind, self.stream.span(open_tok.span.start, end)))
+            self.diags.append(Diagnostic("unterminated-math", kind, Span(open_tok.span.start, end)))
+            self.sink().append(MathNode(kind, Span(open_tok.span.start, end)))
             return j
-        self.sink().append(MathNode(kind, self.stream.span(open_tok.span.start, close_end)))
+        self.sink().append(MathNode(kind, Span(open_tok.span.start, close_end)))
         return j
 
     def _bracket_math(self, i: int) -> int:
@@ -564,10 +551,10 @@ class _TreeBuilder:
             j += 1
         if close_end is None:
             end = toks[j].span.start if j < n else len(self.stream.source)
-            self.diags.append(Diagnostic("unterminated-math", kind, self.stream.span(open_tok.span.start, end)))
-            self.sink().append(MathNode(kind, self.stream.span(open_tok.span.start, end)))
+            self.diags.append(Diagnostic("unterminated-math", kind, Span(open_tok.span.start, end)))
+            self.sink().append(MathNode(kind, Span(open_tok.span.start, end)))
             return j
-        self.sink().append(MathNode(kind, self.stream.span(open_tok.span.start, close_end)))
+        self.sink().append(MathNode(kind, Span(open_tok.span.start, close_end)))
         return j
 
     def _begin(self, i: int) -> int:
@@ -590,12 +577,12 @@ class _TreeBuilder:
             if toks[j].is_control_word("end"):
                 named = _env_name(self.stream, j)
                 if named is not None and named[0] == name:
-                    self.sink().append(MathNode("display", self.stream.span(start, named[2])))
+                    self.sink().append(MathNode("display", Span(start, named[2])))
                     return named[1] + 1
             j += 1
         end = len(self.stream.source)
-        self.diags.append(Diagnostic("unclosed-environment", name, self.stream.span(start, start + 1)))
-        self.sink().append(MathNode("display", self.stream.span(start, end)))
+        self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
+        self.sink().append(MathNode("display", Span(start, end)))
         return n
 
     def _end(self, i: int) -> int:
@@ -617,20 +604,20 @@ class _TreeBuilder:
             return name_idx + 1
         while len(self.stack) - 1 > depth:
             f = self.stack.pop()
-            span = self.stream.span(f.start, t.span.start)
-            inner = self.stream.span(f.inner_start, t.span.start)
+            span = Span(f.start, t.span.start)
+            inner = Span(f.inner_start, t.span.start)
             if f.kind == "group":
-                self.diags.append(Diagnostic("group-crosses-boundary", name, self.stream.span(f.start, f.start + 1)))
+                self.diags.append(Diagnostic("group-crosses-boundary", name, Span(f.start, f.start + 1)))
                 self.sink().append(GroupNode(f.children, span, inner))
             else:
-                self.diags.append(Diagnostic("unclosed-environment", f.name or "", self.stream.span(f.start, f.start + 1)))
+                self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
                 self.sink().append(EnvNode(f.name or "", f.children, span, inner))
         f = self.stack.pop()
         self.sink().append(EnvNode(
             name,
             f.children,
-            self.stream.span(f.start, after),
-            self.stream.span(f.inner_start, t.span.start),
+            Span(f.start, after),
+            Span(f.inner_start, t.span.start),
         ))
         return name_idx + 1
 
@@ -669,7 +656,7 @@ def merge_spans(spans: list[Span]) -> list[Span]:
     for s in sorted(spans, key=lambda s: (s.start, s.end)):
         if out and s.start <= out[-1].end:
             if s.end > out[-1].end:
-                out[-1] = Span(out[-1].start, s.end, out[-1].line)
+                out[-1] = Span(out[-1].start, s.end)
         else:
             out.append(s)
     return out

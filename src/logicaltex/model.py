@@ -551,20 +551,20 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 g = cur.take_group()
                 if g is not None:
                     doc.title_raw = src[g.inner.start:g.inner.end].strip()
-                    doc.title_span = stream.span(tok.span.start, g.span.end)
+                    doc.title_span = Span(tok.span.start, g.span.end)
                 continue
             if name == "date" and doc.date_span is None:
                 cur.i += 1
                 g = cur.take_group()
                 if g is not None:
-                    doc.date_span = stream.span(tok.span.start, g.span.end)
+                    doc.date_span = Span(tok.span.start, g.span.end)
                 continue
             if name == "author":
                 cur.i += 1
                 g = cur.take_group()
                 if g is not None:
                     doc.authors.extend(_split_author_group(g, stream))
-                    doc.author_block_spans.append(stream.span(tok.span.start, g.span.end))
+                    doc.author_block_spans.append(Span(tok.span.start, g.span.end))
                 continue
             if name in ("affiliation", "address", "institute") and doc.authors:
                 cur.i += 1
@@ -572,7 +572,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 if g is not None:
                     doc.authors[-1].affiliations_raw.append(
                         src[g.inner.start:g.inner.end].strip())
-                    doc.author_block_spans.append(stream.span(tok.span.start, g.span.end))
+                    doc.author_block_spans.append(Span(tok.span.start, g.span.end))
                 continue
             if name == "maketitle" and doc.maketitle_span is None:
                 doc.maketitle_span = tok.span
@@ -586,7 +586,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                     doc.sections.append(LogicalSection(
                         level=_SECTION_LEVELS[name],
                         heading_raw=src[g.inner.start:g.inner.end].strip(),
-                        span=stream.span(tok.span.start, g.span.end),
+                        span=Span(tok.span.start, g.span.end),
                         starred=starred,
                     ))
                 continue
@@ -596,7 +596,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 if g is not None:
                     doc.emphases.append((
                         src[g.inner.start:g.inner.end],
-                        stream.span(tok.span.start, g.span.end),
+                        Span(tok.span.start, g.span.end),
                     ))
                 continue
             cur.i += 1

@@ -1,13 +1,22 @@
+import io
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from logicaltex.cli import main
 from logicaltex.degrader import degrade, emit_pairs
+from logicaltex.lexer import decode_source
 
-from conftest import ARXIV_CACHE, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
+from conftest import (
+    ARXIV_CACHE,
+    FULL_PROFILES,
+    LOGICAL_FIXTURES,
+    PROFILE_SETS,
+    VISUAL_FIXTURES,
+)
 
 
 def run(capsys, *argv):
@@ -82,6 +91,58 @@ def test_convert_stdout_mode(degraded_file, capsys):
                        "--scope", "full", "--aggressive", "--output", "stdout")
     assert code == 0
     assert "\\title{" in out
+
+
+# A visual document holding a Latin-1 byte, which is not valid UTF-8.
+LATIN1_DOC = (b"\\documentclass{article}\n\\begin{document}\n"
+              b"\\centerline{\\bf G\xf6del Numbering Revisited}\n\n"
+              b"\\centerline{Kurt G\xf6del}\n\n"
+              b"{\\bf Abstract.} We revisit G\xf6del.\n\n"
+              b"{\\bf 1. Introduction}\n\nText.\n\\end{document}\n")
+
+
+@pytest.mark.parametrize("report", ["human", "machine"])
+def test_convert_stdout_writes_exactly_the_copy_bytes(tmp_path, capsys, monkeypatch, report):
+    fixture = tmp_path / "gaeta_style.tex"
+    shutil.copy(next(p for p in VISUAL_FIXTURES if p.name == fixture.name), fixture)
+    latin1 = tmp_path / "latin1.tex"
+    latin1.write_bytes(LATIN1_DOC)
+    for path in (fixture, latin1):
+        argv = ["convert", str(path), "--scope", "full", "--aggressive"]
+        code = main(argv)
+        capsys.readouterr()
+        expected = path.with_name(path.stem + ".logical.tex").read_bytes()
+        # A strict UTF-8 stdout, as under PYTHONIOENCODING=utf-8.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["--report", report, *argv, "--output", "stdout"]) == code
+        monkeypatch.undo()
+        stdout.flush()
+        assert stdout.buffer.getvalue() == expected
+        assert path.name in capsys.readouterr().err
+
+
+def test_report_escapes_undecodable_bytes(tmp_path, capsys):
+    path = tmp_path / "latin1.tex"
+    path.write_bytes(LATIN1_DOC)
+    # capsys captures through a strict UTF-8 stream.
+    code, out, _ = run(capsys, "convert", str(path), "--scope", "full", "--aggressive")
+    assert code == 0
+    assert "+\\title{G\\udcf6del Numbering Revisited}" in out
+    code, out, _ = run(capsys, "--report", "machine", "convert", str(path),
+                       "--scope", "full", "--aggressive")
+    assert code == 0
+    applied = machine_records(out)[0]["applied"]
+    assert applied[0]["replacement"] == "\\title{G\udcf6del Numbering Revisited}"
+
+
+def test_detect_line_is_the_line_of_the_span_start(capsys):
+    for fixture in VISUAL_FIXTURES:
+        code, out, _ = run(capsys, "--report", "machine", "detect", str(fixture))
+        assert code == 0
+        source = decode_source(fixture.read_bytes())
+        for det in machine_records(out)[0]["detections"]:
+            assert det["line"] == source.count("\n", 0, det["span"][0]) + 1
 
 
 def test_convert_inplace_requires_force(degraded_file, capsys):
@@ -298,6 +359,12 @@ def test_unexpected_exception_is_a_failure(degraded_file, capsys, monkeypatch):
     code, out, err = run(capsys, "--report", "machine", "convert", str(degraded_file))
     assert code == 2
     assert machine_records(out) == [
+        {"schema": 1, "command": "error", "error": "RuntimeError: boom"}]
+    code, out, err = run(capsys, "--report", "machine", "convert", str(degraded_file),
+                         "--output", "stdout")
+    assert code == 2
+    assert out == ""
+    assert machine_records(err.split("\n", 1)[1]) == [
         {"schema": 1, "command": "error", "error": "RuntimeError: boom"}]
 
 

@@ -31,7 +31,7 @@ def test_apply_empty_plan_is_identity():
 
 def test_apply_single_edit_preserves_outside_bytes():
     src = "0123456789abcdefghij"
-    plan = RewritePlan((Edit(Span(10, 20, 1), "XYZ", "test"),))
+    plan = RewritePlan((Edit(Span(10, 20), "XYZ", "test"),))
     out = apply(src, plan)
     assert out == "0123456789XYZ"
     assert out[:10] == src[:10]
@@ -46,15 +46,15 @@ def test_apply_bytes_in_bytes_out():
 def test_overlapping_edits_rejected():
     with pytest.raises(OverlapError):
         RewritePlan((
-            Edit(Span(0, 5, 1), "a", "t"),
-            Edit(Span(3, 8, 1), "b", "t"),
+            Edit(Span(0, 5), "a", "t"),
+            Edit(Span(3, 8), "b", "t"),
         ))
 
 
 def test_zero_width_insert_before_edit_is_fine():
     plan = RewritePlan((
-        Edit(Span(3, 3, 1), "INS", "t"),
-        Edit(Span(3, 6, 1), "REP", "t"),
+        Edit(Span(3, 3), "INS", "t"),
+        Edit(Span(3, 6), "REP", "t"),
     ))
     assert apply("abcdefgh", plan) == "abcINSREPgh"
 

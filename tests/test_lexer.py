@@ -68,7 +68,7 @@ def test_par_break_vs_whitespace():
 def test_line_numbers():
     st_ = tokenize("one\ntwo\n\nthree")
     texts = [t for t in st_.tokens if t.kind is TokenKind.TEXT]
-    assert [t.span.line for t in texts] == [1, 2, 4]
+    assert [st_.line_of(t.span.start) for t in texts] == [1, 2, 4]
 
 
 @given(st.text(alphabet="\\{}$&~^_#% \n\tabXY19", max_size=300))

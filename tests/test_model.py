@@ -16,7 +16,7 @@ from logicaltex.model import (
     strip_styling,
 )
 
-S = lambda: Span(0, 1, 1)
+S = lambda: Span(0, 1)
 
 
 # Rendering table: built by listing the marker forms the degrader can emit

@@ -78,7 +78,7 @@ def test_body_preserved_empty_plan_identical():
 
 
 def test_body_violation_reports_offset():
-    plan = RewritePlan((Edit(Span(5, 10, 1), "WORLD", "t"),))
+    plan = RewritePlan((Edit(Span(5, 10), "WORLD", "t"),))
     ok, off = check_body_preservation("abcd 12345 tail", "abcd WORLD tXil", plan)
     assert not ok
     assert off == 12
@@ -90,7 +90,7 @@ def test_body_violation_injected_word():
 
 
 def test_body_checks_replacement_text_too():
-    plan = RewritePlan((Edit(Span(0, 3, 1), "NEW", "t"),))
+    plan = RewritePlan((Edit(Span(0, 3), "NEW", "t"),))
     ok, _ = check_body_preservation("old rest", "NEW rest", plan)
     assert ok
     ok2, off2 = check_body_preservation("old rest", "BAD rest", plan)
