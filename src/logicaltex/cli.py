@@ -20,7 +20,7 @@ from pathlib import Path
 from .arxiv import ArxivClient, ArxivError, is_valid_id
 from .converter import ConversionPolicy, Scope, convert
 from .degrader import PROFILE_NAMES, emit_pairs
-from .detector import classify_detections, detect_all
+from .detector import AUTO_APPLY_THRESHOLD, classify_detections, detect_all
 from .lexer import decode_source, parse
 from .model import extract_logical, strip_styling
 from .validator import (
@@ -44,7 +44,7 @@ EXIT_USAGE = 3
 @dataclass
 class RunConfig:
     scope: str = "metadata"
-    threshold: float = 0.5
+    threshold: float = AUTO_APPLY_THRESHOLD
     affiliation_cmd: str = "thanks"
     aggressive: bool = False
     output: str = "copy"  # copy | stdout | inplace

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import (
+    AUTO_APPLY_THRESHOLD,
     Detection,
     DetectionKind,
     DetectionSet,
@@ -55,7 +56,7 @@ class Scope(Enum):
 class ConversionPolicy:
     scope: Scope = Scope.METADATA_ONLY
     affiliation_command: str = "thanks"  # "thanks" or "affiliation"
-    apply_threshold: float = 0.5
+    apply_threshold: float = AUTO_APPLY_THRESHOLD
     aggressive: bool = False
 
 
@@ -237,14 +238,13 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         emit(det, span, part or "")
         note_fm_end(span.end)
 
-    for key, claims in by_container.items():
+    for claims in by_container.values():
         lines = {d.data["line"].line_index for d, _ in claims}
         env_span = claims[0][0].data["line"].container_span
         count = claims[0][0].data["line"].env_line_count
         if env_span is not None and lines == set(range(count)):
             parts = [p for _, p in sorted(claims, key=lambda c: c[0].data["line"].line_index) if p]
             replacement = "\n".join(parts)
-            first_det = min(claims, key=lambda c: c[0].data["line"].line_index)[0]
             e = Edit(env_span, replacement, "front-matter-block")
             edits.append(e)
             for det, _ in sorted(claims, key=lambda c: c[0].data["line"].line_index):
@@ -356,7 +356,7 @@ def convert(source: str | bytes,
     tree = build_tree(tokenize(text))
     dets = detect_all(tree)
     _gate(dets, policy)
-    result = plan(tree, dets, extract_frontmatter(tree, dets), policy)
+    result = plan(tree, dets, extract_frontmatter(dets), policy)
     out_text = apply(text, result.plan)
     report = ConversionReport(
         applied=result.applied,

@@ -219,7 +219,6 @@ class _Degrader:
 
     def build_front_matter(self, doc: LogicalDocument, style: str) -> str:
         rng = self.rng
-        lines: list[str] = []
         centerline = style == "centerline-style"
 
         title_lines: list[str] = []

@@ -17,10 +17,10 @@ from .lexer import (
     BlockTree,
     EnvNode,
     GroupNode,
-    Leaf,
     MathNode,
     Node,
     Span,
+    Token,
     TokenKind,
     TokenStream,
     latin1_fallback,
@@ -36,6 +36,7 @@ from .model import (
     extract_markers,
     plain_text,
     resolve_affiliations,
+    splice_out,
     strip_styling,
 )
 
@@ -156,8 +157,8 @@ def index_contents(tree: BlockTree) -> Contents:
     words: dict[str, list[int]] = {}
     envs: dict[str, list[Span]] = {}
     for nd in walk(tree.nodes):
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-            words.setdefault(nd.token.value or "", []).append(nd.span.start)
+        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD:
+            words.setdefault(nd.value or "", []).append(nd.span.start)
         elif isinstance(nd, EnvNode):
             envs.setdefault(nd.name, []).append(nd.span)
     return Contents(words, envs)
@@ -297,7 +298,7 @@ class Line:
 
 
 def _is_neutral(nd: Node) -> bool:
-    return isinstance(nd, Leaf) and nd.token.kind in (
+    return isinstance(nd, Token) and nd.kind in (
         TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.PAR_BREAK)
 
 
@@ -354,8 +355,8 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
         if not nodes:
             break
         head = nodes[0]
-        if isinstance(head, Leaf) and head.token.kind is TokenKind.CONTROL_WORD:
-            name = head.token.value or ""
+        if isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD:
+            name = head.value or ""
             if name in DECOR_WORDS:
                 nodes = nodes[1:]
                 continue
@@ -410,8 +411,8 @@ class _Segmenter:
     def _blocks(nodes: list[Node]):
         block: list[Node] = []
         for nd in nodes:
-            if isinstance(nd, Leaf) and (
-                nd.token.kind is TokenKind.PAR_BREAK or nd.token.is_control_word("par")
+            if isinstance(nd, Token) and (
+                nd.kind is TokenKind.PAR_BREAK or nd.is_control_word("par")
             ):
                 if _trim(block):
                     yield _trim(block)
@@ -435,7 +436,7 @@ class _Segmenter:
         i = 0
         while i < len(block):
             nd = block[i]
-            if isinstance(nd, Leaf) and nd.token.is_control_word("centerline"):
+            if isinstance(nd, Token) and nd.is_control_word("centerline"):
                 j = i + 1
                 while j < len(block) and _is_neutral(block[j]):
                     j += 1
@@ -474,18 +475,17 @@ class _Segmenter:
         i = 0
         while i < len(children):
             nd = children[i]
-            is_break = isinstance(nd, Leaf) and (
-                (nd.token.kind is TokenKind.CONTROL_SYMBOL and nd.token.value == "\\")
-                or nd.token.kind is TokenKind.PAR_BREAK
+            is_break = isinstance(nd, Token) and (
+                (nd.kind is TokenKind.CONTROL_SYMBOL and nd.value == "\\")
+                or nd.kind is TokenKind.PAR_BREAK
             )
             if is_break:
                 sep_start, sep_end = nd.span.start, nd.span.end
-                if (isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_SYMBOL
-                        and i + 1 < len(children)):
+                if nd.kind is TokenKind.CONTROL_SYMBOL and i + 1 < len(children):
                     nxt = children[i + 1]
-                    if isinstance(nxt, Leaf) and nxt.token.kind is TokenKind.TEXT:
-                        m = re.match(r"\[[^\]]*\]", nxt.token.value or "")
-                        if m and m.end() == len(nxt.token.value or ""):
+                    if isinstance(nxt, Token) and nxt.kind is TokenKind.TEXT:
+                        m = re.match(r"\[[^\]]*\]", nxt.value or "")
+                        if m and m.end() == len(nxt.value or ""):
                             sep_end = nxt.span.end
                             i += 1
                 rows.append((current, Span(sep_start, sep_end)))
@@ -616,17 +616,17 @@ def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[l
         if found:
             return found, nd.span
         return None
-    if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD:
-        name = nd.token.value or ""
+    if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD:
+        name = nd.value or ""
         if name in ("dag", "ddag", "S", "P", "ast", "dagger", "ddagger", "star"):
             found = extract_markers("\\" + name)
             if found:
                 return found, nd.span
         if name == "footnotemark":
             j = i + 1
-            if j < len(nodes) and isinstance(nodes[j], Leaf) \
-                    and nodes[j].token.kind is TokenKind.TEXT:
-                m = re.match(r"\[\s*([0-9]+|\*+)\s*\]", nodes[j].token.value or "")
+            if j < len(nodes) and isinstance(nodes[j], Token) \
+                    and nodes[j].kind is TokenKind.TEXT:
+                m = re.match(r"\[\s*([0-9]+|\*+)\s*\]", nodes[j].value or "")
                 if m:
                     rendering = "\\footnotemark" + m.group(0)
                     found = extract_markers(rendering)
@@ -668,14 +668,7 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
             continue
         first_real = False
         i += 1
-    src = stream.source
-    parts = []
-    pos = span.start
-    for s in sorted(spans, key=lambda s: s.start):
-        parts.append(src[pos:s.start])
-        pos = s.end
-    parts.append(src[pos:span.end])
-    name_raw = "".join(parts).strip()
+    name_raw = splice_out(stream.source, span.start, span.end, spans).strip()
     name_raw = re.sub(r"\s+,", ",", name_raw).strip()
     if strip_commas:
         name_raw = name_raw.strip(",").strip()
@@ -705,10 +698,10 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     # math or command argument is off limits.
     mask: list[tuple[int, int]] = []
     for nd in nodes:
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.CONTROL_WORD \
-                and nd.token.value in ("and", "quad", "qquad"):
+        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD \
+                and nd.value in ("and", "quad", "qquad"):
             cuts.append((nd.span.start, nd.span.end))
-        elif isinstance(nd, Leaf) and nd.token.kind in (TokenKind.TEXT, TokenKind.WHITESPACE):
+        elif isinstance(nd, Token) and nd.kind in (TokenKind.TEXT, TokenKind.WHITESPACE):
             if mask and mask[-1][1] == nd.span.start:
                 mask[-1] = (mask[-1][0], nd.span.end)
             else:
@@ -913,9 +906,9 @@ def detect_authors_affiliations(
 def _leading_label(line: Line, stream: TokenStream) -> Label | None:
     """The styled keyword construct opening the line, or None."""
     nodes = _trim(line.content_nodes)
-    while nodes and isinstance(nodes[0], Leaf) \
-            and nodes[0].token.kind is TokenKind.CONTROL_WORD \
-            and (nodes[0].token.value or "") in DECOR_WORDS:
+    while nodes and isinstance(nodes[0], Token) \
+            and nodes[0].kind is TokenKind.CONTROL_WORD \
+            and (nodes[0].value or "") in DECOR_WORDS:
         nodes = _trim(nodes[1:])
     if not nodes:
         return None
@@ -924,8 +917,8 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
     rest_index = 1
     if isinstance(head, GroupNode):
         label_nodes = [head]
-    elif isinstance(head, Leaf) and head.token.kind is TokenKind.CONTROL_WORD \
-            and (head.token.value or "") in ARG_STYLES:
+    elif isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD \
+            and (head.value or "") in ARG_STYLES:
         rest = _trim(nodes[1:])
         if rest and isinstance(rest[0], GroupNode):
             label_nodes = [head, rest[0]]
@@ -1187,8 +1180,8 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if not kids:
             return None
         head = kids[0]
-        if isinstance(head, Leaf) and head.token.kind is TokenKind.CONTROL_WORD:
-            name = head.token.value or ""
+        if isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD:
+            name = head.value or ""
             if name in BOLD_DECLS:
                 return "bold"
             if name in ITALIC_DECLS:
@@ -1321,7 +1314,7 @@ def _accepted(dets: list[Detection]) -> list[Detection]:
     return [d for d in dets if d.skip_reason is None]
 
 
-def extract_frontmatter(tree: BlockTree, dets: DetectionSet) -> FrontMatter:
+def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
     """Assemble authors, affiliations and their mapping from the detections
     the converter's gate did not skip."""
     fm = FrontMatter()

@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
 
-SPECIALS = "\\{}$&~^_#%"
 _WS = " \t\r\n\x0c"
 _ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+# A text run: ordinary characters, with spaces and tabs between them
+# belonging to the run; whitespace at a boundary is its own token.  The
+# class is spelled out because ``\s`` is wider than ``_WS``.
+_TEXT_RUN = re.compile(r"[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*")
 
 # Environments whose whole extent is treated as an opaque math region.
 MATH_ENVIRONMENTS = frozenset({
@@ -216,25 +220,9 @@ class _Scanner:
         self.i = i
 
     def _text(self):
-        s, n = self.s, self.n
         start = self.i
-        i = start
-        while i < n:
-            ch = s[i]
-            if ch in SPECIALS:
-                break
-            if ch in _WS:
-                # Spaces and tabs between ordinary characters belong to the
-                # text run; whitespace at a boundary is its own token.
-                j = i
-                while j < n and s[j] in " \t":
-                    j += 1
-                if j > i and j < n and s[j] not in SPECIALS and s[j] not in _WS:
-                    i = j
-                    continue
-                break
-            i += 1
-        self.add(TokenKind.TEXT, start, i, s[start:i])
+        i = _TEXT_RUN.match(self.s, start).end()
+        self.add(TokenKind.TEXT, start, i, self.s[start:i])
         self.i = i
 
     def _control(self):
@@ -348,15 +336,6 @@ def tokenize(source: str | bytes) -> TokenStream:
 
 
 @dataclass
-class Leaf:
-    token: Token
-
-    @property
-    def span(self) -> Span:
-        return self.token.span
-
-
-@dataclass
 class GroupNode:
     children: list["Node"]
     span: Span
@@ -377,7 +356,7 @@ class MathNode:
     span: Span
 
 
-Node = Union[Leaf, GroupNode, EnvNode, MathNode]
+Node = Union[Token, GroupNode, EnvNode, MathNode]
 
 
 @dataclass(frozen=True)
@@ -456,7 +435,7 @@ class _TreeBuilder:
                 i = self._bracket_math(i)
             elif k is TokenKind.CONTROL_SYMBOL and t.value in ")]":
                 self.diags.append(Diagnostic("math-close-without-open", t.value or "", t.span))
-                self.sink().append(Leaf(t))
+                self.sink().append(t)
                 i += 1
             elif t.is_control_word("begin"):
                 i = self._begin(i)
@@ -475,10 +454,10 @@ class _TreeBuilder:
                     ))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
-                    self.sink().append(Leaf(t))
+                    self.sink().append(t)
                 i += 1
             else:
-                self.sink().append(Leaf(t))
+                self.sink().append(t)
                 i += 1
         self._unwind(len(self.stream.source))
         return BlockTree(self.root, self.diags, self.stream)
@@ -561,15 +540,15 @@ class _TreeBuilder:
         t = self.toks[i]
         named = _env_name(self.stream, i)
         if named is None:
-            self.sink().append(Leaf(t))
+            self.sink().append(t)
             return i + 1
         name, name_idx, after = named
         if name.rstrip("*") in MATH_ENVIRONMENTS:
-            return self._math_environment(i, name, name_idx, after)
+            return self._math_environment(i, name, name_idx)
         self.stack.append(_Frame("env", name, t.span.start, after, []))
         return name_idx + 1
 
-    def _math_environment(self, i: int, name: str, name_idx: int, after: int) -> int:
+    def _math_environment(self, i: int, name: str, name_idx: int) -> int:
         toks, n = self.toks, len(self.toks)
         start = toks[i].span.start
         j = name_idx + 1
@@ -589,7 +568,7 @@ class _TreeBuilder:
         t = self.toks[i]
         named = _env_name(self.stream, i)
         if named is None:
-            self.sink().append(Leaf(t))
+            self.sink().append(t)
             return i + 1
         name, name_idx, after = named
         depth = None
@@ -599,8 +578,7 @@ class _TreeBuilder:
                 break
         if depth is None:
             self.diags.append(Diagnostic("end-without-begin", name, t.span))
-            for j in range(i, name_idx + 1):
-                self.sink().append(Leaf(self.toks[j]))
+            self.sink().extend(self.toks[i:name_idx + 1])
             return name_idx + 1
         while len(self.stack) - 1 > depth:
             f = self.stack.pop()

@@ -15,7 +15,6 @@ from .lexer import (
     BlockTree,
     EnvNode,
     GroupNode,
-    Leaf,
     Node,
     Span,
     Token,
@@ -424,7 +423,7 @@ class _NodeCursor:
     def skip_ws(self):
         while self.i < len(self.nodes):
             nd = self.nodes[self.i]
-            if isinstance(nd, Leaf) and nd.token.kind in (TokenKind.WHITESPACE, TokenKind.COMMENT):
+            if isinstance(nd, Token) and nd.kind in (TokenKind.WHITESPACE, TokenKind.COMMENT):
                 self.i += 1
             else:
                 break
@@ -434,8 +433,8 @@ class _NodeCursor:
 
     def take_optional_bracket(self):
         nd = self.peek()
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.TEXT:
-            text = (nd.token.value or "")[1 if self.star_at == self.i else 0:]
+        if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
+            text = (nd.value or "")[1 if self.star_at == self.i else 0:]
             if text.startswith("[") and text.rstrip().endswith("]"):
                 self.i += 1
 
@@ -451,8 +450,8 @@ class _NodeCursor:
 
     def take_star(self) -> bool:
         nd = self.peek()
-        if isinstance(nd, Leaf) and nd.token.kind is TokenKind.TEXT and (nd.token.value or "").startswith("*"):
-            if nd.token.value == "*":
+        if isinstance(nd, Token) and nd.kind is TokenKind.TEXT and (nd.value or "").startswith("*"):
+            if nd.value == "*":
                 self.i += 1
             else:
                 self.star_at = self.i
@@ -466,14 +465,14 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
     src = stream.source
     seps: list[tuple[int, int]] = []
     has_and = False
-    for idx, nd in enumerate(group.children):
-        if isinstance(nd, Leaf) and nd.token.is_control_word("and"):
+    for nd in group.children:
+        if isinstance(nd, Token) and nd.is_control_word("and"):
             seps.append((nd.span.start, nd.span.end))
             has_and = True
     if not has_and:
         for nd in group.children:
-            if isinstance(nd, Leaf) and nd.token.kind is TokenKind.TEXT:
-                text = nd.token.value or ""
+            if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
+                text = nd.value or ""
                 for m in re.finditer(",", text):
                     seps.append((nd.span.start + m.start(), nd.span.start + m.end()))
     seps.sort()
@@ -492,7 +491,7 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
         j = 0
         while j < len(seg_nodes):
             nd = seg_nodes[j]
-            if isinstance(nd, Leaf) and nd.token.is_control_word("thanks"):
+            if isinstance(nd, Token) and nd.is_control_word("thanks"):
                 g = seg_nodes[j + 1] if j + 1 < len(seg_nodes) else None
                 if isinstance(g, GroupNode):
                     thanks.append(src[g.inner.start:g.inner.end].strip())
@@ -500,13 +499,14 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
                     j += 2
                     continue
             j += 1
-        name = _splice_out(src, seg_start, seg_end, cut).strip()
+        name = splice_out(src, seg_start, seg_end, cut).strip()
         if name or thanks:
             out.append(LogicalAuthor(name_raw=name, affiliations_raw=thanks))
     return out
 
 
-def _splice_out(src: str, start: int, end: int, cuts: list[Span]) -> str:
+def splice_out(src: str, start: int, end: int, cuts: list[Span]) -> str:
+    """``src[start:end]`` with the ``cuts`` spans removed."""
     parts = []
     pos = start
     for c in sorted(cuts, key=lambda s: s.start):
@@ -538,33 +538,29 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 scan(nd.children)
                 cur.i += 1
                 continue
-            if not isinstance(nd, Leaf):
+            if not isinstance(nd, Token) or nd.kind is not TokenKind.CONTROL_WORD:
                 cur.i += 1
                 continue
-            tok = nd.token
-            if tok.kind is not TokenKind.CONTROL_WORD:
-                cur.i += 1
-                continue
-            name = tok.value or ""
+            name = nd.value or ""
             if name == "title" and doc.title_raw is None:
                 cur.i += 1
                 g = cur.take_group()
                 if g is not None:
                     doc.title_raw = src[g.inner.start:g.inner.end].strip()
-                    doc.title_span = Span(tok.span.start, g.span.end)
+                    doc.title_span = Span(nd.span.start, g.span.end)
                 continue
             if name == "date" and doc.date_span is None:
                 cur.i += 1
                 g = cur.take_group()
                 if g is not None:
-                    doc.date_span = Span(tok.span.start, g.span.end)
+                    doc.date_span = Span(nd.span.start, g.span.end)
                 continue
             if name == "author":
                 cur.i += 1
                 g = cur.take_group()
                 if g is not None:
                     doc.authors.extend(_split_author_group(g, stream))
-                    doc.author_block_spans.append(Span(tok.span.start, g.span.end))
+                    doc.author_block_spans.append(Span(nd.span.start, g.span.end))
                 continue
             if name in ("affiliation", "address", "institute") and doc.authors:
                 cur.i += 1
@@ -572,10 +568,10 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 if g is not None:
                     doc.authors[-1].affiliations_raw.append(
                         src[g.inner.start:g.inner.end].strip())
-                    doc.author_block_spans.append(Span(tok.span.start, g.span.end))
+                    doc.author_block_spans.append(Span(nd.span.start, g.span.end))
                 continue
             if name == "maketitle" and doc.maketitle_span is None:
-                doc.maketitle_span = tok.span
+                doc.maketitle_span = nd.span
                 cur.i += 1
                 continue
             if name in _SECTION_LEVELS:
@@ -586,7 +582,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                     doc.sections.append(LogicalSection(
                         level=_SECTION_LEVELS[name],
                         heading_raw=src[g.inner.start:g.inner.end].strip(),
-                        span=Span(tok.span.start, g.span.end),
+                        span=Span(nd.span.start, g.span.end),
                         starred=starred,
                     ))
                 continue
@@ -596,7 +592,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 if g is not None:
                     doc.emphases.append((
                         src[g.inner.start:g.inner.end],
-                        Span(tok.span.start, g.span.end),
+                        Span(nd.span.start, g.span.end),
                     ))
                 continue
             cur.i += 1

@@ -111,7 +111,7 @@ def test_symbol_markers_preserve_edges_via_redetection():
                             normalize_for_compare(aff)))
     visual, truth = degrade(TWO_BY_TWO, ("symbol-markers",), seed=3)
     tree = parse(visual)
-    fm = extract_frontmatter(tree, detect_all(tree))
+    fm = extract_frontmatter(detect_all(tree))
     got_pairs = {
         (normalize_for_compare(fm.authors[i].name.raw),
          normalize_for_compare(fm.affiliations[j].text.raw))

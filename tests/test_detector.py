@@ -155,7 +155,7 @@ def test_two_marker_author_lines_and_numbered_institutes():
     assert len(authors) == 2 and len(affils) == 2
     for det in authors + affils:
         assert det.has_cue(CueKind.MARKER_SYMBOL)
-    fm = extract_frontmatter(tree, detect_all(tree))
+    fm = extract_frontmatter(detect_all(tree))
     assert [a.name.plain for a in fm.authors] == ["Maria Santos", "Igor Petrov"]
     assert sorted(fm.author_affiliation_edges) == [(0, 0), (0, 1), (1, 0)]
     assert all(m.symbol is MarkerSymbol.DIGIT
@@ -191,7 +191,7 @@ def test_multiline_affiliation_merged():
         "\\centerline{$^{1}$Department of Mathematics,}\n"
         "\\centerline{University of Somewhere, Cityville}\n\nrest")
     tree = parse(src)
-    fm = extract_frontmatter(tree, detect_all(tree))
+    fm = extract_frontmatter(detect_all(tree))
     assert len(fm.affiliations) == 1
     assert fm.affiliations[0].text.plain == \
         "Department of Mathematics, University of Somewhere, Cityville"

@@ -65,6 +65,28 @@ def test_par_break_vs_whitespace():
     assert ks.count(TokenKind.WHITESPACE) == 1
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("ab  cd\te \nf\x0cg  {x}", [
+        (TokenKind.TEXT, 0, 8), (TokenKind.WHITESPACE, 8, 10),
+        (TokenKind.TEXT, 10, 11), (TokenKind.WHITESPACE, 11, 12),
+        (TokenKind.TEXT, 12, 13), (TokenKind.WHITESPACE, 13, 15),
+        (TokenKind.BEGIN_GROUP, 15, 16), (TokenKind.TEXT, 16, 17),
+        (TokenKind.END_GROUP, 17, 18),
+    ]),
+    ("a\rb \t", [
+        (TokenKind.TEXT, 0, 1), (TokenKind.WHITESPACE, 1, 2),
+        (TokenKind.TEXT, 2, 3), (TokenKind.WHITESPACE, 3, 5),
+    ]),
+])
+def test_text_run_boundaries(text, expected):
+    # Spaces and tabs between ordinary characters belong to the text run;
+    # whitespace at a run's boundary, and any \r, \n or \x0c, splits it.
+    st_ = tokenize(text)
+    assert [(t.kind, t.span.start, t.span.end) for t in st_.tokens] == expected
+    assert [t.value for t in st_.tokens if t.kind is TokenKind.TEXT] == \
+        [text[a:b] for k, a, b in expected if k is TokenKind.TEXT]
+
+
 def test_line_numbers():
     st_ = tokenize("one\ntwo\n\nthree")
     texts = [t for t in st_.tokens if t.kind is TokenKind.TEXT]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from logicaltex.lexer import Leaf, Span, parse, walk
+from logicaltex.lexer import Span, Token, parse, walk
 from logicaltex.model import (
     Affiliation,
     Author,
@@ -219,5 +219,5 @@ def test_extract_logical_leaves_the_tree_untouched():
     tokens = {id(t) for t in tree.stream.tokens}
     first = extract_logical(tree)
     assert [(s.heading_raw, s.starred) for s in first.sections] == [("Long heading", True)]
-    assert all(id(nd.token) in tokens for nd in walk(tree.nodes) if isinstance(nd, Leaf))
+    assert all(id(nd) in tokens for nd in walk(tree.nodes) if isinstance(nd, Token))
     assert extract_logical(tree).sections == first.sections
