@@ -27,10 +27,9 @@ from .lexer import (
     BlockTree,
     EnvNode,
     Span,
-    build_tree,
     decode_source,
     encode_source,
-    tokenize,
+    parse,
 )
 from .model import FrontMatter
 
@@ -353,17 +352,19 @@ def convert(source: str | bytes,
     """
     policy = policy or ConversionPolicy()
     text = decode_source(source)
-    tree = build_tree(tokenize(text))
+    tree = parse(text)
     dets = detect_all(tree)
     _gate(dets, policy)
     result = plan(tree, dets, extract_frontmatter(dets), policy)
     out_text = apply(text, result.plan)
+    class_before = classify_detections(dets)
     report = ConversionReport(
         applied=result.applied,
         skipped=result.skipped,
         warnings=result.warnings,
-        class_before=classify_detections(dets),
-        class_after=classify(build_tree(tokenize(out_text))),
+        class_before=class_before,
+        # The analysis reads only the text, so an unchanged text keeps its class.
+        class_after=class_before if out_text == text else classify(parse(out_text)),
         plan=result.plan,
     )
     out: str | bytes = encode_source(out_text) if isinstance(source, bytes) else out_text

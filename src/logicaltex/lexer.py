@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Union
 
 _WS = " \t\r\n\x0c"
@@ -293,32 +294,21 @@ class _Scanner:
 
     def _scan_simple(self, start: int, end: int):
         # Tokenize a region known to contain only whitespace, braces,
-        # letters and '*' (the {name} part of a \begin).
-        s = self.s
-        i = start
-        while i < end:
-            ch = s[i]
+        # letters and '*' (the {name} part of a \begin).  It ends with a
+        # closing brace, where any text or whitespace run stops.
+        self.i = start
+        while self.i < end:
+            ch = self.s[self.i]
             if ch == "{":
-                self.add(TokenKind.BEGIN_GROUP, i, i + 1)
-                i += 1
+                self.add(TokenKind.BEGIN_GROUP, self.i, self.i + 1)
+                self.i += 1
             elif ch == "}":
-                self.add(TokenKind.END_GROUP, i, i + 1)
-                i += 1
+                self.add(TokenKind.END_GROUP, self.i, self.i + 1)
+                self.i += 1
             elif ch in _WS:
-                j = i
-                while j < end and s[j] in _WS:
-                    j += 1
-                run = s[i:j]
-                kind = TokenKind.PAR_BREAK if run.count("\n") >= 2 else TokenKind.WHITESPACE
-                self.add(kind, i, j)
-                i = j
+                self._whitespace()
             else:
-                j = i
-                while j < end and s[j] not in "{}" and s[j] not in _WS:
-                    j += 1
-                self.add(TokenKind.TEXT, i, j, s[i:j])
-                i = j
-        self.i = end
+                self._text()
 
 
 def tokenize(source: str | bytes) -> TokenStream:
@@ -606,8 +596,16 @@ def build_tree(stream: TokenStream) -> BlockTree:
 
 
 def parse(source: str | bytes) -> BlockTree:
-    """Tokenize and build the tree in one step."""
-    return build_tree(tokenize(source))
+    """Tokenize and build the tree in one step.
+
+    The last two trees are reused for the same decoded text, which is
+    safe because no stage mutates a tree it is given."""
+    return _parse_text(decode_source(source))
+
+
+@lru_cache(maxsize=2)
+def _parse_text(text: str) -> BlockTree:
+    return build_tree(tokenize(text))
 
 
 def walk(nodes: list[Node]) -> Iterator[Node]:

@@ -11,6 +11,7 @@ ARXIV_CACHE = FIXTURES / "arxiv_cache"
 
 sys.path.insert(0, str(TESTS_DIR))
 
+from logicaltex import lexer  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope  # noqa: E402
 
 # The five canonical degradation bundles used for round-trip verification:
@@ -29,6 +30,13 @@ FULL_PROFILES = PROFILE_SETS[4]
 
 AGGRESSIVE = ConversionPolicy(scope=Scope.FULL, aggressive=True)
 METADATA_ONLY = ConversionPolicy(scope=Scope.METADATA_ONLY)
+
+
+@pytest.fixture(autouse=True)
+def fresh_parse_memo():
+    """Start every test with an empty parse memo, so that counts of the
+    trees a test builds do not depend on which tests ran before it."""
+    lexer._parse_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

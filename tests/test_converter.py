@@ -306,19 +306,24 @@ def test_convert_analyses_each_tree_once(monkeypatch):
     for module in (detector, converter):
         monkeypatch.setattr(module, "detect_all", counting_detect_all)
     monkeypatch.setattr(detector, "protected_spans", counting_protected_spans)
-    convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
-    assert len(detect_calls) == 2
-    assert detect_calls[0] is not detect_calls[1]
-    assert len(protected_calls) <= 2
-    assert len({id(tree) for tree in protected_calls}) == len(protected_calls)
+    # A visual input is analysed before and after; a logical one comes
+    # back unchanged, so its one analysis serves both classes.
+    for path, trees in ((VISUAL_FIXTURES[0], 2), (LOGICAL_FIXTURES[0], 1)):
+        detect_calls.clear()
+        protected_calls.clear()
+        convert(path.read_text(), AGGRESSIVE)
+        assert len(detect_calls) == trees
+        assert len({id(tree) for tree in detect_calls}) == trees
+        assert len(protected_calls) <= trees
+        assert len({id(tree) for tree in protected_calls}) == len(protected_calls)
 
 
 def test_convert_walks_each_tree_once(monkeypatch):
-    from logicaltex import converter, detector
+    from logicaltex import detector, lexer
 
     walked = []
     trees = []
-    walk, build_tree = detector.walk, converter.build_tree
+    walk, build_tree = detector.walk, lexer.build_tree
 
     def counting_walk(nodes):
         walked.append(nodes)
@@ -329,11 +334,59 @@ def test_convert_walks_each_tree_once(monkeypatch):
         return trees[-1]
 
     monkeypatch.setattr(detector, "walk", counting_walk)
-    monkeypatch.setattr(converter, "build_tree", recording_build_tree)
+    monkeypatch.setattr(lexer, "build_tree", recording_build_tree)
     convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
     assert len(walked) == 2
     assert len(trees) == 2
     assert all(nodes is tree.nodes for nodes, tree in zip(walked, trees))
+
+
+def test_round_trip_builds_each_text_once(monkeypatch):
+    from logicaltex import lexer
+    from logicaltex.degrader import degrade
+    from logicaltex.model import extract_logical
+    from logicaltex.validator import validate
+
+    built = []
+    build_tree = lexer.build_tree
+
+    def recording_build_tree(stream):
+        built.append(stream.source)
+        return build_tree(stream)
+
+    monkeypatch.setattr(lexer, "build_tree", recording_build_tree)
+    logical = LOGICAL_FIXTURES[0].read_text()
+    visual, _ = degrade(logical, FULL_PROFILES, seed=1)
+    for src, changed in ((visual, True), (logical, False)):
+        built.clear()
+        out, rep = convert(src, AGGRESSIVE)
+        extract_logical(parse(out))
+        validate(src, out, rep.plan)
+        assert (out != src) is changed
+        assert built == ([src, out] if changed else [src])
+
+
+def _tree_fingerprint(tree):
+    return repr((tree.nodes, tree.diagnostics, tree.stream.tokens))
+
+
+def test_no_stage_mutates_a_parsed_tree():
+    # The parse memo hands one tree to every stage that parses the same
+    # text; that is sound only while no stage changes a tree it is given.
+    from logicaltex.degrader import degrade
+    from logicaltex.model import extract_logical
+    from logicaltex.validator import validate
+
+    for path in (VISUAL_FIXTURES[0], LOGICAL_FIXTURES[0]):
+        src = path.read_text()
+        tree = parse(src)
+        before = _tree_fingerprint(tree)
+        out, rep = convert(src, AGGRESSIVE)
+        extract_logical(tree)
+        validate(src, out, rep.plan)
+        if path in LOGICAL_FIXTURES:
+            degrade(src, FULL_PROFILES, seed=1)
+        assert _tree_fingerprint(tree) == before
 
 
 def test_structure_commands_in_verbatim_are_not_logical():

@@ -240,6 +240,26 @@ def test_verbatim_environment_is_opaque():
     assert envs == ["verbatim"]
 
 
+def test_verbatim_begin_name_tokenizes_like_any_begin():
+    # The {name} of a verbatim \begin is scanned like any other: two
+    # carriage returns without a newline are a paragraph break, and a
+    # text run takes in the spaces between its non-blank characters.
+    for head in ("\\begin\r\r{%s}", "\\begin\xa0 \x0b{\xa0 %s\t}"):
+        verbatim = tokenize(head % "verbatim" + "x\\end{verbatim}").tokens
+        other = tokenize(head % "vErbatim" + "x\\end{vErbatim}").tokens
+        n = next(i for i, t in enumerate(verbatim) if t.kind is TokenKind.END_GROUP) + 1
+        assert [(t.kind, t.span) for t in verbatim[:n]] == [(t.kind, t.span) for t in other[:n]]
+    par_break = tokenize("\\begin\r\r{verbatim}x\\end{verbatim}").tokens[1]
+    assert (par_break.kind, par_break.span) == (TokenKind.PAR_BREAK, Span(6, 8))
+
+
+def test_parse_keeps_the_tree_of_the_same_text():
+    s = "\\title{T} caf\udce9 $x$"
+    tree = parse(s)
+    assert parse(s) is tree
+    assert parse(s.encode("utf-8", "surrogateescape")) is tree
+
+
 def test_unclosed_verbatim_runs_to_eof():
     src = "\\begin{verbatim}\nnever closed $x$"
     stream = tokenize(src)
