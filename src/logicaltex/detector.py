@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from .lexer import (
     BlockTree,
@@ -269,6 +270,7 @@ def looks_like_person_names(plain: str) -> bool:
 
 @dataclass
 class Line:
+    stream: TokenStream = field(repr=False, compare=False)
     span: Span
     content_nodes: list[Node]
     centered: bool
@@ -285,10 +287,16 @@ class Line:
     large: bool = False
     core_nodes: list[Node] = field(default_factory=list)
     raw: str = ""
-    plain: str = ""
     label: Label | None = None
     # Filled on first use by ``_author_segments``.
     segments: list[Segment] | None = None
+
+    @cached_property
+    def plain(self) -> str:
+        # Lines are made of whole nodes, so their spans fall on token
+        # boundaries and the line's own tokens give its plain text.  Only
+        # the front matter's detectors read it.
+        return _span_plain(self.stream, self.span)
 
     @property
     def isolated(self) -> bool:
@@ -515,9 +523,8 @@ class _Segmenter:
         if span is None:
             span = _nodes_span(content)
         info = analyze_styles(content)
-        # Lines are made of whole nodes, so their spans fall on token
-        # boundaries and the line's own tokens give its plain text.
         line = Line(
+            stream=stream,
             span=span,
             content_nodes=content,
             centered=centered or info.centered,
@@ -531,7 +538,6 @@ class _Segmenter:
             large=info.large,
             core_nodes=info.core,
             raw=stream.text(span),
-            plain=_span_plain(stream, span),
         )
         line.label = _leading_label(line, stream)
         self.lines.append(line)
@@ -603,10 +609,13 @@ def _disjoint(span: Span, protected: list[Span]) -> bool:
 class Segment:
     span: Span
     name_raw: str
-    name_plain: str
     markers: list[Marker]
     marker_spans: list[Span]
     leading_marker: bool
+
+    @cached_property
+    def name_plain(self) -> str:
+        return strip_styling(self.name_raw)
 
 
 def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[list[Marker], Span] | None:
@@ -675,7 +684,6 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
     return Segment(
         span=span,
         name_raw=name_raw,
-        name_plain=strip_styling(name_raw),
         markers=markers,
         marker_spans=spans,
         leading_marker=leading,
@@ -983,7 +991,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 },
             ))
             continue
-        if ABSTRACT_LABEL_RE.match(line.plain) and (line.bold or line.italic or line.centered):
+        if (line.bold or line.italic or line.centered) and ABSTRACT_LABEL_RE.match(line.plain):
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
             if nxt is not None and nxt.container == "paragraph" and len(nxt.plain) >= 40 \
                     and _containment_ok(nxt.span, protected):

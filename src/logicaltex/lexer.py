@@ -12,18 +12,35 @@ not interpreted and macros are never expanded.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-_WS = " \t\r\n\x0c"
-_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# One token per match; the alternatives tile any input.  A text run is
+# ordinary characters, with spaces and tabs between them belonging to the
+# run; whitespace at a boundary is its own token.  The classes are spelled
+# out because ``\s`` is wider than TeX's blanks (space, tab, CR, LF, FF).
+_TOKEN = re.compile(
+    r"(?P<text>[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*)"
+    r"|(?P<blank>[ \t\r\n\x0c]+)"
+    r"|(?P<word>\\[A-Za-z]+)"
+    r"|(?P<symbol>\\(?s:.)?)"
+    r"|(?P<begin_group>\{)"
+    r"|(?P<end_group>\})"
+    r"|(?P<math_shift>\$)"
+    r"|(?P<alignment>&)"
+    r"|(?P<active_char>[~^_])"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<parameter>\#)"
+)
 
-# A text run: ordinary characters, with spaces and tabs between them
-# belonging to the run; whitespace at a boundary is its own token.  The
-# class is spelled out because ``\s`` is wider than ``_WS``.
-_TEXT_RUN = re.compile(r"[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*")
+# What may stand between \begin or \end and its {name}: the blanks and
+# comments the tree builder skips there.  A blank run that is a paragraph
+# break (two LF, or two CR without an LF) ends the search for a name.
+_BLANK_RUN = r"(?:[ \t\x0c\r]*\n[ \t\x0c\r]*|[ \t\x0c]*(?:\r[ \t\x0c]*)?)"
+_BEFORE_NAME = r"(?:" + _BLANK_RUN + r"%[^\n]*(?=\n))*" + _BLANK_RUN
 
 # Environments whose whole extent is treated as an opaque math region.
 MATH_ENVIRONMENTS = frozenset({
@@ -36,26 +53,26 @@ MATH_ENVIRONMENTS = frozenset({
 VERBATIM_ENVIRONMENTS = ("verbatim", "Verbatim", "lstlisting", "minted", "alltt")
 
 _VERBATIM_BEGIN = re.compile(
-    r"\\begin\s*\{\s*(" + "|".join(VERBATIM_ENVIRONMENTS) + r")(\*?)\s*\}"
+    r"\\begin" + _BEFORE_NAME + r"\{\s*(" + "|".join(VERBATIM_ENVIRONMENTS) + r")(\*?)\s*\}"
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(namedtuple("Span", "start end")):
     """Half-open offset range [start, end) into the decoded source text.
 
     Offsets index the decoded text; when the input arrived as bytes it
     was decoded with UTF-8/surrogateescape, so re-encoding reproduces the
     original bytes.  ``TokenStream.line_of`` turns an offset into a line
-    number where a report prints one.
+    number where a report prints one.  A span is a tuple, so it equals
+    the plain pair ``(start, end)``.
     """
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} > end {self.end}")
+    def __new__(cls, start: int, end: int):
+        if start > end:
+            raise ValueError(f"span start {start} > end {end}")
+        return tuple.__new__(cls, (start, end))
 
     @property
     def length(self) -> int:
@@ -86,8 +103,7 @@ class TokenKind(Enum):
     ACTIVE_CHAR = "active-char"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     span: Span
     value: str | None = None
@@ -146,124 +162,85 @@ def latin1_fallback(text: str) -> str:
     return text.translate(_LATIN1_FALLBACK)
 
 
+# The kind of each group of ``_TOKEN``'s tokens; a blank run of two line
+# ends is a paragraph break instead.
+_GROUP_KINDS = {
+    "text": TokenKind.TEXT,
+    "blank": TokenKind.WHITESPACE,
+    "word": TokenKind.CONTROL_WORD,
+    "symbol": TokenKind.CONTROL_SYMBOL,
+    "begin_group": TokenKind.BEGIN_GROUP,
+    "end_group": TokenKind.END_GROUP,
+    "math_shift": TokenKind.MATH_SHIFT,
+    "alignment": TokenKind.ALIGNMENT,
+    "active_char": TokenKind.ACTIVE_CHAR,
+    "comment": TokenKind.COMMENT,
+    "parameter": TokenKind.PARAMETER,
+}
+
+
 class _Scanner:
     def __init__(self, source: str):
         self.s = source
-        self.n = len(source)
-        self.i = 0
         self.tokens: list[Token] = []
         self.verbatim_spans: list[Span] = []
 
-    def add(self, kind: TokenKind, start: int, end: int, value: str | None = None):
-        self.tokens.append(Token(kind, Span(start, end), value))
-
     def run(self) -> TokenStream:
-        s, n = self.s, self.n
-        while self.i < n:
-            ch = s[self.i]
-            if ch == "%":
-                self._comment()
-            elif ch == "\\":
-                self._control()
-            elif ch == "{":
-                self.add(TokenKind.BEGIN_GROUP, self.i, self.i + 1)
-                self.i += 1
-            elif ch == "}":
-                self.add(TokenKind.END_GROUP, self.i, self.i + 1)
-                self.i += 1
-            elif ch == "$":
-                self.add(TokenKind.MATH_SHIFT, self.i, self.i + 1)
-                self.i += 1
-            elif ch == "&":
-                self.add(TokenKind.ALIGNMENT, self.i, self.i + 1)
-                self.i += 1
-            elif ch in "~^_":
-                self.add(TokenKind.ACTIVE_CHAR, self.i, self.i + 1, ch)
-                self.i += 1
-            elif ch == "#":
-                self._parameter()
-            elif ch in _WS:
-                self._whitespace()
-            else:
-                self._text()
+        self._scan(0, len(self.s))
         return TokenStream(self.s, self.tokens, self.verbatim_spans)
 
-    def _comment(self):
+    def _scan(self, pos: int, endpos: int):
+        """Tokenize ``s[pos:endpos]``.  A construct that reads past its
+        own match (a parameter digit, ``\\verb``, a verbatim environment)
+        restarts the match loop after it."""
         s = self.s
-        end = s.find("\n", self.i)
-        if end == -1:
-            end = self.n
-        self.add(TokenKind.COMMENT, self.i, end, s[self.i:end])
-        self.i = end
-
-    def _parameter(self):
-        s = self.s
-        end = self.i + 1
-        digit = None
-        if end < self.n and s[end].isdigit():
-            digit = s[end]
-            end += 1
-        self.add(TokenKind.PARAMETER, self.i, end, digit)
-        self.i = end
-
-    def _whitespace(self):
-        s, n = self.s, self.n
-        start = self.i
-        i = start
-        while i < n and s[i] in _WS:
-            i += 1
-        run = s[start:i]
-        newlines = run.count("\n")
-        if newlines == 0:
-            newlines = run.count("\r")
-        kind = TokenKind.PAR_BREAK if newlines >= 2 else TokenKind.WHITESPACE
-        self.add(kind, start, i)
-        self.i = i
-
-    def _text(self):
-        start = self.i
-        i = _TEXT_RUN.match(self.s, start).end()
-        self.add(TokenKind.TEXT, start, i, self.s[start:i])
-        self.i = i
-
-    def _control(self):
-        s, n = self.s, self.n
-        start = self.i
-        if start + 1 >= n:
-            self.add(TokenKind.CONTROL_SYMBOL, start, start + 1, "")
-            self.i = start + 1
-            return
-        ch = s[start + 1]
-        if ch not in _ASCII_LETTERS:
-            self.add(TokenKind.CONTROL_SYMBOL, start, start + 2, ch)
-            self.i = start + 2
-            return
-        i = start + 1
-        while i < n and s[i] in _ASCII_LETTERS:
-            i += 1
-        name = s[start + 1:i]
-        if name == "begin":
-            m = _VERBATIM_BEGIN.match(s, start)
-            if m:
-                self.add(TokenKind.CONTROL_WORD, start, i, name)
-                self.i = i
-                self._verbatim_environment(start, m)
+        add = self.tokens.append
+        kinds = _GROUP_KINDS
+        # A match's offsets are ordered, so its records skip Span's check.
+        new = tuple.__new__
+        while pos < endpos:
+            for m in _TOKEN.finditer(s, pos, endpos):
+                group = m.lastgroup
+                kind = kinds[group]
+                span = new(Span, m.span())
+                if group == "text" or group == "comment" or group == "active_char":
+                    add(new(Token, (kind, span, m.group())))
+                elif group == "blank":
+                    start, end = m.span()
+                    if (s.count("\n", start, end) or s.count("\r", start, end)) >= 2:
+                        kind = TokenKind.PAR_BREAK
+                    add(new(Token, (kind, span, None)))
+                elif group == "word":
+                    name = m.group()[1:]
+                    add(new(Token, (kind, span, name)))
+                    if name == "begin":
+                        verbatim = _VERBATIM_BEGIN.match(s, span.start)
+                        if verbatim:
+                            pos = self._verbatim_environment(span.start, span.end, verbatim)
+                            break
+                    elif name == "verb":
+                        pos = self._verb_argument(span.start, span.end)
+                        break
+                elif group == "symbol":
+                    add(new(Token, (kind, span, m.group()[1:])))
+                elif group == "parameter" and span.end < endpos and s[span.end].isdigit():
+                    pos = span.end + 1
+                    add(Token(kind, Span(span.start, pos), s[span.end]))
+                    break
+                else:
+                    add(new(Token, (kind, span, None)))
+            else:
                 return
-        self.add(TokenKind.CONTROL_WORD, start, i, name)
-        self.i = i
-        if name == "verb":
-            self._verb_argument(start)
 
-    def _verb_argument(self, cmd_start: int):
+    def _verb_argument(self, cmd_start: int, arg_start: int) -> int:
         # \verb<delim>...<delim> (or \verb* form); the delimited body is one
         # opaque text token, never scanned for specials.
-        s, n = self.s, self.n
-        j = self.i
-        k = j
+        s, n = self.s, len(self.s)
+        k = arg_start
         if k < n and s[k] == "*":
             k += 1
         if k >= n or s[k] == "\n":
-            return
+            return arg_start
         delim = s[k]
         close = s.find(delim, k + 1)
         eol = s.find("\n", k + 1)
@@ -273,42 +250,26 @@ class _Scanner:
             end = eol
         else:
             end = close + 1
-        self.add(TokenKind.TEXT, j, end, s[j:end])
+        self.tokens.append(Token(TokenKind.TEXT, Span(arg_start, end), s[arg_start:end]))
         self.verbatim_spans.append(Span(cmd_start, end))
-        self.i = end
+        return end
 
-    def _verbatim_environment(self, construct_start: int, begin_match: re.Match):
+    def _verbatim_environment(self, construct_start: int, name_start: int,
+                              begin_match: re.Match) -> int:
         # Scan the {name} part normally, then swallow everything up to the
         # matching \end{name} as one opaque text token.
-        s, n = self.s, self.n
+        s, n = self.s, len(self.s)
         name = begin_match.group(1) + begin_match.group(2)
         body_start = begin_match.end()
-        self._scan_simple(self.i, body_start)
-        end_re = re.compile(r"\\end\s*\{\s*" + re.escape(name) + r"\s*\}")
+        self._scan(name_start, body_start)
+        end_re = re.compile(r"\\end" + _BEFORE_NAME + r"\{\s*" + re.escape(name) + r"\s*\}")
         m = end_re.search(s, body_start)
         body_end = m.start() if m else n
         if body_end > body_start:
-            self.add(TokenKind.TEXT, body_start, body_end, s[body_start:body_end])
+            self.tokens.append(Token(TokenKind.TEXT, Span(body_start, body_end),
+                                     s[body_start:body_end]))
         self.verbatim_spans.append(Span(construct_start, m.end() if m else n))
-        self.i = body_end
-
-    def _scan_simple(self, start: int, end: int):
-        # Tokenize a region known to contain only whitespace, braces,
-        # letters and '*' (the {name} part of a \begin).  It ends with a
-        # closing brace, where any text or whitespace run stops.
-        self.i = start
-        while self.i < end:
-            ch = self.s[self.i]
-            if ch == "{":
-                self.add(TokenKind.BEGIN_GROUP, self.i, self.i + 1)
-                self.i += 1
-            elif ch == "}":
-                self.add(TokenKind.END_GROUP, self.i, self.i + 1)
-                self.i += 1
-            elif ch in _WS:
-                self._whitespace()
-            else:
-                self._text()
+        return body_end
 
 
 def tokenize(source: str | bytes) -> TokenStream:

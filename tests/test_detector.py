@@ -414,11 +414,12 @@ def test_marker_stripping_idempotent():
 
 
 def test_line_plain_matches_strip_styling_of_raw(small_corpus):
-    checked = labels = 0
+    checked = labels = body_lines = 0
     for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
         tree = parse(degrade(text, profiles, 0)[0])
         fm = frontmatter_region(tree)
-        for region in (fm, body_region(tree, fm)):
+        body = body_region(tree, fm)
+        for region in (fm, body):
             for line in segment_lines(tree, region):
                 assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
                 checked += 1
@@ -426,7 +427,33 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
                     label_raw = tree.stream.text(line.label.span)
                     assert line.label.plain == strip_styling(label_raw), (name, label_raw)
                     labels += 1
-    assert checked and labels
+        # The lines the body's detectors read compute their text on first read.
+        for line in body.lines:
+            assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
+            body_lines += 1
+    assert checked and labels and body_lines
+
+
+def test_body_lines_leave_their_plain_text_unread(small_corpus, monkeypatch):
+    # The body's detectors read a line's flags, core and label, never its
+    # plain text, so detection computes none for the body's lines.
+    from logicaltex import detector
+
+    bodies = []
+    make_body = detector.body_region
+
+    def recording_body_region(tree, fm):
+        bodies.append(make_body(tree, fm))
+        return bodies[-1]
+
+    monkeypatch.setattr(detector, "body_region", recording_body_region)
+    name, text = small_corpus[0]
+    for source in (text, degrade(text, FULL_PROFILES, 0)[0]):
+        bodies.clear()
+        dets = detect_all(parse(source))
+        assert len(bodies) == 1 and bodies[0].lines, name
+        assert "\\section" in source or dets.sections
+        assert [line.raw for line in bodies[0].lines if "plain" in vars(line)] == []
 
 
 def test_detect_all_analyses_each_line_once(monkeypatch):

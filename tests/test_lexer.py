@@ -253,6 +253,60 @@ def test_verbatim_begin_name_tokenizes_like_any_begin():
     assert (par_break.kind, par_break.span) == (TokenKind.PAR_BREAK, Span(6, 8))
 
 
+@pytest.mark.parametrize("template", [
+    "\\begin\xa0{%s}$x$\\end{%s}$y$",
+    "\\begin{%s}$x$\\end\xa0{%s}$y$",
+    "\\begin%%c\n{%s}$x$\\end{%s}$y$",
+    "\\begin{%s}$x$\\end %%c\n {%s}$y$",
+    "\\begin%%{%s}\n$x$\\end{%s}$y$",
+    "\\begin\n\n{%s}$x$\\end{%s}$y$",
+    "\\begin\r\r{%s}$x$\\end{%s}$y$",
+])
+def test_verbatim_spans_are_the_verbatim_environments(template):
+    # The scanner makes a verbatim span exactly where the tree builder
+    # reads \begin{name} and \end{name} for any other name: it skips the
+    # same blanks and comments before the {name}, and no others.
+    def envs(tree):
+        return [(n.name, n.span) for n in walk(tree.nodes) if isinstance(n, EnvNode)]
+
+    verbatim = parse(template % ("verbatim", "verbatim"))
+    center = parse(template % ("center", "center"))
+    assert [name for name, _ in envs(verbatim)] == \
+        ["verbatim" if name == "center" else name for name, _ in envs(center)]
+    assert [span for _, span in envs(verbatim)] == verbatim.stream.verbatim_spans
+
+
+K = TokenKind
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("#", [(K.PARAMETER, 0, 1, None)]),
+    ("#1x", [(K.PARAMETER, 0, 2, "1"), (K.TEXT, 2, 3, "x")]),
+    # str.isdigit admits superscript and Arabic-Indic digits.
+    ("#\u00b2#\u0663", [(K.PARAMETER, 0, 2, "\u00b2"), (K.PARAMETER, 2, 4, "\u0663")]),
+    ("#a", [(K.PARAMETER, 0, 1, None), (K.TEXT, 1, 2, "a")]),
+    ("a\\", [(K.TEXT, 0, 1, "a"), (K.CONTROL_SYMBOL, 1, 2, "")]),
+    ("\\\nb", [(K.CONTROL_SYMBOL, 0, 2, "\n"), (K.TEXT, 2, 3, "b")]),
+    ("x %", [(K.TEXT, 0, 1, "x"), (K.WHITESPACE, 1, 2, None), (K.COMMENT, 2, 3, "%")]),
+    ("a\\verb", [(K.TEXT, 0, 1, "a"), (K.CONTROL_WORD, 1, 6, "verb")]),
+])
+def test_scanner_rules(text, expected):
+    stream = tokenize(text)
+    assert [(t.kind, t.span.start, t.span.end, t.value) for t in stream.tokens] == expected
+    assert stream.verbatim_spans == []
+
+
+def test_span_is_an_offset_pair():
+    # Overlap errors print spans, and sets of cues hash them.
+    assert repr(Span(17, 96)) == "Span(start=17, end=96)"
+    assert hash(Span(3, 5)) == hash((3, 5))
+    span = Span(2, 7)
+    assert (span.start, span.end, span.length) == (2, 7, 5)
+    assert span.contains(2) and not span.contains(7)
+    assert span.contains_span(Span(3, 7)) and not span.contains_span(Span(1, 3))
+    assert span.intersects(Span(6, 9)) and not span.intersects(Span(7, 9))
+
+
 def test_parse_keeps_the_tree_of_the_same_text():
     s = "\\title{T} caf\udce9 $x$"
     tree = parse(s)
