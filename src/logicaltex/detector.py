@@ -157,8 +157,9 @@ class Contents:
 def index_contents(tree: BlockTree) -> Contents:
     words: dict[str, list[int]] = {}
     envs: dict[str, list[Span]] = {}
+    control_word = TokenKind.CONTROL_WORD
     for nd in walk(tree.nodes):
-        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD:
+        if isinstance(nd, Token) and nd.kind is control_word:
             words.setdefault(nd.value or "", []).append(nd.span.start)
         elif isinstance(nd, EnvNode):
             envs.setdefault(nd.name, []).append(nd.span)
@@ -295,7 +296,10 @@ class Line:
     def plain(self) -> str:
         # Lines are made of whole nodes, so their spans fall on token
         # boundaries and the line's own tokens give its plain text.  Only
-        # the front matter's detectors read it.
+        # the front matter's detectors read it.  A label that is the whole
+        # line has the same text, computed once for both.
+        if self.label is not None and self.label.span == self.span:
+            return self.label.plain
         return _span_plain(self.stream, self.span)
 
     @property
@@ -305,16 +309,18 @@ class Line:
         return self.only_line_in_block
 
 
+_NEUTRAL_KINDS = frozenset({TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.PAR_BREAK})
+
+
 def _is_neutral(nd: Node) -> bool:
-    return isinstance(nd, Token) and nd.kind in (
-        TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.PAR_BREAK)
+    return isinstance(nd, Token) and nd.kind in _NEUTRAL_KINDS
 
 
 def _trim(nodes: list[Node]) -> list[Node]:
     a, b = 0, len(nodes)
-    while a < b and _is_neutral(nodes[a]):
+    while a < b and isinstance(nodes[a], Token) and nodes[a].kind in _NEUTRAL_KINDS:
         a += 1
-    while b > a and _is_neutral(nodes[b - 1]):
+    while b > a and isinstance(nodes[b - 1], Token) and nodes[b - 1].kind in _NEUTRAL_KINDS:
         b -= 1
     return nodes[a:b]
 
@@ -328,11 +334,16 @@ class Label:
     """A styled keyword construct opening a line, such as
     ``{\\bf Abstract.}``, and the line's nodes after it."""
 
+    stream: TokenStream = field(repr=False, compare=False)
     span: Span
-    plain: str
     bold: bool
     italic: bool
     content: list[Node]
+
+    @cached_property
+    def plain(self) -> str:
+        # Read only where the label may open an abstract or a theorem.
+        return _span_plain(self.stream, self.span)
 
 
 def _span_plain(stream: TokenStream, span: Span) -> str:
@@ -357,13 +368,14 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
     """Peel style wrappers that cover the whole content; the remainder is
     the core."""
     info = _StyleInfo()
-    nodes = _trim(content)
+    nodes = content
+    control_word = TokenKind.CONTROL_WORD
     while True:
         nodes = _trim(nodes)
         if not nodes:
             break
         head = nodes[0]
-        if isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD:
+        if isinstance(head, Token) and head.kind is control_word:
             name = head.value or ""
             if name in DECOR_WORDS:
                 nodes = nodes[1:]
@@ -417,61 +429,73 @@ class _Segmenter:
 
     @staticmethod
     def _blocks(nodes: list[Node]):
+        par_break, control_word = TokenKind.PAR_BREAK, TokenKind.CONTROL_WORD
         block: list[Node] = []
         for nd in nodes:
             if isinstance(nd, Token) and (
-                nd.kind is TokenKind.PAR_BREAK or nd.is_control_word("par")
+                nd.kind is par_break or nd.kind is control_word and nd.value == "par"
             ):
-                if _trim(block):
-                    yield _trim(block)
+                block = _trim(block)
+                if block:
+                    yield block
                 block = []
             else:
                 block.append(nd)
-        if _trim(block):
-            yield _trim(block)
+        block = _trim(block)
+        if block:
+            yield block
 
     def _emit_block(self, block: list[Node], in_titlepage: bool):
         first = len(self.lines)
         buf: list[Node] = []
 
-        def flush():
+        def flush(in_titlepage: bool):
             content = _trim(buf)
             if content:
                 self._add_line(content, centered=False, in_titlepage=in_titlepage,
                                container="paragraph")
             buf.clear()
 
-        i = 0
-        while i < len(block):
-            nd = block[i]
-            if isinstance(nd, Token) and nd.is_control_word("centerline"):
-                j = i + 1
-                while j < len(block) and _is_neutral(block[j]):
-                    j += 1
-                if j < len(block) and isinstance(block[j], GroupNode):
-                    flush()
-                    group = block[j]
-                    self._add_line(
-                        group.children, centered=True, in_titlepage=in_titlepage,
-                        container="centerline",
-                        span=Span(nd.span.start, group.span.end),
-                    )
-                    i = j + 1
-                    continue
-            if isinstance(nd, EnvNode) and nd.name in ("center", "centering"):
-                flush()
-                self._center_env(nd, in_titlepage)
+        control_word = TokenKind.CONTROL_WORD
+        # (block, next index, inside a titlepage): a titlepage's blocks go
+        # on top and are emitted before the rest of the block holding it.
+        pending = [(block, 0, in_titlepage)]
+        while pending:
+            block, i, in_titlepage = pending.pop()
+            while i < len(block):
+                nd = block[i]
+                if isinstance(nd, Token):
+                    if nd.kind is control_word and nd.value == "centerline":
+                        j = i + 1
+                        while j < len(block) and _is_neutral(block[j]):
+                            j += 1
+                        if j < len(block) and isinstance(block[j], GroupNode):
+                            flush(in_titlepage)
+                            group = block[j]
+                            self._add_line(
+                                group.children, centered=True, in_titlepage=in_titlepage,
+                                container="centerline",
+                                span=Span(nd.span.start, group.span.end),
+                            )
+                            i = j + 1
+                            continue
+                elif isinstance(nd, EnvNode):
+                    if nd.name in ("center", "centering"):
+                        flush(in_titlepage)
+                        self._center_env(nd, in_titlepage)
+                        i += 1
+                        continue
+                    if nd.name == "titlepage":
+                        flush(in_titlepage)
+                        pending.append((block, i + 1, in_titlepage))
+                        pending.extend((sub, 0, True)
+                                       for sub in reversed(list(self._blocks(nd.children))))
+                        break
+                buf.append(nd)
                 i += 1
-                continue
-            if isinstance(nd, EnvNode) and nd.name == "titlepage":
-                flush()
-                for sub in self._blocks(nd.children):
-                    self._emit_block(sub, True)
-                i += 1
-                continue
-            buf.append(nd)
-            i += 1
-        flush()
+            else:
+                flush(in_titlepage)
+        # A titlepage's lines count towards the block that holds it.
         emitted = self.lines[first:]
         for ln in emitted:
             ln.only_line_in_block = len(emitted) == 1
@@ -936,12 +960,17 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
                     break
     if label_nodes is None:
         return None
-    info = analyze_styles(label_nodes)
-    if not info.core:
+    content = _trim(nodes[rest_index:])
+    if content:
+        info = analyze_styles(label_nodes)
+        bold, italic, core = info.bold, info.italic, info.core
+    else:
+        # The label is all the line holds after its decorations, so the
+        # line's own styles (peeled past the same decorations) are its.
+        bold, italic, core = line.bold, line.italic, line.core_nodes
+    if not core:
         return None
-    label_span = _nodes_span(label_nodes)
-    return Label(label_span, _span_plain(stream, label_span), info.bold, info.italic,
-                 _trim(nodes[rest_index:]))
+    return Label(stream, _nodes_span(label_nodes), bold, italic, content)
 
 
 def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
@@ -1168,20 +1197,31 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         claimed.append(label.span)
 
     def group_candidates(nodes: list[Node]):
-        for nd in nodes:
-            if isinstance(nd, EnvNode):
-                if nd.name in SKIP_ENVIRONMENTS:
-                    continue
-                yield from group_candidates(nd.children)
-            elif isinstance(nd, GroupNode):
-                if not (region.span.start <= nd.span.start < region.span.end):
-                    yield from group_candidates(nd.children)
-                    continue
-                style = _old_style_group(nd)
-                if style is not None:
-                    yield nd, style
+        # Depth first over an explicit stack of open child lists; an
+        # old-style group is a candidate and is not entered.
+        start, end = region.span
+        pending = [iter(nodes)]
+        while pending:
+            for nd in pending[-1]:
+                if isinstance(nd, EnvNode):
+                    if nd.name in SKIP_ENVIRONMENTS:
+                        continue
+                elif isinstance(nd, GroupNode):
+                    if start <= nd.span.start < end:
+                        style = _old_style_group(nd)
+                        if style is not None:
+                            yield nd, style
+                            continue
                 else:
-                    yield from group_candidates(nd.children)
+                    continue
+                # A node's descendants start inside it, so a node that
+                # ends before the region or starts after it holds none.
+                if nd.span.end <= start or nd.span.start >= end:
+                    continue
+                pending.append(iter(nd.children))
+                break
+            else:
+                pending.pop()
 
     def _old_style_group(group: GroupNode):
         kids = _trim(group.children)

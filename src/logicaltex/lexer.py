@@ -102,6 +102,11 @@ class TokenKind(Enum):
     TEXT = "text"
     ACTIVE_CHAR = "active-char"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash serves; Enum's own hashes the name in Python code, which would
+    # dominate a test of a kind's membership in a set.
+    __hash__ = object.__hash__
+
 
 class Token(NamedTuple):
     kind: TokenKind
@@ -286,14 +291,14 @@ def tokenize(source: str | bytes) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupNode:
     children: list["Node"]
     span: Span
     inner: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvNode:
     name: str
     children: list["Node"]
@@ -301,7 +306,7 @@ class EnvNode:
     inner: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class MathNode:
     kind: str  # "inline" or "display"
     span: Span
@@ -328,8 +333,7 @@ class BlockTree:
     stream: TokenStream
 
 
-@dataclass
-class _Frame:
+class _Frame(NamedTuple):
     kind: str  # "group" or "env"
     name: str | None
     start: int
@@ -375,40 +379,60 @@ class _TreeBuilder:
 
     def build(self) -> BlockTree:
         toks = self.toks
+        root = self.root
+        stack = self.stack
         n = len(toks)
+        # Loading an Enum member through its class costs more than the
+        # rest of a plain token's handling, so the kinds are locals.
+        CONTROL_WORD = TokenKind.CONTROL_WORD
+        CONTROL_SYMBOL = TokenKind.CONTROL_SYMBOL
+        BEGIN_GROUP = TokenKind.BEGIN_GROUP
+        END_GROUP = TokenKind.END_GROUP
+        MATH_SHIFT = TokenKind.MATH_SHIFT
+        # A group's closing brace follows its opening one, so its spans
+        # skip Span's check; its frame is built the same way.
+        new = tuple.__new__
+        sink = root  # the children of the innermost open frame
         i = 0
         while i < n:
             t = toks[i]
             k = t.kind
-            if k is TokenKind.MATH_SHIFT:
-                i = self._dollar_math(i)
-            elif k is TokenKind.CONTROL_SYMBOL and t.value in "([":
-                i = self._bracket_math(i)
-            elif k is TokenKind.CONTROL_SYMBOL and t.value in ")]":
-                self.diags.append(Diagnostic("math-close-without-open", t.value or "", t.span))
-                self.sink().append(t)
+            if k is CONTROL_WORD:
+                if t.value == "begin":
+                    i = self._begin(i)
+                    sink = self.sink()
+                elif t.value == "end":
+                    i = self._end(i)
+                    sink = self.sink()
+                else:
+                    sink.append(t)
+                    i += 1
+            elif k is BEGIN_GROUP:
+                start, end = t.span
+                sink = []
+                stack.append(new(_Frame, ("group", None, start, end, sink)))
                 i += 1
-            elif t.is_control_word("begin"):
-                i = self._begin(i)
-            elif t.is_control_word("end"):
-                i = self._end(i)
-            elif k is TokenKind.BEGIN_GROUP:
-                self.stack.append(_Frame("group", None, t.span.start, t.span.end, []))
-                i += 1
-            elif k is TokenKind.END_GROUP:
-                if self.stack and self.stack[-1].kind == "group":
-                    f = self.stack.pop()
-                    self.sink().append(GroupNode(
-                        f.children,
-                        Span(f.start, t.span.end),
-                        Span(f.inner_start, t.span.start),
-                    ))
+            elif k is END_GROUP:
+                if stack and stack[-1].kind == "group":
+                    f = stack.pop()
+                    sink = stack[-1].children if stack else root
+                    start, end = t.span
+                    sink.append(GroupNode(f.children, new(Span, (f.start, end)),
+                                          new(Span, (f.inner_start, start))))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
-                    self.sink().append(t)
+                    sink.append(t)
+                i += 1
+            elif k is MATH_SHIFT:
+                i = self._dollar_math(i)
+            elif k is CONTROL_SYMBOL and t.value in "([":
+                i = self._bracket_math(i)
+            elif k is CONTROL_SYMBOL and t.value in ")]":
+                self.diags.append(Diagnostic("math-close-without-open", t.value or "", t.span))
+                sink.append(t)
                 i += 1
             else:
-                self.sink().append(t)
+                sink.append(t)
                 i += 1
         self._unwind(len(self.stream.source))
         return BlockTree(self.root, self.diags, self.stream)
@@ -570,11 +594,19 @@ def _parse_text(text: str) -> BlockTree:
 
 
 def walk(nodes: list[Node]) -> Iterator[Node]:
-    """Yield every node in document order, depth first."""
-    for node in nodes:
-        yield node
-        if isinstance(node, (GroupNode, EnvNode)):
-            yield from walk(node.children)
+    """Yield every node in document order, depth first.
+
+    The open child lists are an explicit stack, so any depth is walked
+    and each node costs the same wherever it sits."""
+    pending = [iter(nodes)]
+    while pending:
+        for node in pending[-1]:
+            yield node
+            if isinstance(node, (GroupNode, EnvNode)):
+                pending.append(iter(node.children))
+                break
+        else:
+            pending.pop()
 
 
 def math_spans(tree: BlockTree) -> list[Span]:
@@ -584,7 +616,8 @@ def math_spans(tree: BlockTree) -> list[Span]:
 
 
 def comment_spans(tree: BlockTree) -> list[Span]:
-    return [t.span for t in tree.stream.tokens if t.kind is TokenKind.COMMENT]
+    comment = TokenKind.COMMENT
+    return [t.span for t in tree.stream.tokens if t.kind is comment]
 
 
 def merge_spans(spans: list[Span]) -> list[Span]:

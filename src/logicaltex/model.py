@@ -187,6 +187,16 @@ def strip_styling(raw: str) -> str:
     return plain_text(stream.tokens, stream.source)
 
 
+# The kinds ``plain_text`` tests each token against.  Loading an Enum
+# member through its class costs several times a global's load.
+(_TEXT, _WHITESPACE, _PAR_BREAK, _COMMENT, _BEGIN_GROUP, _END_GROUP, _MATH_SHIFT,
+ _ALIGNMENT, _ACTIVE_CHAR, _PARAMETER, _CONTROL_SYMBOL, _CONTROL_WORD) = (
+    TokenKind.TEXT, TokenKind.WHITESPACE, TokenKind.PAR_BREAK, TokenKind.COMMENT,
+    TokenKind.BEGIN_GROUP, TokenKind.END_GROUP, TokenKind.MATH_SHIFT,
+    TokenKind.ALIGNMENT, TokenKind.ACTIVE_CHAR, TokenKind.PARAMETER,
+    TokenKind.CONTROL_SYMBOL, TokenKind.CONTROL_WORD)
+
+
 def plain_text(toks: list[Token], source: str) -> str:
     """The plain form of a run of tokens lexed from ``source``.  A token
     run that tiles a span of a larger stream gives the same result as
@@ -199,36 +209,36 @@ def plain_text(toks: list[Token], source: str) -> str:
     while i < n:
         t = toks[i]
         k = t.kind
-        if k is TokenKind.TEXT:
+        if k is _TEXT:
             parts.append(t.value or "")
-        elif k in (TokenKind.WHITESPACE, TokenKind.PAR_BREAK):
+        elif k is _WHITESPACE or k is _PAR_BREAK:
             parts.append(" ")
-        elif k is TokenKind.COMMENT:
+        elif k is _COMMENT:
             pass
-        elif k is TokenKind.BEGIN_GROUP:
+        elif k is _BEGIN_GROUP:
             depth += 1
-        elif k is TokenKind.END_GROUP:
+        elif k is _END_GROUP:
             if keep_group_depths and keep_group_depths[-1] == depth:
                 parts.append("}")
                 keep_group_depths.pop()
             depth -= 1
-        elif k is TokenKind.MATH_SHIFT:
+        elif k is _MATH_SHIFT:
             pass
-        elif k is TokenKind.ALIGNMENT:
+        elif k is _ALIGNMENT:
             parts.append(" ")
-        elif k is TokenKind.ACTIVE_CHAR:
+        elif k is _ACTIVE_CHAR:
             if t.value == "~":
                 parts.append(" ")
             else:
                 parts.append(t.value or "")
-        elif k is TokenKind.PARAMETER:
+        elif k is _PARAMETER:
             parts.append(source[t.span.start:t.span.end])
-        elif k is TokenKind.CONTROL_SYMBOL:
+        elif k is _CONTROL_SYMBOL:
             v = t.value or ""
             if v in ACCENT_SYMBOLS:
                 parts.append(source[t.span.start:t.span.end])
                 j = i + 1
-                if j < n and toks[j].kind is TokenKind.BEGIN_GROUP:
+                if j < n and toks[j].kind is _BEGIN_GROUP:
                     parts.append("{")
                     depth += 1
                     keep_group_depths.append(depth)
@@ -236,7 +246,7 @@ def plain_text(toks: list[Token], source: str) -> str:
             elif v == "\\":
                 parts.append(" ")
                 j = i + 1
-                if j < n and toks[j].kind is TokenKind.TEXT and (toks[j].value or "").startswith("["):
+                if j < n and toks[j].kind is _TEXT and (toks[j].value or "").startswith("["):
                     m = re.match(r"\[[^\]]*\]", toks[j].value or "")
                     if m and m.end() == len(toks[j].value or ""):
                         i = j
@@ -244,21 +254,21 @@ def plain_text(toks: list[Token], source: str) -> str:
                 parts.append(" ")
             elif v in "&%$#_{}":
                 parts.append(source[t.span.start:t.span.end])
-        elif k is TokenKind.CONTROL_WORD:
+        elif k is _CONTROL_WORD:
             name = t.value or ""
             if name in ACCENT_WORDS:
                 parts.append(source[t.span.start:t.span.end])
                 j = i + 1
-                while j < n and toks[j].kind is TokenKind.WHITESPACE:
+                while j < n and toks[j].kind is _WHITESPACE:
                     j += 1
-                if j < n and toks[j].kind is TokenKind.BEGIN_GROUP:
+                if j < n and toks[j].kind is _BEGIN_GROUP:
                     parts.append("{")
                     depth += 1
                     keep_group_depths.append(depth)
                     i = j
             elif name in LETTER_WORDS:
                 parts.append(source[t.span.start:t.span.end])
-                if i + 1 < n and toks[i + 1].kind is TokenKind.TEXT:
+                if i + 1 < n and toks[i + 1].kind is _TEXT:
                     parts.append(" ")
             elif name in STYLE_DECLS or name in SIZE_DECLS or name in _DECOR_WORDS:
                 pass
@@ -266,22 +276,22 @@ def plain_text(toks: list[Token], source: str) -> str:
                 parts.append(" ")
             elif name in ("vspace", "hspace"):
                 j = i + 1
-                while j < n and toks[j].kind is TokenKind.WHITESPACE:
+                while j < n and toks[j].kind is _WHITESPACE:
                     j += 1
-                if j < n and toks[j].kind is TokenKind.BEGIN_GROUP:
+                if j < n and toks[j].kind is _BEGIN_GROUP:
                     d = 1
                     j += 1
                     while j < n and d:
-                        if toks[j].kind is TokenKind.BEGIN_GROUP:
+                        if toks[j].kind is _BEGIN_GROUP:
                             d += 1
-                        elif toks[j].kind is TokenKind.END_GROUP:
+                        elif toks[j].kind is _END_GROUP:
                             d -= 1
                         j += 1
                     i = j - 1
             else:
                 parts.append(source[t.span.start:t.span.end])
                 nxt = toks[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt.kind is TokenKind.TEXT:
+                if nxt is not None and nxt.kind is _TEXT:
                     parts.append(" ")
         i += 1
     out = "".join(parts)
@@ -523,79 +533,81 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
     src = stream.source
     doc = LogicalDocument()
 
-    def scan(nodes: list[Node]):
-        cur = _NodeCursor(nodes, stream)
-        while cur.i < len(nodes):
-            nd = nodes[cur.i]
-            if isinstance(nd, EnvNode):
-                if nd.name == "abstract" and doc.abstract_raw is None:
-                    doc.abstract_raw = src[nd.inner.start:nd.inner.end].strip()
-                    doc.abstract_span = nd.span
-                scan(nd.children)
-                cur.i += 1
-                continue
-            if isinstance(nd, GroupNode):
-                scan(nd.children)
-                cur.i += 1
-                continue
-            if not isinstance(nd, Token) or nd.kind is not TokenKind.CONTROL_WORD:
-                cur.i += 1
-                continue
-            name = nd.value or ""
-            if name == "title" and doc.title_raw is None:
-                cur.i += 1
-                g = cur.take_group()
-                if g is not None:
-                    doc.title_raw = src[g.inner.start:g.inner.end].strip()
-                    doc.title_span = Span(nd.span.start, g.span.end)
-                continue
-            if name == "date" and doc.date_span is None:
-                cur.i += 1
-                g = cur.take_group()
-                if g is not None:
-                    doc.date_span = Span(nd.span.start, g.span.end)
-                continue
-            if name == "author":
-                cur.i += 1
-                g = cur.take_group()
-                if g is not None:
-                    doc.authors.extend(_split_author_group(g, stream))
-                    doc.author_block_spans.append(Span(nd.span.start, g.span.end))
-                continue
-            if name in ("affiliation", "address", "institute") and doc.authors:
-                cur.i += 1
-                g = cur.take_group()
-                if g is not None:
-                    doc.authors[-1].affiliations_raw.append(
-                        src[g.inner.start:g.inner.end].strip())
-                    doc.author_block_spans.append(Span(nd.span.start, g.span.end))
-                continue
-            if name == "maketitle" and doc.maketitle_span is None:
-                doc.maketitle_span = nd.span
-                cur.i += 1
-                continue
-            if name in _SECTION_LEVELS:
-                cur.i += 1
-                starred = cur.take_star()
-                g = cur.take_group()
-                if g is not None:
-                    doc.sections.append(LogicalSection(
-                        level=_SECTION_LEVELS[name],
-                        heading_raw=src[g.inner.start:g.inner.end].strip(),
-                        span=Span(nd.span.start, g.span.end),
-                        starred=starred,
-                    ))
-                continue
-            if name == "emph":
-                cur.i += 1
-                g = cur.take_group()
-                if g is not None:
-                    doc.emphases.append((
-                        src[g.inner.start:g.inner.end],
-                        Span(nd.span.start, g.span.end),
-                    ))
-                continue
+    # Depth first over a stack of cursors, one per open child list; a
+    # command's argument group is taken with the command, not entered.
+    cursors = [_NodeCursor(tree.nodes, stream)]
+    control_word = TokenKind.CONTROL_WORD
+    while cursors:
+        cur = cursors[-1]
+        nodes = cur.nodes
+        if cur.i >= len(nodes):
+            cursors.pop()
+            continue
+        nd = nodes[cur.i]
+        if isinstance(nd, (EnvNode, GroupNode)):
+            if isinstance(nd, EnvNode) and nd.name == "abstract" and doc.abstract_raw is None:
+                doc.abstract_raw = src[nd.inner.start:nd.inner.end].strip()
+                doc.abstract_span = nd.span
             cur.i += 1
+            cursors.append(_NodeCursor(nd.children, stream))
+            continue
+        if not isinstance(nd, Token) or nd.kind is not control_word:
+            cur.i += 1
+            continue
+        name = nd.value or ""
+        if name == "title" and doc.title_raw is None:
+            cur.i += 1
+            g = cur.take_group()
+            if g is not None:
+                doc.title_raw = src[g.inner.start:g.inner.end].strip()
+                doc.title_span = Span(nd.span.start, g.span.end)
+            continue
+        if name == "date" and doc.date_span is None:
+            cur.i += 1
+            g = cur.take_group()
+            if g is not None:
+                doc.date_span = Span(nd.span.start, g.span.end)
+            continue
+        if name == "author":
+            cur.i += 1
+            g = cur.take_group()
+            if g is not None:
+                doc.authors.extend(_split_author_group(g, stream))
+                doc.author_block_spans.append(Span(nd.span.start, g.span.end))
+            continue
+        if name in ("affiliation", "address", "institute") and doc.authors:
+            cur.i += 1
+            g = cur.take_group()
+            if g is not None:
+                doc.authors[-1].affiliations_raw.append(
+                    src[g.inner.start:g.inner.end].strip())
+                doc.author_block_spans.append(Span(nd.span.start, g.span.end))
+            continue
+        if name == "maketitle" and doc.maketitle_span is None:
+            doc.maketitle_span = nd.span
+            cur.i += 1
+            continue
+        if name in _SECTION_LEVELS:
+            cur.i += 1
+            starred = cur.take_star()
+            g = cur.take_group()
+            if g is not None:
+                doc.sections.append(LogicalSection(
+                    level=_SECTION_LEVELS[name],
+                    heading_raw=src[g.inner.start:g.inner.end].strip(),
+                    span=Span(nd.span.start, g.span.end),
+                    starred=starred,
+                ))
+            continue
+        if name == "emph":
+            cur.i += 1
+            g = cur.take_group()
+            if g is not None:
+                doc.emphases.append((
+                    src[g.inner.start:g.inner.end],
+                    Span(nd.span.start, g.span.end),
+                ))
+            continue
+        cur.i += 1
 
-    scan(tree.nodes)
     return doc

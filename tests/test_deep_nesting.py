@@ -1,0 +1,94 @@
+"""Any nesting depth converts: every pass over the block tree is iterative,
+and its cost grows linearly with depth."""
+
+import gc
+import json
+import statistics
+from time import perf_counter
+
+import pytest
+
+from logicaltex import lexer
+from logicaltex.cli import main
+from logicaltex.converter import ConversionPolicy, Scope, convert
+from logicaltex.detector import classify
+from logicaltex.lexer import parse
+from logicaltex.model import extract_logical
+from logicaltex.validator import check_body_preservation, validate
+
+
+def _document(body: str) -> str:
+    return "\\documentclass{article}\n\\begin{document}\n" + body + "\n\\end{document}\n"
+
+
+def _environments(name: str, depth: int) -> str:
+    return _document(f"\\begin{{{name}}}\n" * depth + "word\n" + f"\\end{{{name}}}\n" * depth)
+
+
+# form -> document with the form nested ``depth`` levels deep
+FORMS = {
+    "braces": lambda d: _document("{" * d + "word" + "}" * d),
+    "bf-groups": lambda d: _document("{\\bf " * d + "word" + "}" * d),
+    "textbf": lambda d: _document("\\textbf{" * d + "word" + "}" * d),
+    "center": lambda d: _environments("center", d),
+    "abstract": lambda d: _environments("abstract", d),
+    "titlepage": lambda d: _environments("titlepage", d),
+    "unclosed-braces": lambda d: _document("{" * d + "word"),
+    "author": lambda d: _document("\\author{" + "{" * d + "A. Name" + "}" * d + "}\n\\maketitle"),
+}
+
+DEPTH = 2400
+CASES = [(form, DEPTH) for form in FORMS] + [("braces", 9600)]
+POLICIES = [ConversionPolicy(scope=scope, aggressive=aggressive)
+            for scope in Scope for aggressive in (False, True)]
+
+
+@pytest.mark.parametrize("form, depth", CASES)
+def test_deep_nesting_completes_every_command(form, depth):
+    src = FORMS[form](depth)
+    for policy in POLICIES:
+        out, rep = convert(src, policy)
+        preserved, offset = check_body_preservation(src, out, rep.plan)
+        assert preserved, (policy, offset)
+        assert convert(out, policy)[0] == out, policy
+        assert validate(src, out, rep.plan).body_preserved
+    classify(parse(src))
+    doc = extract_logical(parse(src))
+    assert len(doc.authors) == (1 if form == "author" else 0)
+    assert (doc.abstract_raw is not None) == (form == "abstract")
+
+
+def test_deep_nesting_batch(tmp_path, capsys):
+    for form, depth in CASES:
+        (tmp_path / f"{form}-{depth}.tex").write_text(FORMS[form](depth), encoding="utf-8")
+    code = main(["--report", "machine", "batch", str(tmp_path), "--jobs", "1"])
+    assert code <= 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    files = [r for r in records if r["command"] == "batch-file"]
+    assert len(files) == len(CASES)
+    assert [r for r in files if "error" in r] == []
+    assert all(r["body_preserved"] for r in files)
+
+
+def _convert_seconds(src: str) -> float:
+    # The collector's pauses depend on what other tests left alive, not
+    # on the conversion, so it is held off while the conversion runs.
+    lexer._parse_text.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        start = perf_counter()
+        convert(src, POLICIES[-1])
+        return perf_counter() - start
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_deep_nesting_scales_linearly(form):
+    # A ratio of medians of alternating runs, so that a shared CPU does
+    # not make it flaky.  Linear cost doubles with the depth.
+    small, large = FORMS[form](DEPTH // 2), FORMS[form](DEPTH)
+    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(3)]
+    ratio = statistics.median(t for _, t in times) / statistics.median(t for t, _ in times)
+    assert ratio <= 2.5, times

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from logicaltex.detector import (
     AUTO_APPLY_THRESHOLD,
     CueKind,
@@ -486,3 +488,28 @@ def test_detect_all_analyses_each_line_once(monkeypatch):
     assert labelled and split
     assert len({id(line) for line in labelled}) == len(labelled)
     assert len({id(line) for line in split}) == len(split)
+
+
+@pytest.mark.parametrize("body", [
+    "{\\bf Abstract.}",
+    "\\noindent \\textbf{Theorem 1.}",
+    "{\\large {\\it " * 50 + "Deep" + "}}" * 50,
+])
+def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
+    from logicaltex import detector
+
+    analysed = []
+    analyze_styles = detector.analyze_styles
+
+    def counting_analyze_styles(content):
+        analysed.append(content)
+        return analyze_styles(content)
+
+    monkeypatch.setattr(detector, "analyze_styles", counting_analyze_styles)
+    [line] = frontmatter_region(parse(wrap(body))).lines
+    assert len(analysed) == 1
+    assert line.label is not None
+    assert (line.label.bold, line.label.italic) == (line.bold, line.italic)
+    assert line.plain == strip_styling(line.raw)
+    if line.label.span == line.span:
+        assert vars(line.label)["plain"] is line.plain

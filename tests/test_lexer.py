@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicaltex.degrader import degrade
 from logicaltex.lexer import (
     MathNode,
     GroupNode,
@@ -20,7 +21,7 @@ from logicaltex.lexer import (
     walk,
 )
 
-from conftest import LOGICAL_FIXTURES, VISUAL_FIXTURES
+from conftest import LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES
 
 
 def kinds(stream):
@@ -206,6 +207,27 @@ def test_balanced_fixture_files_have_no_diagnostics():
     for path in LOGICAL_FIXTURES:
         tree = parse(path.read_bytes())
         assert tree.diagnostics == [], path.name
+
+
+def _recursive_preorder(nodes, out):
+    for node in nodes:
+        out.append(node)
+        if isinstance(node, (GroupNode, EnvNode)):
+            _recursive_preorder(node.children, out)
+    return out
+
+
+def test_walk_is_the_recursive_preorder(corpus100):
+    sources = [path.read_bytes() for path in LOGICAL_FIXTURES + VISUAL_FIXTURES]
+    sources += [degrade(text, PROFILE_SETS[i % len(PROFILE_SETS)], i)[0]
+                for i, (_, text) in enumerate(corpus100[:20])]
+    assert len(sources) == 48
+    for source in sources:
+        tree = parse(source)
+        walked = list(walk(tree.nodes))
+        expected = _recursive_preorder(tree.nodes, [])
+        assert len(walked) == len(expected)
+        assert all(a is b for a, b in zip(walked, expected))
 
 
 def test_math_spans_sorted_non_overlapping_on_fixtures():
