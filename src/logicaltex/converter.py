@@ -8,8 +8,9 @@ preservation checkable rather than hoped for.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .detector import (
     AUTO_APPLY_THRESHOLD,
@@ -116,8 +117,17 @@ class ConversionReport:
     skipped: list[tuple[Detection, str]]
     warnings: list[str]
     class_before: FormattingClass
-    class_after: FormattingClass
     plan: RewritePlan
+    # The output text when it differs from the input, else None.
+    changed_text: str | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def class_after(self) -> FormattingClass:
+        """The output's class, analysed on first read.  The analysis reads
+        only the text, so an unchanged text keeps its class."""
+        if self.changed_text is None:
+            return self.class_before
+        return classify(parse(self.changed_text))
 
 
 _SECTION_COMMANDS = {1: "section", 2: "subsection", 3: "subsubsection"}
@@ -325,7 +335,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
         at = 0
         for nd in tree.nodes:
             if isinstance(nd, EnvNode) and nd.name == "document":
-                at = nd.span.start
+                at = nd.start
                 break
         lines = "".join(
             f"\\newtheorem{{{env}}}{{{env.capitalize()}}}\n" for env in sorted(needed_theorems))
@@ -348,7 +358,9 @@ def convert(source: str | bytes,
     """Full pipeline: tokenize, detect, resolve, plan, apply.
 
     Already-logical input comes back byte-identical with an empty applied
-    list; malformed input still produces output plus warnings.
+    list; malformed input still produces output plus warnings.  Only the
+    input is analysed here: the report analyses the output when its
+    ``class_after`` is first read.
     """
     policy = policy or ConversionPolicy()
     text = decode_source(source)
@@ -357,15 +369,13 @@ def convert(source: str | bytes,
     _gate(dets, policy)
     result = plan(tree, dets, extract_frontmatter(dets), policy)
     out_text = apply(text, result.plan)
-    class_before = classify_detections(dets)
     report = ConversionReport(
         applied=result.applied,
         skipped=result.skipped,
         warnings=result.warnings,
-        class_before=class_before,
-        # The analysis reads only the text, so an unchanged text keeps its class.
-        class_after=class_before if out_text == text else classify(parse(out_text)),
+        class_before=classify_detections(dets),
         plan=result.plan,
+        changed_text=None if out_text == text else out_text,
     )
     out: str | bytes = encode_source(out_text) if isinstance(source, bytes) else out_text
     return out, report

@@ -160,7 +160,7 @@ def index_contents(tree: BlockTree) -> Contents:
     control_word = TokenKind.CONTROL_WORD
     for nd in walk(tree.nodes):
         if isinstance(nd, Token) and nd.kind is control_word:
-            words.setdefault(nd.value or "", []).append(nd.span.start)
+            words.setdefault(nd.value or "", []).append(nd.start)
         elif isinstance(nd, EnvNode):
             envs.setdefault(nd.name, []).append(nd.span)
     return Contents(words, envs)
@@ -326,7 +326,7 @@ def _trim(nodes: list[Node]) -> list[Node]:
 
 
 def _nodes_span(nodes: list[Node]) -> Span:
-    return Span(nodes[0].span.start, nodes[-1].span.end)
+    return Span(nodes[0].start, nodes[-1].end)
 
 
 @dataclass(frozen=True)
@@ -350,8 +350,8 @@ def _span_plain(stream: TokenStream, span: Span) -> str:
     """``strip_styling`` of a span made of whole tokens, from the tokens
     the stream already holds."""
     toks = stream.tokens
-    first = bisect_left(toks, span.start, key=lambda t: t.span.start)
-    last = bisect_left(toks, span.end, first, key=lambda t: t.span.start)
+    first = bisect_left(toks, span.start, key=lambda t: t.start)
+    last = bisect_left(toks, span.end, first, key=lambda t: t.start)
     return plain_text(toks[first:last], stream.source)
 
 
@@ -475,7 +475,7 @@ class _Segmenter:
                             self._add_line(
                                 group.children, centered=True, in_titlepage=in_titlepage,
                                 container="centerline",
-                                span=Span(nd.span.start, group.span.end),
+                                span=Span(nd.start, group.end),
                             )
                             i = j + 1
                             continue
@@ -512,13 +512,13 @@ class _Segmenter:
                 or nd.kind is TokenKind.PAR_BREAK
             )
             if is_break:
-                sep_start, sep_end = nd.span.start, nd.span.end
+                sep_start, sep_end = nd.start, nd.end
                 if nd.kind is TokenKind.CONTROL_SYMBOL and i + 1 < len(children):
                     nxt = children[i + 1]
                     if isinstance(nxt, Token) and nxt.kind is TokenKind.TEXT:
                         m = re.match(r"\[[^\]]*\]", nxt.value or "")
                         if m and m.end() == len(nxt.value or ""):
-                            sep_end = nxt.span.end
+                            sep_end = nxt.end
                             i += 1
                 rows.append((current, Span(sep_start, sep_end)))
                 current = []
@@ -533,7 +533,7 @@ class _Segmenter:
                 continue
             made.append(self._add_line(
                 content, centered=True, in_titlepage=in_titlepage,
-                container="center-env", container_key=env.span.start,
+                container="center-env", container_key=env.start,
                 container_span=env.span, sep_span=sep,
             ))
         for idx, ln in enumerate(made):
@@ -577,8 +577,8 @@ def document_body(tree: BlockTree) -> tuple[list[Node], Span]:
 
 def segment_lines(tree: BlockTree, region: Region) -> list[Line]:
     nodes, _ = document_body(tree)
-    selected = [nd for nd in nodes
-                if region.span.start <= nd.span.start < region.span.end]
+    start, end = region.span
+    selected = [nd for nd in nodes if start <= nd.start < end]
     return _Segmenter(tree.stream).run(selected)
 
 
@@ -664,15 +664,15 @@ def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[l
                     rendering = "\\footnotemark" + m.group(0)
                     found = extract_markers(rendering)
                     if found:
-                        return found, Span(nd.span.start, nodes[j].span.start + m.end())
+                        return found, Span(nd.start, nodes[j].start + m.end())
         if name == "textsuperscript":
             j = i + 1
             while j < len(nodes) and _is_neutral(nodes[j]):
                 j += 1
             if j < len(nodes) and isinstance(nodes[j], GroupNode):
-                found = extract_markers(stream.text(Span(nd.span.start, nodes[j].span.end)))
+                found = extract_markers(stream.text(Span(nd.start, nodes[j].end)))
                 if found:
-                    return found, Span(nd.span.start, nodes[j].span.end)
+                    return found, Span(nd.start, nodes[j].end)
     return None
 
 
@@ -695,7 +695,7 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
             spans.append(mspan)
             if first_real:
                 leading = True
-            while i < len(nodes) and nodes[i].span.start < mspan.end:
+            while i < len(nodes) and nodes[i].start < mspan.end:
                 i += 1
             first_real = False
             continue
@@ -732,12 +732,12 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     for nd in nodes:
         if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD \
                 and nd.value in ("and", "quad", "qquad"):
-            cuts.append((nd.span.start, nd.span.end))
+            cuts.append((nd.start, nd.end))
         elif isinstance(nd, Token) and nd.kind in (TokenKind.TEXT, TokenKind.WHITESPACE):
-            if mask and mask[-1][1] == nd.span.start:
-                mask[-1] = (mask[-1][0], nd.span.end)
+            if mask and mask[-1][1] == nd.start:
+                mask[-1] = (mask[-1][0], nd.end)
             else:
-                mask.append((nd.span.start, nd.span.end))
+                mask.append((nd.start, nd.end))
     raw = stream.text(whole)
     for m in _AND_SPLIT.finditer(raw):
         a, b = whole.start + m.start(), whole.start + m.end()
@@ -755,7 +755,7 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
             continue
         # Separators may fall inside a text token, so the segment range is
         # character-based; marker constructs never straddle a separator.
-        seg_nodes = [nd for nd in nodes if nd.span.start >= a and nd.span.end <= b]
+        seg_nodes = [nd for nd in nodes if nd.start >= a and nd.end <= b]
         seg = _scan_segment(seg_nodes, Span(a, b), stream)
         if seg.name_raw or seg.markers:
             segments.append(seg)
@@ -870,12 +870,12 @@ def detect_authors_affiliations(
 ) -> tuple[list[Detection], list[Detection]]:
     """Author lines (name-shaped, optionally markered) and affiliation
     lines (institution keywords or marker-led), searched below the title."""
+    words = region.contents.words
+    if "author" in words:
+        return [], []  # an \\author command already states both
     stream = tree.stream
     protected = region.protected
-    words = region.contents.words
-    authors_suppressed = "author" in words
-    affils_suppressed = authors_suppressed or any(
-        name in words for name in ("affiliation", "address", "institute"))
+    affils_suppressed = any(name in words for name in ("affiliation", "address", "institute"))
     start = title.span.end if title is not None else region.span.start
     author_dets: list[Detection] = []
     affil_dets: list[Detection] = []
@@ -919,8 +919,6 @@ def detect_authors_affiliations(
                     "line": line,
                 },
             ))
-            continue
-        if authors_suppressed:
             continue
         if len(segs) > 8:
             continue
@@ -1207,7 +1205,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
                     if nd.name in SKIP_ENVIRONMENTS:
                         continue
                 elif isinstance(nd, GroupNode):
-                    if start <= nd.span.start < end:
+                    if start <= nd.start < end:
                         style = _old_style_group(nd)
                         if style is not None:
                             yield nd, style
@@ -1216,7 +1214,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
                     continue
                 # A node's descendants start inside it, so a node that
                 # ends before the region or starts after it holds none.
-                if nd.span.end <= start or nd.span.start >= end:
+                if nd.end <= start or nd.start >= end:
                     continue
                 pending.append(iter(nd.children))
                 break

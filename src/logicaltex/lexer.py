@@ -12,6 +12,7 @@ not interpreted and macros are never expanded.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -109,9 +110,17 @@ class TokenKind(Enum):
 
 
 class Token(NamedTuple):
+    """One lexeme: its kind, its offsets and, where the kind has one, its
+    value (a text run's characters, a control sequence's name)."""
+
     kind: TokenKind
-    span: Span
+    start: int
+    end: int
     value: str | None = None
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
     def is_control_word(self, *names: str) -> bool:
         return self.kind is TokenKind.CONTROL_WORD and self.value in names
@@ -119,14 +128,19 @@ class Token(NamedTuple):
 
 @dataclass
 class TokenStream:
-    """Token sequence plus the decoded source it tiles exactly."""
+    """Token sequence plus the decoded source it tiles exactly.
+
+    ``structural`` holds, in order, the indices of the tokens the tree
+    builder acts on: braces, ``$``, paragraph breaks, ``\\begin``,
+    ``\\end`` and the math delimiters ``\\(`` ``\\)`` ``\\[`` ``\\]``."""
 
     source: str
     tokens: list[Token]
+    structural: list[int]
     verbatim_spans: list[Span] = field(default_factory=list)
 
     def lexeme(self, token: Token) -> str:
-        return self.source[token.span.start:token.span.end]
+        return self.source[token.start:token.end]
 
     def text(self, span: Span) -> str:
         return self.source[span.start:span.end]
@@ -167,73 +181,95 @@ def latin1_fallback(text: str) -> str:
     return text.translate(_LATIN1_FALLBACK)
 
 
-# The kind of each group of ``_TOKEN``'s tokens; a blank run of two line
-# ends is a paragraph break instead.
-_GROUP_KINDS = {
-    "text": TokenKind.TEXT,
-    "blank": TokenKind.WHITESPACE,
-    "word": TokenKind.CONTROL_WORD,
-    "symbol": TokenKind.CONTROL_SYMBOL,
-    "begin_group": TokenKind.BEGIN_GROUP,
-    "end_group": TokenKind.END_GROUP,
-    "math_shift": TokenKind.MATH_SHIFT,
-    "alignment": TokenKind.ALIGNMENT,
-    "active_char": TokenKind.ACTIVE_CHAR,
-    "comment": TokenKind.COMMENT,
-    "parameter": TokenKind.PARAMETER,
-}
+# The kind of the token each group of ``_TOKEN`` matches, by group
+# number; a blank run of two line ends is a paragraph break instead.
+_GROUP_KINDS = (None,) + tuple({
+    "text": TokenKind.TEXT, "blank": TokenKind.WHITESPACE, "word": TokenKind.CONTROL_WORD,
+    "symbol": TokenKind.CONTROL_SYMBOL, "begin_group": TokenKind.BEGIN_GROUP,
+    "end_group": TokenKind.END_GROUP, "math_shift": TokenKind.MATH_SHIFT,
+    "alignment": TokenKind.ALIGNMENT, "active_char": TokenKind.ACTIVE_CHAR,
+    "comment": TokenKind.COMMENT, "parameter": TokenKind.PARAMETER,
+}[group] for group in sorted(_TOKEN.groupindex, key=_TOKEN.groupindex.get))
+_TEXT_GROUP, _BLANK_GROUP, _WORD_GROUP, _SYMBOL_GROUP, _PARAMETER_GROUP = (
+    _TOKEN.groupindex[g] for g in ("text", "blank", "word", "symbol", "parameter"))
+# Groups whose every token is structural, and groups whose token's value
+# is its lexeme.
+_STRUCTURAL_GROUPS = frozenset(_TOKEN.groupindex[g]
+                               for g in ("begin_group", "end_group", "math_shift"))
+_LEXEME_GROUPS = frozenset(_TOKEN.groupindex[g] for g in ("active_char", "comment"))
+
+# The control symbols that open or close math.
+_MATH_DELIMITERS = frozenset({"(", "[", ")", "]"})
 
 
 class _Scanner:
     def __init__(self, source: str):
         self.s = source
         self.tokens: list[Token] = []
+        self.structural: list[int] = []
         self.verbatim_spans: list[Span] = []
 
     def run(self) -> TokenStream:
         self._scan(0, len(self.s))
-        return TokenStream(self.s, self.tokens, self.verbatim_spans)
+        return TokenStream(self.s, self.tokens, self.structural, self.verbatim_spans)
 
     def _scan(self, pos: int, endpos: int):
         """Tokenize ``s[pos:endpos]``.  A construct that reads past its
         own match (a parameter digit, ``\\verb``, a verbatim environment)
         restarts the match loop after it."""
         s = self.s
-        add = self.tokens.append
+        tokens = self.tokens
+        add = tokens.append
+        mark = self.structural.append
         kinds = _GROUP_KINDS
-        # A match's offsets are ordered, so its records skip Span's check.
+        par_break = TokenKind.PAR_BREAK
         new = tuple.__new__
         while pos < endpos:
+            # The alternatives tile the input, so each match starts where
+            # the one before it ended.
+            start = pos
             for m in _TOKEN.finditer(s, pos, endpos):
-                group = m.lastgroup
-                kind = kinds[group]
-                span = new(Span, m.span())
-                if group == "text" or group == "comment" or group == "active_char":
-                    add(new(Token, (kind, span, m.group())))
-                elif group == "blank":
-                    start, end = m.span()
+                end = m.end()
+                group = m.lastindex
+                if group == _TEXT_GROUP:
+                    add(new(Token, (kinds[group], start, end, m.group())))
+                elif group == _BLANK_GROUP:
                     if (s.count("\n", start, end) or s.count("\r", start, end)) >= 2:
-                        kind = TokenKind.PAR_BREAK
-                    add(new(Token, (kind, span, None)))
-                elif group == "word":
-                    name = m.group()[1:]
-                    add(new(Token, (kind, span, name)))
+                        mark(len(tokens))
+                        add(new(Token, (par_break, start, end, None)))
+                    else:
+                        add(new(Token, (kinds[group], start, end, None)))
+                elif group == _WORD_GROUP:
+                    name = s[start + 1:end]
+                    if name == "begin" or name == "end":
+                        mark(len(tokens))
+                    add(new(Token, (kinds[group], start, end, name)))
                     if name == "begin":
-                        verbatim = _VERBATIM_BEGIN.match(s, span.start)
+                        verbatim = _VERBATIM_BEGIN.match(s, start)
                         if verbatim:
-                            pos = self._verbatim_environment(span.start, span.end, verbatim)
+                            pos = self._verbatim_environment(start, end, verbatim)
                             break
                     elif name == "verb":
-                        pos = self._verb_argument(span.start, span.end)
+                        pos = self._verb_argument(start, end)
                         break
-                elif group == "symbol":
-                    add(new(Token, (kind, span, m.group()[1:])))
-                elif group == "parameter" and span.end < endpos and s[span.end].isdigit():
-                    pos = span.end + 1
-                    add(Token(kind, Span(span.start, pos), s[span.end]))
+                elif group in _STRUCTURAL_GROUPS:
+                    mark(len(tokens))
+                    add(new(Token, (kinds[group], start, end, None)))
+                elif group == _SYMBOL_GROUP:
+                    # A backslash at the very end has the empty name.
+                    value = s[start + 1:end]
+                    if value in _MATH_DELIMITERS:
+                        mark(len(tokens))
+                    add(new(Token, (kinds[group], start, end, value)))
+                elif group in _LEXEME_GROUPS:
+                    add(new(Token, (kinds[group], start, end, m.group())))
+                elif group == _PARAMETER_GROUP and end < endpos and s[end].isdigit():
+                    pos = end + 1
+                    add(new(Token, (kinds[group], start, pos, s[end])))
                     break
                 else:
-                    add(new(Token, (kind, span, None)))
+                    add(new(Token, (kinds[group], start, end, None)))
+                start = end
             else:
                 return
 
@@ -255,7 +291,7 @@ class _Scanner:
             end = eol
         else:
             end = close + 1
-        self.tokens.append(Token(TokenKind.TEXT, Span(arg_start, end), s[arg_start:end]))
+        self.tokens.append(Token(TokenKind.TEXT, arg_start, end, s[arg_start:end]))
         self.verbatim_spans.append(Span(cmd_start, end))
         return end
 
@@ -271,7 +307,7 @@ class _Scanner:
         m = end_re.search(s, body_start)
         body_end = m.start() if m else n
         if body_end > body_start:
-            self.tokens.append(Token(TokenKind.TEXT, Span(body_start, body_end),
+            self.tokens.append(Token(TokenKind.TEXT, body_start, body_end,
                                      s[body_start:body_end]))
         self.verbatim_spans.append(Span(construct_start, m.end() if m else n))
         return body_end
@@ -291,25 +327,51 @@ def tokenize(source: str | bytes) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
+class _Extent:
+    """A node holds its offsets as a token does, so a mixed list of nodes
+    reads ``start`` and ``end`` uniformly; its ``span`` is made when read."""
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
+
+
+class _Container(_Extent):
+    __slots__ = ()
+
+    @property
+    def inner(self) -> Span:
+        return Span(self.inner_start, self.inner_end)
+
+
 @dataclass(slots=True)
-class GroupNode:
+class GroupNode(_Container):
     children: list["Node"]
-    span: Span
-    inner: Span
+    start: int
+    end: int
+    # The offsets inside the braces.
+    inner_start: int
+    inner_end: int
 
 
 @dataclass(slots=True)
-class EnvNode:
+class EnvNode(_Container):
     name: str
     children: list["Node"]
-    span: Span
-    inner: Span
+    start: int
+    end: int
+    # The offsets between \\begin{name} and \\end{name}.
+    inner_start: int
+    inner_end: int
 
 
 @dataclass(slots=True)
-class MathNode:
+class MathNode(_Extent):
     kind: str  # "inline" or "display"
-    span: Span
+    start: int
+    end: int
 
 
 Node = Union[Token, GroupNode, EnvNode, MathNode]
@@ -331,6 +393,8 @@ class BlockTree:
     nodes: list[Node]
     diagnostics: list[Diagnostic]
     stream: TokenStream
+    # The spans of the tree's math nodes, in document order.
+    math: list[Span]
 
 
 class _Frame(NamedTuple):
@@ -358,7 +422,7 @@ def _env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
     while k < len(toks):
         t = toks[k]
         if t.kind is TokenKind.END_GROUP:
-            return ("".join(parts).strip(), k, t.span.end)
+            return ("".join(parts).strip(), k, t.end)
         if t.kind is TokenKind.BEGIN_GROUP:
             return None
         parts.append(stream.lexeme(t))
@@ -367,12 +431,18 @@ def _env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
 
 
 class _TreeBuilder:
+    """Places the stream's tokens in a tree, visiting only the structural
+    ones: the tokens between two of them go to the innermost open group
+    or environment as one slice."""
+
     def __init__(self, stream: TokenStream):
         self.stream = stream
         self.toks = stream.tokens
+        self.structural = stream.structural
         self.diags: list[Diagnostic] = []
         self.root: list[Node] = []
         self.stack: list[_Frame] = []
+        self.math: list[Span] = []
 
     def sink(self) -> list[Node]:
         return self.stack[-1].children if self.stack else self.root
@@ -381,135 +451,114 @@ class _TreeBuilder:
         toks = self.toks
         root = self.root
         stack = self.stack
-        n = len(toks)
         # Loading an Enum member through its class costs more than the
-        # rest of a plain token's handling, so the kinds are locals.
-        CONTROL_WORD = TokenKind.CONTROL_WORD
-        CONTROL_SYMBOL = TokenKind.CONTROL_SYMBOL
+        # rest of a token's handling, so the kinds are locals.
         BEGIN_GROUP = TokenKind.BEGIN_GROUP
         END_GROUP = TokenKind.END_GROUP
         MATH_SHIFT = TokenKind.MATH_SHIFT
-        # A group's closing brace follows its opening one, so its spans
-        # skip Span's check; its frame is built the same way.
+        CONTROL_WORD = TokenKind.CONTROL_WORD
+        PAR_BREAK = TokenKind.PAR_BREAK
+        # A frame is built without NamedTuple's Python-level constructor.
         new = tuple.__new__
         sink = root  # the children of the innermost open frame
-        i = 0
-        while i < n:
+        pos = 0  # the tokens before it are placed
+        for si, i in enumerate(self.structural):
+            if i < pos:
+                continue  # inside a construct already placed
             t = toks[i]
             k = t.kind
-            if k is CONTROL_WORD:
-                if t.value == "begin":
-                    i = self._begin(i)
-                    sink = self.sink()
-                elif t.value == "end":
-                    i = self._end(i)
-                    sink = self.sink()
-                else:
-                    sink.append(t)
-                    i += 1
-            elif k is BEGIN_GROUP:
-                start, end = t.span
+            if k is PAR_BREAK:
+                continue  # it ends math only
+            if pos < i:
+                sink += toks[pos:i]
+            pos = i + 1
+            if k is BEGIN_GROUP:
                 sink = []
-                stack.append(new(_Frame, ("group", None, start, end, sink)))
-                i += 1
+                stack.append(new(_Frame, ("group", None, t.start, t.end, sink)))
             elif k is END_GROUP:
                 if stack and stack[-1].kind == "group":
                     f = stack.pop()
                     sink = stack[-1].children if stack else root
-                    start, end = t.span
-                    sink.append(GroupNode(f.children, new(Span, (f.start, end)),
-                                          new(Span, (f.inner_start, start))))
+                    sink.append(GroupNode(f.children, f.start, t.end, f.inner_start, t.start))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
                     sink.append(t)
-                i += 1
             elif k is MATH_SHIFT:
-                i = self._dollar_math(i)
-            elif k is CONTROL_SYMBOL and t.value in "([":
-                i = self._bracket_math(i)
-            elif k is CONTROL_SYMBOL and t.value in ")]":
-                self.diags.append(Diagnostic("math-close-without-open", t.value or "", t.span))
-                sink.append(t)
-                i += 1
+                pos = self._dollar_math(si)
+            elif k is CONTROL_WORD:
+                pos = self._begin(i) if t.value == "begin" else self._end(i)
+                sink = self.sink()
+            elif t.value == "(" or t.value == "[":
+                pos = self._bracket_math(si)
             else:
+                self.diags.append(Diagnostic("math-close-without-open", t.value, t.span))
                 sink.append(t)
-                i += 1
+        sink += toks[pos:]
         self._unwind(len(self.stream.source))
-        return BlockTree(self.root, self.diags, self.stream)
+        return BlockTree(self.root, self.diags, self.stream, self.math)
 
     def _unwind(self, eof: int):
         while self.stack:
             f = self.stack.pop()
-            span = Span(f.start, eof)
-            inner = Span(f.inner_start, eof)
             if f.kind == "group":
                 self.diags.append(Diagnostic("unclosed-group", "", Span(f.start, f.start + 1)))
-                self.sink().append(GroupNode(f.children, span, inner))
+                self.sink().append(GroupNode(f.children, f.start, eof, f.inner_start, eof))
             else:
                 self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(EnvNode(f.name or "", f.children, span, inner))
+                self.sink().append(EnvNode(f.name or "", f.children, f.start, eof,
+                                           f.inner_start, eof))
 
-    def _dollar_math(self, i: int) -> int:
-        toks, n = self.toks, len(self.toks)
+    def _math(self, kind: str, start: int, end: int | None, stop: int) -> int:
+        """Place a math node from ``start`` to ``end``; an unterminated one
+        (``end`` None) runs to the token at ``stop``, or to the end of the
+        text.  Returns ``stop``."""
+        if end is None:
+            end = self.toks[stop].start if stop < len(self.toks) else len(self.stream.source)
+            self.diags.append(Diagnostic("unterminated-math", kind, Span(start, end)))
+        self.math.append(Span(start, end))
+        self.sink().append(MathNode(kind, start, end))
+        return stop
+
+    def _dollar_math(self, si: int) -> int:
+        toks, structural = self.toks, self.structural
+        i = structural[si]
         open_tok = toks[i]
+        n = len(toks)
         display = (
             i + 1 < n
             and toks[i + 1].kind is TokenKind.MATH_SHIFT
-            and toks[i + 1].span.start == open_tok.span.end
+            and toks[i + 1].start == open_tok.end
         )
-        j = i + 2 if display else i + 1
-        close_end = None
-        while j < n:
+        kind = "display" if display else "inline"
+        for sj in range(si + 2 if display else si + 1, len(structural)):
+            j = structural[sj]
             t = toks[j]
             if t.kind is TokenKind.PAR_BREAK:
-                break
+                return self._math(kind, open_tok.start, None, j)
             if t.kind is TokenKind.MATH_SHIFT:
-                if display:
-                    if (
-                        j + 1 < n
-                        and toks[j + 1].kind is TokenKind.MATH_SHIFT
-                        and toks[j + 1].span.start == t.span.end
-                    ):
-                        close_end = toks[j + 1].span.end
-                        j += 2
-                        break
-                else:
-                    close_end = t.span.end
-                    j += 1
-                    break
-            j += 1
-        kind = "display" if display else "inline"
-        if close_end is None:
-            end = toks[j].span.start if j < n else len(self.stream.source)
-            self.diags.append(Diagnostic("unterminated-math", kind, Span(open_tok.span.start, end)))
-            self.sink().append(MathNode(kind, Span(open_tok.span.start, end)))
-            return j
-        self.sink().append(MathNode(kind, Span(open_tok.span.start, close_end)))
-        return j
+                if not display:
+                    return self._math(kind, open_tok.start, t.end, j + 1)
+                if (
+                    j + 1 < n
+                    and toks[j + 1].kind is TokenKind.MATH_SHIFT
+                    and toks[j + 1].start == t.end
+                ):
+                    return self._math(kind, open_tok.start, toks[j + 1].end, j + 2)
+        return self._math(kind, open_tok.start, None, n)
 
-    def _bracket_math(self, i: int) -> int:
-        toks, n = self.toks, len(self.toks)
-        open_tok = toks[i]
+    def _bracket_math(self, si: int) -> int:
+        toks, structural = self.toks, self.structural
+        open_tok = toks[structural[si]]
         closing = ")" if open_tok.value == "(" else "]"
         kind = "inline" if open_tok.value == "(" else "display"
-        j = i + 1
-        close_end = None
-        while j < n:
+        for sj in range(si + 1, len(structural)):
+            j = structural[sj]
             t = toks[j]
             if t.kind is TokenKind.PAR_BREAK:
-                break
+                return self._math(kind, open_tok.start, None, j)
             if t.kind is TokenKind.CONTROL_SYMBOL and t.value == closing:
-                close_end = t.span.end
-                j += 1
-                break
-            j += 1
-        if close_end is None:
-            end = toks[j].span.start if j < n else len(self.stream.source)
-            self.diags.append(Diagnostic("unterminated-math", kind, Span(open_tok.span.start, end)))
-            self.sink().append(MathNode(kind, Span(open_tok.span.start, end)))
-            return j
-        self.sink().append(MathNode(kind, Span(open_tok.span.start, close_end)))
-        return j
+                return self._math(kind, open_tok.start, t.end, j + 1)
+        return self._math(kind, open_tok.start, None, len(toks))
 
     def _begin(self, i: int) -> int:
         t = self.toks[i]
@@ -520,24 +569,20 @@ class _TreeBuilder:
         name, name_idx, after = named
         if name.rstrip("*") in MATH_ENVIRONMENTS:
             return self._math_environment(i, name, name_idx)
-        self.stack.append(_Frame("env", name, t.span.start, after, []))
+        self.stack.append(_Frame("env", name, t.start, after, []))
         return name_idx + 1
 
     def _math_environment(self, i: int, name: str, name_idx: int) -> int:
-        toks, n = self.toks, len(self.toks)
-        start = toks[i].span.start
-        j = name_idx + 1
-        while j < n:
+        toks, structural = self.toks, self.structural
+        start = toks[i].start
+        for sj in range(bisect_right(structural, name_idx), len(structural)):
+            j = structural[sj]
             if toks[j].is_control_word("end"):
                 named = _env_name(self.stream, j)
                 if named is not None and named[0] == name:
-                    self.sink().append(MathNode("display", Span(start, named[2])))
-                    return named[1] + 1
-            j += 1
-        end = len(self.stream.source)
+                    return self._math("display", start, named[2], named[1] + 1)
         self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
-        self.sink().append(MathNode("display", Span(start, end)))
-        return n
+        return self._math("display", start, len(self.stream.source), len(toks))
 
     def _end(self, i: int) -> int:
         t = self.toks[i]
@@ -557,21 +602,15 @@ class _TreeBuilder:
             return name_idx + 1
         while len(self.stack) - 1 > depth:
             f = self.stack.pop()
-            span = Span(f.start, t.span.start)
-            inner = Span(f.inner_start, t.span.start)
             if f.kind == "group":
                 self.diags.append(Diagnostic("group-crosses-boundary", name, Span(f.start, f.start + 1)))
-                self.sink().append(GroupNode(f.children, span, inner))
+                self.sink().append(GroupNode(f.children, f.start, t.start, f.inner_start, t.start))
             else:
                 self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(EnvNode(f.name or "", f.children, span, inner))
+                self.sink().append(EnvNode(f.name or "", f.children, f.start, t.start,
+                                           f.inner_start, t.start))
         f = self.stack.pop()
-        self.sink().append(EnvNode(
-            name,
-            f.children,
-            Span(f.start, after),
-            Span(f.inner_start, t.span.start),
-        ))
+        self.sink().append(EnvNode(name, f.children, f.start, after, f.inner_start, t.start))
         return name_idx + 1
 
 
@@ -610,14 +649,14 @@ def walk(nodes: list[Node]) -> Iterator[Node]:
 
 
 def math_spans(tree: BlockTree) -> list[Span]:
-    """All math region spans, sorted and non-overlapping."""
-    spans = [n.span for n in walk(tree.nodes) if isinstance(n, MathNode)]
-    return sorted(spans, key=lambda s: s.start)
+    """All math region spans, sorted and non-overlapping: the tree
+    builder records each as it places the region."""
+    return tree.math
 
 
 def comment_spans(tree: BlockTree) -> list[Span]:
     comment = TokenKind.COMMENT
-    return [t.span for t in tree.stream.tokens if t.kind is comment]
+    return [Span(t.start, t.end) for t in tree.stream.tokens if t.kind is comment]
 
 
 def merge_spans(spans: list[Span]) -> list[Span]:

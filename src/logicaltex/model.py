@@ -232,11 +232,11 @@ def plain_text(toks: list[Token], source: str) -> str:
             else:
                 parts.append(t.value or "")
         elif k is _PARAMETER:
-            parts.append(source[t.span.start:t.span.end])
+            parts.append(source[t.start:t.end])
         elif k is _CONTROL_SYMBOL:
             v = t.value or ""
             if v in ACCENT_SYMBOLS:
-                parts.append(source[t.span.start:t.span.end])
+                parts.append(source[t.start:t.end])
                 j = i + 1
                 if j < n and toks[j].kind is _BEGIN_GROUP:
                     parts.append("{")
@@ -253,11 +253,11 @@ def plain_text(toks: list[Token], source: str) -> str:
             elif v in ",;:! ":
                 parts.append(" ")
             elif v in "&%$#_{}":
-                parts.append(source[t.span.start:t.span.end])
+                parts.append(source[t.start:t.end])
         elif k is _CONTROL_WORD:
             name = t.value or ""
             if name in ACCENT_WORDS:
-                parts.append(source[t.span.start:t.span.end])
+                parts.append(source[t.start:t.end])
                 j = i + 1
                 while j < n and toks[j].kind is _WHITESPACE:
                     j += 1
@@ -267,7 +267,7 @@ def plain_text(toks: list[Token], source: str) -> str:
                     keep_group_depths.append(depth)
                     i = j
             elif name in LETTER_WORDS:
-                parts.append(source[t.span.start:t.span.end])
+                parts.append(source[t.start:t.end])
                 if i + 1 < n and toks[i + 1].kind is _TEXT:
                     parts.append(" ")
             elif name in STYLE_DECLS or name in SIZE_DECLS or name in _DECOR_WORDS:
@@ -289,7 +289,7 @@ def plain_text(toks: list[Token], source: str) -> str:
                         j += 1
                     i = j - 1
             else:
-                parts.append(source[t.span.start:t.span.end])
+                parts.append(source[t.start:t.end])
                 nxt = toks[i + 1] if i + 1 < n else None
                 if nxt is not None and nxt.kind is _TEXT:
                     parts.append(" ")
@@ -477,25 +477,25 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
     has_and = False
     for nd in group.children:
         if isinstance(nd, Token) and nd.is_control_word("and"):
-            seps.append((nd.span.start, nd.span.end))
+            seps.append((nd.start, nd.end))
             has_and = True
     if not has_and:
         for nd in group.children:
             if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
                 text = nd.value or ""
                 for m in re.finditer(",", text):
-                    seps.append((nd.span.start + m.start(), nd.span.start + m.end()))
+                    seps.append((nd.start + m.start(), nd.start + m.end()))
     seps.sort()
-    bounds = [group.inner.start] + [e for _, e in seps] + [group.inner.end]
-    starts = [group.inner.start] + [s for s, _ in seps]
+    bounds = [group.inner_start] + [e for _, e in seps] + [group.inner_end]
+    starts = [group.inner_start] + [s for s, _ in seps]
     out: list[LogicalAuthor] = []
     for k in range(len(starts)):
         seg_start = bounds[k]
-        seg_end = starts[k + 1] if k + 1 < len(starts) else group.inner.end
+        seg_end = starts[k + 1] if k + 1 < len(starts) else group.inner_end
         if seg_end <= seg_start:
             continue
         seg_nodes = [nd for nd in group.children
-                     if nd.span.start >= seg_start and nd.span.end <= seg_end]
+                     if nd.start >= seg_start and nd.end <= seg_end]
         thanks: list[str] = []
         cut: list[Span] = []
         j = 0
@@ -504,8 +504,8 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
             if isinstance(nd, Token) and nd.is_control_word("thanks"):
                 g = seg_nodes[j + 1] if j + 1 < len(seg_nodes) else None
                 if isinstance(g, GroupNode):
-                    thanks.append(src[g.inner.start:g.inner.end].strip())
-                    cut.append(Span(nd.span.start, g.span.end))
+                    thanks.append(src[g.inner_start:g.inner_end].strip())
+                    cut.append(Span(nd.start, g.end))
                     j += 2
                     continue
             j += 1
@@ -546,7 +546,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
         nd = nodes[cur.i]
         if isinstance(nd, (EnvNode, GroupNode)):
             if isinstance(nd, EnvNode) and nd.name == "abstract" and doc.abstract_raw is None:
-                doc.abstract_raw = src[nd.inner.start:nd.inner.end].strip()
+                doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip()
                 doc.abstract_span = nd.span
             cur.i += 1
             cursors.append(_NodeCursor(nd.children, stream))
@@ -559,29 +559,29 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
-                doc.title_raw = src[g.inner.start:g.inner.end].strip()
-                doc.title_span = Span(nd.span.start, g.span.end)
+                doc.title_raw = src[g.inner_start:g.inner_end].strip()
+                doc.title_span = Span(nd.start, g.end)
             continue
         if name == "date" and doc.date_span is None:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
-                doc.date_span = Span(nd.span.start, g.span.end)
+                doc.date_span = Span(nd.start, g.end)
             continue
         if name == "author":
             cur.i += 1
             g = cur.take_group()
             if g is not None:
                 doc.authors.extend(_split_author_group(g, stream))
-                doc.author_block_spans.append(Span(nd.span.start, g.span.end))
+                doc.author_block_spans.append(Span(nd.start, g.end))
             continue
         if name in ("affiliation", "address", "institute") and doc.authors:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
                 doc.authors[-1].affiliations_raw.append(
-                    src[g.inner.start:g.inner.end].strip())
-                doc.author_block_spans.append(Span(nd.span.start, g.span.end))
+                    src[g.inner_start:g.inner_end].strip())
+                doc.author_block_spans.append(Span(nd.start, g.end))
             continue
         if name == "maketitle" and doc.maketitle_span is None:
             doc.maketitle_span = nd.span
@@ -594,8 +594,8 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
             if g is not None:
                 doc.sections.append(LogicalSection(
                     level=_SECTION_LEVELS[name],
-                    heading_raw=src[g.inner.start:g.inner.end].strip(),
-                    span=Span(nd.span.start, g.span.end),
+                    heading_raw=src[g.inner_start:g.inner_end].strip(),
+                    span=Span(nd.start, g.end),
                     starred=starred,
                 ))
             continue
@@ -604,8 +604,8 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
             g = cur.take_group()
             if g is not None:
                 doc.emphases.append((
-                    src[g.inner.start:g.inner.end],
-                    Span(nd.span.start, g.span.end),
+                    src[g.inner_start:g.inner_end],
+                    Span(nd.start, g.end),
                 ))
             continue
         cur.i += 1

@@ -1,0 +1,109 @@
+"""Digest what ``convert`` does to each input: one line per input and policy.
+
+Run it at two commits and compare; a line that differs is a change of
+behaviour:
+
+    PYTHONPATH=src python tests/same_behaviour.py > before.txt   # parent
+    PYTHONPATH=src python tests/same_behaviour.py > after.txt    # change
+    diff before.txt after.txt
+
+The inputs are the corpusgen documents degraded under the five acceptance
+bundles and three degrader seeds (the acceptance sweep's pairs), the
+fixtures, and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
+converted under the four policies (metadata or full scope, each with and
+without ``aggressive``).  A line hashes the output bytes, the plan, the
+applied and skipped detections with their cues and skip reasons, the
+warnings and both classes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
+sys.path.insert(0, str(TESTS.parent / "perfbench"))
+
+import hostile  # noqa: E402
+from corpusgen import build_corpus  # noqa: E402
+
+from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
+from logicaltex.degrader import degrade  # noqa: E402
+from logicaltex.lexer import encode_source  # noqa: E402
+
+BUNDLES = (
+    ("centerline-style",),
+    ("center-env",),
+    ("centerline-style", "numbered-markers", "bold-solitary-sections"),
+    ("center-env", "symbol-markers", "inline-emphasis"),
+    ("centerline-style", "symbol-markers", "unlabeled-abstract",
+     "bold-solitary-sections", "inline-emphasis"),
+)
+DEGRADER_SEEDS = (0, 1, 2)
+HOSTILE_SEEDS = (1, 2, 3)
+POLICIES = {
+    f"{scope.value}{'+aggressive' if aggressive else ''}":
+        ConversionPolicy(scope=scope, aggressive=aggressive)
+    for scope in Scope for aggressive in (False, True)
+}
+
+
+def inputs(docs: int):
+    """(name, source) for every input, in a fixed order."""
+    for path in sorted((TESTS / "fixtures").rglob("*.tex")):
+        yield f"fixture/{path.parent.name}/{path.name}", path.read_bytes()
+    for seed in HOSTILE_SEEDS:
+        for generator, size, source in hostile.hostile_inputs(seed):
+            yield f"hostile/{seed}/{generator}/{size}", source
+    corpus = build_corpus(docs)
+    for (name, text), b, seed in itertools.product(corpus, range(len(BUNDLES)), DEGRADER_SEEDS):
+        yield f"corpus/{name}/bundle{b}/seed{seed}", degrade(text, BUNDLES[b], seed)[0]
+
+
+def _cls(c) -> tuple:
+    return (c.label.value, c.score, c.visual_count, c.logical_count)
+
+
+def _det(d) -> tuple:
+    cues = sorted((c.kind.value, tuple(c.span), c.word) for c in d.cues)
+    return (d.kind.value, tuple(d.span), d.confidence, d.level, d.keyword, cues)
+
+
+def digest(source: str | bytes, policy: ConversionPolicy) -> str:
+    out, report = convert(source, policy)
+    record = (
+        encode_source(out) if isinstance(out, str) else out,
+        [(tuple(e.span), e.replacement, e.origin) for e in report.plan.edits],
+        [(_det(d), tuple(e.span)) for d, e in report.applied],
+        [(_det(d), reason) for d, reason in report.skipped],
+        report.warnings,
+        _cls(report.class_before),
+        _cls(report.class_after),
+    )
+    return hashlib.sha256(repr(record).encode("utf-8", "backslashreplace")).hexdigest()[:20]
+
+
+def lines(docs: int, limit: int | None = None):
+    for name, source in itertools.islice(inputs(docs), limit):
+        for label, policy in POLICIES.items():
+            yield f"{name} {label} {digest(source, policy)}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--docs", type=int, default=100,
+                        help="corpusgen documents to degrade (default 100)")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="digest only the first LIMIT inputs")
+    args = parser.parse_args(argv)
+    for line in lines(args.docs, args.limit):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -403,6 +403,8 @@ def test_batch_detects_source_and_output_once(degraded_file, capsys, monkeypatch
     calls = _count_detect_all(monkeypatch, logicaltex.cli, logicaltex.converter)
     code, out, _ = run(capsys, "--report", "machine", "batch", str(degraded_file.parent),
                        "--scope", "full", "--aggressive")
-    assert len(calls) == 2
+    # A batch row reports the source's class only, so the output is
+    # never analysed.
+    assert len(calls) == 1
     row = next(r for r in machine_records(out) if r["command"] == "batch-file")
     assert row["class"] == classify(parse(degraded_file.read_bytes())).label.value

@@ -306,12 +306,17 @@ def test_convert_analyses_each_tree_once(monkeypatch):
     for module in (detector, converter):
         monkeypatch.setattr(module, "detect_all", counting_detect_all)
     monkeypatch.setattr(detector, "protected_spans", counting_protected_spans)
-    # A visual input is analysed before and after; a logical one comes
-    # back unchanged, so its one analysis serves both classes.
+    # convert analyses its input once.  Reading class_after analyses a
+    # visual input's output once more; a logical input comes back
+    # unchanged, so its one analysis serves both classes.
     for path, trees in ((VISUAL_FIXTURES[0], 2), (LOGICAL_FIXTURES[0], 1)):
         detect_calls.clear()
         protected_calls.clear()
-        convert(path.read_text(), AGGRESSIVE)
+        _, rep = convert(path.read_text(), AGGRESSIVE)
+        assert len(detect_calls) == 1
+        assert len(protected_calls) <= 1
+        rep.class_after
+        rep.class_after
         assert len(detect_calls) == trees
         assert len({id(tree) for tree in detect_calls}) == trees
         assert len(protected_calls) <= trees
@@ -335,7 +340,10 @@ def test_convert_walks_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(detector, "walk", counting_walk)
     monkeypatch.setattr(lexer, "build_tree", recording_build_tree)
-    convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
+    _, rep = convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
+    assert len(walked) == 1
+    assert len(trees) == 1
+    rep.class_after  # the output's tree is built and walked on this read
     assert len(walked) == 2
     assert len(trees) == 2
     assert all(nodes is tree.nodes for nodes, tree in zip(walked, trees))
@@ -364,6 +372,15 @@ def test_round_trip_builds_each_text_once(monkeypatch):
         validate(src, out, rep.plan)
         assert (out != src) is changed
         assert built == ([src, out] if changed else [src])
+
+
+def test_class_after_is_the_class_of_the_output():
+    from logicaltex.detector import classify
+
+    for path in VISUAL_FIXTURES + LOGICAL_FIXTURES:
+        for policy in (AGGRESSIVE, METADATA_ONLY):
+            out, rep = convert(path.read_text(), policy)
+            assert rep.class_after == classify(parse(out)), path.name
 
 
 def _tree_fingerprint(tree):
@@ -407,3 +424,15 @@ def test_structure_commands_in_verbatim_are_not_logical():
     assert "\\title{A Study of Quiet Things}" in out
     assert "\n\\maketitle\n" in out
     assert extract_logical(parse(src)).title_raw is None
+
+
+def test_same_behaviour_digests(capsys):
+    import same_behaviour
+
+    assert same_behaviour.main(["--docs", "1", "--limit", "3"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    same_behaviour.main(["--docs", "1", "--limit", "3"])
+    assert capsys.readouterr().out.splitlines() == first
+    assert len(first) == 3 * len(same_behaviour.POLICIES)
+    assert len({line.split()[0] for line in first}) == 3
+    assert len({line.split()[2] for line in first}) > 1

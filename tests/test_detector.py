@@ -186,6 +186,38 @@ def test_affiliation_suppressed_when_logical_commands_present():
     assert authors == [] and affils == []
 
 
+def test_author_command_stops_the_line_search(monkeypatch):
+    # An \\author command states the authors and their affiliations, so
+    # no front-matter line is split into name segments.
+    from logicaltex import detector
+
+    split = []
+    split_segments = detector.split_author_segments
+
+    def recording_split(line, stream):
+        split.append(line)
+        return split_segments(line, stream)
+
+    monkeypatch.setattr(detector, "split_author_segments", recording_split)
+    # test_purely_logical_documents_have_no_detections checks what
+    # these find.
+    fixtures = [path.read_text() for path in LOGICAL_FIXTURES]
+    fixtures = [src for src in fixtures if "\\author" in src]
+    assert len(fixtures) >= 10
+    for src in fixtures:
+        detect_all(parse(src))
+    # A name-shaped line and a place-shaped one above \maketitle.
+    src = wrap("Ada Byron and Jane Doe\n\nUniversity of Somewhere\n\n\\maketitle\n",
+               preamble="\\title{T}\\author{A B}")
+    tree = parse(src)
+    region = frontmatter_region(tree)
+    assert len(region.lines) == 2
+    assert detect_authors_affiliations(tree, region, None) == ([], [])
+    dets = detect_all(tree)
+    assert dets.authors == [] and dets.affiliations == []
+    assert split == []
+
+
 def test_multiline_affiliation_merged():
     src = wrap(
         "\\centerline{\\bf A Title Goes Here}\n\n"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicaltex.converter import convert
 from logicaltex.degrader import degrade
 from logicaltex.lexer import (
     MathNode,
@@ -20,8 +21,9 @@ from logicaltex.lexer import (
     tokenize,
     walk,
 )
+from logicaltex.validator import check_body_preservation, validate_structure
 
-from conftest import LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES
+from conftest import AGGRESSIVE, LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES
 
 
 def kinds(stream):
@@ -316,6 +318,55 @@ def test_scanner_rules(text, expected):
     stream = tokenize(text)
     assert [(t.kind, t.span.start, t.span.end, t.value) for t in stream.tokens] == expected
     assert stream.verbatim_spans == []
+
+
+def test_lone_trailing_backslash_is_not_math():
+    # A backslash at the very end is a control symbol with the empty
+    # name, which neither opens nor closes math.
+    tree = parse("word \\")
+    assert tree.stream.tokens[-1].value == ""
+    assert tree.stream.structural == []
+    assert not any(isinstance(n, MathNode) for n in walk(tree.nodes))
+    assert tree.diagnostics == [] and math_spans(tree) == []
+    for path in (VISUAL_FIXTURES[0], LOGICAL_FIXTURES[0]):
+        src = path.read_text() + "\\"
+        assert parse(src).diagnostics == parse(src[:-1]).diagnostics
+        out, rep = convert(src, AGGRESSIVE)
+        assert out.endswith("\n\\")
+        assert check_body_preservation(src, out, rep.plan)[0]
+        assert validate_structure(src, out) == []
+
+
+# Fragments that open, close or hide structure, and blanks that may or
+# may not be paragraph breaks.
+FRAGMENTS = [
+    "{", "}", "$", "$$", "\\(", "\\)", "\\[", "\\]", "\\begin{center}", "\\end{center}",
+    "\\begin{equation}", "\\end{equation}", "\\begin{verbatim}", "\\end{verbatim}",
+    "\\verb|x|", "#1", "%c\n", " \r\n\r ", "\r\r", "\n\x0c\n", "\x0b\n", "\x00",
+    "\udcf6", "x y",
+]
+
+
+def _is_structural(t):
+    return (t.kind in (K.BEGIN_GROUP, K.END_GROUP, K.MATH_SHIFT, K.PAR_BREAK)
+            or t.kind is K.CONTROL_WORD and t.value in ("begin", "end")
+            or t.kind is K.CONTROL_SYMBOL and t.value in ("(", "[", ")", "]"))
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=4), max_size=40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_token_records_and_structural_indices(pieces, trailing_backslash):
+    text = "".join(pieces) + ("\\" if trailing_backslash else "")
+    stream = tokenize(text)
+    pos = 0
+    for t in stream.tokens:
+        assert t.start == pos and t.span == Span(t.start, t.end)
+        pos = t.end
+    assert pos == len(text) and stream.reassemble() == text
+    assert stream.structural == [i for i, t in enumerate(stream.tokens) if _is_structural(t)]
+    tree = build_tree(stream)
+    walked = [n.span for n in walk(tree.nodes) if isinstance(n, MathNode)]
+    assert math_spans(tree) == sorted(walked, key=lambda s: s.start)
 
 
 def test_span_is_an_offset_pair():
