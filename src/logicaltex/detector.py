@@ -168,9 +168,9 @@ def index_contents(tree: BlockTree) -> Contents:
 
 @dataclass(frozen=True)
 class Region:
-    """A stretch of the document body, segmented into lines once, plus the
-    document's protected spans and contents; every detector reads them
-    from here."""
+    """A stretch of the document body, its lines sliced from the body's one
+    segmentation, plus the document's protected spans and contents; every
+    detector reads them from here."""
 
     span: Span
     lines: list[Line]
@@ -179,6 +179,8 @@ class Region:
     whole_body_fallback: bool = False
     # The front matter's abstract, found while bounding the region.
     abstract: Detection | None = None
+    # The body's lines after the region, cut from the same segmentation.
+    rest: list[Line] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +293,8 @@ class Line:
     label: Label | None = None
     # Filled on first use by ``_author_segments``.
     segments: list[Segment] | None = None
+    # The top-level nodes of the paragraph block the line was cut from.
+    block: list[Node] = field(default_factory=list, repr=False, compare=False)
 
     @cached_property
     def plain(self) -> str:
@@ -447,6 +451,7 @@ class _Segmenter:
 
     def _emit_block(self, block: list[Node], in_titlepage: bool):
         first = len(self.lines)
+        top = block
         buf: list[Node] = []
 
         def flush(in_titlepage: bool):
@@ -499,6 +504,7 @@ class _Segmenter:
         emitted = self.lines[first:]
         for ln in emitted:
             ln.only_line_in_block = len(emitted) == 1
+            ln.block = top
 
     def _center_env(self, env: EnvNode, in_titlepage: bool):
         rows: list[tuple[list[Node], Span | None]] = []
@@ -575,18 +581,32 @@ def document_body(tree: BlockTree) -> tuple[list[Node], Span]:
     return tree.nodes, Span(0, len(tree.stream.source))
 
 
-def segment_lines(tree: BlockTree, region: Region) -> list[Line]:
+def segment_lines(tree: BlockTree) -> list[Line]:
+    """The document body's lines in document order, each holding the block
+    it was cut from."""
     nodes, _ = document_body(tree)
-    start, end = region.span
-    selected = [nd for nd in nodes if start <= nd.start < end]
-    return _Segmenter(tree.stream).run(selected)
+    return _Segmenter(tree.stream).run(nodes)
 
 
-def _segmented(tree: BlockTree, span: Span, protected: list[Span],
-               contents: Contents, whole_body_fallback: bool) -> Region:
-    region = Region(span, [], protected, contents, whole_body_fallback)
-    region.lines.extend(segment_lines(tree, region))
-    return region
+def _split(lines: list[Line], stream: TokenStream, at: int) -> tuple[list[Line], list[Line]]:
+    """The lines of the body's top-level nodes that start before ``at``,
+    and those of the nodes that start at or after it.  A whole block keeps
+    its lines; the block ``at`` cuts, if any, is segmented as its two
+    parts, so each side reads as if it had been segmented on its own."""
+    i = bisect_left(lines, at, key=lambda ln: ln.block[-1].start)
+    j = bisect_left(lines, at, i, key=lambda ln: ln.block[0].start)
+    if i == j:
+        return lines[:i], lines[i:]
+    block = lines[i].block
+    k = bisect_left(block, at, key=lambda nd: nd.start)
+    return (lines[:i] + _Segmenter(stream).run(block[:k]),
+            _Segmenter(stream).run(block[k:]) + lines[j:])
+
+
+def _region(lines: list[Line], stream: TokenStream, span: Span, protected: list[Span],
+            contents: Contents, whole_body_fallback: bool) -> Region:
+    head, rest = _split(lines, stream, span.end)
+    return Region(span, head, protected, contents, whole_body_fallback, rest=rest)
 
 
 def _core_raw(line: Line, stream: TokenStream) -> str:
@@ -775,9 +795,12 @@ def _author_segments(line: Line, stream: TokenStream) -> list[Segment]:
 
 def frontmatter_region(tree: BlockTree) -> Region:
     """Span from the start of the document body to the earliest of the
-    first sectioning command, an existing \\maketitle, the end of the
-    abstract, or the end of a titlepage environment.  The region keeps
-    the abstract detected while bounding it."""
+    first sectioning command, an existing \\maketitle, the end of a
+    titlepage environment, the first line of body text (a numbered heading
+    or a theorem-like label), or the end of the abstract.  The body is
+    segmented once; the region holds the lines before its end, keeps the
+    lines after it for ``body_region``, and keeps the abstract detected
+    while bounding it."""
     _, body = document_body(tree)
     contents = index_contents(tree)
     # Nodes of the body are exactly those that start inside it.
@@ -785,26 +808,48 @@ def frontmatter_region(tree: BlockTree) -> Region:
                   for start in contents.words.get(name, []) if body.contains(start)]
     boundaries += [span.end for name in ("titlepage", "abstract")
                    for span in contents.envs.get(name, []) if body.contains(span.start)]
-    end = min(boundaries) if boundaries else body.end
+    end = min(boundaries, default=body.end)
     protected = protected_spans(tree)
-    coarse = _segmented(tree, Span(body.start, end), protected, contents,
-                        not boundaries)
+    damaged = [d.span for d in tree.diagnostics]
+    stream = tree.stream
+    lines = segment_lines(tree)
+    # Only lines of blocks wholly before the boundary are segmented alike
+    # on either side of it.
+    before = bisect_left(lines, end, key=lambda ln: ln.block[-1].start)
+    evidence = next((ln.span.start for ln in lines[:before]
+                     if _is_body_text(ln, stream, protected, damaged, contents)), None)
+    if evidence is not None:
+        end = min(end, evidence)
+    coarse = _region(lines, stream, Span(body.start, end), protected, contents,
+                     not boundaries and evidence is None)
     det = detect_abstract(tree, coarse)
     if det is not None:
         construct_end = det.data.get("construct_end", det.span.end)
         if construct_end < end:
-            # Segmented apart from the coarse pass: over the shorter span
-            # a different paragraph can be the titlepage's last one.
-            shorter = _segmented(tree, Span(body.start, construct_end),
-                                 protected, contents, False)
+            # Cut apart from the coarse region: over the shorter span a
+            # different paragraph can be the titlepage's last one.
+            shorter = _region(lines, stream, Span(body.start, construct_end),
+                              protected, contents, False)
             return replace(shorter, abstract=detect_abstract(tree, shorter))
     return replace(coarse, abstract=det)
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
     _, body = document_body(tree)
-    return _segmented(tree, Span(fm.span.end, body.end), fm.protected,
-                      fm.contents, False)
+    return Region(Span(fm.span.end, body.end), fm.rest, fm.protected, fm.contents)
+
+
+def _is_body_text(line: Line, stream: TokenStream, protected: list[Span],
+                  damaged: list[Span], contents: Contents) -> bool:
+    """Whether the line is one that only a body holds: a heading
+    ``detect_section_headers`` takes as numbered, or a paragraph opened by
+    a theorem-like label.  A titlepage's lines are front matter."""
+    if line.in_titlepage:
+        return False
+    core = _heading_core(line, stream, protected, damaged, contents)
+    if core is not None:
+        return NUMBER_PREFIX_RE.match(core[1]) is not None
+    return _theorem_label(line) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +880,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
         return []
     protected = region.protected
     stream = tree.stream
+    damaged = [d.span for d in tree.diagnostics]
     out: list[Detection] = []
     for line in region.lines:
         if not (line.centered or line.bold or line.large):
@@ -846,8 +892,11 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if _line_has_logical_commands(line, region.contents):
             continue
-        if not _containment_ok(line.span, protected):
+        if not _containment_ok(line.span, protected) or not _disjoint(line.span, damaged):
             continue
+        if line.core_nodes and NUMBER_PREFIX_RE.match(
+                _span_plain(stream, _nodes_span(line.core_nodes))):
+            continue  # a numbered heading
         segs = _author_segments(line, stream)
         if segs and segs[0].leading_marker:
             continue
@@ -1099,6 +1148,28 @@ def _number_prefix(core_plain: str, core_raw: str):
     return num, level, heading_raw.strip()
 
 
+def _heading_core(line: Line, stream: TokenStream, protected: list[Span],
+                  damaged: list[Span], contents: Contents) -> tuple[str, str] | None:
+    """The raw and plain core of a line that reads as a section heading, or
+    None: a solitary bold or large paragraph, clear of protected and damaged
+    text, that is no caption, theorem label or bibliography entry."""
+    if line.container != "paragraph" or not line.only_line_in_block:
+        return None
+    if not (line.bold or line.large) or not line.core_nodes:
+        return None
+    if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
+        return None
+    core_span = _nodes_span(line.core_nodes)
+    core_plain = _span_plain(stream, core_span)
+    if not core_plain or len(core_plain) > 120:
+        return None
+    if CAPTION_PREFIX_RE.match(core_plain) or THEOREM_LABEL_RE.match(core_plain):
+        return None
+    if contents.within(line.span, BIB_DENYLIST):
+        return None
+    return stream.text(core_span), core_plain
+
+
 def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     """Solitary bold/large paragraphs in the body, optionally number
     prefixed; level follows the numbering depth."""
@@ -1107,25 +1178,10 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     damaged = [d.span for d in tree.diagnostics]
     out: list[Detection] = []
     for line in region.lines:
-        if line.container != "paragraph" or not line.only_line_in_block:
+        core = _heading_core(line, stream, protected, damaged, region.contents)
+        if core is None:
             continue
-        if not (line.bold or line.large):
-            continue
-        if not line.core_nodes:
-            continue
-        if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
-            continue
-        core_span = _nodes_span(line.core_nodes)
-        core_raw = stream.text(core_span)
-        core_plain = _span_plain(stream, core_span)
-        if not core_plain or len(core_plain) > 120:
-            continue
-        if CAPTION_PREFIX_RE.match(core_plain):
-            continue
-        if THEOREM_LABEL_RE.match(core_plain):
-            continue
-        if region.contents.within(line.span, BIB_DENYLIST):
-            continue
+        core_raw, core_plain = core
         cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span)}
         if line.bold:
             cues.add(Cue(CueKind.BOLD, line.span))
@@ -1150,6 +1206,17 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     return out
 
 
+def _theorem_label(line: Line) -> re.Match | None:
+    """The keyword match of a paragraph opened by a bold theorem-like label
+    such as ``{\\bf Theorem 1.}``, or None."""
+    if line.container != "paragraph" or line.only_line_in_block and (line.bold or line.large):
+        return None
+    label = line.label
+    if label is None or not label.bold or not label.content:
+        return None
+    return THEOREM_LABEL_RE.match(label.plain)
+
+
 def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detection]:
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
@@ -1163,17 +1230,14 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     claimed: list[Span] = []
 
     for line in region.lines:
-        if line.container != "paragraph":
-            continue
-        if line.only_line_in_block and (line.bold or line.large):
+        if line.container == "paragraph" and line.only_line_in_block \
+                and (line.bold or line.large):
             claimed.append(line.span)  # section candidates are not emphasis
             continue
-        label = line.label
-        if label is None or not label.bold or not label.content:
-            continue
-        m = THEOREM_LABEL_RE.match(label.plain)
+        m = _theorem_label(line)
         if not m:
             continue
+        label = line.label
         if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
             claimed.append(label.span)
             continue

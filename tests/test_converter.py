@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from logicaltex.converter import (
@@ -14,6 +16,7 @@ from logicaltex.lexer import Span, parse
 from logicaltex.validator import check_body_preservation, validate_structure
 
 from conftest import AGGRESSIVE, FULL_PROFILES, LOGICAL_FIXTURES, METADATA_ONLY, VISUAL_FIXTURES
+from same_behaviour import HOSTILE_SEEDS, POLICIES, hostile
 
 
 def wrap(body, preamble=""):
@@ -248,6 +251,29 @@ def test_idempotence_on_degraded_corpus(small_corpus):
         twice, rep2 = convert(once, AGGRESSIVE)
         assert twice == once, name
         assert rep2.applied == [], name
+
+
+def test_title_never_spans_damaged_text():
+    # The unterminated $$ is damaged text: as a title it would swallow the
+    # closing brace and \maketitle, and a second pass would add another.
+    src = "$^1$\n\n\\large $$^1$"
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        assert "\\title" not in out, label
+        assert DetectionKind.TITLE not in [d.kind for d, _ in rep.applied], label
+        assert convert(out, policy)[0] == out, label
+
+
+@pytest.mark.parametrize("seed", HOSTILE_SEEDS)
+@pytest.mark.parametrize("generator", hostile.GENERATORS)
+def test_hostile_inputs_convert_once_for_all(seed, generator):
+    inputs = [(size, src) for name, size, src in hostile.hostile_inputs(seed)
+              if name == generator]
+    for (size, src), (label, policy) in itertools.product(inputs, POLICIES.items()):
+        out, rep = convert(src, policy)
+        preserved, offset = check_body_preservation(src, out, rep.plan)
+        assert preserved, (size, label, offset)
+        assert convert(out, policy)[0] == out, (size, label)
 
 
 def test_malformed_input_still_converts_with_output():

@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logicaltex.converter import convert
 from logicaltex.detector import (
     AUTO_APPLY_THRESHOLD,
     CueKind,
     DetectionKind,
     DocumentClass,
+    _Segmenter,
     body_region,
     classify,
     detect_abstract,
@@ -15,6 +19,7 @@ from logicaltex.detector import (
     detect_emphasis_and_theorems,
     detect_section_headers,
     detect_title,
+    document_body,
     extract_frontmatter,
     frontmatter_region,
     passes,
@@ -24,7 +29,7 @@ from logicaltex.degrader import degrade
 from logicaltex.lexer import parse, protected_spans
 from logicaltex.model import MarkerSymbol, strip_styling
 
-from conftest import FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
+from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
 
 
 def cue_names(det):
@@ -76,6 +81,53 @@ def test_region_ends_at_detected_abstract():
     region = frontmatter_region(tree)
     assert "First body paragraph" not in tree.stream.text(region.span)
     assert "Abstract" in tree.stream.text(region.span)
+
+
+def test_region_ends_at_first_numbered_heading():
+    src = wrap(
+        "\\centerline{\\bf A Title Line}\n\n"
+        "\\centerline{Ann Smith}\n\n"
+        "{\\bf 1. Introduction}\n\nText.\n\n{\\bf 2. Results}\n\nMore text.")
+    tree = parse(src)
+    region = frontmatter_region(tree)
+    assert src[region.span.end:].startswith("{\\bf 1. Introduction}")
+    assert not region.whole_body_fallback
+    dets = detect_all(tree)
+    assert [d.data["heading_raw"] for d in dets.sections] == ["Introduction", "Results"]
+    assert dets.title.data["core_raw"] == "A Title Line"
+    assert extract_frontmatter(dets).notes == []
+
+
+def test_region_ends_at_theorem_label():
+    src = wrap(
+        "\\centerline{\\bf A Title Line}\n\n"
+        "{\\bf Theorem 1.} Every bounded orbit is closed.\n\n"
+        "\\centerline{\\bf Not A Title}")
+    tree = parse(src)
+    region = frontmatter_region(tree)
+    assert src[region.span.end:].startswith("{\\bf Theorem 1.}")
+    assert not region.whole_body_fallback
+    dets = detect_all(tree)
+    assert [d.keyword for d in dets.theorems] == ["Theorem"]
+    assert [d.data["core_raw"] for d in dets.title_candidates] == ["A Title Line"]
+
+
+def test_numbered_centred_heading_is_never_a_title():
+    src = wrap("\\centerline{\\bf 1 Introduction}\n\nSome text.")
+    tree = parse(src)
+    assert detect_title(tree, frontmatter_region(tree)) == []
+
+
+def test_numbered_bold_headings_without_boundary_become_sections():
+    # Plain-TeX style: no \maketitle, \section, abstract or titlepage.
+    src = wrap("".join(f"{{\\bf {i}. Heading Number {i}}}\n\nBody text {i}.\n\n"
+                       for i in range(1, 6)))
+    dets = detect_all(parse(src))
+    assert dets.title_candidates == [] and len(dets.sections) == 5
+    out, rep = convert(src, AGGRESSIVE)
+    assert out.count("\\section{Heading Number") == 5
+    assert rep.class_after.label is DocumentClass.LOGICAL
+    assert convert(out, AGGRESSIVE)[0] == out
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +503,14 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
     checked = labels = body_lines = 0
     for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
         tree = parse(degrade(text, profiles, 0)[0])
-        fm = frontmatter_region(tree)
-        body = body_region(tree, fm)
-        for region in (fm, body):
-            for line in segment_lines(tree, region):
-                assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
-                checked += 1
-                if line.label is not None:
-                    label_raw = tree.stream.text(line.label.span)
-                    assert line.label.plain == strip_styling(label_raw), (name, label_raw)
-                    labels += 1
+        body = body_region(tree, frontmatter_region(tree))
+        for line in segment_lines(tree):
+            assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
+            checked += 1
+            if line.label is not None:
+                label_raw = tree.stream.text(line.label.span)
+                assert line.label.plain == strip_styling(label_raw), (name, label_raw)
+                labels += 1
         # The lines the body's detectors read compute their text on first read.
         for line in body.lines:
             assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
@@ -545,3 +595,58 @@ def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
     assert line.plain == strip_styling(line.raw)
     if line.label.span == line.span:
         assert vars(line.label)["plain"] is line.plain
+
+
+def test_detect_all_segments_each_tree_once(monkeypatch, small_corpus):
+    from logicaltex import detector
+
+    segmented = []
+    segment = detector.segment_lines
+
+    def recording_segment_lines(tree):
+        segmented.append(tree)
+        return segment(tree)
+
+    monkeypatch.setattr(detector, "segment_lines", recording_segment_lines)
+    sources = [path.read_text() for path in sorted(FIXTURES.rglob("*.tex"))]
+    sources += [degrade(text, profiles, 0)[0]
+                for (_, text), profiles in itertools.product(small_corpus[:2], PROFILE_SETS)]
+    for src in sources:
+        segmented.clear()
+        tree = parse(src)
+        detect_all(tree)
+        assert len(segmented) == 1 and segmented[0] is tree
+
+
+# Fragments that bound the front matter explicitly, by an abstract or by
+# body text, and that cut paragraph blocks at every kind of edge.
+REGION_FRAGMENTS = [
+    "\\maketitle", "\\section{A}", "\\begin{titlepage}", "\\end{titlepage}",
+    "{\\bf Abstract.}", "\\noindent{\\bf 2. Results}\\par", "\\centerline{\\bf 1 Intro}",
+    "\\centerline{Ann Lee}", "{\\bf Theorem 1.}", "\\par", "\n", "\n\n", " ",
+    "Words of running text.",
+]
+
+
+def _segmented_apart(tree, span):
+    # Each region's own segmentation: the body's top-level nodes that start
+    # inside the span.
+    nodes, _ = document_body(tree)
+    return _Segmenter(tree.stream).run([nd for nd in nodes if span.start <= nd.start < span.end])
+
+
+def _line_record(line):
+    return (line.span, line.container, line.only_line_in_block, line.in_titlepage,
+            line.centered, line.bold, line.italic, line.large,
+            line.label.span if line.label is not None else None)
+
+
+@given(st.lists(st.sampled_from(REGION_FRAGMENTS), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_regions_read_as_if_segmented_apart(pieces):
+    tree = parse(wrap("".join(pieces)))
+    fm = frontmatter_region(tree)
+    body = body_region(tree, fm)
+    for region in (fm, body):
+        assert [_line_record(ln) for ln in region.lines] == \
+            [_line_record(ln) for ln in _segmented_apart(tree, region.span)]
