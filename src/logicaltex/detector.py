@@ -169,12 +169,14 @@ def index_contents(tree: BlockTree) -> Contents:
 @dataclass(frozen=True)
 class Region:
     """A stretch of the document body, its lines sliced from the body's one
-    segmentation, plus the document's protected spans and contents; every
-    detector reads them from here."""
+    segmentation, plus the document's protected and damaged spans and its
+    contents; every detector reads them from here."""
 
     span: Span
     lines: list[Line]
     protected: list[Span]
+    # Spans of structural diagnostics (unclosed group, stray \end, ...).
+    damaged: list[Span]
     contents: Contents
     whole_body_fallback: bool = False
     # The front matter's abstract, found while bounding the region.
@@ -604,9 +606,9 @@ def _split(lines: list[Line], stream: TokenStream, at: int) -> tuple[list[Line],
 
 
 def _region(lines: list[Line], stream: TokenStream, span: Span, protected: list[Span],
-            contents: Contents, whole_body_fallback: bool) -> Region:
+            damaged: list[Span], contents: Contents, whole_body_fallback: bool) -> Region:
     head, rest = _split(lines, stream, span.end)
-    return Region(span, head, protected, contents, whole_body_fallback, rest=rest)
+    return Region(span, head, protected, damaged, contents, whole_body_fallback, rest=rest)
 
 
 def _core_raw(line: Line, stream: TokenStream) -> str:
@@ -820,7 +822,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
                      if _is_body_text(ln, stream, protected, damaged, contents)), None)
     if evidence is not None:
         end = min(end, evidence)
-    coarse = _region(lines, stream, Span(body.start, end), protected, contents,
+    coarse = _region(lines, stream, Span(body.start, end), protected, damaged, contents,
                      not boundaries and evidence is None)
     det = detect_abstract(tree, coarse)
     if det is not None:
@@ -829,27 +831,44 @@ def frontmatter_region(tree: BlockTree) -> Region:
             # Cut apart from the coarse region: over the shorter span a
             # different paragraph can be the titlepage's last one.
             shorter = _region(lines, stream, Span(body.start, construct_end),
-                              protected, contents, False)
+                              protected, damaged, contents, False)
             return replace(shorter, abstract=detect_abstract(tree, shorter))
     return replace(coarse, abstract=det)
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
     _, body = document_body(tree)
-    return Region(Span(fm.span.end, body.end), fm.rest, fm.protected, fm.contents)
+    return Region(Span(fm.span.end, body.end), fm.rest, fm.protected, fm.damaged,
+                  fm.contents)
 
 
 def _is_body_text(line: Line, stream: TokenStream, protected: list[Span],
                   damaged: list[Span], contents: Contents) -> bool:
     """Whether the line is one that only a body holds: a heading
-    ``detect_section_headers`` takes as numbered, or a paragraph opened by
-    a theorem-like label.  A titlepage's lines are front matter."""
+    ``detect_section_headers`` takes, whose core opens with a heading
+    number, or a paragraph opened by a theorem-like label.  A titlepage's
+    lines are front matter."""
     if line.in_titlepage:
         return False
     core = _heading_core(line, stream, protected, damaged, contents)
     if core is not None:
-        return NUMBER_PREFIX_RE.match(core[1]) is not None
+        return _opens_with_heading_number(core[1])
     return _theorem_label(line) is not None
+
+
+def _opens_with_heading_number(core_plain: str) -> bool:
+    """Whether a line's core opens with a heading number: one with a digit
+    (``1 Introduction``, ``2.1. Setup``), or a Roman numeral of two letters
+    or more that a stop follows (``II. Results``).  A lone I, V, X, L or C
+    is as often a word or an initial (``I Am``, ``L. Zhang``), and no
+    number."""
+    m = NUMBER_PREFIX_RE.match(core_plain)
+    if m is None:
+        return False
+    num = m.group("num")
+    if any(ch.isdigit() for ch in num):
+        return True
+    return len(num) > 1 and core_plain[m.end("num"):].lstrip()[:1] in ".):"
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +898,8 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     if "title" in region.contents.words:
         return []
     protected = region.protected
+    damaged = region.damaged
     stream = tree.stream
-    damaged = [d.span for d in tree.diagnostics]
     out: list[Detection] = []
     for line in region.lines:
         if not (line.centered or line.bold or line.large):
@@ -894,7 +913,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if not _containment_ok(line.span, protected) or not _disjoint(line.span, damaged):
             continue
-        if line.core_nodes and NUMBER_PREFIX_RE.match(
+        if line.core_nodes and _opens_with_heading_number(
                 _span_plain(stream, _nodes_span(line.core_nodes))):
             continue  # a numbered heading
         segs = _author_segments(line, stream)
@@ -1175,7 +1194,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     prefixed; level follows the numbering depth."""
     stream = tree.stream
     protected = region.protected
-    damaged = [d.span for d in tree.diagnostics]
+    damaged = region.damaged
     out: list[Detection] = []
     for line in region.lines:
         core = _heading_core(line, stream, protected, damaged, region.contents)
@@ -1222,10 +1241,9 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     paragraphs opened by a bold theorem-like keyword."""
     stream = tree.stream
     protected = region.protected
-    # Anything touched by a structural diagnostic (unclosed group, stray
-    # \end, ...) is damaged; rewriting it could drag an environment
+    # Damaged text is never rewritten: that could drag an environment
     # boundary inside a command argument.
-    damaged = [d.span for d in tree.diagnostics]
+    damaged = region.damaged
     out: list[Detection] = []
     claimed: list[Span] = []
 

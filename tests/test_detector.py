@@ -118,6 +118,38 @@ def test_numbered_centred_heading_is_never_a_title():
     assert detect_title(tree, frontmatter_region(tree)) == []
 
 
+@pytest.mark.parametrize("author", ["L. Zhang", "V. Arnold", "C. Chen", "X. Wang"])
+@pytest.mark.parametrize("tail", ["Body text.", "\\section{Intro}\nBody text."])
+def test_initial_is_no_heading_number(author, tail):
+    # A lone I, V, X, L or C before a stop is an initial here, not a
+    # Roman heading number, so the author line stays in the front matter.
+    src = wrap(
+        "\\centerline{\\bf A Title}\n\n"
+        f"{{\\bf {author}}}\n\n"
+        "{\\it Dept. of Physics}\n\n"
+        "{\\bf Abstract.} Enough text to be an abstract, honestly, it is long.\n\n"
+        + tail)
+    dets = detect_all(parse(src))
+    assert [d.data["line"].raw for d in dets.authors] == [f"{{\\bf {author}}}"]
+    assert dets.abstract is not None
+    assert dets.sections == []
+
+
+@pytest.mark.parametrize("title", ["I Am a Title", "C. Elegans Genome", "CIVIL Works"])
+def test_title_opening_with_roman_letters_stays_a_title(title):
+    src = wrap(f"\\centerline{{\\bf {title}}}\n\n\\centerline{{Ann Smith}}\n\nSome text.")
+    tree = parse(src)
+    assert detect_title(tree, frontmatter_region(tree))[0].data["core_raw"] == title
+
+
+def test_region_ends_at_two_letter_roman_heading():
+    src = wrap(
+        "\\centerline{\\bf A Title Line}\n\n"
+        "{\\bf I. Introduction}\n\nText.\n\n{\\bf II. Results}\n\nMore text.")
+    region = frontmatter_region(parse(src))
+    assert src[region.span.end:].startswith("{\\bf II. Results}")
+
+
 def test_numbered_bold_headings_without_boundary_become_sections():
     # Plain-TeX style: no \maketitle, \section, abstract or titlepage.
     src = wrap("".join(f"{{\\bf {i}. Heading Number {i}}}\n\nBody text {i}.\n\n"
@@ -503,18 +535,18 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
     checked = labels = body_lines = 0
     for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
         tree = parse(degrade(text, profiles, 0)[0])
-        body = body_region(tree, frontmatter_region(tree))
-        for line in segment_lines(tree):
+        fm = frontmatter_region(tree)
+        body = body_region(tree, fm)
+        # The regions hold the lines of a block an edge cuts, segmented
+        # again, besides the body's own lines.
+        for line in segment_lines(tree) + fm.lines + body.lines:
             assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
             checked += 1
             if line.label is not None:
                 label_raw = tree.stream.text(line.label.span)
                 assert line.label.plain == strip_styling(label_raw), (name, label_raw)
                 labels += 1
-        # The lines the body's detectors read compute their text on first read.
-        for line in body.lines:
-            assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
-            body_lines += 1
+        body_lines += len(body.lines)
     assert checked and labels and body_lines
 
 
