@@ -860,8 +860,8 @@ def _opens_with_heading_number(core_plain: str) -> bool:
     """Whether a line's core opens with a heading number: one with a digit
     (``1 Introduction``, ``2.1. Setup``), or a Roman numeral of two letters
     or more that a stop follows (``II. Results``).  A lone I, V, X, L or C
-    is as often a word or an initial (``I Am``, ``L. Zhang``), and no
-    number."""
+    is as often a word or an initial (``I Am``, ``L. Zhang``), so it is
+    never a number."""
     m = NUMBER_PREFIX_RE.match(core_plain)
     if m is None:
         return False
