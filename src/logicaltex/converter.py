@@ -8,6 +8,7 @@ preservation checkable rather than hoped for.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -131,10 +132,30 @@ class ConversionReport:
 
 
 _SECTION_COMMANDS = {1: "section", 2: "subsection", 3: "subsubsection"}
+_PAR = re.compile(r"\\par(?![a-zA-Z])")
+_FRONT_MATTER_LINES = (DetectionKind.TITLE, DetectionKind.AUTHOR_LINE,
+                       DetectionKind.AFFILIATION_LINE)
+# The data field each kind's replacement is built from, and its name.
+_CONTENT = {
+    DetectionKind.TITLE: ("core_raw", "title"),
+    DetectionKind.AFFILIATION_LINE: ("text_raw", "affiliation"),
+    DetectionKind.ABSTRACT: ("content_raw", "abstract"),
+    DetectionKind.SECTION_HEADER: ("heading_raw", "heading"),
+    DetectionKind.THEOREM_LIKE: ("content_raw", "statement"),
+    DetectionKind.EMPHASIS: ("content_raw", "emphasis"),
+}
+# The resolver's two skip reasons.
+OVERLAP_SKIP = "overlaps a higher-ranked edit"
+SCOPE_SKIP = "ends past the front matter under metadata-only scope"
+
+
+def _content(det: Detection) -> str:
+    return det.data.get(_CONTENT[det.kind][0], "").strip()
 
 
 def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
-    """Record on each detection why the policy skips it, if it does."""
+    """Record on each detection why it is not rewritten, if it is not:
+    the policy skips it, or it has nothing to rewrite to."""
     body_kinds = (DetectionKind.SECTION_HEADER, DetectionKind.EMPHASIS,
                   DetectionKind.THEOREM_LIKE)
     for det in dets.all():
@@ -146,6 +167,8 @@ def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
             det.skip_reason = "theorem rewriting requires --aggressive"
         elif not policy.aggressive and not passes(det.confidence, policy.apply_threshold):
             det.skip_reason = f"confidence {det.confidence:.2f} below apply threshold"
+        elif det.kind in _CONTENT and not _content(det):
+            det.skip_reason = f"empty {_CONTENT[det.kind][1]} content"
         else:
             det.skip_reason = None
 
@@ -181,167 +204,142 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
     return block
 
 
-def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
-         policy: ConversionPolicy) -> PlanResult:
-    """Build the ordered, non-overlapping edit list for the detections the
-    gate accepted, including \\maketitle placement and theorem preambles.
-    ``convert`` runs the gate, which records its verdict on each detection."""
-    stream = tree.stream
-    skipped = [(d, d.skip_reason) for d in dets.all() if d.skip_reason is not None]
-    warnings: list[str] = list(fm.notes)
-    applied: list[tuple[Detection, Edit]] = []
-    edits: list[Edit] = []
+@dataclass
+class _Claim:
+    """The span one edit would replace and the detections it rewrites."""
+    span: Span
+    dets: tuple[Detection, ...]
+    origin: str
 
-    def emit(det: Detection, span: Span, replacement: str):
-        e = Edit(span, replacement, det.kind.value)
-        edits.append(e)
-        applied.append((det, e))
 
-    accepted_by_kind: dict[DetectionKind, list[Detection]] = {}
-    for det in dets.all():
-        if det.skip_reason is None:
-            accepted_by_kind.setdefault(det.kind, []).append(det)
+def _edit_span(det: Detection, source: str) -> Span:
+    """The span a detection's own edit replaces."""
+    line = det.data.get("line")
+    if line is not None:
+        return Span(line.span.start, (line.sep_span or line.span).end)
+    if det.kind is DetectionKind.ABSTRACT:
+        replace = det.data.get("replace_span") or det.span
+        label = det.data.get("label_span") or replace
+        return Span(min(replace.start, label.start), max(replace.end, label.end))
+    if det.kind is DetectionKind.SECTION_HEADER and (trailer := _PAR.match(source, det.span.end)):
+        return Span(det.span.start, trailer.end())
+    return det.span
 
-    # ---- front matter ----------------------------------------------------
-    fm_claims: list[tuple[Detection, str | None]] = []
-    title_det = next(iter(accepted_by_kind.get(DetectionKind.TITLE, [])), None)
-    if title_det is not None:
-        raw = (fm.title.raw if fm.title else title_det.data.get("core_raw", "")).strip()
-        if raw:
-            fm_claims.append((title_det, f"\\title{{{raw}}}"))
-        else:
-            skipped.append((title_det, "empty title content"))
-            title_det = None
 
-    author_dets = accepted_by_kind.get(DetectionKind.AUTHOR_LINE, [])
-    author_block = _author_block(fm, policy, warnings) if author_dets else None
-    for idx, det in enumerate(author_dets):
-        fm_claims.append((det, author_block if idx == 0 else None))
-    for det in accepted_by_kind.get(DetectionKind.AFFILIATION_LINE, []):
-        fm_claims.append((det, None))
-
-    # Group claims by centered-environment container so a fully claimed
-    # environment collapses into one tidy edit.
-    by_container: dict[int, list[tuple[Detection, str | None]]] = {}
-    loose: list[tuple[Detection, str | None]] = []
-    for det, part in fm_claims:
+def _claims(dets: DetectionSet, source: str) -> list[_Claim]:
+    """A claim for each accepted detection, in emission order: loose
+    front-matter lines, centred environments, the abstract, sections,
+    theorems, emphasis.  An environment whose lines are all accepted is
+    one claim on the whole environment, so it collapses into one edit."""
+    accepted = [d for d in dets.all() if d.skip_reason is None]
+    claims: list[_Claim] = []
+    by_container: dict[int, list[Detection]] = {}
+    for det in accepted:
         line = det.data.get("line")
         if line is not None and line.container == "center-env":
-            by_container.setdefault(line.container_key, []).append((det, part))
+            by_container.setdefault(line.container_key, []).append(det)
+        elif det.kind in _FRONT_MATTER_LINES:
+            claims.append(_Claim(_edit_span(det, source), (det,), det.kind.value))
+    for group in by_container.values():
+        line = group[0].data["line"]
+        if line.container_span is not None and \
+                {d.data["line"].line_index for d in group} == set(range(line.env_line_count)):
+            group.sort(key=lambda d: d.data["line"].line_index)
+            claims.append(_Claim(line.container_span, tuple(group), "front-matter-block"))
         else:
-            loose.append((det, part))
+            claims += [_Claim(_edit_span(d, source), (d,), d.kind.value) for d in group]
+    for det in (dets.abstract, *dets.sections, *dets.theorems, *dets.emphases):
+        if det is not None and det.skip_reason is None:
+            claims.append(_Claim(_edit_span(det, source), (det,), det.kind.value))
+    return claims
 
-    last_fm_edit_end: int | None = None
 
-    def note_fm_end(end: int):
-        nonlocal last_fm_edit_end
-        if last_fm_edit_end is None or end > last_fm_edit_end:
-            last_fm_edit_end = end
-
-    for det, part in loose:
-        line = det.data.get("line")
-        span = det.span
-        if line is not None:
-            end = line.sep_span.end if line.sep_span else line.span.end
-            span = Span(line.span.start, end)
-        emit(det, span, part or "")
-        note_fm_end(span.end)
-
-    for claims in by_container.values():
-        lines = {d.data["line"].line_index for d, _ in claims}
-        env_span = claims[0][0].data["line"].container_span
-        count = claims[0][0].data["line"].env_line_count
-        if env_span is not None and lines == set(range(count)):
-            parts = [p for _, p in sorted(claims, key=lambda c: c[0].data["line"].line_index) if p]
-            replacement = "\n".join(parts)
-            e = Edit(env_span, replacement, "front-matter-block")
-            edits.append(e)
-            for det, _ in sorted(claims, key=lambda c: c[0].data["line"].line_index):
-                applied.append((det, e))
-            note_fm_end(env_span.end)
+def _resolve(claims: list[_Claim], limit: int | None) -> list[_Claim]:
+    """Accept claims in rank order, higher confidence first and emission
+    order among equals.  A claim that ends past ``limit`` (the front
+    matter's end, under metadata-only scope) or intersects a claim already
+    accepted is skipped, and the reason recorded on each detection it
+    covers.  Returns the accepted claims in emission order."""
+    taken: list[Span] = []  # sorted; disjoint, so their ends are sorted too
+    for claim in sorted(claims, key=lambda c: -max([d.confidence for d in c.dets])):
+        span = claim.span
+        at = bisect_left(taken, span)
+        if limit is not None and span.end > limit:
+            reason = SCOPE_SKIP
+        elif any(span.intersects(t) for t in taken[max(at - 1, 0):at + 1]):
+            reason = OVERLAP_SKIP
         else:
-            for det, part in claims:
-                line = det.data["line"]
-                end = line.sep_span.end if line.sep_span else line.span.end
-                span = Span(line.span.start, end)
-                emit(det, span, part or "")
-                note_fm_end(span.end)
+            taken.insert(at, span)
+            continue
+        for det in claim.dets:
+            det.skip_reason = reason
+    return [c for c in claims if c.dets[0].skip_reason is None]
 
-    abstract_det = next(iter(accepted_by_kind.get(DetectionKind.ABSTRACT, [])), None)
-    if abstract_det is not None:
-        content = abstract_det.data.get("content_raw", "").strip()
-        if content:
-            replace_span = abstract_det.data.get("replace_span") or abstract_det.span
-            label_span = abstract_det.data.get("label_span")
-            start = min(replace_span.start, label_span.start) if label_span else replace_span.start
-            end = max(replace_span.end, label_span.end) if label_span else replace_span.end
-            span = Span(start, end)
-            emit(abstract_det, span,
-                 "\\begin{abstract}\n" + content + "\n\\end{abstract}")
-        else:
-            skipped.append((abstract_det, "empty abstract content"))
 
-    # \maketitle goes right after the last title/author/affiliation edit
-    # (an abstract further down stays below it), never duplicating one
-    # that already exists, even inside a \def body.
+def _render(det: Detection, author_block: str | None) -> str:
+    """The replacement text for one accepted detection."""
+    if det.kind is DetectionKind.TITLE:
+        return f"\\title{{{_content(det)}}}"
+    if det.kind is DetectionKind.AUTHOR_LINE:
+        return author_block or ""
+    if det.kind is DetectionKind.ABSTRACT:
+        return "\\begin{abstract}\n" + _content(det) + "\n\\end{abstract}"
+    if det.kind is DetectionKind.SECTION_HEADER:
+        cmd = _SECTION_COMMANDS.get(det.level, "subsubsection")
+        star = "" if det.data.get("numbered") else "*"
+        return f"\\{cmd}{star}{{{_content(det)}}}"
+    if det.kind is DetectionKind.THEOREM_LIKE:
+        env = det.keyword.lower()
+        return f"\\begin{{{env}}}\n{_content(det)}\n\\end{{{env}}}"
+    if det.kind is DetectionKind.EMPHASIS:
+        return f"\\emph{{{_content(det)}}}"
+    return ""  # an affiliation line moves into the author block
+
+
+def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> PlanResult:
+    """Resolve the claims of the detections the gate accepted, then build
+    the ordered, non-overlapping edit list of the accepted ones, with
+    \\maketitle placement and theorem preambles.  ``convert`` runs the
+    gate, which records its verdict on each detection."""
+    stream = tree.stream
+    limit = dets.region.span.end if policy.scope is Scope.METADATA_ONLY else None
+    accepted = _resolve(_claims(dets, stream.source), limit)
+    # Built from the detections the resolver kept, so that a skipped
+    # author line is not also named in the author block.
+    fm = extract_frontmatter(dets)
+    warnings: list[str] = list(fm.notes)
+    first_author = next((d for d in dets.authors if d.skip_reason is None), None)
+    author_block = _author_block(fm, policy, warnings) if first_author else None
+    applied: list[tuple[Detection, Edit]] = []
+    edits: list[Edit] = []
+    for claim in accepted:
+        parts = [_render(d, author_block if d is first_author else None) for d in claim.dets]
+        edits.append(Edit(claim.span, "\n".join(filter(None, parts)), claim.origin))
+        applied += [(det, edits[-1]) for det in claim.dets]
+
+    # Zero-width inserts, at points no accepted claim holds: \maketitle right
+    # after the last accepted title/author/affiliation claim (an abstract
+    # further down stays below it), unless one exists, even inside a \def
+    # body; the theorem preamble before the document body.
     words = dets.region.contents.words
-    if last_fm_edit_end is not None and "maketitle" not in words:
-        if title_det is not None or "title" in words:
-            at = last_fm_edit_end
+    fm_ends = [c.span.end for c in accepted if c.dets[0].kind in _FRONT_MATTER_LINES]
+    if fm_ends and "maketitle" not in words:
+        if dets.title is not None and dets.title.skip_reason is None or "title" in words:
+            at = max(fm_ends)
             edits.append(Edit(Span(at, at), "\n\\maketitle\n", "maketitle-insert"))
         else:
             warnings.append("no title available; \\maketitle not inserted")
-
-    # ---- body ------------------------------------------------------------
-    for det in accepted_by_kind.get(DetectionKind.SECTION_HEADER, []):
-        heading = det.data.get("heading_raw", "").strip()
-        if not heading:
-            skipped.append((det, "empty heading content"))
-            continue
-        cmd = _SECTION_COMMANDS.get(det.level, "subsubsection")
-        star = "" if det.data.get("numbered") else "*"
-        end = det.span.end
-        trailer = re.match(r"\\par(?![a-zA-Z])", stream.source[end:])
-        if trailer:
-            end += trailer.end()
-        emit(det, Span(det.span.start, end), f"\\{cmd}{star}{{{heading}}}")
-
-    theorem_spans: list[Span] = []
-    needed_theorems: list[str] = []
-    for det in accepted_by_kind.get(DetectionKind.THEOREM_LIKE, []):
-        content = det.data.get("content_raw", "").strip()
-        if not content:
-            skipped.append((det, "empty statement content"))
-            continue
-        env = det.keyword.lower()
-        emit(det, det.span,
-             f"\\begin{{{env}}}\n{content}\n\\end{{{env}}}")
-        theorem_spans.append(det.span)
-        if not re.search(r"\\newtheorem\s*\{\s*" + re.escape(env) + r"\s*\}", stream.source):
-            if env not in needed_theorems:
-                needed_theorems.append(env)
-
-    for det in accepted_by_kind.get(DetectionKind.EMPHASIS, []):
-        if any(t.contains_span(det.span) for t in theorem_spans):
-            skipped.append((det, "inside a converted theorem statement"))
-            continue
-        content = det.data.get("content_raw", "").strip()
-        if not content:
-            skipped.append((det, "empty emphasis content"))
-            continue
-        emit(det, det.span, f"\\emph{{{content}}}")
-
+    envs = {d.keyword.lower() for d in dets.theorems if d.skip_reason is None}
+    needed_theorems = sorted(env for env in envs if not re.search(
+        r"\\newtheorem\s*\{\s*" + re.escape(env) + r"\s*\}", stream.source))
     if needed_theorems:
-        at = 0
-        for nd in tree.nodes:
-            if isinstance(nd, EnvNode) and nd.name == "document":
-                at = nd.start
-                break
+        at = next((nd.start for nd in tree.nodes
+                   if isinstance(nd, EnvNode) and nd.name == "document"), 0)
         lines = "".join(
-            f"\\newtheorem{{{env}}}{{{env.capitalize()}}}\n" for env in sorted(needed_theorems))
+            f"\\newtheorem{{{env}}}{{{env.capitalize()}}}\n" for env in needed_theorems)
         edits.append(Edit(Span(at, at), lines, "theorem-preamble"))
 
-    edits.sort(key=lambda e: (e.span.start, e.span.end))
+    edits.sort(key=lambda e: e.span)
     rewrite = RewritePlan(tuple(edits))
 
     if policy.scope is Scope.METADATA_ONLY and fm.frontmatter_end is not None:
@@ -350,6 +348,7 @@ def plan(tree: BlockTree, dets: DetectionSet, fm: FrontMatter,
             if e.span.end > limit:
                 raise PolicyViolation(
                     f"metadata-only scope but edit {e.origin} ends at {e.span.end} > {limit}")
+    skipped = [(d, d.skip_reason) for d in dets.all() if d.skip_reason is not None]
     return PlanResult(rewrite, applied, skipped, warnings)
 
 
@@ -367,7 +366,7 @@ def convert(source: str | bytes,
     tree = parse(text)
     dets = detect_all(tree)
     _gate(dets, policy)
-    result = plan(tree, dets, extract_frontmatter(dets), policy)
+    result = plan(tree, dets, policy)
     out_text = apply(text, result.plan)
     report = ConversionReport(
         applied=result.applied,

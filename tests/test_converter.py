@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from logicaltex.converter import (
+    OVERLAP_SKIP,
+    SCOPE_SKIP,
     ConversionPolicy,
     Edit,
     OverlapError,
@@ -224,13 +226,19 @@ def test_report_covers_every_detection():
         "\\textbf{\\large 1 Intro}\n\nAn {\\it aside} remark.")
     from logicaltex.detector import detect_all
 
-    dets = detect_all(parse(src))
+    count = len(detect_all(parse(src)).all())
     for policy in (AGGRESSIVE, METADATA_ONLY, ConversionPolicy(scope=Scope.FULL)):
         _, rep = convert(src, policy)
-        covered = {id(d) for d, _ in rep.applied} | {id(d) for d, _ in rep.skipped}
-        assert len(rep.applied) + len(rep.skipped) == len(dets.all())
-        assert covered == {id(d) for d in detect_all(parse(src)).all()} or \
-            len(covered) == len(dets.all())
+        assert_report_covers_once(rep, count)
+
+
+def assert_report_covers_once(rep, count):
+    """Each of the ``count`` detections is applied or skipped, exactly
+    once, and a skipped one carries the reason the report gives."""
+    reported = [d for d, _ in rep.applied] + [d for d, _ in rep.skipped]
+    assert len(reported) == len({id(d) for d in reported}) == count
+    assert all(d.skip_reason is None for d, _ in rep.applied)
+    assert all(reason == d.skip_reason for d, reason in rep.skipped)
 
 
 def test_body_preservation_and_structure_on_visual_fixtures():
@@ -262,6 +270,41 @@ def test_title_never_spans_damaged_text():
         assert "\\title" not in out, label
         assert DetectionKind.TITLE not in [d.kind for d, _ in rep.applied], label
         assert convert(out, policy)[0] == out, label
+
+
+# Two inputs on which families of edits collide: an abstract and an
+# affiliation line claim the same span, and an affiliation line ends past
+# the front matter under metadata-only scope.  Under the named policies the
+# planner raised before claims were resolved; the losing detection is now
+# skipped with the resolver's reason.
+COLLIDING = [
+    ("\\begin{titlepage}\x00\\and\udcf6Theorem 1.\\d{abstract}^*\\titleKeywornoindent "
+     "\\d{center}Keywords: \\beginve", ("metadata+aggressive", "full+aggressive"),
+     DetectionKind.ABSTRACT, OVERLAP_SKIP),
+    ("{\\it \\begin{titlepage}\\end{titlepage}\\begin{center}", ("metadata+aggressive",),
+     DetectionKind.AFFILIATION_LINE, SCOPE_SKIP),
+]
+
+
+@pytest.mark.parametrize("src, raised_under, loser, reason", COLLIDING)
+def test_colliding_claims_are_skipped_not_raised(src, raised_under, loser, reason):
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        preserved, offset = check_body_preservation(src, out, rep.plan)
+        assert preserved, (label, offset)
+        resolved = [(d.kind, r) for d, r in rep.skipped if r in (OVERLAP_SKIP, SCOPE_SKIP)]
+        assert resolved == ([(loser, reason)] if label in raised_under else []), label
+
+
+def test_marker_only_affiliation_line_is_kept():
+    # A line holding only a marker has no affiliation text to move into an
+    # author command, so it stays as it is.
+    src = "$^1$\n\nplain words"
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        assert out == src, label
+        assert [(d.kind, r) for d, r in rep.skipped] == [
+            (DetectionKind.AFFILIATION_LINE, "empty affiliation content")], label
 
 
 @pytest.mark.parametrize("seed", HOSTILE_SEEDS)

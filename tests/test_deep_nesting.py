@@ -86,9 +86,9 @@ def _convert_seconds(src: str) -> float:
 
 @pytest.mark.parametrize("form", FORMS)
 def test_deep_nesting_scales_linearly(form):
-    # A ratio of medians of alternating runs, so that a shared CPU does
-    # not make it flaky.  Linear cost doubles with the depth.
+    # A ratio of medians of seven alternating runs, so that a shared CPU
+    # does not make it flaky.  Linear cost doubles with the depth.
     small, large = FORMS[form](DEPTH // 2), FORMS[form](DEPTH)
-    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(3)]
+    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(7)]
     ratio = statistics.median(t for _, t in times) / statistics.median(t for t, _ in times)
     assert ratio <= 2.5, times
