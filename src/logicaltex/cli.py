@@ -22,7 +22,7 @@ from .converter import ConversionPolicy, Scope, convert
 from .degrader import PROFILE_NAMES, emit_pairs
 from .detector import AUTO_APPLY_THRESHOLD, classify_detections, detect_all
 from .lexer import decode_source, parse
-from .model import extract_logical, strip_styling
+from .model import extract_logical
 from .validator import (
     ExtractedMetadata,
     MetadataScores,
@@ -267,9 +267,8 @@ def _extracted_from(output) -> ExtractedMetadata:
     logical = extract_logical(parse(output))
     return ExtractedMetadata(
         title=logical.title_plain,
-        authors=[strip_styling(a.name_raw) for a in logical.authors],
-        abstract=strip_styling(logical.abstract_raw)
-        if logical.abstract_raw is not None else None,
+        authors=[a.name_plain for a in logical.authors],
+        abstract=logical.abstract_plain,
     )
 
 

@@ -144,9 +144,11 @@ _CONTENT = {
     DetectionKind.THEOREM_LIKE: ("content_raw", "statement"),
     DetectionKind.EMPHASIS: ("content_raw", "emphasis"),
 }
-# The resolver's two skip reasons.
+# The resolver's two skip reasons, and the reason an affiliation line is
+# left in place when no accepted author line would carry its text.
 OVERLAP_SKIP = "overlaps a higher-ranked edit"
 SCOPE_SKIP = "ends past the front matter under metadata-only scope"
+UNCARRIED_SKIP = "no accepted author line carries this affiliation"
 
 
 def _content(det: Detection) -> str:
@@ -276,6 +278,17 @@ def _resolve(claims: list[_Claim], limit: int | None) -> list[_Claim]:
     return [c for c in claims if c.dets[0].skip_reason is None]
 
 
+def _skip_uncarried(dets: DetectionSet, fm: FrontMatter) -> bool:
+    """Skip each accepted affiliation line that no author of ``fm``
+    carries, since its edit would delete the text; say whether any was."""
+    carried = [fm.affiliations[j].span for _, j in fm.author_affiliation_edges]
+    uncarried = [d for d in dets.affiliations if d.skip_reason is None
+                 and not any(span.contains_span(d.span) for span in carried)]
+    for det in uncarried:
+        det.skip_reason = UNCARRIED_SKIP
+    return bool(uncarried)
+
+
 def _render(det: Detection, author_block: str | None) -> str:
     """The replacement text for one accepted detection."""
     if det.kind is DetectionKind.TITLE:
@@ -307,6 +320,12 @@ def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> PlanR
     # Built from the detections the resolver kept, so that a skipped
     # author line is not also named in the author block.
     fm = extract_frontmatter(dets)
+    if _skip_uncarried(dets, fm):
+        # What is left of the accepted claims stays disjoint and in scope;
+        # a centred environment that held a skipped line falls back to
+        # claims on its lines.
+        accepted = _claims(dets, stream.source)
+        fm = extract_frontmatter(dets)
     warnings: list[str] = list(fm.notes)
     first_author = next((d for d in dets.authors if d.skip_reason is None), None)
     author_block = _author_block(fm, policy, warnings) if first_author else None

@@ -17,7 +17,7 @@ from pathlib import Path
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify
 from .lexer import Span, decode_source, parse
-from .model import LogicalDocument, extract_logical, strip_styling
+from .model import LogicalDocument, extract_logical
 
 
 class NotLogicalError(Exception):
@@ -102,12 +102,10 @@ class GroundTruth:
 
 def capture_ground_truth(doc: LogicalDocument) -> GroundTruth:
     return GroundTruth(
-        title=strip_styling(doc.title_raw) if doc.title_raw is not None else None,
-        authors=[(strip_styling(a.name_raw),
-                  [strip_styling(t) for t in a.affiliations_raw])
-                 for a in doc.authors],
-        abstract=strip_styling(doc.abstract_raw) if doc.abstract_raw is not None else None,
-        sections=[(s.level, strip_styling(s.heading_raw)) for s in doc.sections],
+        title=doc.title_plain,
+        authors=[(a.name_plain, list(a.affiliations_plain)) for a in doc.authors],
+        abstract=doc.abstract_plain,
+        sections=[(s.level, s.heading_plain) for s in doc.sections],
         emphases=len(doc.emphases),
     )
 

@@ -29,16 +29,28 @@ from .lexer import (
     walk,
 )
 from .model import (
+    AFFILIATION_WORDS,
+    AUTHOR,
+    AUTHOR_SEPARATORS,
+    BREAK_SKIP,
+    CENTERLINE,
+    FRONT_MATTER_WORDS,
+    MAKETITLE,
+    MARKER_WORDS,
+    PAR,
+    SECTION_LEVELS,
+    STYLE_WORDS,
+    TITLE,
     Affiliation,
     Author,
     FrontMatter,
     Marker,
     StyledText,
     extract_markers,
-    plain_text,
+    fold_accents,
     resolve_affiliations,
+    span_plain,
     splice_out,
-    strip_styling,
 )
 
 
@@ -109,6 +121,10 @@ class Detection:
 def score_cues(cues) -> float:
     points = sum(CUE_WEIGHTS[c.kind] for c in cues)
     return min(100, points) / 100.0
+
+
+def _scored(kind: DetectionKind, span: Span, cues, **fields) -> Detection:
+    return Detection(kind, span, frozenset(cues), score_cues(cues), **fields)
 
 
 def passes(confidence: float, threshold: float) -> bool:
@@ -189,16 +205,8 @@ class Region:
 # Shared vocabulary
 # ---------------------------------------------------------------------------
 
-BOLD_DECLS = frozenset({"bf", "bfseries"})
-ITALIC_DECLS = frozenset({"it", "itshape", "em", "sl", "slshape"})
-LARGE_DECLS = frozenset({"large", "Large", "LARGE", "huge", "Huge"})
-SMALL_DECLS = frozenset({"small", "footnotesize", "scriptsize", "tiny"})
-ARG_STYLES = {"textbf": "bold", "textit": "italic", "textsl": "italic", "textsc": None}
-DECOR_WORDS = frozenset({
-    "noindent", "indent", "smallskip", "medskip", "bigskip", "vfill", "strut",
-    "ignorespaces", "sloppy", "frenchspacing", "relax", "leavevmode",
-})
-CENTERING_DECLS = frozenset({"centering"})
+# What the style peeling reads a word missing from ``STYLE_WORDS`` as.
+_NO_STYLE = (None, "unpeeled")
 SKIP_ENVIRONMENTS = frozenset({
     "thebibliography", "tabular", "tabular*", "array", "figure", "figure*",
     "table", "table*", "filecontents", "filecontents*", "thanks",
@@ -234,20 +242,10 @@ _WORD_RE = re.compile(r"^[A-Z][A-Za-z'\u00c0-\u024f\-]*\.?$")
 PHRASE_MAX = 160
 NEAR_START_WINDOW = 500
 
-_ACCENT_STRIP = re.compile(r"\\[Huvcdbkrt]\s*\{(.{1,3})\}|\\['`\"^~=.]\s*\{?([A-Za-z])\}?")
-_LETTER_STRIP = re.compile(r"\\(ss|ae|AE|oe|OE|aa|AA|o|O|l|L|i|j)(?![a-zA-Z])\s?")
-
-
-def _drop_accents(text: str) -> str:
-    out = _ACCENT_STRIP.sub(lambda m: m.group(1) or m.group(2) or "", text)
-    out = _LETTER_STRIP.sub(lambda m: m.group(1), out)
-    return out.replace("{", "").replace("}", "")
-
-
 def looks_like_person_names(plain: str) -> bool:
     """2-6 capitalized words (initials, accents and name particles allowed),
     free of institution keywords."""
-    flat = _drop_accents(latin1_fallback(plain)).strip().rstrip(",")
+    flat = fold_accents(latin1_fallback(plain)).strip().rstrip(",")
     if not flat:
         return False
     low = flat.casefold()
@@ -293,8 +291,6 @@ class Line:
     core_nodes: list[Node] = field(default_factory=list)
     raw: str = ""
     label: Label | None = None
-    # Filled on first use by ``_author_segments``.
-    segments: list[Segment] | None = None
     # The top-level nodes of the paragraph block the line was cut from.
     block: list[Node] = field(default_factory=list, repr=False, compare=False)
 
@@ -306,7 +302,19 @@ class Line:
         # line has the same text, computed once for both.
         if self.label is not None and self.label.span == self.span:
             return self.label.plain
-        return _span_plain(self.stream, self.span)
+        return span_plain(self.stream, self.span)
+
+    @cached_property
+    def segments(self) -> list[Segment]:
+        return split_author_segments(self, self.stream)
+
+    @property
+    def core_raw(self) -> str:
+        return self.stream.text(_nodes_span(self.core_nodes)) if self.core_nodes else ""
+
+    @cached_property
+    def core_plain(self) -> str:
+        return span_plain(self.stream, _nodes_span(self.core_nodes)) if self.core_nodes else ""
 
     @property
     def isolated(self) -> bool:
@@ -349,16 +357,7 @@ class Label:
     @cached_property
     def plain(self) -> str:
         # Read only where the label may open an abstract or a theorem.
-        return _span_plain(self.stream, self.span)
-
-
-def _span_plain(stream: TokenStream, span: Span) -> str:
-    """``strip_styling`` of a span made of whole tokens, from the tokens
-    the stream already holds."""
-    toks = stream.tokens
-    first = bisect_left(toks, span.start, key=lambda t: t.start)
-    last = bisect_left(toks, span.end, first, key=lambda t: t.start)
-    return plain_text(toks[first:last], stream.source)
+        return span_plain(self.stream, self.span)
 
 
 @dataclass
@@ -382,39 +381,20 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
             break
         head = nodes[0]
         if isinstance(head, Token) and head.kind is control_word:
-            name = head.value or ""
-            if name in DECOR_WORDS:
-                nodes = nodes[1:]
-                continue
-            if name in CENTERING_DECLS:
-                info.centered = True
-                nodes = nodes[1:]
-                continue
-            if name in BOLD_DECLS:
-                info.bold = True
-                nodes = nodes[1:]
-                continue
-            if name in ITALIC_DECLS:
-                info.italic = True
-                nodes = nodes[1:]
-                continue
-            if name in LARGE_DECLS:
-                info.large = True
-                nodes = nodes[1:]
-                continue
-            if name in SMALL_DECLS:
-                nodes = nodes[1:]
-                continue
-            if name in ARG_STYLES:
+            # A look is the name of the flag it sets.
+            look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
+            if how == "argument":
                 rest = _trim(nodes[1:])
                 if len(rest) == 1 and isinstance(rest[0], GroupNode):
-                    style = ARG_STYLES[name]
-                    if style == "bold":
-                        info.bold = True
-                    elif style == "italic":
-                        info.italic = True
+                    if look:
+                        setattr(info, look, True)
                     nodes = rest[0].children
                     continue
+            elif how != "unpeeled":
+                if look:
+                    setattr(info, look, True)
+                nodes = nodes[1:]
+                continue
         if len(nodes) == 1 and isinstance(nodes[0], GroupNode):
             nodes = nodes[0].children
             continue
@@ -439,7 +419,7 @@ class _Segmenter:
         block: list[Node] = []
         for nd in nodes:
             if isinstance(nd, Token) and (
-                nd.kind is par_break or nd.kind is control_word and nd.value == "par"
+                nd.kind is par_break or nd.kind is control_word and nd.value == PAR
             ):
                 block = _trim(block)
                 if block:
@@ -472,7 +452,7 @@ class _Segmenter:
             while i < len(block):
                 nd = block[i]
                 if isinstance(nd, Token):
-                    if nd.kind is control_word and nd.value == "centerline":
+                    if nd.kind is control_word and nd.value == CENTERLINE:
                         j = i + 1
                         while j < len(block) and _is_neutral(block[j]):
                             j += 1
@@ -523,11 +503,10 @@ class _Segmenter:
                 sep_start, sep_end = nd.start, nd.end
                 if nd.kind is TokenKind.CONTROL_SYMBOL and i + 1 < len(children):
                     nxt = children[i + 1]
-                    if isinstance(nxt, Token) and nxt.kind is TokenKind.TEXT:
-                        m = re.match(r"\[[^\]]*\]", nxt.value or "")
-                        if m and m.end() == len(nxt.value or ""):
-                            sep_end = nxt.end
-                            i += 1
+                    if isinstance(nxt, Token) and nxt.kind is TokenKind.TEXT \
+                            and BREAK_SKIP.fullmatch(nxt.value):
+                        sep_end = nxt.end
+                        i += 1
                 rows.append((current, Span(sep_start, sep_end)))
                 current = []
             else:
@@ -611,17 +590,7 @@ def _region(lines: list[Line], stream: TokenStream, span: Span, protected: list[
     return Region(span, head, protected, damaged, contents, whole_body_fallback, rest=rest)
 
 
-def _core_raw(line: Line, stream: TokenStream) -> str:
-    if not line.core_nodes:
-        return ""
-    span = _nodes_span(line.core_nodes)
-    return stream.text(span)
-
-
-_STRUCTURE_WORDS = frozenset({
-    "title", "author", "maketitle", "thanks", "affiliation", "address",
-    "institute", "date", "section", "subsection", "subsubsection", "abstract",
-})
+_STRUCTURE_WORDS = frozenset({*FRONT_MATTER_WORDS, *SECTION_LEVELS, "abstract"})
 
 
 def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
@@ -653,15 +622,20 @@ def _disjoint(span: Span, protected: list[Span]) -> bool:
 
 @dataclass
 class Segment:
+    stream: TokenStream = field(repr=False, compare=False)
     span: Span
     name_raw: str
     markers: list[Marker]
     marker_spans: list[Span]
     leading_marker: bool
+    strip_commas: bool = True
 
     @cached_property
     def name_plain(self) -> str:
-        return strip_styling(self.name_raw)
+        # The edits ``_scan_segment`` makes to the raw name, made to the
+        # plain text of the same tokens.
+        plain = re.sub(r"\s+,", ",", span_plain(self.stream, self.span, self.marker_spans))
+        return plain.strip(",").strip() if self.strip_commas else plain
 
 
 def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[list[Marker], Span] | None:
@@ -673,7 +647,7 @@ def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[l
         return None
     if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD:
         name = nd.value or ""
-        if name in ("dag", "ddag", "S", "P", "ast", "dagger", "ddagger", "star"):
+        if name in MARKER_WORDS:
             found = extract_markers("\\" + name)
             if found:
                 return found, nd.span
@@ -728,11 +702,13 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
     if strip_commas:
         name_raw = name_raw.strip(",").strip()
     return Segment(
+        stream=stream,
         span=span,
         name_raw=name_raw,
         markers=markers,
         marker_spans=spans,
         leading_marker=leading,
+        strip_commas=strip_commas,
     )
 
 
@@ -753,7 +729,7 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     mask: list[tuple[int, int]] = []
     for nd in nodes:
         if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD \
-                and nd.value in ("and", "quad", "qquad"):
+                and nd.value in AUTHOR_SEPARATORS:
             cuts.append((nd.start, nd.end))
         elif isinstance(nd, Token) and nd.kind in (TokenKind.TEXT, TokenKind.WHITESPACE):
             if mask and mask[-1][1] == nd.start:
@@ -784,12 +760,6 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
     return segments
 
 
-def _author_segments(line: Line, stream: TokenStream) -> list[Segment]:
-    if line.segments is None:
-        line.segments = split_author_segments(line, stream)
-    return line.segments
-
-
 # ---------------------------------------------------------------------------
 # Front-matter region
 # ---------------------------------------------------------------------------
@@ -806,7 +776,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
     _, body = document_body(tree)
     contents = index_contents(tree)
     # Nodes of the body are exactly those that start inside it.
-    boundaries = [start for name in ("section", "subsection", "subsubsection", "maketitle")
+    boundaries = [start for name in (*SECTION_LEVELS, MAKETITLE)
                   for start in contents.words.get(name, []) if body.contains(start)]
     boundaries += [span.end for name in ("titlepage", "abstract")
                    for span in contents.envs.get(name, []) if body.contains(span.start)]
@@ -819,7 +789,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
     # on either side of it.
     before = bisect_left(lines, end, key=lambda ln: ln.block[-1].start)
     evidence = next((ln.span.start for ln in lines[:before]
-                     if _is_body_text(ln, stream, protected, damaged, contents)), None)
+                     if _is_body_text(ln, protected, damaged, contents)), None)
     if evidence is not None:
         end = min(end, evidence)
     coarse = _region(lines, stream, Span(body.start, end), protected, damaged, contents,
@@ -842,17 +812,16 @@ def body_region(tree: BlockTree, fm: Region) -> Region:
                   fm.contents)
 
 
-def _is_body_text(line: Line, stream: TokenStream, protected: list[Span],
-                  damaged: list[Span], contents: Contents) -> bool:
+def _is_body_text(line: Line, protected: list[Span], damaged: list[Span],
+                  contents: Contents) -> bool:
     """Whether the line is one that only a body holds: a heading
     ``detect_section_headers`` takes, whose core opens with a heading
     number, or a paragraph opened by a theorem-like label.  A titlepage's
     lines are front matter."""
     if line.in_titlepage:
         return False
-    core = _heading_core(line, stream, protected, damaged, contents)
-    if core is not None:
-        return _opens_with_heading_number(core[1])
+    if _is_heading(line, protected, damaged, contents):
+        return _opens_with_heading_number(line.core_plain)
     return _theorem_label(line) is not None
 
 
@@ -895,11 +864,10 @@ def _line_cues(line: Line) -> set[Cue]:
 
 def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     """Title candidates ranked by confidence, then position."""
-    if "title" in region.contents.words:
+    if TITLE in region.contents.words:
         return []
     protected = region.protected
     damaged = region.damaged
-    stream = tree.stream
     out: list[Detection] = []
     for line in region.lines:
         if not (line.centered or line.bold or line.large):
@@ -913,21 +881,19 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if not _containment_ok(line.span, protected) or not _disjoint(line.span, damaged):
             continue
-        if line.core_nodes and _opens_with_heading_number(
-                _span_plain(stream, _nodes_span(line.core_nodes))):
+        if _opens_with_heading_number(line.core_plain):
             continue  # a numbered heading
-        segs = _author_segments(line, stream)
+        segs = line.segments
         if segs and segs[0].leading_marker:
             continue
         cues = _line_cues(line)
         if line.span.start - region.span.start <= NEAR_START_WINDOW:
             cues.add(Cue(CueKind.NEAR_DOCUMENT_START, line.span))
-        out.append(Detection(
+        out.append(_scored(
             DetectionKind.TITLE,
             line.span,
-            frozenset(cues),
-            score_cues(cues),
-            data={"core_raw": _core_raw(line, stream), "line": line},
+            cues,
+            data={"core_raw": line.core_raw, "line": line},
         ))
     out.sort(key=lambda d: (-d.confidence, d.span.start))
     return out
@@ -939,11 +905,11 @@ def detect_authors_affiliations(
     """Author lines (name-shaped, optionally markered) and affiliation
     lines (institution keywords or marker-led), searched below the title."""
     words = region.contents.words
-    if "author" in words:
+    if AUTHOR in words:
         return [], []  # an \\author command already states both
     stream = tree.stream
     protected = region.protected
-    affils_suppressed = any(name in words for name in ("affiliation", "address", "institute"))
+    affils_suppressed = any(name in words for name in AFFILIATION_WORDS)
     start = title.span.end if title is not None else region.span.start
     author_dets: list[Detection] = []
     affil_dets: list[Detection] = []
@@ -961,7 +927,7 @@ def detect_authors_affiliations(
             continue
         if not _containment_ok(line.span, protected):
             continue
-        segs = _author_segments(line, stream)
+        segs = line.segments
         if not segs:
             continue
         low = plain.casefold()
@@ -976,13 +942,13 @@ def detect_authors_affiliations(
                 continue
             whole = _scan_segment(line.core_nodes, _nodes_span(line.core_nodes),
                                   stream, strip_commas=False)
-            affil_dets.append(Detection(
+            affil_dets.append(_scored(
                 DetectionKind.AFFILIATION_LINE,
                 line.span,
-                frozenset(cues),
-                score_cues(cues),
+                cues,
                 data={
                     "text_raw": whole.name_raw,
+                    "text_plain": whole.name_plain,
                     "marker": whole.markers[0] if whole.leading_marker and whole.markers else None,
                     "line": line,
                 },
@@ -991,11 +957,10 @@ def detect_authors_affiliations(
         if len(segs) > 8:
             continue
         if all(looks_like_person_names(s.name_plain) for s in segs):
-            author_dets.append(Detection(
+            author_dets.append(_scored(
                 DetectionKind.AUTHOR_LINE,
                 line.span,
-                frozenset(cues),
-                score_cues(cues),
+                cues,
                 data={"segments": segs, "line": line},
             ))
     return author_dets, affil_dets
@@ -1006,7 +971,7 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
     nodes = _trim(line.content_nodes)
     while nodes and isinstance(nodes[0], Token) \
             and nodes[0].kind is TokenKind.CONTROL_WORD \
-            and (nodes[0].value or "") in DECOR_WORDS:
+            and STYLE_WORDS.get(nodes[0].value, _NO_STYLE)[1] in ("decoration", "layout"):
         nodes = _trim(nodes[1:])
     if not nodes:
         return None
@@ -1016,7 +981,7 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
     if isinstance(head, GroupNode):
         label_nodes = [head]
     elif isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD \
-            and (head.value or "") in ARG_STYLES:
+            and STYLE_WORDS.get(head.value, _NO_STYLE)[1] == "argument":
         rest = _trim(nodes[1:])
         if rest and isinstance(rest[0], GroupNode):
             label_nodes = [head, rest[0]]
@@ -1049,6 +1014,13 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     protected = region.protected
     lines = region.lines
     candidates: list[Detection] = []
+
+    def candidate(span: Span, cues, label_span: Span | None, content_raw: str,
+                  construct_end: int, **data):
+        candidates.append(_scored(DetectionKind.ABSTRACT, span, cues, data={
+            "label_span": label_span, "content_raw": content_raw.strip(),
+            "construct_end": construct_end, **data}))
+
     trailing_titlepage: Line | None = None
     for ln in lines:
         if ln.in_titlepage and ln.container == "paragraph" and len(ln.plain) >= 80 \
@@ -1074,17 +1046,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             if line.in_titlepage:
                 cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
             content_raw = stream.text(_nodes_span(cinfo.core)) if cinfo.core else ""
-            candidates.append(Detection(
-                DetectionKind.ABSTRACT,
-                content_span,
-                frozenset(cues),
-                score_cues(cues),
-                data={
-                    "label_span": label.span,
-                    "content_raw": content_raw.strip(),
-                    "construct_end": line.span.end,
-                },
-            ))
+            candidate(content_span, cues, label.span, content_raw, line.span.end)
             continue
         if (line.bold or line.italic or line.centered) and ABSTRACT_LABEL_RE.match(line.plain):
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
@@ -1097,18 +1059,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                     cues.add(Cue(CueKind.ITALIC, line.span))
                 if line.centered:
                     cues.add(Cue(CueKind.CENTERED, line.span))
-                content_raw = _core_raw(nxt, stream) or nxt.raw
-                candidates.append(Detection(
-                    DetectionKind.ABSTRACT,
-                    nxt.span,
-                    frozenset(cues),
-                    score_cues(cues),
-                    data={
-                        "label_span": line.span,
-                        "content_raw": content_raw.strip(),
-                        "construct_end": nxt.span.end,
-                    },
-                ))
+                candidate(nxt.span, cues, line.span, nxt.core_raw or nxt.raw, nxt.span.end)
                 continue
         unlabeled_centered = (line.centered and len(line.plain) >= 60
                               and line.container != "centerline")
@@ -1116,7 +1067,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             # Unlabeled paragraph: long centered running text, or the
             # trailing paragraph of a titlepage; never a marker-led line,
             # an institution line or a list of person names.
-            segs = _author_segments(line, stream)
+            segs = line.segments
             if segs and segs[0].leading_marker:
                 continue
             if any(k in line.plain[:60].casefold() for k in INSTITUTION_KEYWORDS):
@@ -1131,21 +1082,10 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
             if not cues:
                 continue
-            content_raw = _core_raw(line, stream) or line.raw
             span = line.container_span if (
                 line.container == "center-env" and line.env_line_count == 1) else line.span
-            candidates.append(Detection(
-                DetectionKind.ABSTRACT,
-                line.span,
-                frozenset(cues),
-                score_cues(cues),
-                data={
-                    "label_span": None,
-                    "content_raw": content_raw.strip(),
-                    "construct_end": span.end,
-                    "replace_span": span,
-                },
-            ))
+            candidate(line.span, cues, None, line.core_raw or line.raw, span.end,
+                      replace_span=span)
     if not candidates:
         return None
     candidates.sort(key=lambda d: (-d.confidence, d.span.start))
@@ -1167,40 +1107,35 @@ def _number_prefix(core_plain: str, core_raw: str):
     return num, level, heading_raw.strip()
 
 
-def _heading_core(line: Line, stream: TokenStream, protected: list[Span],
-                  damaged: list[Span], contents: Contents) -> tuple[str, str] | None:
-    """The raw and plain core of a line that reads as a section heading, or
-    None: a solitary bold or large paragraph, clear of protected and damaged
-    text, that is no caption, theorem label or bibliography entry."""
+def _is_heading(line: Line, protected: list[Span], damaged: list[Span],
+                contents: Contents) -> bool:
+    """Whether a line reads as a section heading: a solitary bold or large
+    paragraph, clear of protected and damaged text, whose core is no
+    caption, theorem label or bibliography entry."""
     if line.container != "paragraph" or not line.only_line_in_block:
-        return None
+        return False
     if not (line.bold or line.large) or not line.core_nodes:
-        return None
+        return False
     if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
-        return None
-    core_span = _nodes_span(line.core_nodes)
-    core_plain = _span_plain(stream, core_span)
+        return False
+    core_plain = line.core_plain
     if not core_plain or len(core_plain) > 120:
-        return None
+        return False
     if CAPTION_PREFIX_RE.match(core_plain) or THEOREM_LABEL_RE.match(core_plain):
-        return None
-    if contents.within(line.span, BIB_DENYLIST):
-        return None
-    return stream.text(core_span), core_plain
+        return False
+    return not contents.within(line.span, BIB_DENYLIST)
 
 
 def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     """Solitary bold/large paragraphs in the body, optionally number
     prefixed; level follows the numbering depth."""
-    stream = tree.stream
     protected = region.protected
     damaged = region.damaged
     out: list[Detection] = []
     for line in region.lines:
-        core = _heading_core(line, stream, protected, damaged, region.contents)
-        if core is None:
+        if not _is_heading(line, protected, damaged, region.contents):
             continue
-        core_raw, core_plain = core
+        core_raw = line.core_raw
         cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span)}
         if line.bold:
             cues.add(Cue(CueKind.BOLD, line.span))
@@ -1208,17 +1143,16 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
             cues.add(Cue(CueKind.LARGE_FONT, line.span))
         if line.italic:
             cues.add(Cue(CueKind.ITALIC, line.span))
-        numbered = _number_prefix(core_plain, core_raw)
+        numbered = _number_prefix(line.core_plain, core_raw)
         if numbered:
             num, level, heading_raw = numbered
             cues.add(Cue(CueKind.NUMBER_PREFIX, line.span, num))
         else:
             level, heading_raw = 1, core_raw.strip()
-        out.append(Detection(
+        out.append(_scored(
             DetectionKind.SECTION_HEADER,
             line.span,
-            frozenset(cues),
-            score_cues(cues),
+            cues,
             level=level,
             data={"heading_raw": heading_raw, "numbered": bool(numbered)},
         ))
@@ -1266,11 +1200,10 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             Cue(CueKind.BOLD, label.span),
             Cue(CueKind.LEADING_KEYWORD, label.span, keyword),
         }
-        out.append(Detection(
+        out.append(_scored(
             DetectionKind.THEOREM_LIKE,
             line.span,
-            frozenset(cues),
-            score_cues(cues),
+            cues,
             keyword=keyword,
             data={"content_raw": content_raw.strip(), "label_span": label.span},
         ))
@@ -1309,11 +1242,9 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             return None
         head = kids[0]
         if isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD:
-            name = head.value or ""
-            if name in BOLD_DECLS:
-                return "bold"
-            if name in ITALIC_DECLS:
-                return "italic"
+            look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
+            if how == "declaration" and look in ("bold", "italic"):
+                return look
         return None
 
     body_nodes, _ = document_body(tree)
@@ -1330,18 +1261,17 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             continue
         content_span = _nodes_span(info.core)
         content_raw = stream.text(content_span)
-        if not _span_plain(stream, content_span):
+        if not span_plain(stream, content_span):
             continue
         cues = set()
         if info.bold:
             cues.add(Cue(CueKind.BOLD, span))
         if info.italic:
             cues.add(Cue(CueKind.ITALIC, span))
-        out.append(Detection(
+        out.append(_scored(
             DetectionKind.EMPHASIS,
             span,
-            frozenset(cues),
-            score_cues(cues),
+            cues,
             data={"content_raw": content_raw.strip()},
         ))
     out.sort(key=lambda d: d.span.start)
@@ -1399,10 +1329,7 @@ def detect_all(tree: BlockTree) -> DetectionSet:
     )
 
 
-_LOGICAL_STRUCTURE_WORDS = ("title", "author", "maketitle",
-                            "section", "subsection", "subsubsection")
-_LOGICAL_FRONTMATTER_WORDS = ("title", "author", "maketitle", "date",
-                              "thanks", "affiliation", "address", "institute")
+_LOGICAL_STRUCTURE_WORDS = (TITLE, AUTHOR, MAKETITLE, *SECTION_LEVELS)
 
 
 def classify(tree: BlockTree) -> FormattingClass:
@@ -1432,7 +1359,7 @@ def classify_detections(dets: DetectionSet) -> FormattingClass:
     if visual == 0:
         return FormattingClass(DocumentClass.LOGICAL, 0.0, visual, logical)
     fm_logical = "abstract" in contents.envs \
-        or any(name in contents.words for name in _LOGICAL_FRONTMATTER_WORDS)
+        or any(name in contents.words for name in FRONT_MATTER_WORDS)
     if score >= 0.8 and not fm_logical:
         return FormattingClass(DocumentClass.VISUAL, score, visual, logical)
     return FormattingClass(DocumentClass.MIXED, score, visual, logical)
@@ -1449,7 +1376,8 @@ def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
     region = dets.region
     fm.frontmatter_end = Span(region.span.end, region.span.end)
     if dets.title is not None and dets.title.skip_reason is None:
-        fm.title = StyledText.from_raw(dets.title.data.get("core_raw", ""))
+        fm.title = StyledText(dets.title.data["core_raw"].strip(),
+                              dets.title.data["line"].core_plain)
     for det in _accepted(dets.authors):
         for seg in det.data.get("segments", []):
             fm.authors.append(Author(
@@ -1457,34 +1385,19 @@ def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
                 markers=set(seg.markers),
                 span=seg.span,
             ))
-    prev_line_for_merge: dict | None = None
     for det in _accepted(dets.affiliations):
-        marker = det.data.get("marker")
-        text_raw = det.data.get("text_raw", "")
-        mergeable = (
-            marker is None
-            and fm.affiliations
-            and prev_line_for_merge is not None
-            and (prev_line_for_merge["had_marker"]
-                 or prev_line_for_merge["text"].rstrip().endswith(","))
-        )
-        if mergeable:
-            prev = fm.affiliations[-1]
-            joined = prev.text.raw + " " + text_raw
-            fm.affiliations[-1] = Affiliation(
-                text=StyledText.from_raw(joined),
-                marker=prev.marker,
-                span=prev.span,
-            )
-            prev_line_for_merge = {"had_marker": prev.marker is not None,
-                                   "text": joined}
-            continue
-        fm.affiliations.append(Affiliation(
-            text=StyledText.from_raw(text_raw),
-            marker=marker,
-            span=det.span,
-        ))
-        prev_line_for_merge = {"had_marker": marker is not None, "text": text_raw}
+        marker = det.data["marker"]
+        text = StyledText(det.data["text_raw"].strip(), det.data["text_plain"])
+        prev = fm.affiliations[-1] if fm.affiliations else None
+        # A markerless line continues an affiliation that has a marker or
+        # whose text ends with a comma.
+        if marker is None and prev and (prev.marker is not None or prev.text.raw.endswith(",")):
+            text = StyledText(f"{prev.text.raw} {text.raw}",
+                              f"{prev.text.plain} {text.plain}".strip())
+            span = Span(prev.span.start, det.span.end)
+            fm.affiliations[-1] = Affiliation(text, prev.marker, span)
+        else:
+            fm.affiliations.append(Affiliation(text, marker, det.span))
     resolution = resolve_affiliations(fm.authors, fm.affiliations)
     fm.author_affiliation_edges = resolution.edges
     fm.unresolved_markers = resolution.unresolved

@@ -1,15 +1,18 @@
 """Front-matter value types and the author/affiliation mapping.
 
 Covers marker normalization (the footnote-like symbols linking authors to
-affiliations), styled-text stripping, and extraction of already-logical
-metadata commands from a parsed document.
+affiliations), the control-word vocabulary, plain text and its one accent
+fold, and extraction of already-logical metadata commands from a tree.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 
 from .lexer import (
     BlockTree,
@@ -54,6 +57,8 @@ class Marker:
         return self.symbol.value
 
 
+# The control words that are marker symbols on their own.
+MARKER_WORDS = frozenset({"dag", "ddag", "S", "P", "ast", "dagger", "ddagger", "star"})
 _SYMBOL_FORMS = {
     MarkerSymbol.ASTERISK: {"*", "**", "***", r"\ast", r"\star", "\u2217",
                             r"\textasteriskcentered"},
@@ -152,23 +157,30 @@ def extract_markers(rendering: str) -> list[Marker]:
 # Styled text
 # ---------------------------------------------------------------------------
 
-# Declarations dropped when deriving plain text.
-STYLE_DECLS = frozenset({
-    "bf", "bfseries", "it", "itshape", "em", "sl", "slshape", "sc", "scshape",
-    "rm", "rmfamily", "sf", "sffamily", "tt", "ttfamily", "upshape", "mdseries",
-    "normalfont",
-})
-SIZE_DECLS = frozenset({
-    "tiny", "scriptsize", "footnotesize", "small", "normalsize",
-    "large", "Large", "LARGE", "huge", "Huge",
-})
-_DECOR_WORDS = frozenset({
-    "centering", "raggedright", "raggedleft", "noindent", "indent",
-    "smallskip", "medskip", "bigskip", "par", "centerline", "mbox", "hbox",
-    "textbf", "textit", "textsl", "textrm", "texttt", "textsf", "textsc",
-    "textup", "textmd", "emph", "textnormal", "uppercase", "MakeUppercase",
-    "boldmath", "unboldmath", "ignorespaces", "strut",
-})
+# The one table of styling control words: word -> (look, how).  A look is
+# the flag the detector's style peeling sets.  The detector peels every
+# word but the unpeeled ones from the head of a line; ``plain_text`` drops
+# every word but the layout ones, which it keeps verbatim.
+STYLE_WORDS: dict[str, tuple[str | None, str]] = {word: style for style, words in {
+    ("bold", "declaration"): "bf bfseries",
+    ("italic", "declaration"): "it itshape em sl slshape",
+    ("large", "declaration"): "large Large LARGE huge Huge",
+    (None, "declaration"): "tiny scriptsize footnotesize small",
+    ("centered", "declaration"): "centering",
+    ("bold", "argument"): "textbf",
+    ("italic", "argument"): "textit textsl",
+    (None, "argument"): "textsc",
+    (None, "decoration"): "noindent indent smallskip medskip bigskip strut ignorespaces",
+    (None, "layout"): "vfill relax sloppy frenchspacing leavevmode",
+    (None, "unpeeled"): "sc scshape rm rmfamily sf sffamily tt ttfamily upshape mdseries "
+                        "normalfont normalsize raggedright raggedleft par centerline mbox "
+                        "hbox textrm texttt textsf textup textmd emph textnormal uppercase "
+                        "MakeUppercase boldmath unboldmath",
+}.items() for word in words.split()}
+_DROPPED = frozenset(w for w, (_, how) in STYLE_WORDS.items() if how != "layout")
+PAR, CENTERLINE = "par", "centerline"
+# The optional skip after a line break, as in ``\\[2mm]``.
+BREAK_SKIP = re.compile(r"\[[^\]]*\]")
 _SPACE_WORDS = frozenset({"quad", "qquad", "hfill", "hskip", "vskip", "enspace",
                           "thinspace", "linebreak", "newline", "smallbreak"})
 # Accent commands keep their lexeme and braced argument verbatim.
@@ -178,6 +190,12 @@ LETTER_WORDS = frozenset({
     "ss", "ae", "AE", "oe", "OE", "o", "O", "aa", "AA", "l", "L", "i", "j",
     "dj", "DJ", "ng", "NG", "th", "TH", "dh", "DH",
 })
+# Logical front matter, sectioning, and what separates authors on a line.
+TITLE, AUTHOR, MAKETITLE, THANKS = "title", "author", "maketitle", "thanks"
+AFFILIATION_WORDS = ("affiliation", "address", "institute")
+FRONT_MATTER_WORDS = (TITLE, AUTHOR, MAKETITLE, "date", THANKS, *AFFILIATION_WORDS)
+SECTION_LEVELS = {"section": 1, "subsection": 2, "subsubsection": 3}
+AUTHOR_SEPARATORS = frozenset({"and", "quad", "qquad"})
 
 
 def strip_styling(raw: str) -> str:
@@ -195,6 +213,7 @@ def strip_styling(raw: str) -> str:
     TokenKind.BEGIN_GROUP, TokenKind.END_GROUP, TokenKind.MATH_SHIFT,
     TokenKind.ALIGNMENT, TokenKind.ACTIVE_CHAR, TokenKind.PARAMETER,
     TokenKind.CONTROL_SYMBOL, TokenKind.CONTROL_WORD)
+_START = attrgetter("start")  # a token's offset, as a search key
 
 
 def plain_text(toks: list[Token], source: str) -> str:
@@ -211,9 +230,9 @@ def plain_text(toks: list[Token], source: str) -> str:
         k = t.kind
         if k is _TEXT:
             parts.append(t.value or "")
-        elif k is _WHITESPACE or k is _PAR_BREAK:
+        elif k is _WHITESPACE or k is _PAR_BREAK or k is _ALIGNMENT:
             parts.append(" ")
-        elif k is _COMMENT:
+        elif k is _COMMENT or k is _MATH_SHIFT:
             pass
         elif k is _BEGIN_GROUP:
             depth += 1
@@ -222,10 +241,6 @@ def plain_text(toks: list[Token], source: str) -> str:
                 parts.append("}")
                 keep_group_depths.pop()
             depth -= 1
-        elif k is _MATH_SHIFT:
-            pass
-        elif k is _ALIGNMENT:
-            parts.append(" ")
         elif k is _ACTIVE_CHAR:
             if t.value == "~":
                 parts.append(" ")
@@ -246,10 +261,8 @@ def plain_text(toks: list[Token], source: str) -> str:
             elif v == "\\":
                 parts.append(" ")
                 j = i + 1
-                if j < n and toks[j].kind is _TEXT and (toks[j].value or "").startswith("["):
-                    m = re.match(r"\[[^\]]*\]", toks[j].value or "")
-                    if m and m.end() == len(toks[j].value or ""):
-                        i = j
+                if j < n and toks[j].kind is _TEXT and BREAK_SKIP.fullmatch(toks[j].value):
+                    i = j
             elif v in ",;:! ":
                 parts.append(" ")
             elif v in "&%$#_{}":
@@ -270,7 +283,7 @@ def plain_text(toks: list[Token], source: str) -> str:
                 parts.append(source[t.start:t.end])
                 if i + 1 < n and toks[i + 1].kind is _TEXT:
                     parts.append(" ")
-            elif name in STYLE_DECLS or name in SIZE_DECLS or name in _DECOR_WORDS:
+            elif name in _DROPPED:
                 pass
             elif name in _SPACE_WORDS:
                 parts.append(" ")
@@ -298,6 +311,43 @@ def plain_text(toks: list[Token], source: str) -> str:
     return re.sub(r"\s+", " ", out).strip()
 
 
+def span_plain(stream: TokenStream, span: Span, cuts=()) -> str:
+    """``strip_styling`` of the text of ``span`` with the ``cuts`` spans
+    removed, from the tokens the stream already holds.  An edge may fall
+    inside a text run, which keeps its part on the edge's side, or inside
+    a blank run, which reads the same in part."""
+    toks, run, pos = stream.tokens, [], span.start
+    for cut_start, cut_end in (*sorted(cuts), (span.end, span.end)):
+        if pos < cut_start:
+            i = bisect_right(toks, pos, key=_START) - 1
+            part = toks[i:bisect_left(toks, cut_start, i, key=_START)]
+            for k in {0, len(part) - 1}:
+                t = part[k]
+                if t.kind is _TEXT and (t.start < pos or t.end > cut_start):
+                    a, b = max(t.start, pos), min(t.end, cut_start)
+                    part[k] = Token(_TEXT, a, b, t.value[a - t.start:b - t.start])
+            run += part
+        pos = max(pos, cut_end)
+    return plain_text(run, stream.source)
+
+
+_ACCENTED = re.compile(
+    r"\\(?:(?:" + "|".join(sorted(ACCENT_WORDS))
+    + r")\s*\{\s*([^{}]*?)\s*\}|[" + re.escape("".join(sorted(ACCENT_SYMBOLS)))
+    + r"]\s*(?:\{\s*([A-Za-z]?)\s*\}|([A-Za-z])))")
+_LETTER = re.compile(r"\\(" + "|".join(sorted(LETTER_WORDS)) + r")(?![A-Za-z]) ?")
+
+
+def fold_accents(plain: str) -> str:
+    """A plain form with its letter and accent commands as base letters
+    and its braces dropped: ``Erd\\H{o}s``, ``Mart\\'{\\i}n`` and
+    ``S\\o ren`` read ``Erdos``, ``Martin`` and ``Soren``.  A command is a
+    whole control word, so ``\\log``, ``\\LaTeX`` and ``\\infty`` stay."""
+    s = _LETTER.sub(r"\1", plain)
+    s = _ACCENTED.sub(lambda m: m[1] or m[2] or m[3] or "", s)
+    return s.replace("{", "").replace("}", "")
+
+
 @dataclass(frozen=True)
 class StyledText:
     raw: str
@@ -319,7 +369,7 @@ class Author:
 class Affiliation:
     text: StyledText
     marker: Marker | None
-    span: Span
+    span: Span  # the lines it was read from
 
 
 @dataclass
@@ -387,6 +437,24 @@ def resolve_affiliations(authors: list[Author], affiliations: list[Affiliation])
 class LogicalAuthor:
     name_raw: str
     affiliations_raw: list[str]
+    # The plain forms are read on first use from the tree's tokens: the
+    # name's span less its cuts (the \thanks), and each affiliation's span.
+    stream: TokenStream = field(repr=False, compare=False)
+    name_span: Span
+    name_cuts: list[Span] = field(default_factory=list)
+    affiliation_spans: list[Span] = field(default_factory=list)
+
+    @cached_property
+    def name_plain(self) -> str:
+        return span_plain(self.stream, self.name_span, self.name_cuts)
+
+    @cached_property
+    def affiliations_plain(self) -> list[str]:
+        return [span_plain(self.stream, span) for span in self.affiliation_spans]
+
+    def add_affiliation(self, group: GroupNode) -> None:
+        self.affiliations_raw.append(self.stream.text(group.inner).strip())
+        self.affiliation_spans.append(group.inner)
 
 
 @dataclass
@@ -395,29 +463,40 @@ class LogicalSection:
     heading_raw: str
     span: Span
     starred: bool
+    stream: TokenStream = field(repr=False, compare=False)
+    heading_span: Span
+
+    @cached_property
+    def heading_plain(self) -> str:
+        return span_plain(self.stream, self.heading_span)
 
 
 @dataclass
 class LogicalDocument:
-    """Positions and raw contents of the logical structure commands."""
+    """Positions, raw contents and plain forms of the logical structure
+    commands; a plain form is read from the tree's tokens on first use."""
 
+    stream: TokenStream = field(repr=False, compare=False)
     title_raw: str | None = None
+    title_inner: Span | None = None
     title_span: Span | None = None  # whole \title{...} construct
     date_span: Span | None = None
     authors: list[LogicalAuthor] = field(default_factory=list)
     author_block_spans: list[Span] = field(default_factory=list)
     abstract_raw: str | None = None
+    abstract_inner: Span | None = None
     abstract_span: Span | None = None  # whole environment
     maketitle_span: Span | None = None
     sections: list[LogicalSection] = field(default_factory=list)
     emphases: list[tuple[str, Span]] = field(default_factory=list)
 
-    @property
+    @cached_property
     def title_plain(self) -> str | None:
-        return strip_styling(self.title_raw) if self.title_raw is not None else None
+        return self.title_inner and span_plain(self.stream, self.title_inner)
 
-
-_SECTION_LEVELS = {"section": 1, "subsection": 2, "subsubsection": 3}
+    @cached_property
+    def abstract_plain(self) -> str | None:
+        return self.abstract_inner and span_plain(self.stream, self.abstract_inner)
 
 
 class _NodeCursor:
@@ -496,22 +575,21 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
             continue
         seg_nodes = [nd for nd in group.children
                      if nd.start >= seg_start and nd.end <= seg_end]
-        thanks: list[str] = []
-        cut: list[Span] = []
+        author = LogicalAuthor("", [], stream, Span(seg_start, seg_end))
         j = 0
         while j < len(seg_nodes):
             nd = seg_nodes[j]
-            if isinstance(nd, Token) and nd.is_control_word("thanks"):
+            if isinstance(nd, Token) and nd.is_control_word(THANKS):
                 g = seg_nodes[j + 1] if j + 1 < len(seg_nodes) else None
                 if isinstance(g, GroupNode):
-                    thanks.append(src[g.inner_start:g.inner_end].strip())
-                    cut.append(Span(nd.start, g.end))
+                    author.add_affiliation(g)
+                    author.name_cuts.append(Span(nd.start, g.end))
                     j += 2
                     continue
             j += 1
-        name = splice_out(src, seg_start, seg_end, cut).strip()
-        if name or thanks:
-            out.append(LogicalAuthor(name_raw=name, affiliations_raw=thanks))
+        author.name_raw = splice_out(src, seg_start, seg_end, author.name_cuts).strip()
+        if author.name_raw or author.affiliations_raw:
+            out.append(author)
     return out
 
 
@@ -531,7 +609,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
     environment, \\maketitle, section commands and \\emph occurrences."""
     stream = tree.stream
     src = stream.source
-    doc = LogicalDocument()
+    doc = LogicalDocument(stream)
 
     # Depth first over a stack of cursors, one per open child list; a
     # command's argument group is taken with the command, not entered.
@@ -547,6 +625,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
         if isinstance(nd, (EnvNode, GroupNode)):
             if isinstance(nd, EnvNode) and nd.name == "abstract" and doc.abstract_raw is None:
                 doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip()
+                doc.abstract_inner = nd.inner
                 doc.abstract_span = nd.span
             cur.i += 1
             cursors.append(_NodeCursor(nd.children, stream))
@@ -555,11 +634,12 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
             cur.i += 1
             continue
         name = nd.value or ""
-        if name == "title" and doc.title_raw is None:
+        if name == TITLE and doc.title_raw is None:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
                 doc.title_raw = src[g.inner_start:g.inner_end].strip()
+                doc.title_inner = g.inner
                 doc.title_span = Span(nd.start, g.end)
             continue
         if name == "date" and doc.date_span is None:
@@ -568,35 +648,36 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
             if g is not None:
                 doc.date_span = Span(nd.start, g.end)
             continue
-        if name == "author":
+        if name == AUTHOR:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
                 doc.authors.extend(_split_author_group(g, stream))
                 doc.author_block_spans.append(Span(nd.start, g.end))
             continue
-        if name in ("affiliation", "address", "institute") and doc.authors:
+        if name in AFFILIATION_WORDS and doc.authors:
             cur.i += 1
             g = cur.take_group()
             if g is not None:
-                doc.authors[-1].affiliations_raw.append(
-                    src[g.inner_start:g.inner_end].strip())
+                doc.authors[-1].add_affiliation(g)
                 doc.author_block_spans.append(Span(nd.start, g.end))
             continue
-        if name == "maketitle" and doc.maketitle_span is None:
+        if name == MAKETITLE and doc.maketitle_span is None:
             doc.maketitle_span = nd.span
             cur.i += 1
             continue
-        if name in _SECTION_LEVELS:
+        if name in SECTION_LEVELS:
             cur.i += 1
             starred = cur.take_star()
             g = cur.take_group()
             if g is not None:
                 doc.sections.append(LogicalSection(
-                    level=_SECTION_LEVELS[name],
+                    level=SECTION_LEVELS[name],
                     heading_raw=src[g.inner_start:g.inner_end].strip(),
                     span=Span(nd.start, g.end),
                     starred=starred,
+                    stream=stream,
+                    heading_span=g.inner,
                 ))
             continue
         if name == "emph":

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .converter import RewritePlan
 from .lexer import decode_source, latin1_fallback, parse
-from .model import strip_styling
+from .model import fold_accents, strip_styling
 
 
 class Verdict(Enum):
@@ -112,29 +112,14 @@ def check_body_preservation(original: str | bytes, converted: str | bytes,
 # Metadata comparison
 # ---------------------------------------------------------------------------
 
-_ACCENT_CMD = re.compile(
-    r"\\[Hquvcdbkrt]\s*\{\s*([^{}]{0,4})\s*\}"
-    r"|\\['`\"^~=.]\s*\{\s*([A-Za-z]?)\s*\}"
-    r"|\\['`\"^~=.]\s*([A-Za-z])"
-)
-_LETTER_CMD = {
-    "\\ss": "ss", "\\ae": "ae", "\\AE": "AE", "\\oe": "oe", "\\OE": "OE",
-    "\\o": "o", "\\O": "O", "\\aa": "aa", "\\AA": "AA", "\\l": "l",
-    "\\L": "L", "\\i": "i", "\\j": "j",
-}
-
-
 def normalize_for_compare(text: str) -> str:
     """Lowercase, accents to base letters, whitespace collapsed, braces
     and math shifts dropped: puts marked-up source text and plain API
     text on the same footing."""
-    s = strip_styling(latin1_fallback(text))
-    s = _ACCENT_CMD.sub(lambda m: m.group(1) or m.group(2) or m.group(3) or "", s)
-    for cmd, repl in _LETTER_CMD.items():
-        s = s.replace(cmd + " ", repl).replace(cmd, repl)
+    s = fold_accents(strip_styling(latin1_fallback(text)))
     s = unicodedata.normalize("NFKD", s)
     s = "".join(ch for ch in s if not unicodedata.combining(ch))
-    s = s.replace("{", "").replace("}", "").replace("$", "")
+    s = s.replace("$", "")
     s = re.sub(r"\s+", " ", s)
     return s.strip().casefold()
 

@@ -13,7 +13,10 @@ fixtures, and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
 converted under the four policies (metadata or full scope, each with and
 without ``aggressive``).  A line hashes the output bytes, the plan, the
 applied and skipped detections with their cues and skip reasons, the
-warnings and both classes.
+warnings and both classes.  Each corpus pair gets one more line with two
+digests: the degrader's ground truth, and the metadata scores of what
+``validate`` extracts from the full-scope ``aggressive`` conversion,
+scored against that truth.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ sys.path.insert(0, str(TESTS.parent / "perfbench"))
 import hostile  # noqa: E402
 from corpusgen import build_corpus  # noqa: E402
 
+from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
 from logicaltex.lexer import encode_source  # noqa: E402
+from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
 
 BUNDLES = (
     ("centerline-style",),
@@ -53,15 +58,16 @@ POLICIES = {
 
 
 def inputs(docs: int):
-    """(name, source) for every input, in a fixed order."""
+    """(name, source, ground truth or None) for every input, in a fixed
+    order."""
     for path in sorted((TESTS / "fixtures").rglob("*.tex")):
-        yield f"fixture/{path.parent.name}/{path.name}", path.read_bytes()
+        yield f"fixture/{path.parent.name}/{path.name}", path.read_bytes(), None
     for seed in HOSTILE_SEEDS:
         for generator, size, source in hostile.hostile_inputs(seed):
-            yield f"hostile/{seed}/{generator}/{size}", source
+            yield f"hostile/{seed}/{generator}/{size}", source, None
     corpus = build_corpus(docs)
     for (name, text), b, seed in itertools.product(corpus, range(len(BUNDLES)), DEGRADER_SEEDS):
-        yield f"corpus/{name}/bundle{b}/seed{seed}", degrade(text, BUNDLES[b], seed)[0]
+        yield (f"corpus/{name}/bundle{b}/seed{seed}", *degrade(text, BUNDLES[b], seed))
 
 
 def _cls(c) -> tuple:
@@ -84,13 +90,26 @@ def digest(source: str | bytes, policy: ConversionPolicy) -> str:
         _cls(report.class_before),
         _cls(report.class_after),
     )
+    return _hash(record)
+
+
+def _hash(record) -> str:
     return hashlib.sha256(repr(record).encode("utf-8", "backslashreplace")).hexdigest()[:20]
 
 
+def truth_digests(source: str, truth) -> str:
+    out, _ = convert(source, POLICIES["full+aggressive"])
+    reference = ExtractedMetadata(truth.title, [n for n, _ in truth.authors], truth.abstract)
+    scores = compare_metadata(_extracted_from(out), reference)
+    return f"truth {_hash(truth.to_dict())} metadata {_hash(scores.to_dict())}"
+
+
 def lines(docs: int, limit: int | None = None):
-    for name, source in itertools.islice(inputs(docs), limit):
+    for name, source, truth in itertools.islice(inputs(docs), limit):
         for label, policy in POLICIES.items():
             yield f"{name} {label} {digest(source, policy)}"
+        if truth is not None:
+            yield f"{name} {truth_digests(source, truth)}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,6 +5,7 @@ import pytest
 from logicaltex.converter import (
     OVERLAP_SKIP,
     SCOPE_SKIP,
+    UNCARRIED_SKIP,
     ConversionPolicy,
     Edit,
     OverlapError,
@@ -305,6 +306,54 @@ def test_marker_only_affiliation_line_is_kept():
         assert out == src, label
         assert [(d.kind, r) for d, r in rep.skipped] == [
             (DetectionKind.AFFILIATION_LINE, "empty affiliation content")], label
+
+
+# An affiliation line whose edit would delete its text, since no accepted
+# author line carries it: the affiliation text, and the policies (by
+# label) whose gate accepts the line, so that the resolver's reason shows.
+UNCARRIED = [
+    # a marker no author carries
+    (wrap("\\centerline{\\Large\\bf On Random Walks}\n\n"
+          "\\centerline{Ann Lee$^1$ and Bob Stone$^1$}\n\n"
+          "\\centerline{$^1$Department of Physics, University of X}\n\n"
+          "\\centerline{$^2$Institute of Mathematics, University of Y}\n\n"
+          "\\section{Introduction}"),
+     "Institute of Mathematics, University of Y", set(POLICIES)),
+    # no author line at all
+    (wrap("\\centerline{\\bf A Title}\n\n"
+          "\\centerline{Department of Physics, University of X}\n\n"
+          "Some body text of the paper follows here."),
+     "Department of Physics, University of X", set(POLICIES)),
+    # a theorem's statement, claimed at confidence 0.2
+    (wrap("\\begin{theorem}\nUniversity of Somewhere\n\\end{theorem}"),
+     "University of Somewhere", {"metadata+aggressive", "full+aggressive"}),
+    # a centred environment, which falls back to claims on its lines
+    (wrap("\\begin{center}\n{\\bf A Title}\\\\\nAnn Lee$^1$\\\\\n"
+          "$^1$Department of Physics, University of X\\\\\n"
+          "$^2$Institute of Mathematics, University of Y\n\\end{center}\n\nText."),
+     "Institute of Mathematics, University of Y", set(POLICIES)),
+]
+
+
+@pytest.mark.parametrize("src, text, gated_in", UNCARRIED)
+def test_uncarried_affiliation_line_is_kept(src, text, gated_in):
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        assert text in out, label
+        assert check_body_preservation(src, out, rep.plan)[0], label
+        [reason] = [r for d, r in rep.skipped
+                    if d.kind is DetectionKind.AFFILIATION_LINE and text in src[d.span.start:d.span.end]]
+        assert (reason == UNCARRIED_SKIP) == (label in gated_in), (label, reason)
+        assert all(d.kind is not DetectionKind.AFFILIATION_LINE or text not in e.replacement
+                   for d, e in rep.applied)
+
+
+def test_carried_affiliations_still_move_into_the_author_block():
+    src = UNCARRIED[3][0]
+    out, rep = convert(src, METADATA_ONLY)
+    assert "\\author{Ann Lee\\thanks{Department of Physics, University of X}}" in out
+    assert "\\title{A Title}" in out and "\\begin{center}" in out
+    assert "$^1$Department" not in out
 
 
 @pytest.mark.parametrize("seed", HOSTILE_SEEDS)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from logicaltex.degrader import (
 )
 from logicaltex.detector import DocumentClass, classify, detect_all, extract_frontmatter
 from logicaltex.lexer import parse
+from logicaltex import model
+from logicaltex.cli import _extracted_from
 from logicaltex.model import extract_logical
 from logicaltex.validator import normalize_for_compare
 
@@ -224,3 +228,28 @@ def test_emit_pairs_multiple_seeds_counts(tmp_path):
 def test_as_profiles_sorts_and_accepts_objects():
     profs = as_profiles(["inline-emphasis", DegradationProfile("center-env")])
     assert [p.name for p in profs] == ["center-env", "inline-emphasis"]
+
+
+def test_round_trip_reads_plain_forms_without_lexing_again(small_corpus, monkeypatch):
+    # Every plain form the degrader's truth, the detector and the metadata
+    # extraction read comes from a tree's own tokens, so none of them calls
+    # strip_styling, under any name a module binds it to.
+    calls = []
+    original = model.strip_styling
+
+    def recording(raw):
+        calls.append(raw)
+        return original(raw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "logicaltex" or name.startswith("logicaltex."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    extracted = []
+    for (_, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
+        visual, truth = degrade(text, profiles, 0)
+        out, _ = convert(visual, AGGRESSIVE)
+        extracted.append((truth, extract_logical(parse(out)), _extracted_from(out)))
+    assert calls == []
+    assert any(truth.authors and got.authors for truth, _, got in extracted)

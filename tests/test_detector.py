@@ -550,6 +550,24 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
     assert checked and labels and body_lines
 
 
+def test_segment_plain_matches_strip_styling_of_raw(small_corpus):
+    # Author names and affiliation texts are spliced around their markers;
+    # their plain forms come from the tokens the line already holds.
+    sources = [path.read_bytes() for path in sorted(FIXTURES.rglob("*.tex"))]
+    sources += [degrade(text, profiles, seed)[0] for (_, text), profiles, seed
+                in itertools.product(small_corpus, PROFILE_SETS, (0, 1))]
+    names = affiliations = 0
+    for source in sources:
+        dets = detect_all(parse(source))
+        for seg in (seg for d in dets.authors for seg in d.data["segments"]):
+            assert seg.name_plain == strip_styling(seg.name_raw), seg.name_raw
+            names += 1
+        for det in dets.affiliations:
+            assert det.data["text_plain"] == strip_styling(det.data["text_raw"])
+            affiliations += 1
+    assert names and affiliations
+
+
 def test_body_lines_leave_their_plain_text_unread(small_corpus, monkeypatch):
     # The body's detectors read a line's flags, core and label, never its
     # plain text, so detection computes none for the body's lines.

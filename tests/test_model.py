@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+from logicaltex.converter import convert
+from logicaltex.degrader import degrade
 from logicaltex.lexer import Span, Token, parse, walk
 from logicaltex.model import (
     Affiliation,
@@ -11,10 +14,13 @@ from logicaltex.model import (
     StyledText,
     extract_logical,
     extract_markers,
+    fold_accents,
     normalize_marker,
     resolve_affiliations,
     strip_styling,
 )
+
+from conftest import AGGRESSIVE, FIXTURES, PROFILE_SETS
 
 S = lambda: Span(0, 1)
 
@@ -221,3 +227,56 @@ def test_extract_logical_leaves_the_tree_untouched():
     assert [(s.heading_raw, s.starred) for s in first.sections] == [("Long heading", True)]
     assert all(id(nd) in tokens for nd in walk(tree.nodes) if isinstance(nd, Token))
     assert extract_logical(tree).sections == first.sections
+
+
+def _plain_forms(doc):
+    """(plain form, raw field) for each plain form ``extract_logical`` gives."""
+    pairs = [(doc.title_plain, doc.title_raw), (doc.abstract_plain, doc.abstract_raw)]
+    for author in doc.authors:
+        pairs.append((author.name_plain, author.name_raw))
+        pairs += zip(author.affiliations_plain, author.affiliations_raw, strict=True)
+    pairs += [(s.heading_plain, s.heading_raw) for s in doc.sections]
+    return [(plain, raw) for plain, raw in pairs if raw is not None]
+
+
+def test_logical_plain_forms_match_strip_styling_of_raw(corpus100, small_corpus):
+    sources = [path.read_bytes() for path in sorted(FIXTURES.rglob("*.tex"))]
+    sources += [text for _, text in corpus100]
+    for (_, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
+        visual = degrade(text, profiles, 0)[0]
+        sources += [visual, convert(visual, AGGRESSIVE)[0]]
+    checked = 0
+    for source in sources:
+        doc = extract_logical(parse(source))
+        assert (doc.title_plain is None) == (doc.title_raw is None)
+        assert (doc.abstract_plain is None) == (doc.abstract_raw is None)
+        for plain, raw in _plain_forms(doc):
+            assert plain == strip_styling(raw), raw
+            checked += 1
+    assert checked > 1000
+
+
+def test_author_plain_form_keeps_tokens_apart_across_a_cut_thanks():
+    # Splicing the \thanks out of the raw name joins \foo and bar into one
+    # control word; the name's own tokens keep them apart.  This is the
+    # one kind of input where a plain form and a re-lex of its raw field
+    # differ.
+    [author] = extract_logical(parse(r"\author{\foo\thanks{Inst X}bar}")).authors
+    assert (author.name_raw, author.affiliations_raw) == (r"\foobar", ["Inst X"])
+    assert author.name_plain == r"\foo bar"
+    assert strip_styling(author.name_raw) == r"\foobar"
+    assert author.affiliations_plain == ["Inst X"]
+
+
+@pytest.mark.parametrize("plain,folded", [
+    (r"Erd\H{o}s, P\'al", "Erdos, Pal"),
+    (r"Fran\c{c}ois Zo\"e", "Francois Zoe"),
+    (r"Mart\'{\i}n \u{\i}", "Martin i"),
+    (r"S\o ren \AA berg", "Soren AAberg"),
+    (r"Pawe\l", "Pawel"),
+    (r"\th orn \ng", "thorn ng"),
+    (r"\LaTeX, \log n, \infty, \item", r"\LaTeX, \log n, \infty, \item"),
+    (r"\url{x} \under{y}", r"\urlx \undery"),
+])
+def test_fold_accents_reads_whole_control_words(plain, folded):
+    assert fold_accents(plain) == folded

@@ -111,6 +111,16 @@ def test_normalize_accents_and_markup():
     assert normalize_for_compare(r"{\bf The Title}") == "the title"
     assert normalize_for_compare(r"S\o ren \AA berg") == "soren aaberg"
     assert normalize_for_compare("$x$-regular maps") == "x-regular maps"
+    # A command is a whole control word: \LaTeX is no \L, \log no \l and
+    # \infty no \i.
+    assert normalize_for_compare(r"\LaTeX") == r"\latex"
+    assert normalize_for_compare(r"$\log n$ steps") == r"\log n steps"
+    assert normalize_for_compare(r"$n \to \infty$") == r"n \to \infty"
+    # A letter command takes the space that ends it, and may end the text.
+    assert normalize_for_compare(r"Bj\o rn \L ukasz") == "bjorn lukasz"
+    assert normalize_for_compare(r"Bj\o") == "bjo"
+    assert normalize_for_compare(r"Pawe\L") == "pawel"
+    assert normalize_for_compare(r"\th orn \ng") == "thorn ng"
 
 
 def test_identical_strings_score_one():
