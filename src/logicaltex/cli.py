@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .arxiv import ArxivClient, ArxivError, is_valid_id
 from .converter import ConversionPolicy, Scope, convert
-from .degrader import PROFILE_NAMES, emit_pairs
-from .detector import AUTO_APPLY_THRESHOLD, classify_detections, detect_all
+from .degrader import PROFILE_CODES, emit_pairs
+from .detector import classify_detections, detect_all
 from .lexer import decode_source, parse
 from .model import extract_logical
 from .validator import (
@@ -43,10 +43,10 @@ EXIT_USAGE = 3
 
 @dataclass
 class RunConfig:
-    scope: str = "metadata"
-    threshold: float = AUTO_APPLY_THRESHOLD
-    affiliation_cmd: str = "thanks"
-    aggressive: bool = False
+    scope: str = ConversionPolicy.scope.value
+    threshold: float = ConversionPolicy.apply_threshold
+    affiliation_cmd: str = ConversionPolicy.affiliation_command
+    aggressive: bool = ConversionPolicy.aggressive
     output: str = "copy"  # copy | stdout | inplace
     force: bool = False
     suffix: str = DEFAULT_SUFFIX
@@ -58,9 +58,9 @@ class RunConfig:
     cache_dir: str = ""
     offline: bool = False
     arxiv_id: str = ""
-    title_threshold: float = 0.9
-    author_threshold: float = 0.9
-    abstract_threshold: float = 0.85
+    title_threshold: float = Thresholds.title
+    author_threshold: float = Thresholds.author_f1
+    abstract_threshold: float = Thresholds.abstract
 
     def policy(self) -> ConversionPolicy:
         return ConversionPolicy(
@@ -218,21 +218,13 @@ def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
 def cmd_degrade(paths: list[Path], cfg: RunConfig) -> int:
     reporter = _Reporter(cfg.report)
     worst = EXIT_PASS
-    if len(paths) == 1 and paths[0].is_dir():
-        corpus = paths[0]
-    else:
-        corpus = None
+    corpus = paths[0] if len(paths) == 1 and paths[0].is_dir() else paths
+    # Checked before any pair is written, so a bad argument writes nothing.
+    if corpus is paths and (bad := [p for p in paths if not p.is_file()]):
+        print(f"error: {bad[0]} is not a file", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(cfg.out_dir)
-    if corpus is not None:
-        rows = emit_pairs(corpus, out_dir, cfg.profiles, cfg.seeds)
-    else:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            stage = Path(tmp)
-            for p in paths:
-                (stage / p.name).write_bytes(p.read_bytes())
-            rows = emit_pairs(stage, out_dir, cfg.profiles, cfg.seeds)
+    rows = emit_pairs(corpus, out_dir, cfg.profiles, cfg.seeds)
     for row in rows:
         if "skipped" in row:
             worst = max(worst, EXIT_WARN)
@@ -437,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="corpus directory or .tex files")
     p_degrade.add_argument("--out", dest="out_dir", default=None)
     p_degrade.add_argument("--profiles", type=lambda s: s.split(","), default=None,
-                           help="comma list from: " + ", ".join(PROFILE_NAMES))
+                           help="comma list from: " + ", ".join(PROFILE_CODES))
     p_degrade.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")],
                            default=None)
 

@@ -33,7 +33,7 @@ from .lexer import (
     encode_source,
     parse,
 )
-from .model import FrontMatter
+from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter
 
 MARKER_RESIDUE = re.compile(
     r"\$\s*\^|\\dag\b|\\ddag\b|\\dagger\b|\\ddagger\b|\\footnotemark\b|\\textsuperscript\b"
@@ -105,14 +105,6 @@ def apply(source: str | bytes, plan: RewritePlan) -> str | bytes:
 
 
 @dataclass
-class PlanResult:
-    plan: RewritePlan
-    applied: list[tuple[Detection, Edit]]
-    skipped: list[tuple[Detection, str]]
-    warnings: list[str]
-
-
-@dataclass
 class ConversionReport:
     applied: list[tuple[Detection, Edit]]
     skipped: list[tuple[Detection, str]]
@@ -131,13 +123,13 @@ class ConversionReport:
         return classify(parse(self.changed_text))
 
 
-_SECTION_COMMANDS = {1: "section", 2: "subsection", 3: "subsubsection"}
+_SECTION_COMMANDS = {level: name for name, level in SECTION_LEVELS.items()}
 _PAR = re.compile(r"\\par(?![a-zA-Z])")
 _FRONT_MATTER_LINES = (DetectionKind.TITLE, DetectionKind.AUTHOR_LINE,
                        DetectionKind.AFFILIATION_LINE)
 # The data field each kind's replacement is built from, and its name.
 _CONTENT = {
-    DetectionKind.TITLE: ("core_raw", "title"),
+    DetectionKind.TITLE: ("core_raw", TITLE),
     DetectionKind.AFFILIATION_LINE: ("text_raw", "affiliation"),
     DetectionKind.ABSTRACT: ("content_raw", "abstract"),
     DetectionKind.SECTION_HEADER: ("heading_raw", "heading"),
@@ -239,7 +231,7 @@ def _claims(dets: DetectionSet, source: str) -> list[_Claim]:
     for det in accepted:
         line = det.data.get("line")
         if line is not None and line.container == "center-env":
-            by_container.setdefault(line.container_key, []).append(det)
+            by_container.setdefault(line.container_span.start, []).append(det)
         elif det.kind in _FRONT_MATTER_LINES:
             claims.append(_Claim(_edit_span(det, source), (det,), det.kind.value))
     for group in by_container.values():
@@ -309,11 +301,12 @@ def _render(det: Detection, author_block: str | None) -> str:
     return ""  # an affiliation line moves into the author block
 
 
-def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> PlanResult:
+def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> ConversionReport:
     """Resolve the claims of the detections the gate accepted, then build
     the ordered, non-overlapping edit list of the accepted ones, with
-    \\maketitle placement and theorem preambles.  ``convert`` runs the
-    gate, which records its verdict on each detection."""
+    \\maketitle placement and theorem preambles, and report it.
+    ``convert`` runs the gate, which records its verdict on each
+    detection, and sets the report's output text."""
     stream = tree.stream
     limit = dets.region.span.end if policy.scope is Scope.METADATA_ONLY else None
     accepted = _resolve(_claims(dets, stream.source), limit)
@@ -342,8 +335,8 @@ def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> PlanR
     # body; the theorem preamble before the document body.
     words = dets.region.contents.words
     fm_ends = [c.span.end for c in accepted if c.dets[0].kind in _FRONT_MATTER_LINES]
-    if fm_ends and "maketitle" not in words:
-        if dets.title is not None and dets.title.skip_reason is None or "title" in words:
+    if fm_ends and MAKETITLE not in words:
+        if dets.title is not None and dets.title.skip_reason is None or TITLE in words:
             at = max(fm_ends)
             edits.append(Edit(Span(at, at), "\n\\maketitle\n", "maketitle-insert"))
         else:
@@ -361,14 +354,13 @@ def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> PlanR
     edits.sort(key=lambda e: e.span)
     rewrite = RewritePlan(tuple(edits))
 
-    if policy.scope is Scope.METADATA_ONLY and fm.frontmatter_end is not None:
-        limit = fm.frontmatter_end.start
+    if limit is not None:
         for e in rewrite.edits:
             if e.span.end > limit:
                 raise PolicyViolation(
                     f"metadata-only scope but edit {e.origin} ends at {e.span.end} > {limit}")
     skipped = [(d, d.skip_reason) for d in dets.all() if d.skip_reason is not None]
-    return PlanResult(rewrite, applied, skipped, warnings)
+    return ConversionReport(applied, skipped, warnings, classify_detections(dets), rewrite)
 
 
 def convert(source: str | bytes,
@@ -385,16 +377,9 @@ def convert(source: str | bytes,
     tree = parse(text)
     dets = detect_all(tree)
     _gate(dets, policy)
-    result = plan(tree, dets, policy)
-    out_text = apply(text, result.plan)
-    report = ConversionReport(
-        applied=result.applied,
-        skipped=result.skipped,
-        warnings=result.warnings,
-        class_before=classify_detections(dets),
-        plan=result.plan,
-        changed_text=None if out_text == text else out_text,
-    )
+    report = plan(tree, dets, policy)
+    out_text = apply(text, report.plan)
+    report.changed_text = None if out_text == text else out_text
     out: str | bytes = encode_source(out_text) if isinstance(source, bytes) else out_text
     return out, report
 

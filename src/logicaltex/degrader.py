@@ -25,16 +25,7 @@ class NotLogicalError(Exception):
     degrade faithfully."""
 
 
-PROFILE_NAMES = (
-    "centerline-style",
-    "center-env",
-    "numbered-markers",
-    "symbol-markers",
-    "unlabeled-abstract",
-    "bold-solitary-sections",
-    "inline-emphasis",
-)
-
+# Each profile's name and the code that tags its pairs' file names.
 PROFILE_CODES = {
     "centerline-style": "cl",
     "center-env": "ce",
@@ -51,7 +42,7 @@ class DegradationProfile:
     name: str
 
     def __post_init__(self):
-        if self.name not in PROFILE_NAMES:
+        if self.name not in PROFILE_CODES:
             raise ValueError(f"unknown degradation profile {self.name!r}")
 
 
@@ -145,7 +136,6 @@ class _Degrader:
     def __init__(self, text: str, profiles: list[DegradationProfile], seed: int):
         self.text = text
         self.names = {p.name for p in profiles}
-        self.profiles = {p.name: p for p in profiles}
         self.rng = random.Random(seed)
 
     # -- pass 1: body constructs -------------------------------------------
@@ -403,19 +393,28 @@ def profile_tag(profiles) -> str:
     return "-".join(PROFILE_CODES[p.name] for p in as_profiles(profiles))
 
 
-def emit_pairs(corpus_dir: str | Path, out_dir: str | Path, profiles,
+def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                seeds=(0,)) -> list[dict]:
-    """Degrade every .tex file in a corpus once per seed, writing the
-    visual file, the logical original, a ground-truth sidecar and one
-    manifest row per pair.  Files that are not logical become skip
-    records; the run continues."""
-    corpus = Path(corpus_dir)
+    """Degrade every .tex file of a corpus directory, or each of a list of
+    files, once per seed, writing the visual file, the logical original,
+    a ground-truth sidecar and one manifest row per pair.  Files that are
+    not logical become skip records, and so does a file named like one
+    before it, whose pairs it would overwrite; the run continues."""
+    paths = sorted(Path(corpus).glob("*.tex")) if isinstance(corpus, (str, Path)) \
+        else [Path(p) for p in corpus]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plist = as_profiles(profiles)
     tag = profile_tag(plist)
     rows: list[dict] = []
-    for path in sorted(corpus.glob("*.tex")):
+    named: dict[str, Path] = {}
+    for path in paths:
+        if path.name in named:
+            reason = f"its pairs would overwrite those of {named[path.name]}"
+            rows += [{"source": str(path), "profiles": [p.name for p in plist],
+                      "seed": seed, "skipped": reason} for seed in seeds]
+            continue
+        named[path.name] = path
         data = path.read_bytes()
         for seed in seeds:
             try:

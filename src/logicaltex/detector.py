@@ -279,7 +279,6 @@ class Line:
     centered: bool
     in_titlepage: bool
     container: str  # "centerline" | "center-env" | "paragraph"
-    container_key: int = -1
     container_span: Span | None = None
     sep_span: Span | None = None
     line_index: int = 0
@@ -520,15 +519,14 @@ class _Segmenter:
                 continue
             made.append(self._add_line(
                 content, centered=True, in_titlepage=in_titlepage,
-                container="center-env", container_key=env.start,
-                container_span=env.span, sep_span=sep,
+                container="center-env", container_span=env.span, sep_span=sep,
             ))
         for idx, ln in enumerate(made):
             ln.line_index = idx
             ln.env_line_count = len(made)
 
     def _add_line(self, content: list[Node], *, centered: bool, in_titlepage: bool,
-                  container: str, span: Span | None = None, container_key: int = -1,
+                  container: str, span: Span | None = None,
                   container_span: Span | None = None, sep_span: Span | None = None) -> Line:
         stream = self.stream
         if span is None:
@@ -541,7 +539,6 @@ class _Segmenter:
             centered=centered or info.centered,
             in_titlepage=in_titlepage,
             container=container,
-            container_key=container_key,
             container_span=container_span,
             sep_span=sep_span,
             bold=info.bold,
@@ -795,14 +792,15 @@ def frontmatter_region(tree: BlockTree) -> Region:
     coarse = _region(lines, stream, Span(body.start, end), protected, damaged, contents,
                      not boundaries and evidence is None)
     det = detect_abstract(tree, coarse)
-    if det is not None:
-        construct_end = det.data.get("construct_end", det.span.end)
-        if construct_end < end:
-            # Cut apart from the coarse region: over the shorter span a
-            # different paragraph can be the titlepage's last one.
-            shorter = _region(lines, stream, Span(body.start, construct_end),
-                              protected, damaged, contents, False)
-            return replace(shorter, abstract=detect_abstract(tree, shorter))
+    if det is not None and det.data["construct_end"] < end:
+        # The abstract ends the region.  A search of the shorter region
+        # would find it again: its lines are a prefix of these, and the
+        # one candidate it can add, its own last titlepage paragraph, is
+        # a candidate here already if centred, and else scores 0.20.  A
+        # winner here scores that little only as this region's last
+        # titlepage paragraph, which then stays the shorter one's last.
+        coarse = _region(lines, stream, Span(body.start, det.data["construct_end"]),
+                         protected, damaged, contents, False)
     return replace(coarse, abstract=det)
 
 
@@ -1373,11 +1371,6 @@ def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
     """Assemble authors, affiliations and their mapping from the detections
     the converter's gate did not skip."""
     fm = FrontMatter()
-    region = dets.region
-    fm.frontmatter_end = Span(region.span.end, region.span.end)
-    if dets.title is not None and dets.title.skip_reason is None:
-        fm.title = StyledText(dets.title.data["core_raw"].strip(),
-                              dets.title.data["line"].core_plain)
     for det in _accepted(dets.authors):
         for seg in det.data.get("segments", []):
             fm.authors.append(Author(
@@ -1402,6 +1395,6 @@ def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
     fm.author_affiliation_edges = resolution.edges
     fm.unresolved_markers = resolution.unresolved
     fm.notes = list(resolution.notes)
-    if region.whole_body_fallback:
+    if dets.region.whole_body_fallback:
         fm.notes.append("no front-matter boundary found; whole body considered")
     return fm

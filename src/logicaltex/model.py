@@ -186,10 +186,15 @@ _SPACE_WORDS = frozenset({"quad", "qquad", "hfill", "hskip", "vskip", "enspace",
 # Accent commands keep their lexeme and braced argument verbatim.
 ACCENT_WORDS = frozenset({"H", "u", "v", "c", "d", "b", "k", "r", "t", "textcommabelow"})
 ACCENT_SYMBOLS = frozenset("'`\"^~=.")
-LETTER_WORDS = frozenset({
-    "ss", "ae", "AE", "oe", "OE", "o", "O", "aa", "AA", "l", "L", "i", "j",
-    "dj", "DJ", "ng", "NG", "th", "TH", "dh", "DH",
-})
+# Each letter command and the Unicode letter it sets.  ``fold_accents``
+# reads both spellings as the command's name: ``\o`` and ``ø`` read
+# ``o``, and ``\aa`` and ``å`` read ``aa``, although NFKD would split
+# ``å`` into ``a`` and a ring.
+LETTER_WORDS = {
+    "ss": "ß", "ae": "æ", "AE": "Æ", "oe": "œ", "OE": "Œ", "o": "ø", "O": "Ø",
+    "aa": "å", "AA": "Å", "l": "ł", "L": "Ł", "i": "ı", "j": "ȷ",
+    "dj": "đ", "DJ": "Đ", "ng": "ŋ", "NG": "Ŋ", "th": "þ", "TH": "Þ", "dh": "ð", "DH": "Ð",
+}
 # Logical front matter, sectioning, and what separates authors on a line.
 TITLE, AUTHOR, MAKETITLE, THANKS = "title", "author", "maketitle", "thanks"
 AFFILIATION_WORDS = ("affiliation", "address", "institute")
@@ -279,10 +284,6 @@ def plain_text(toks: list[Token], source: str) -> str:
                     depth += 1
                     keep_group_depths.append(depth)
                     i = j
-            elif name in LETTER_WORDS:
-                parts.append(source[t.start:t.end])
-                if i + 1 < n and toks[i + 1].kind is _TEXT:
-                    parts.append(" ")
             elif name in _DROPPED:
                 pass
             elif name in _SPACE_WORDS:
@@ -302,9 +303,14 @@ def plain_text(toks: list[Token], source: str) -> str:
                         j += 1
                     i = j - 1
             else:
+                # A kept word, letter commands included.  Text right after
+                # it, or an empty group, ends it as a space does.
                 parts.append(source[t.start:t.end])
-                nxt = toks[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt.kind is _TEXT:
+                if i + 2 < n and toks[i + 1].kind is _BEGIN_GROUP \
+                        and toks[i + 2].kind is _END_GROUP:
+                    parts.append(" ")
+                    i += 2
+                elif i + 1 < n and toks[i + 1].kind is _TEXT:
                     parts.append(" ")
         i += 1
     out = "".join(parts)
@@ -336,14 +342,16 @@ _ACCENTED = re.compile(
     + r")\s*\{\s*([^{}]*?)\s*\}|[" + re.escape("".join(sorted(ACCENT_SYMBOLS)))
     + r"]\s*(?:\{\s*([A-Za-z]?)\s*\}|([A-Za-z])))")
 _LETTER = re.compile(r"\\(" + "|".join(sorted(LETTER_WORDS)) + r")(?![A-Za-z]) ?")
+_UNICODE_LETTER = str.maketrans({letter: word for word, letter in LETTER_WORDS.items()})
 
 
 def fold_accents(plain: str) -> str:
-    """A plain form with its letter and accent commands as base letters
-    and its braces dropped: ``Erd\\H{o}s``, ``Mart\\'{\\i}n`` and
-    ``S\\o ren`` read ``Erdos``, ``Martin`` and ``Soren``.  A command is a
-    whole control word, so ``\\log``, ``\\LaTeX`` and ``\\infty`` stay."""
-    s = _LETTER.sub(r"\1", plain)
+    """A plain form with its letter and accent commands, and the Unicode
+    letters of ``LETTER_WORDS``, as base letters and its braces dropped:
+    ``Erd\\H{o}s``, ``Mart\\'{\\i}n``, ``S\\o ren`` and ``Søren`` read
+    ``Erdos``, ``Martin``, ``Soren`` and ``Soren``.  A command is a whole
+    control word, so ``\\log``, ``\\LaTeX`` and ``\\infty`` stay."""
+    s = _LETTER.sub(r"\1", plain).translate(_UNICODE_LETTER)
     s = _ACCENTED.sub(lambda m: m[1] or m[2] or m[3] or "", s)
     return s.replace("{", "").replace("}", "")
 
@@ -374,11 +382,9 @@ class Affiliation:
 
 @dataclass
 class FrontMatter:
-    title: StyledText | None = None
     authors: list[Author] = field(default_factory=list)
     affiliations: list[Affiliation] = field(default_factory=list)
     author_affiliation_edges: set[tuple[int, int]] = field(default_factory=set)
-    frontmatter_end: Span | None = None
     unresolved_markers: list[tuple[int, Marker]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 

@@ -196,6 +196,31 @@ def test_degrade_skip_not_logical_warns(tmp_path, capsys):
     assert any("skipped" in r for r in records)
 
 
+def test_degrade_files_keeps_their_paths_and_skips_a_repeated_name(tmp_path, capsys):
+    # Two inputs with one file name would write the same pair files: the
+    # second becomes a skip record.  Each row names the file it was given.
+    given = []
+    for folder, fixture in (("a", LOGICAL_FIXTURES[0]), ("b", LOGICAL_FIXTURES[1])):
+        (tmp_path / folder).mkdir()
+        given.append(tmp_path / folder / "x.tex")
+        shutil.copy(fixture, given[-1])
+    out_dir = tmp_path / "pairs"
+    code, out, _ = run(capsys, "--report", "machine", "degrade", *map(str, given),
+                       "--out", str(out_dir), "--seeds", "0,1")
+    assert code == 1  # warn
+    rows = [r for r in machine_records(out) if r.get("command") == "degrade"]
+    assert [(r["source"], r["seed"], "skipped" in r) for r in rows] == [
+        (str(given[0]), 0, False), (str(given[0]), 1, False),
+        (str(given[1]), 0, True), (str(given[1]), 1, True)]
+    manifest = machine_records((out_dir / "manifest.jsonl").read_text())
+    assert [r["source"] for r in manifest] == [r["source"] for r in rows]
+    assert (out_dir / "x__cl_s0.logical.tex").read_bytes() == given[0].read_bytes()
+    # An argument that is no file is a usage error, before any pair is written.
+    code, _, _ = run(capsys, "degrade", str(given[0]), str(tmp_path / "a"),
+                     "--out", str(tmp_path / "unwritten"))
+    assert code == 3 and not (tmp_path / "unwritten").exists()
+
+
 def test_validate_degraded_with_sidecar_passes(degraded_file, capsys):
     code, out, _ = run(capsys, "--report", "machine", "validate",
                        str(degraded_file), "--scope", "full", "--aggressive",

@@ -86,9 +86,12 @@ def _convert_seconds(src: str) -> float:
 
 @pytest.mark.parametrize("form", FORMS)
 def test_deep_nesting_scales_linearly(form):
-    # A ratio of medians of seven alternating runs, so that a shared CPU
-    # does not make it flaky.  Linear cost doubles with the depth.
+    # The median of the ratios of eleven pairs of runs.  A pair runs the
+    # two sizes back to back, so both see the same load on a shared CPU,
+    # which can speed a run as well as slow it; the median drops the
+    # pairs that a change of load splits.  Linear cost doubles with the
+    # depth.
     small, large = FORMS[form](DEPTH // 2), FORMS[form](DEPTH)
-    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(7)]
-    ratio = statistics.median(t for _, t in times) / statistics.median(t for t, _ in times)
+    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(11)]
+    ratio = statistics.median(b / a for a, b in times)
     assert ratio <= 2.5, times

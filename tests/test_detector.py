@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from logicaltex.detector import (
     document_body,
     extract_frontmatter,
     frontmatter_region,
+    looks_like_person_names,
     passes,
     segment_lines,
 )
@@ -216,6 +218,12 @@ def test_author_centerline_name():
     assert authors[0].data["segments"][0].name_raw == "Giuseppe Gaeta"
     assert affils == []
     assert passes(authors[0].confidence, AUTO_APPLY_THRESHOLD)
+
+
+def test_person_names_read_letter_commands_and_letters_alike():
+    for name in (r"Bj\o rn Stone", r"Bj\o{}rn Stone", "Bjørn Stone",
+                 r"\L ukasz Nowak", r"\L{}ukasz Nowak", "Łukasz Nowak"):
+        assert looks_like_person_names(strip_styling(name)), name
 
 
 def test_authors_empty_when_nothing_after_title():
@@ -647,25 +655,35 @@ def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
         assert vars(line.label)["plain"] is line.plain
 
 
-def test_detect_all_segments_each_tree_once(monkeypatch, small_corpus):
+def _detect_all_calls_once_per_tree(monkeypatch, small_corpus, name):
+    # Over the fixtures and degraded documents, ``detect_all`` calls the
+    # detector function ``name`` once, on the tree it was given.
     from logicaltex import detector
 
-    segmented = []
-    segment = detector.segment_lines
+    called = []
+    function = getattr(detector, name)
 
-    def recording_segment_lines(tree):
-        segmented.append(tree)
-        return segment(tree)
+    def recording(tree, *args):
+        called.append(tree)
+        return function(tree, *args)
 
-    monkeypatch.setattr(detector, "segment_lines", recording_segment_lines)
+    monkeypatch.setattr(detector, name, recording)
     sources = [path.read_text() for path in sorted(FIXTURES.rglob("*.tex"))]
     sources += [degrade(text, profiles, 0)[0]
                 for (_, text), profiles in itertools.product(small_corpus[:2], PROFILE_SETS)]
     for src in sources:
-        segmented.clear()
+        called.clear()
         tree = parse(src)
         detect_all(tree)
-        assert len(segmented) == 1 and segmented[0] is tree
+        assert len(called) == 1 and called[0] is tree
+
+
+def test_detect_all_segments_each_tree_once(monkeypatch, small_corpus):
+    _detect_all_calls_once_per_tree(monkeypatch, small_corpus, "segment_lines")
+
+
+def test_detect_all_searches_each_abstract_once(monkeypatch, small_corpus):
+    _detect_all_calls_once_per_tree(monkeypatch, small_corpus, "detect_abstract")
 
 
 # Fragments that bound the front matter explicitly, by an abstract or by
@@ -700,3 +718,7 @@ def test_regions_read_as_if_segmented_apart(pieces):
     for region in (fm, body):
         assert [_line_record(ln) for ln in region.lines] == \
             [_line_record(ln) for ln in _segmented_apart(tree, region.span)]
+    # The abstract found while bounding the region is the one a search of
+    # the region, segmented on its own, finds.
+    apart = replace(fm, lines=_segmented_apart(tree, fm.span), abstract=None)
+    assert fm.abstract == detect_abstract(tree, apart)

@@ -83,6 +83,10 @@ def test_strip_styling_drops_style_keeps_content():
     assert strip_styling(r"\centerline{\Large\bf A Title}") == "A Title"
     assert strip_styling(r"{\bf Abstract. }") == "Abstract."
     assert strip_styling(r"A $x^2$ bound") == "A x^2 bound"
+    # An empty group ends a kept control word, as a space does.
+    assert strip_styling(r"S\o{}ren") == strip_styling(r"S\o ren") == r"S\o ren"
+    assert strip_styling(r"Bj\o{}rn Stone") == r"Bj\o rn Stone"
+    assert strip_styling(r"\TeX{}book") == r"\TeX book"
 
 
 def test_strip_styling_preserves_accents():
@@ -277,6 +281,9 @@ def test_author_plain_form_keeps_tokens_apart_across_a_cut_thanks():
     (r"\th orn \ng", "thorn ng"),
     (r"\LaTeX, \log n, \infty, \item", r"\LaTeX, \log n, \infty, \item"),
     (r"\url{x} \under{y}", r"\urlx \undery"),
+    (strip_styling(r"S\o{}ren"), "Soren"),
+    (strip_styling(r"Bj\o{}rn Stone"), "Bjorn Stone"),
+    (strip_styling(r"\TeX{}book"), r"\TeX book"),
 ])
 def test_fold_accents_reads_whole_control_words(plain, folded):
     assert fold_accents(plain) == folded

@@ -4,6 +4,7 @@ import pytest
 
 from logicaltex.converter import Edit, RewritePlan
 from logicaltex.lexer import Span
+from logicaltex.model import LETTER_WORDS
 from logicaltex.validator import (
     ExtractedMetadata,
     MetadataScores,
@@ -121,6 +122,16 @@ def test_normalize_accents_and_markup():
     assert normalize_for_compare(r"Bj\o") == "bjo"
     assert normalize_for_compare(r"Pawe\L") == "pawel"
     assert normalize_for_compare(r"\th orn \ng") == "thorn ng"
+    # An empty group ends a letter command too.
+    assert normalize_for_compare(r"S\o{}ren") == "soren"
+    # A letter command and the Unicode letter it sets read alike.
+    for plain, tex in [("Søren Łukasz", r"S\o ren \L ukasz"), ("Ærø", r"\AE r\o"),
+                       ("Þór", r"\TH \'or"), ("Paweł", r"Pawe\l"),
+                       ("Ångström", r"\AA ngstr\"om")]:
+        assert normalize_for_compare(plain) == normalize_for_compare(tex), plain
+    for word, letter in LETTER_WORDS.items():
+        assert normalize_for_compare(f"x{letter}y") == \
+            normalize_for_compare(f"x\\{word} y") == f"x{word.casefold()}y", word
 
 
 def test_identical_strings_score_one():
