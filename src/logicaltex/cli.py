@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import difflib
+import functools
+import itertools
 import json
 import os
 import sys
@@ -320,14 +322,11 @@ def cmd_validate(paths: list[Path], cfg: RunConfig) -> int:
     return _worst(verdicts)
 
 
-def _batch_worker(args: tuple[str, dict]) -> dict:
-    path_str, cfg_dict = args
-    cfg = RunConfig(**cfg_dict)
-    path = Path(path_str)
+def _batch_worker(path: Path, cfg: RunConfig) -> dict:
     try:
         output, report, result = _validate_one(path, cfg, None)
         return {
-            "path": path_str,
+            "path": str(path),
             "class": report.class_before.label.value,
             "verdict": result.verdict.value,
             "body_preserved": result.body_preserved,
@@ -336,29 +335,25 @@ def _batch_worker(args: tuple[str, dict]) -> dict:
             "warnings": report.warnings,
         }
     except Exception as exc:  # per-file failures never abort the batch
-        return {"path": path_str, "error": f"{type(exc).__name__}: {exc}",
+        return {"path": str(path), "error": f"{type(exc).__name__}: {exc}",
                 "verdict": Verdict.FAIL.value, "class": "error"}
 
 
 def _batch_paths(corpus: Path) -> list[Path]:
-    visual = sorted(corpus.glob("*.visual.tex"))
-    if visual:
-        return visual
-    return sorted(p for p in corpus.glob("*.tex")
-                  if not p.name.endswith(DEFAULT_SUFFIX))
+    tex = sorted(corpus.glob("*.tex"))
+    visual = [p for p in tex if p.name.endswith(".visual.tex")]
+    return visual or [p for p in tex if not p.name.endswith(DEFAULT_SUFFIX)]
 
 
 def cmd_batch(corpus: Path, cfg: RunConfig) -> int:
     reporter = _Reporter(cfg.report)
     paths = _batch_paths(corpus)
-    cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     jobs = max(1, cfg.jobs)
-    work = [(str(p), cfg_dict) for p in paths]
     if jobs == 1:
-        results = [_batch_worker(w) for w in work]
+        results = [_batch_worker(p, cfg) for p in paths]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_worker, work))
+            results = list(pool.map(_batch_worker, paths, itertools.repeat(cfg)))
     results.sort(key=lambda r: r["path"])
     tallies = {"pass": 0, "warn": 0, "fail": 0}
     classes = {"logical": 0, "mixed": 0, "visual": 0, "error": 0}
@@ -394,7 +389,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared after.
+
+    Parsing leaves the parser as it was: each ``parse_args`` returns a new
+    namespace, and no default is a mutable value an action changes."""
     parser = _Parser(
         prog="logicaltex",
         description="Rewrite visually formatted LaTeX into logical LaTeX, "

@@ -393,42 +393,54 @@ def profile_tag(profiles) -> str:
     return "-".join(PROFILE_CODES[p.name] for p in as_profiles(profiles))
 
 
+def _row_key(row: dict) -> tuple:
+    return row["source"], tuple(row["profiles"]), row["seed"]
+
+
 def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                seeds=(0,)) -> list[dict]:
     """Degrade every .tex file of a corpus directory, or each of a list of
     files, once per seed, writing the visual file, the logical original,
     a ground-truth sidecar and one manifest row per pair.  Files that are
-    not logical become skip records, and so does a file named like one
-    before it, whose pairs it would overwrite; the run continues."""
+    not logical become skip records, and so does a pair whose files belong
+    to another source, named like it earlier in this call or in a row of
+    the manifest; the run continues.  A row of this call replaces the
+    manifest's earlier rows of its source, profiles and seed, except that
+    a skip keeps the row of a pair whose files it leaves in place."""
+    # A repeated file or seed would rewrite its own pairs: each counts once.
     paths = sorted(Path(corpus).glob("*.tex")) if isinstance(corpus, (str, Path)) \
-        else [Path(p) for p in corpus]
+        else list(dict.fromkeys(map(Path, corpus)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.jsonl"
+    earlier = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()
+               if line.strip()] if manifest.exists() else []
+    # visual file name -> the source whose pair it is
+    owners = {Path(r["visual"]).name: r["source"] for r in earlier if "visual" in r}
     plist = as_profiles(profiles)
     tag = profile_tag(plist)
     rows: list[dict] = []
-    named: dict[str, Path] = {}
     for path in paths:
-        if path.name in named:
-            reason = f"its pairs would overwrite those of {named[path.name]}"
-            rows += [{"source": str(path), "profiles": [p.name for p in plist],
-                      "seed": seed, "skipped": reason} for seed in seeds]
-            continue
-        named[path.name] = path
         data = path.read_bytes()
-        for seed in seeds:
-            try:
-                visual, truth = degrade(data, plist, seed)
-            except NotLogicalError as exc:
+        for seed in dict.fromkeys(seeds):
+            stem = f"{path.stem}__{tag}_s{seed}"
+            visual_path = out / f"{stem}.visual.tex"
+            owner = owners.setdefault(visual_path.name, str(path))
+            skipped = None if owner == str(path) else \
+                f"its pairs would overwrite those of {owner}"
+            if skipped is None:
+                try:
+                    visual, truth = degrade(data, plist, seed)
+                except NotLogicalError as exc:
+                    skipped = str(exc)
+            if skipped is not None:
                 rows.append({
                     "source": str(path),
                     "profiles": [p.name for p in plist],
                     "seed": seed,
-                    "skipped": str(exc),
+                    "skipped": skipped,
                 })
                 continue
-            stem = f"{path.stem}__{tag}_s{seed}"
-            visual_path = out / f"{stem}.visual.tex"
             logical_path = out / f"{stem}.logical.tex"
             sidecar_path = out / f"{stem}.truth.json"
             visual_path.write_bytes(visual)
@@ -447,8 +459,13 @@ def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                     "sidecar": _sha256(sidecar_path.read_bytes()),
                 },
             })
-    manifest = out / "manifest.jsonl"
-    with manifest.open("a", encoding="utf-8") as fh:
-        for row in rows:
+    paired = {_row_key(r) for r in rows if "visual" in r}
+    keys = {_row_key(r) for r in rows}
+    kept = [r for r in earlier if _row_key(r) not in (paired if "visual" in r else keys)]
+    # Written aside and moved over, so a failed write leaves the old manifest.
+    staged = manifest.with_name(manifest.name + ".tmp")
+    with staged.open("w", encoding="utf-8") as fh:
+        for row in kept + rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    staged.replace(manifest)
     return rows

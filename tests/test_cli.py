@@ -1,12 +1,17 @@
+import argparse
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from logicaltex.cli import main
+import logicaltex
+from logicaltex.cli import build_parser, main
+from logicaltex.converter import ConversionPolicy, convert
 from logicaltex.degrader import degrade, emit_pairs
 from logicaltex.lexer import decode_source
 
@@ -101,6 +106,17 @@ LATIN1_DOC = (b"\\documentclass{article}\n\\begin{document}\n"
               b"{\\bf 1. Introduction}\n\nText.\n\\end{document}\n")
 
 
+def run_bytes(monkeypatch, *argv) -> tuple[int, bytes]:
+    """Run main with a strict UTF-8 stdout, as under PYTHONIOENCODING=utf-8,
+    and return its code and the bytes it wrote there."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+    stdout.flush()
+    return code, stdout.buffer.getvalue()
+
+
 @pytest.mark.parametrize("report", ["human", "machine"])
 def test_convert_stdout_writes_exactly_the_copy_bytes(tmp_path, capsys, monkeypatch, report):
     fixture = tmp_path / "gaeta_style.tex"
@@ -112,13 +128,8 @@ def test_convert_stdout_writes_exactly_the_copy_bytes(tmp_path, capsys, monkeypa
         code = main(argv)
         capsys.readouterr()
         expected = path.with_name(path.stem + ".logical.tex").read_bytes()
-        # A strict UTF-8 stdout, as under PYTHONIOENCODING=utf-8.
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["--report", report, *argv, "--output", "stdout"]) == code
-        monkeypatch.undo()
-        stdout.flush()
-        assert stdout.buffer.getvalue() == expected
+        assert run_bytes(monkeypatch, "--report", report, *argv, "--output", "stdout") == \
+            (code, expected)
         assert path.name in capsys.readouterr().err
 
 
@@ -433,3 +444,56 @@ def test_batch_detects_source_and_output_once(degraded_file, capsys, monkeypatch
     assert len(calls) == 1
     row = next(r for r in machine_records(out) if r["command"] == "batch-file")
     assert row["class"] == classify(parse(degraded_file.read_bytes())).label.value
+
+
+# cli.main called again and again in one process shares one parser, and
+# no call leaves a value behind for the next.
+
+def test_repeated_main_convert_falls_back_to_the_default_policy(degraded_file, capsys,
+                                                               monkeypatch):
+    _, tuned = run_bytes(monkeypatch, "convert", str(degraded_file), "--scope", "full",
+                         "--aggressive", "--output", "stdout")
+    _, plain = run_bytes(monkeypatch, "convert", str(degraded_file), "--output", "stdout")
+    assert plain == convert(degraded_file.read_bytes(), ConversionPolicy())[0] != tuned
+
+
+def test_repeated_main_degrade_falls_back_to_the_default_profile(tmp_path, capsys):
+    source = tmp_path / "paper.tex"
+    shutil.copy(LOGICAL_FIXTURES[0], source)
+    profiles = []
+    for out, flags in (("centered", ["--profiles", "center-env"]), ("plain", [])):
+        code, stdout, _ = run(capsys, "--report", "machine", "degrade", str(source),
+                              "--out", str(tmp_path / out), *flags)
+        assert code == 0
+        profiles.append(machine_records(stdout)[0]["profiles"])
+    assert profiles == [["center-env"], ["centerline-style"]]
+
+
+def test_batch_after_a_usage_error_matches_a_fresh_process(capsys):
+    argv = ["--report", "machine", "batch", str(VISUAL_FIXTURES[0].parent), "--jobs", "1"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "logicaltex.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8",
+             "PYTHONPATH": str(Path(logicaltex.__file__).parents[1])}, timeout=120)
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", argv[-3], "--jobs", "7", "--no-such-flag"])
+    assert exc.value.code == 3
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.encode("utf-8")) == (fresh.returncode, fresh.stdout)
+
+
+def test_parser_is_built_once(degraded_file, capsys, monkeypatch):
+    run(capsys, "detect", str(degraded_file))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["detect", str(degraded_file)], ["convert", "--output", "stdout",
+                                                   str(degraded_file)]):
+        assert run(capsys, *argv)[0] <= 1
+    assert built == []
+    assert build_parser() is build_parser()

@@ -3,6 +3,7 @@ and its cost grows linearly with depth."""
 
 import gc
 import json
+import math
 import statistics
 from time import perf_counter
 
@@ -41,6 +42,8 @@ DEPTH = 2400
 CASES = [(form, DEPTH) for form in FORMS] + [("braces", 9600)]
 POLICIES = [ConversionPolicy(scope=scope, aggressive=aggressive)
             for scope in Scope for aggressive in (False, True)]
+# The least time one timed sample of the scaling test lasts.
+SAMPLE_SECONDS = 0.03
 
 
 @pytest.mark.parametrize("form, depth", CASES)
@@ -70,28 +73,35 @@ def test_deep_nesting_batch(tmp_path, capsys):
     assert all(r["body_preserved"] for r in files)
 
 
-def _convert_seconds(src: str) -> float:
+def _sample_seconds(src: str, repeats: int) -> float:
     # The collector's pauses depend on what other tests left alive, not
-    # on the conversion, so it is held off while the conversion runs.
-    lexer._parse_text.cache_clear()
+    # on the conversion, so it is held off while the conversions run.
     gc.collect()
     gc.disable()
     try:
-        start = perf_counter()
-        convert(src, POLICIES[-1])
-        return perf_counter() - start
+        total = 0.0
+        for _ in range(repeats):
+            lexer._parse_text.cache_clear()
+            start = perf_counter()
+            convert(src, POLICIES[-1])
+            total += perf_counter() - start
+        return total
     finally:
         gc.enable()
 
 
 @pytest.mark.parametrize("form", FORMS)
 def test_deep_nesting_scales_linearly(form):
-    # The median of the ratios of eleven pairs of runs.  A pair runs the
-    # two sizes back to back, so both see the same load on a shared CPU,
-    # which can speed a run as well as slow it; the median drops the
-    # pairs that a change of load splits.  Linear cost doubles with the
-    # depth.
+    # The median of the ratios of eleven pairs of samples.  A pair takes
+    # the two sizes back to back, so both see the same load on a shared
+    # CPU, which can speed a run as well as slow it; the median drops the
+    # pairs that a change of load splits.  A sample converts its document
+    # as often as the smaller one needs to take tens of milliseconds, so
+    # that one pause of the scheduler moves it little.  Linear cost
+    # doubles with the depth.
     small, large = FORMS[form](DEPTH // 2), FORMS[form](DEPTH)
-    times = [(_convert_seconds(small), _convert_seconds(large)) for _ in range(11)]
+    repeats = math.ceil(SAMPLE_SECONDS / _sample_seconds(small, 1))
+    times = [(_sample_seconds(small, repeats), _sample_seconds(large, repeats))
+             for _ in range(11)]
     ratio = statistics.median(b / a for a, b in times)
-    assert ratio <= 2.5, times
+    assert ratio <= 2.5, (repeats, times)

@@ -223,6 +223,69 @@ def test_emit_pairs_multiple_seeds_counts(tmp_path):
     rows = emit_pairs(corpus, tmp_path / "out", FULL_PROFILES, seeds=(0, 1, 2))
     assert len(rows) == 6
     assert len({r["visual"] for r in rows}) == 6
+    # A repeated file or seed names the same pair again: it is written and
+    # listed once.
+    files = [corpus / "a.tex", corpus / "b.tex", corpus / "a.tex"]
+    rows = emit_pairs(files, tmp_path / "again", FULL_PROFILES, seeds=(1, 0, 1))
+    assert [(Path(r["source"]).name, r["seed"]) for r in rows] == [
+        ("a.tex", 1), ("a.tex", 0), ("b.tex", 1), ("b.tex", 0)]
+
+
+def _manifest(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+
+
+def test_emit_pairs_rerun_replaces_its_rows(tmp_path):
+    # A second run over the same inputs rewrites their pairs and lists
+    # each pair, and each skip, once; a row of another input stays.
+    visual_doc, _ = degrade(MINI, FULL_PROFILES, 0)
+    corpus = _write_corpus(tmp_path, [("a.tex", MINI), ("bad.tex", visual_doc)])
+    (tmp_path / "other").mkdir()
+    other = _write_corpus(tmp_path / "other", [("b.tex", MINI)])
+    out = tmp_path / "out"
+    emit_pairs(other, out, ("centerline-style",), seeds=(0,))
+    emit_pairs(corpus, out, ("centerline-style",), seeds=(0, 1))
+    rows = emit_pairs(corpus, out, ("centerline-style",), seeds=(0, 1))
+    manifest = _manifest(out)
+    assert [(r["source"], r["seed"], "skipped" in r) for r in manifest] == [
+        (str(other / "b.tex"), 0, False),
+        (str(corpus / "a.tex"), 0, False), (str(corpus / "a.tex"), 1, False),
+        (str(corpus / "bad.tex"), 0, True), (str(corpus / "bad.tex"), 1, True)]
+    assert manifest[1:] == rows
+    # Another profile set writes other pairs, so it adds rows.
+    emit_pairs([corpus / "a.tex"], out, ("center-env",), seeds=(0,))
+    assert len(_manifest(out)) == 6
+    # An input that turns logical replaces its skip row with its pair; one
+    # that stops being logical keeps the row of the pair it leaves in place.
+    (corpus / "a.tex").write_text(visual_doc, encoding="utf-8")
+    (corpus / "bad.tex").write_text(MINI, encoding="utf-8")
+    emit_pairs(corpus, out, ("centerline-style",), seeds=(0,))
+    assert [(Path(r["source"]).name, r["profiles"], r["seed"], "skipped" in r)
+            for r in _manifest(out)] == [
+        ("b.tex", ["centerline-style"], 0, False),
+        ("a.tex", ["centerline-style"], 0, False), ("a.tex", ["centerline-style"], 1, False),
+        ("bad.tex", ["centerline-style"], 1, True), ("a.tex", ["center-env"], 0, False),
+        ("a.tex", ["centerline-style"], 0, True), ("bad.tex", ["centerline-style"], 0, False)]
+
+
+def test_emit_pairs_rerun_skips_a_name_owned_by_another_source(tmp_path):
+    # A same-named input from another directory in a later run would
+    # overwrite the earlier run's pair: it becomes a skip row instead,
+    # and the earlier pair's files and row stay.
+    first, second = tmp_path / "a" / "x.tex", tmp_path / "b" / "x.tex"
+    for path, text in ((first, MINI), (second, MINI.replace("{X}", "{Y}"))):
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    emit_pairs([first], out, ("centerline-style",), seeds=(0,))
+    rows = emit_pairs([second], out, ("centerline-style",), seeds=(0, 1))
+    assert rows[0] == {"source": str(second), "profiles": ["centerline-style"], "seed": 0,
+                       "skipped": f"its pairs would overwrite those of {first}"}
+    # Seed 1's pair files belong to no source yet.
+    assert "visual" in rows[1]
+    assert (out / "x__cl_s0.logical.tex").read_bytes() == first.read_bytes()
+    assert [(r["source"], r["seed"], "skipped" in r) for r in _manifest(out)] == [
+        (str(first), 0, False), (str(second), 0, True), (str(second), 1, False)]
 
 
 def test_as_profiles_sorts_and_accepts_objects():
