@@ -29,6 +29,7 @@ from .lexer import (
     BlockTree,
     EnvNode,
     Span,
+    SpanIndex,
     decode_source,
     encode_source,
     parse,
@@ -273,9 +274,9 @@ def _resolve(claims: list[_Claim], limit: int | None) -> list[_Claim]:
 def _skip_uncarried(dets: DetectionSet, fm: FrontMatter) -> bool:
     """Skip each accepted affiliation line that no author of ``fm``
     carries, since its edit would delete the text; say whether any was."""
-    carried = [fm.affiliations[j].span for _, j in fm.author_affiliation_edges]
-    uncarried = [d for d in dets.affiliations if d.skip_reason is None
-                 and not any(span.contains_span(d.span) for span in carried)]
+    carried = SpanIndex(fm.affiliations[j].span for _, j in fm.author_affiliation_edges)
+    uncarried = [d for d in dets.affiliations
+                 if d.skip_reason is None and not carried.covers(d.span)]
     for det in uncarried:
         det.skip_reason = UNCARRIED_SKIP
     return bool(uncarried)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify
-from .lexer import Span, decode_source, parse
+from .lexer import Span, SpanIndex, decode_source, parse
 from .model import LogicalDocument, extract_logical
 
 
@@ -175,8 +175,9 @@ class _Degrader:
         if "inline-emphasis" not in self.names:
             return []
         edits = []
+        sections = SpanIndex(taken)
         for raw, span in doc.emphases:
-            if any(t.contains_span(span) or t.intersects(span) for t in taken):
+            if sections.covers(span) or sections.intersects(span):
                 continue
             style = "it" if self.rng.random() < 0.75 else "bf"
             edits.append(Edit(span, f"{{\\{style} {raw}}}", "degrade-emphasis"))

@@ -21,12 +21,12 @@ from .lexer import (
     MathNode,
     Node,
     Span,
+    SpanIndex,
     Token,
     TokenKind,
     TokenStream,
     latin1_fallback,
     protected_spans,
-    walk,
 )
 from .model import (
     AFFILIATION_WORDS,
@@ -174,11 +174,24 @@ def index_contents(tree: BlockTree) -> Contents:
     words: dict[str, list[int]] = {}
     envs: dict[str, list[Span]] = {}
     control_word = TokenKind.CONTROL_WORD
-    for nd in walk(tree.nodes):
-        if isinstance(nd, Token) and nd.kind is control_word:
-            words.setdefault(nd.value or "", []).append(nd.start)
-        elif isinstance(nd, EnvNode):
-            envs.setdefault(nd.name, []).append(nd.span)
+    # ``lexer.walk``'s traversal, inline: depth first over an explicit
+    # stack of open child lists, so every node is met in document order.
+    pending = [iter(tree.nodes)]
+    while pending:
+        for nd in pending[-1]:
+            cls = nd.__class__
+            if cls is Token:
+                if nd.kind is control_word:
+                    words.setdefault(nd.value, []).append(nd.start)
+            elif cls is GroupNode:
+                pending.append(iter(nd.children))
+                break
+            elif cls is EnvNode:
+                envs.setdefault(nd.name, []).append(Span(nd.start, nd.end))
+                pending.append(iter(nd.children))
+                break
+        else:
+            pending.pop()
     return Contents(words, envs)
 
 
@@ -190,9 +203,11 @@ class Region:
 
     span: Span
     lines: list[Line]
-    protected: list[Span]
+    # A protected span may sit wholly inside a candidate (it travels
+    # verbatim through a rewrite) but must never straddle its edges.
+    protected: SpanIndex
     # Spans of structural diagnostics (unclosed group, stray \end, ...).
-    damaged: list[Span]
+    damaged: SpanIndex
     contents: Contents
     whole_body_fallback: bool = False
     # The front matter's abstract, found while bounding the region.
@@ -230,6 +245,9 @@ NUMBER_PREFIX_RE = re.compile(
     r"^\s*(?:\u00a7\s*)?(?P<num>\d+(?:\.\d+)*|[IVXLC]+)\s*[.):]?(?:[\s~]+)(?P<rest>\S.*)$",
     re.DOTALL,
 )
+# What stands before and after the number in a raw core.
+_NUMBER_LEAD_RE = re.compile(r"\s*(?:\u00a7\s*)?")
+_NUMBER_TAIL_RE = re.compile(r"\s*[.):]?(?:[\s~]+)")
 CAPTION_PREFIX_RE = re.compile(r"^(table|figure|fig\.)\b", re.IGNORECASE)
 
 NAME_PARTICLES = frozenset({
@@ -326,16 +344,19 @@ _NEUTRAL_KINDS = frozenset({TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.P
 
 
 def _is_neutral(nd: Node) -> bool:
-    return isinstance(nd, Token) and nd.kind in _NEUTRAL_KINDS
+    return nd.__class__ is Token and nd.kind in _NEUTRAL_KINDS
 
 
 def _trim(nodes: list[Node]) -> list[Node]:
-    a, b = 0, len(nodes)
-    while a < b and isinstance(nodes[a], Token) and nodes[a].kind in _NEUTRAL_KINDS:
+    """``nodes`` without its leading and trailing neutral tokens: the list
+    itself when it has none, else a copy."""
+    n = len(nodes)
+    a, b = 0, n
+    while a < b and nodes[a].__class__ is Token and nodes[a].kind in _NEUTRAL_KINDS:
         a += 1
-    while b > a and isinstance(nodes[b - 1], Token) and nodes[b - 1].kind in _NEUTRAL_KINDS:
+    while b > a and nodes[b - 1].__class__ is Token and nodes[b - 1].kind in _NEUTRAL_KINDS:
         b -= 1
-    return nodes[a:b]
+    return nodes if b - a == n else nodes[a:b]
 
 
 def _nodes_span(nodes: list[Node]) -> Span:
@@ -372,33 +393,34 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
     """Peel style wrappers that cover the whole content; the remainder is
     the core."""
     info = _StyleInfo()
-    nodes = content
+    nodes = _trim(content)
     control_word = TokenKind.CONTROL_WORD
-    while True:
-        nodes = _trim(nodes)
-        if not nodes:
-            break
+    # Each turn peels one wrapper off the trimmed remainder.
+    while nodes:
         head = nodes[0]
-        if isinstance(head, Token) and head.kind is control_word:
+        cls = head.__class__
+        if cls is Token:
+            if head.kind is not control_word:
+                break
             # A look is the name of the flag it sets.
             look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
             if how == "argument":
                 rest = _trim(nodes[1:])
-                if len(rest) == 1 and isinstance(rest[0], GroupNode):
-                    if look:
-                        setattr(info, look, True)
-                    nodes = rest[0].children
-                    continue
+                if len(rest) != 1 or rest[0].__class__ is not GroupNode:
+                    break
+                nodes = rest[0].children
             elif how != "unpeeled":
-                if look:
-                    setattr(info, look, True)
                 nodes = nodes[1:]
-                continue
-        if len(nodes) == 1 and isinstance(nodes[0], GroupNode):
-            nodes = nodes[0].children
-            continue
-        break
-    info.core = _trim(nodes)
+            else:
+                break
+            if look:
+                setattr(info, look, True)
+        elif cls is GroupNode and len(nodes) == 1:
+            nodes = head.children
+        else:
+            break
+        nodes = _trim(nodes)
+    info.core = nodes
     return info
 
 
@@ -413,34 +435,38 @@ class _Segmenter:
         return self.lines
 
     @staticmethod
-    def _blocks(nodes: list[Node]):
+    def _blocks(nodes: list[Node]) -> list[list[Node]]:
+        """The trimmed runs of ``nodes`` between paragraph breaks and
+        ``\\par``, the empty ones left out."""
         par_break, control_word = TokenKind.PAR_BREAK, TokenKind.CONTROL_WORD
+        blocks: list[list[Node]] = []
         block: list[Node] = []
         for nd in nodes:
-            if isinstance(nd, Token) and (
+            if nd.__class__ is Token and (
                 nd.kind is par_break or nd.kind is control_word and nd.value == PAR
             ):
                 block = _trim(block)
                 if block:
-                    yield block
+                    blocks.append(block)
                 block = []
             else:
                 block.append(nd)
         block = _trim(block)
         if block:
-            yield block
+            blocks.append(block)
+        return blocks
 
     def _emit_block(self, block: list[Node], in_titlepage: bool):
         first = len(self.lines)
         top = block
-        buf: list[Node] = []
 
-        def flush(in_titlepage: bool):
-            content = _trim(buf)
+        def flush(block: list[Node], start: int, end: int, in_titlepage: bool):
+            # The block's nodes from ``start`` to ``end`` are one line of
+            # running text.
+            content = _trim(block if end - start == len(block) else block[start:end])
             if content:
                 self._add_line(content, centered=False, in_titlepage=in_titlepage,
                                container="paragraph")
-            buf.clear()
 
         control_word = TokenKind.CONTROL_WORD
         # (block, next index, inside a titlepage): a titlepage's blocks go
@@ -448,39 +474,41 @@ class _Segmenter:
         pending = [(block, 0, in_titlepage)]
         while pending:
             block, i, in_titlepage = pending.pop()
-            while i < len(block):
+            n = len(block)
+            run = i  # where the running text not yet emitted starts
+            while i < n:
                 nd = block[i]
-                if isinstance(nd, Token):
+                cls = nd.__class__
+                if cls is Token:
                     if nd.kind is control_word and nd.value == CENTERLINE:
                         j = i + 1
-                        while j < len(block) and _is_neutral(block[j]):
+                        while j < n and _is_neutral(block[j]):
                             j += 1
-                        if j < len(block) and isinstance(block[j], GroupNode):
-                            flush(in_titlepage)
+                        if j < n and block[j].__class__ is GroupNode:
+                            flush(block, run, i, in_titlepage)
                             group = block[j]
                             self._add_line(
                                 group.children, centered=True, in_titlepage=in_titlepage,
                                 container="centerline",
                                 span=Span(nd.start, group.end),
                             )
-                            i = j + 1
+                            i = run = j + 1
                             continue
-                elif isinstance(nd, EnvNode):
+                elif cls is EnvNode:
                     if nd.name in ("center", "centering"):
-                        flush(in_titlepage)
+                        flush(block, run, i, in_titlepage)
                         self._center_env(nd, in_titlepage)
-                        i += 1
+                        i = run = i + 1
                         continue
                     if nd.name == "titlepage":
-                        flush(in_titlepage)
+                        flush(block, run, i, in_titlepage)
                         pending.append((block, i + 1, in_titlepage))
                         pending.extend((sub, 0, True)
-                                       for sub in reversed(list(self._blocks(nd.children))))
+                                       for sub in reversed(self._blocks(nd.children)))
                         break
-                buf.append(nd)
                 i += 1
             else:
-                flush(in_titlepage)
+                flush(block, run, n, in_titlepage)
         # A titlepage's lines count towards the block that holds it.
         emitted = self.lines[first:]
         for ln in emitted:
@@ -581,8 +609,8 @@ def _split(lines: list[Line], stream: TokenStream, at: int) -> tuple[list[Line],
             _Segmenter(stream).run(block[k:]) + lines[j:])
 
 
-def _region(lines: list[Line], stream: TokenStream, span: Span, protected: list[Span],
-            damaged: list[Span], contents: Contents, whole_body_fallback: bool) -> Region:
+def _region(lines: list[Line], stream: TokenStream, span: Span, protected: SpanIndex,
+            damaged: SpanIndex, contents: Contents, whole_body_fallback: bool) -> Region:
     head, rest = _split(lines, stream, span.end)
     return Region(span, head, protected, damaged, contents, whole_body_fallback, rest=rest)
 
@@ -595,21 +623,6 @@ def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
     this also keeps a second conversion pass from re-claiming its own
     output."""
     return contents.within(line.span, _STRUCTURE_WORDS, ("abstract",))
-
-
-def _containment_ok(span: Span, protected: list[Span]) -> bool:
-    """Protected spans may sit wholly inside the candidate (they travel
-    verbatim through a rewrite) but must never straddle its edges."""
-    for p in protected:
-        if p.start >= span.end:
-            break
-        if p.intersects(span) and not span.contains_span(p):
-            return False
-    return True
-
-
-def _disjoint(span: Span, protected: list[Span]) -> bool:
-    return not any(p.intersects(span) for p in protected)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +791,8 @@ def frontmatter_region(tree: BlockTree) -> Region:
     boundaries += [span.end for name in ("titlepage", "abstract")
                    for span in contents.envs.get(name, []) if body.contains(span.start)]
     end = min(boundaries, default=body.end)
-    protected = protected_spans(tree)
-    damaged = [d.span for d in tree.diagnostics]
+    protected = SpanIndex(protected_spans(tree))
+    damaged = SpanIndex(d.span for d in tree.diagnostics)
     stream = tree.stream
     lines = segment_lines(tree)
     # Only lines of blocks wholly before the boundary are segmented alike
@@ -810,7 +823,7 @@ def body_region(tree: BlockTree, fm: Region) -> Region:
                   fm.contents)
 
 
-def _is_body_text(line: Line, protected: list[Span], damaged: list[Span],
+def _is_body_text(line: Line, protected: SpanIndex, damaged: SpanIndex,
                   contents: Contents) -> bool:
     """Whether the line is one that only a body holds: a heading
     ``detect_section_headers`` takes, whose core opens with a heading
@@ -877,7 +890,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if _line_has_logical_commands(line, region.contents):
             continue
-        if not _containment_ok(line.span, protected) or not _disjoint(line.span, damaged):
+        if protected.straddles(line.span) or damaged.intersects(line.span):
             continue
         if _opens_with_heading_number(line.core_plain):
             continue  # a numbered heading
@@ -923,7 +936,7 @@ def detect_authors_affiliations(
             continue  # an abstract-labeled paragraph, not a person or place
         if _line_has_logical_commands(line, region.contents):
             continue
-        if not _containment_ok(line.span, protected):
+        if protected.straddles(line.span):
             continue
         segs = line.segments
         if not segs:
@@ -1027,7 +1040,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     for idx, line in enumerate(lines):
         if _line_has_logical_commands(line, region.contents):
             continue
-        if not _containment_ok(line.span, protected):
+        if protected.straddles(line.span):
             continue
         label = line.label
         if label is not None and label.content and ABSTRACT_LABEL_RE.match(label.plain):
@@ -1049,7 +1062,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
         if (line.bold or line.italic or line.centered) and ABSTRACT_LABEL_RE.match(line.plain):
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
             if nxt is not None and nxt.container == "paragraph" and len(nxt.plain) >= 40 \
-                    and _containment_ok(nxt.span, protected):
+                    and not protected.straddles(nxt.span):
                 cues = {Cue(CueKind.LEADING_KEYWORD, line.span, "Abstract")}
                 if line.bold:
                     cues.add(Cue(CueKind.BOLD, line.span))
@@ -1095,8 +1108,11 @@ def _number_prefix(core_plain: str, core_raw: str):
     if not m:
         return None
     num = m.group("num")
-    raw_m = re.match(
-        r"^\s*(?:\u00a7\s*)?" + re.escape(num) + r"\s*[.):]?(?:[\s~]+)", core_raw)
+    # The number opens with a digit or a Roman letter, so it can stand in
+    # the raw core only after all of the blanks and the section sign.
+    at = _NUMBER_LEAD_RE.match(core_raw).end()
+    raw_m = _NUMBER_TAIL_RE.match(core_raw, at + len(num)) \
+        if core_raw.startswith(num, at) else None
     heading_raw = core_raw[raw_m.end():] if raw_m else m.group("rest")
     if num.isdigit() or "." in num:
         level = min(num.rstrip(".").count(".") + 1, 3)
@@ -1105,7 +1121,7 @@ def _number_prefix(core_plain: str, core_raw: str):
     return num, level, heading_raw.strip()
 
 
-def _is_heading(line: Line, protected: list[Span], damaged: list[Span],
+def _is_heading(line: Line, protected: SpanIndex, damaged: SpanIndex,
                 contents: Contents) -> bool:
     """Whether a line reads as a section heading: a solitary bold or large
     paragraph, clear of protected and damaged text, whose core is no
@@ -1114,7 +1130,7 @@ def _is_heading(line: Line, protected: list[Span], damaged: list[Span],
         return False
     if not (line.bold or line.large) or not line.core_nodes:
         return False
-    if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
+    if protected.intersects(line.span) or damaged.intersects(line.span):
         return False
     core_plain = line.core_plain
     if not core_plain or len(core_plain) > 120:
@@ -1188,7 +1204,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if not m:
             continue
         label = line.label
-        if not _disjoint(line.span, protected) or not _disjoint(line.span, damaged):
+        if protected.intersects(line.span) or damaged.intersects(line.span):
             claimed.append(label.span)
             continue
         keyword = m.group(1)
@@ -1214,10 +1230,11 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         pending = [iter(nodes)]
         while pending:
             for nd in pending[-1]:
-                if isinstance(nd, EnvNode):
+                cls = nd.__class__
+                if cls is EnvNode:
                     if nd.name in SKIP_ENVIRONMENTS:
                         continue
-                elif isinstance(nd, GroupNode):
+                elif cls is GroupNode:
                     if start <= nd.start < end:
                         style = _old_style_group(nd)
                         if style is not None:
@@ -1239,18 +1256,19 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if not kids:
             return None
         head = kids[0]
-        if isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD:
+        if head.__class__ is Token and head.kind is TokenKind.CONTROL_WORD:
             look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
             if how == "declaration" and look in ("bold", "italic"):
                 return look
         return None
 
     body_nodes, _ = document_body(tree)
+    taken = SpanIndex(claimed)
     for group, style in group_candidates(body_nodes):
         span = group.span
-        if any(c.contains_span(span) or c.intersects(span) for c in claimed):
+        if taken.covers(span) or taken.intersects(span):
             continue
-        if not _disjoint(span, protected) or not _disjoint(span, damaged):
+        if protected.intersects(span) or damaged.intersects(span):
             continue
         info = analyze_styles([group])
         if not info.core:

@@ -12,11 +12,12 @@ not interpreted and macros are never expanded.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Union
 
 # One token per match; the alternatives tile any input.  A text run is
@@ -327,51 +328,53 @@ def tokenize(source: str | bytes) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
-class _Extent:
-    """A node holds its offsets as a token does, so a mixed list of nodes
-    reads ``start`` and ``end`` uniformly; its ``span`` is made when read."""
+class GroupNode(NamedTuple):
+    """A brace group.  A node holds its offsets as a token does, so a
+    mixed list of nodes reads ``start`` and ``end`` uniformly; its
+    ``span`` is made when read."""
 
-    __slots__ = ()
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
-
-
-class _Container(_Extent):
-    __slots__ = ()
-
-    @property
-    def inner(self) -> Span:
-        return Span(self.inner_start, self.inner_end)
-
-
-@dataclass(slots=True)
-class GroupNode(_Container):
-    children: list["Node"]
+    children: list[Node]
     start: int
     end: int
     # The offsets inside the braces.
     inner_start: int
     inner_end: int
 
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
-@dataclass(slots=True)
-class EnvNode(_Container):
+    @property
+    def inner(self) -> Span:
+        return Span(self.inner_start, self.inner_end)
+
+
+class EnvNode(NamedTuple):
     name: str
-    children: list["Node"]
+    children: list[Node]
     start: int
     end: int
     # The offsets between \\begin{name} and \\end{name}.
     inner_start: int
     inner_end: int
 
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
-@dataclass(slots=True)
-class MathNode(_Extent):
+    @property
+    def inner(self) -> Span:
+        return Span(self.inner_start, self.inner_end)
+
+
+class MathNode(NamedTuple):
     kind: str  # "inline" or "display"
     start: int
     end: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
 
 Node = Union[Token, GroupNode, EnvNode, MathNode]
@@ -395,6 +398,11 @@ class BlockTree:
     stream: TokenStream
     # The spans of the tree's math nodes, in document order.
     math: list[Span]
+
+
+# Nodes and frames are built by ``tuple.__new__``, without the
+# Python-level constructor of a NamedTuple.
+_new = tuple.__new__
 
 
 class _Frame(NamedTuple):
@@ -458,8 +466,7 @@ class _TreeBuilder:
         MATH_SHIFT = TokenKind.MATH_SHIFT
         CONTROL_WORD = TokenKind.CONTROL_WORD
         PAR_BREAK = TokenKind.PAR_BREAK
-        # A frame is built without NamedTuple's Python-level constructor.
-        new = tuple.__new__
+        new = _new
         sink = root  # the children of the innermost open frame
         pos = 0  # the tokens before it are placed
         for si, i in enumerate(self.structural):
@@ -479,7 +486,8 @@ class _TreeBuilder:
                 if stack and stack[-1].kind == "group":
                     f = stack.pop()
                     sink = stack[-1].children if stack else root
-                    sink.append(GroupNode(f.children, f.start, t.end, f.inner_start, t.start))
+                    sink.append(new(GroupNode,
+                                    (f.children, f.start, t.end, f.inner_start, t.start)))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
                     sink.append(t)
@@ -502,11 +510,11 @@ class _TreeBuilder:
             f = self.stack.pop()
             if f.kind == "group":
                 self.diags.append(Diagnostic("unclosed-group", "", Span(f.start, f.start + 1)))
-                self.sink().append(GroupNode(f.children, f.start, eof, f.inner_start, eof))
+                self.sink().append(_new(GroupNode, (f.children, f.start, eof, f.inner_start, eof)))
             else:
                 self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(EnvNode(f.name or "", f.children, f.start, eof,
-                                           f.inner_start, eof))
+                self.sink().append(_new(EnvNode, (f.name or "", f.children, f.start, eof,
+                                                  f.inner_start, eof)))
 
     def _math(self, kind: str, start: int, end: int | None, stop: int) -> int:
         """Place a math node from ``start`` to ``end``; an unterminated one
@@ -516,7 +524,7 @@ class _TreeBuilder:
             end = self.toks[stop].start if stop < len(self.toks) else len(self.stream.source)
             self.diags.append(Diagnostic("unterminated-math", kind, Span(start, end)))
         self.math.append(Span(start, end))
-        self.sink().append(MathNode(kind, start, end))
+        self.sink().append(_new(MathNode, (kind, start, end)))
         return stop
 
     def _dollar_math(self, si: int) -> int:
@@ -569,7 +577,7 @@ class _TreeBuilder:
         name, name_idx, after = named
         if name.rstrip("*") in MATH_ENVIRONMENTS:
             return self._math_environment(i, name, name_idx)
-        self.stack.append(_Frame("env", name, t.start, after, []))
+        self.stack.append(_new(_Frame, ("env", name, t.start, after, [])))
         return name_idx + 1
 
     def _math_environment(self, i: int, name: str, name_idx: int) -> int:
@@ -604,13 +612,15 @@ class _TreeBuilder:
             f = self.stack.pop()
             if f.kind == "group":
                 self.diags.append(Diagnostic("group-crosses-boundary", name, Span(f.start, f.start + 1)))
-                self.sink().append(GroupNode(f.children, f.start, t.start, f.inner_start, t.start))
+                self.sink().append(_new(GroupNode, (f.children, f.start, t.start,
+                                                    f.inner_start, t.start)))
             else:
                 self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(EnvNode(f.name or "", f.children, f.start, t.start,
-                                           f.inner_start, t.start))
+                self.sink().append(_new(EnvNode, (f.name or "", f.children, f.start, t.start,
+                                                  f.inner_start, t.start)))
         f = self.stack.pop()
-        self.sink().append(EnvNode(name, f.children, f.start, after, f.inner_start, t.start))
+        self.sink().append(_new(EnvNode, (name, f.children, f.start, after, f.inner_start,
+                                          t.start)))
         return name_idx + 1
 
 
@@ -669,6 +679,41 @@ def merge_spans(spans: list[Span]) -> list[Span]:
         else:
             out.append(s)
     return out
+
+
+class SpanIndex:
+    """Spans sorted once by start, with the running maximum of their ends,
+    so each query is one bisection and stays exact however the spans
+    overlap, nest or are empty."""
+
+    __slots__ = ("starts", "reach")
+
+    def __init__(self, spans):
+        ordered = sorted(spans)
+        self.starts = [s.start for s in ordered]
+        # reach[i]: the furthest end among the first i + 1 spans.
+        self.reach = list(accumulate([s.end for s in ordered], max))
+
+    def _reach(self, before: int, lo: int = 0) -> tuple[int, int]:
+        """How many spans start before ``before``, and the furthest end
+        among them (-1 when none does)."""
+        i = bisect_left(self.starts, before, lo)
+        return i, self.reach[i - 1] if i else -1
+
+    def intersects(self, span: Span) -> bool:
+        """Whether a span shares an offset with ``span``."""
+        return self._reach(span.end)[1] > span.start
+
+    def covers(self, span: Span) -> bool:
+        """Whether a span contains ``span``."""
+        i = bisect_right(self.starts, span.start)
+        return bool(i) and self.reach[i - 1] >= span.end
+
+    def straddles(self, span: Span) -> bool:
+        """Whether a span crosses an edge of ``span``: it shares an offset
+        with ``span`` but does not lie inside it."""
+        i, reach = self._reach(span.start)
+        return reach > span.start or self._reach(span.end, i)[1] > span.end
 
 
 def protected_spans(tree: BlockTree) -> list[Span]:

@@ -624,22 +624,30 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
     while cursors:
         cur = cursors[-1]
         nodes = cur.nodes
-        if cur.i >= len(nodes):
+        # Skip to the next container or control word.
+        i, n = cur.i, len(nodes)
+        while i < n:
+            nd = nodes[i]
+            cls = nd.__class__
+            if cls is Token:
+                if nd.kind is control_word:
+                    break
+            elif cls is GroupNode or cls is EnvNode:
+                break
+            i += 1
+        else:
             cursors.pop()
             continue
-        nd = nodes[cur.i]
-        if isinstance(nd, (EnvNode, GroupNode)):
-            if isinstance(nd, EnvNode) and nd.name == "abstract" and doc.abstract_raw is None:
+        cur.i = i
+        if cls is not Token:
+            if cls is EnvNode and nd.name == "abstract" and doc.abstract_raw is None:
                 doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip()
                 doc.abstract_inner = nd.inner
                 doc.abstract_span = nd.span
             cur.i += 1
             cursors.append(_NodeCursor(nd.children, stream))
             continue
-        if not isinstance(nd, Token) or nd.kind is not control_word:
-            cur.i += 1
-            continue
-        name = nd.value or ""
+        name = nd.value
         if name == TITLE and doc.title_raw is None:
             cur.i += 1
             g = cur.take_group()

@@ -442,21 +442,22 @@ def test_convert_analyses_each_tree_once(monkeypatch):
 
 
 def test_convert_walks_each_tree_once(monkeypatch):
+    # ``detector.index_contents`` walks the whole tree for the analysis.
     from logicaltex import detector, lexer
 
     walked = []
     trees = []
-    walk, build_tree = detector.walk, lexer.build_tree
+    index_contents, build_tree = detector.index_contents, lexer.build_tree
 
-    def counting_walk(nodes):
-        walked.append(nodes)
-        return walk(nodes)
+    def counting_index_contents(tree):
+        walked.append(tree)
+        return index_contents(tree)
 
     def recording_build_tree(stream):
         trees.append(build_tree(stream))
         return trees[-1]
 
-    monkeypatch.setattr(detector, "walk", counting_walk)
+    monkeypatch.setattr(detector, "index_contents", counting_index_contents)
     monkeypatch.setattr(lexer, "build_tree", recording_build_tree)
     _, rep = convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
     assert len(walked) == 1
@@ -464,7 +465,7 @@ def test_convert_walks_each_tree_once(monkeypatch):
     rep.class_after  # the output's tree is built and walked on this read
     assert len(walked) == 2
     assert len(trees) == 2
-    assert all(nodes is tree.nodes for nodes, tree in zip(walked, trees))
+    assert all(walked_tree is tree for walked_tree, tree in zip(walked, trees))
 
 
 def test_round_trip_builds_each_text_once(monkeypatch):

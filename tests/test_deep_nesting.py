@@ -1,5 +1,6 @@
 """Any nesting depth converts: every pass over the block tree is iterative,
-and its cost grows linearly with depth."""
+and its cost grows linearly with depth, as it does with a document's
+length."""
 
 import gc
 import json
@@ -20,6 +21,15 @@ from logicaltex.validator import check_body_preservation, validate
 
 def _document(body: str) -> str:
     return "\\documentclass{article}\n\\begin{document}\n" + body + "\n\\end{document}\n"
+
+
+def _blocks(n: int) -> str:
+    """A body of ``n`` blocks: a bold numbered heading, then a paragraph
+    with two inline math spans and an old-style italic group."""
+    return _document("".join(
+        f"{{\\bf {i}. Heading Number {i}}}\n\n"
+        f"Text of part {i} with $x_{i}$ and $y^{i}$ and {{\\it some words}} here.\n\n"
+        for i in range(1, n + 1)))
 
 
 def _environments(name: str, depth: int) -> str:
@@ -90,18 +100,27 @@ def _sample_seconds(src: str, repeats: int) -> float:
         gc.enable()
 
 
-@pytest.mark.parametrize("form", FORMS)
-def test_deep_nesting_scales_linearly(form):
+def _assert_doubles(small: str, large: str):
     # The median of the ratios of eleven pairs of samples.  A pair takes
     # the two sizes back to back, so both see the same load on a shared
     # CPU, which can speed a run as well as slow it; the median drops the
     # pairs that a change of load splits.  A sample converts its document
     # as often as the smaller one needs to take tens of milliseconds, so
     # that one pause of the scheduler moves it little.  Linear cost
-    # doubles with the depth.
-    small, large = FORMS[form](DEPTH // 2), FORMS[form](DEPTH)
+    # doubles with the size.
     repeats = math.ceil(SAMPLE_SECONDS / _sample_seconds(small, 1))
     times = [(_sample_seconds(small, repeats), _sample_seconds(large, repeats))
              for _ in range(11)]
     ratio = statistics.median(b / a for a, b in times)
     assert ratio <= 2.5, (repeats, times)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_deep_nesting_scales_linearly(form):
+    _assert_doubles(FORMS[form](DEPTH // 2), FORMS[form](DEPTH))
+
+
+def test_long_document_scales_linearly():
+    # Each line and group is checked against the document's math spans
+    # and the claimed headings by one bisection, not by a scan of them.
+    _assert_doubles(_blocks(200), _blocks(400))

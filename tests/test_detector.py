@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from logicaltex.converter import convert
 from logicaltex.detector import (
     AUTO_APPLY_THRESHOLD,
+    Contents,
     CueKind,
     DetectionKind,
     DocumentClass,
     _Segmenter,
+    _number_prefix,
     body_region,
     classify,
     detect_abstract,
@@ -23,15 +25,17 @@ from logicaltex.detector import (
     document_body,
     extract_frontmatter,
     frontmatter_region,
+    index_contents,
     looks_like_person_names,
     passes,
     segment_lines,
 )
 from logicaltex.degrader import degrade
-from logicaltex.lexer import parse, protected_spans
+from logicaltex.lexer import EnvNode, Token, TokenKind, parse, protected_spans, walk
 from logicaltex.model import MarkerSymbol, strip_styling
 
 from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
+from test_lexer import FRAGMENTS
 
 
 def cue_names(det):
@@ -392,6 +396,35 @@ def test_section_header_bold_large_numbered():
     assert det.data["heading_raw"] == "Introduction"
 
 
+@pytest.mark.parametrize("core, expected", [
+    ("1 Introduction", ("1", 1, "Introduction")),
+    ("2.1. Setup and notation", ("2.1", 2, "Setup and notation")),
+    ("3.2.1 Deep", ("3.2.1", 3, "Deep")),
+    ("4.1.2.3 Deeper", ("4.1.2.3", 3, "Deeper")),
+    ("\u00a7 5 Results", ("5", 1, "Results")),
+    ("\u00a76. Results", ("6", 1, "Results")),
+    ("  \u00a7  7:  Spaced out", ("7", 1, "Spaced out")),
+    ("II. Results", ("II", 1, "Results")),
+    ("IV) Open problems", ("IV", 1, "Open problems")),
+    ("3~Methods", ("3", 1, "Methods")),
+    ("3.~Methods", ("3", 1, "Methods")),
+    ("2.1~~Setup", ("2.1", 2, "Setup")),
+    ("\u00a7~8 Tilde", None),
+    ("Introduction", None),
+])
+def test_number_prefix(core, expected):
+    # The number is found in the plain core and cut from the raw core,
+    # which here reads the same.
+    assert _number_prefix(core, core) == expected
+
+
+def test_number_prefix_cuts_the_raw_core():
+    assert _number_prefix("2.1. Setup of it", "2.1.~Setup of {\\em it}") == \
+        ("2.1", 2, "Setup of {\\em it}")
+    # A raw core whose number is spelled otherwise keeps the plain rest.
+    assert _number_prefix("3 Methods", "{3} Methods") == ("3", 1, "Methods")
+
+
 def test_section_levels_from_numbering():
     src = wrap("\\maketitle\n\n{\\bf 2. Results}\n\nt\n\n{\\bf 2.1 Sub}\n\nt")
     tree = parse(src)
@@ -722,3 +755,20 @@ def test_regions_read_as_if_segmented_apart(pieces):
     # the region, segmented on its own, finds.
     apart = replace(fm, lines=_segmented_apart(tree, fm.span), abstract=None)
     assert fm.abstract == detect_abstract(tree, apart)
+
+
+def _contents_by_walk(tree):
+    words, envs = {}, {}
+    for nd in walk(tree.nodes):
+        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD:
+            words.setdefault(nd.value, []).append(nd.start)
+        elif isinstance(nd, EnvNode):
+            envs.setdefault(nd.name, []).append(nd.span)
+    return Contents(words, envs)
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS + REGION_FRAGMENTS), max_size=32))
+@settings(max_examples=200, deadline=None)
+def test_index_contents_reads_as_walk(pieces):
+    tree = parse(wrap("".join(pieces)))
+    assert index_contents(tree) == _contents_by_walk(tree)

@@ -11,6 +11,7 @@ from logicaltex.lexer import (
     GroupNode,
     EnvNode,
     Span,
+    SpanIndex,
     TokenKind,
     build_tree,
     decode_source,
@@ -405,6 +406,33 @@ def test_protected_spans_cover_math_verbatim_comments():
 def test_span_validation():
     with pytest.raises(ValueError):
         Span(5, 3)
+
+
+# Spans over a short range, so that many share an offset, nest, overlap or
+# are empty.
+_SPANS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24))
+                  .map(lambda p: Span(min(p), max(p))), max_size=12)
+
+
+@given(_SPANS, _SPANS)
+@settings(max_examples=500, deadline=None)
+def test_span_index_answers_as_the_linear_scans(spans, queries):
+    index = SpanIndex(spans)
+    for q in queries:
+        assert index.intersects(q) == any(p.intersects(q) for p in spans)
+        assert index.covers(q) == any(p.contains_span(q) for p in spans)
+        assert (index.covers(q) or index.intersects(q)) == \
+            any(p.contains_span(q) or p.intersects(q) for p in spans)
+        # The containment check the detector made over its sorted
+        # protected spans.
+        contained = True
+        for p in sorted(spans):
+            if p.start >= q.end:
+                break
+            if p.intersects(q) and not q.contains_span(p):
+                contained = False
+                break
+        assert index.straddles(q) == (not contained)
 
 
 def test_random_bytes_mass_roundtrip():
