@@ -138,7 +138,7 @@ class _Degrader:
         self.names = {p.name for p in profiles}
         self.rng = random.Random(seed)
 
-    # -- pass 1: body constructs -------------------------------------------
+    # -- body constructs: drawn first ---------------------------------------
 
     def degrade_sections(self, doc: LogicalDocument) -> list[Edit]:
         if "bold-solitary-sections" not in self.names or not doc.sections:
@@ -183,7 +183,7 @@ class _Degrader:
             edits.append(Edit(span, f"{{\\{style} {raw}}}", "degrade-emphasis"))
         return edits
 
-    # -- pass 2: front matter ------------------------------------------------
+    # -- front matter: drawn after the body ---------------------------------
 
     def fm_style(self) -> str | None:
         explicit = [n for n in ("centerline-style", "center-env") if n in self.names]
@@ -295,11 +295,8 @@ class _Degrader:
             return [lead + text[:cut], text[cut:].strip()]
         return [lead + text]
 
-    def build_abstract(self, doc: LogicalDocument) -> str | None:
-        if doc.abstract_raw is None:
-            return None
+    def build_abstract(self, text: str) -> str:
         rng = self.rng
-        text = doc.abstract_raw
         if "unlabeled-abstract" in self.names:
             return "\\begin{center}\n{\\small " + text + "}\n\\end{center}"
         form = rng.choice(("bf-it", "bf-colon", "noindent", "label-line"))
@@ -311,13 +308,24 @@ class _Degrader:
             return "\\noindent{\\bf ABSTRACT.} " + text
         return "\\centerline{\\bf Abstract}\n\n" + text
 
-    def front_matter_edits(self, doc: LogicalDocument) -> list[Edit]:
-        edits: list[Edit] = []
+    def merge_front_matter(self, doc: LogicalDocument, body: list[Edit]) -> list[Edit]:
+        """The front matter's edits merged with the body's edits ``body``,
+        all against the source.  A command's argument is taken, not
+        entered, so only the abstract environment can hold a body edit:
+        an edit of the abstract renders its text with the body edits inside
+        it applied, and takes them over."""
         style = self.fm_style()
         fm_active = style is not None and (doc.title_raw is not None or doc.authors)
         abstract_active = (fm_active or "unlabeled-abstract" in self.names) \
             and doc.abstract_span is not None
-        rendered_abstract = self.build_abstract(doc) if abstract_active else None
+        rendered_abstract = None
+        if abstract_active:
+            inner = doc.abstract_inner
+            held = [e for e in body if inner.contains_span(e.span)]
+            body = [e for e in body if not inner.contains_span(e.span)]
+            rendered_abstract = self.build_abstract(
+                _spliced(doc.stream.source, inner, held).strip())
+        edits = list(body)
         abstract_handled = False
         if fm_active:
             block = self.build_front_matter(doc, style)
@@ -347,14 +355,29 @@ class _Degrader:
                 edits.append(Edit(anchor, block, "degrade-front-matter"))
         if rendered_abstract is not None and not abstract_handled:
             edits.append(Edit(doc.abstract_span, rendered_abstract, "degrade-abstract"))
+        edits.sort(key=lambda e: (e.span.start, e.span.end))
         return edits
+
+
+def _spliced(text: str, span: Span, edits: list[Edit]) -> str:
+    """The text of ``span`` with the ``edits`` inside it applied."""
+    parts, pos = [], span.start
+    for e in sorted(edits, key=lambda e: e.span.start):
+        parts.append(text[pos:e.span.start])
+        parts.append(e.replacement)
+        pos = e.span.end
+    parts.append(text[pos:span.end])
+    return "".join(parts)
 
 
 def degrade(source: str | bytes, profiles, seed: int = 0):
     """Rewrite a logical document into a visually formatted one.
 
     Returns (visual source, ground truth).  Identical inputs, profile
-    sets and seeds produce identical bytes.
+    sets and seeds produce identical bytes.  The source is parsed and its
+    logical structure extracted once; the section, emphasis and front
+    matter edits are all planned against that one extraction, in source
+    offsets and in that order of random draws, and applied as one plan.
     """
     text = decode_source(source)
     tree = parse(text)
@@ -365,16 +388,10 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
     truth = capture_ground_truth(doc)
     worker = _Degrader(text, plist, seed)
 
-    section_edits = worker.degrade_sections(doc)
-    taken = [e.span for e in section_edits]
-    emphasis_edits = worker.degrade_emphasis(doc, taken)
-    pass1 = sorted(section_edits + emphasis_edits, key=lambda e: (e.span.start, e.span.end))
-    stage = apply(text, RewritePlan(tuple(pass1))) if pass1 else text
-
-    doc2 = extract_logical(parse(stage))
-    pass2 = worker.front_matter_edits(doc2)
-    pass2.sort(key=lambda e: (e.span.start, e.span.end))
-    visual = apply(stage, RewritePlan(tuple(pass2))) if pass2 else stage
+    body = worker.degrade_sections(doc)
+    body += worker.degrade_emphasis(doc, [e.span for e in body])
+    edits = worker.merge_front_matter(doc, body)
+    visual = apply(text, RewritePlan(tuple(edits))) if edits else text
 
     if isinstance(source, bytes):
         return visual.encode("utf-8", errors="surrogateescape"), truth

@@ -9,7 +9,7 @@ a fixed scoring table, so rewriting can be gated conservatively.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -746,16 +746,23 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
                 mask[-1] = (mask[-1][0], nd.end)
             else:
                 mask.append((nd.start, nd.end))
+    # The runs are disjoint and in order, as are the nodes: a separator is
+    # looked up in the run that starts last at or before it, and a
+    # segment's nodes are one slice, each found by bisection.
+    run_starts = [r0 for r0, _ in mask]
     raw = stream.text(whole)
     for m in _AND_SPLIT.finditer(raw):
         a, b = whole.start + m.start(), whole.start + m.end()
-        if any(r0 <= a and b <= r1 for r0, r1 in mask):
+        k = bisect_right(run_starts, a) - 1
+        if k >= 0 and b <= mask[k][1]:
             cuts.append((a, b))
     cuts.sort()
     bounds = [whole.start]
     for s, e in cuts:
         bounds.extend([s, e])
     bounds.append(whole.end)
+    starts = [nd.start for nd in nodes]
+    ends = [nd.end for nd in nodes]
     segments = []
     for k in range(0, len(bounds), 2):
         a, b = bounds[k], bounds[k + 1]
@@ -763,7 +770,7 @@ def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
             continue
         # Separators may fall inside a text token, so the segment range is
         # character-based; marker constructs never straddle a separator.
-        seg_nodes = [nd for nd in nodes if nd.start >= a and nd.end <= b]
+        seg_nodes = nodes[bisect_left(starts, a):bisect_right(ends, b)]
         seg = _scan_segment(seg_nodes, Span(a, b), stream)
         if seg.name_raw or seg.markers:
             segments.append(seg)

@@ -118,7 +118,8 @@ def normalize_for_compare(text: str) -> str:
     text on the same footing."""
     s = fold_accents(strip_styling(latin1_fallback(text)))
     s = unicodedata.normalize("NFKD", s)
-    s = "".join(ch for ch in s if not unicodedata.combining(ch))
+    if not s.isascii():  # ASCII holds no combining marks
+        s = "".join(ch for ch in s if not unicodedata.combining(ch))
     s = s.replace("$", "")
     s = re.sub(r"\s+", " ", s)
     return s.strip().casefold()

@@ -13,10 +13,10 @@ fixtures, and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
 converted under the four policies (metadata or full scope, each with and
 without ``aggressive``).  A line hashes the output bytes, the plan, the
 applied and skipped detections with their cues and skip reasons, the
-warnings and both classes.  Each corpus pair gets one more line with two
-digests: the degrader's ground truth, and the metadata scores of what
-``validate`` extracts from the full-scope ``aggressive`` conversion,
-scored against that truth.
+warnings and both classes.  Each corpus pair gets one more line with three
+digests: the degrader's visual bytes, its ground truth, and the metadata
+scores of what ``validate`` extracts from the full-scope ``aggressive``
+conversion, scored against that truth.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def truth_digests(source: str, truth) -> str:
     out, _ = convert(source, POLICIES["full+aggressive"])
     reference = ExtractedMetadata(truth.title, [n for n, _ in truth.authors], truth.abstract)
     scores = compare_metadata(_extracted_from(out), reference)
-    return f"truth {_hash(truth.to_dict())} metadata {_hash(scores.to_dict())}"
+    visual = hashlib.sha256(encode_source(source)).hexdigest()[:20]
+    return f"visual {visual} truth {_hash(truth.to_dict())} metadata {_hash(scores.to_dict())}"
 
 
 def lines(docs: int, limit: int | None = None):

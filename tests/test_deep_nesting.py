@@ -32,6 +32,13 @@ def _blocks(n: int) -> str:
         for i in range(1, n + 1)))
 
 
+def _center_line(k: int) -> str:
+    """A ``center`` environment holding one line of ``k`` comma-separated
+    items, each a word and an inline math span."""
+    items = ", ".join(f"Word{i} $x_{{{i}}}$ more" for i in range(k))
+    return _document("\\begin{center}\n" + items + "\n\\end{center}")
+
+
 def _environments(name: str, depth: int) -> str:
     return _document(f"\\begin{{{name}}}\n" * depth + "word\n" + f"\\end{{{name}}}\n" * depth)
 
@@ -124,3 +131,9 @@ def test_long_document_scales_linearly():
     # Each line and group is checked against the document's math spans
     # and the claimed headings by one bisection, not by a scan of them.
     _assert_doubles(_blocks(200), _blocks(400))
+
+
+def test_long_author_line_scales_linearly():
+    # A separator is looked up in the line's text runs, and a segment's
+    # nodes found in the line's, by bisection, not by a scan of them.
+    _assert_doubles(_center_line(500), _center_line(1000))

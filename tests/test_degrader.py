@@ -4,12 +4,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logicaltex.converter import convert
+from logicaltex.converter import RewritePlan, apply, convert
 from logicaltex.degrader import (
+    PROFILE_CODES,
     DegradationProfile,
     GroundTruth,
     NotLogicalError,
+    _Degrader,
     as_profiles,
     capture_ground_truth,
     degrade,
@@ -17,7 +21,7 @@ from logicaltex.degrader import (
 )
 from logicaltex.detector import DocumentClass, classify, detect_all, extract_frontmatter
 from logicaltex.lexer import parse
-from logicaltex import model
+from logicaltex import lexer, model
 from logicaltex.cli import _extracted_from
 from logicaltex.model import extract_logical
 from logicaltex.validator import normalize_for_compare
@@ -170,6 +174,135 @@ def test_roundtrip_on_mini_document():
         assert normalize_for_compare(got.title_raw or "") == normalize_for_compare(truth.title)
         assert normalize_for_compare(got.abstract_raw or "") == \
             normalize_for_compare(truth.abstract)
+
+
+# ---------------------------------------------------------------------------
+# One plan against the source reads as the body's edits, then the front
+# matter's on a second parse of their output
+# ---------------------------------------------------------------------------
+
+def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, GroundTruth]:
+    """The reference for ``degrade``: the section and emphasis edits are
+    applied first, and the front matter is planned on a second parse and
+    extraction of that output."""
+    tree = parse(text)
+    if classify(tree).label is not DocumentClass.LOGICAL:
+        raise NotLogicalError("input does not classify as logically formatted")
+    doc = extract_logical(tree)
+    worker = _Degrader(text, as_profiles(profiles), seed)
+    sections = worker.degrade_sections(doc)
+    body = sections + worker.degrade_emphasis(doc, [e.span for e in sections])
+    body.sort(key=lambda e: (e.span.start, e.span.end))
+    stage = apply(text, RewritePlan(tuple(body))) if body else text
+    front = worker.merge_front_matter(extract_logical(parse(stage)), [])
+    visual = apply(stage, RewritePlan(tuple(front))) if front else stage
+    return visual, capture_ground_truth(doc)
+
+
+# Pieces of the documents.  None puts a front-matter command inside a
+# rewritten \section or \emph argument, or one with no argument group
+# right before an \emph: the reference reads such front matter from the
+# rewritten text, and ``degrade`` from the source.
+_SENTENCES = ("We bound the cost of sparse cuts.", "The method runs in $O(n)$ time.",
+              "Results hold for every graph.")
+_INSERTS = ("\\emph{key idea}", "\\emph{x}\\emph{y}", "\\emph{$n$ steps}",
+            "\\section{Inner}", "\\subsection*{Aside}", "\\section{On \\emph{Both}}")
+_TITLES = ("\\title{Sparse Cuts}", "\\title{On \\emph{Sparse} Cuts}", "\\title[Short]{Long Cuts}")
+_AUTHORS = (
+    "\\author{Ann Lee\\thanks{First Institute, Northfield} \\and Bo Chen\\thanks{Second University}}",
+    "\\author{Ann Lee}\n\\affiliation{First Institute, Northfield}\n"
+    "\\author{Bo Chen}\n\\affiliation{Second University}",
+    "\\author{Ann Lee, Bo Chen}",
+    "\\author{Ann Lee\\thanks{A Very Long Institute of Measure, Department of Sizes, Northfield}}",
+)
+_PROFILES = st.sampled_from(PROFILE_SETS) | st.sets(st.sampled_from(sorted(PROFILE_CODES)))
+
+
+@st.composite
+def _logical_documents(draw) -> str:
+    pieces = draw(st.lists(st.sampled_from(_SENTENCES + _INSERTS), min_size=1, max_size=6))
+    abstract = "\\begin{abstract}\n" + " ".join(pieces) + "\n\\end{abstract}"
+    front = [draw(st.sampled_from(_TITLES)), draw(st.sampled_from(_AUTHORS))]
+    if draw(st.booleans()):
+        front.append("\\date{}")
+    title_page = ["\\maketitle"] if draw(st.integers(0, 4)) else []
+    if draw(st.booleans()):
+        title_page.insert(0, abstract)  # the abstract before \maketitle
+    else:
+        title_page.append(abstract)
+    in_preamble = draw(st.booleans())
+    body = []
+    for k in range(draw(st.integers(1, 3))):
+        body.append(f"\\section{{Part {k}}}")
+        body.extend(draw(st.lists(st.sampled_from(_SENTENCES + _INSERTS[:3]), max_size=3)))
+    lines = ["\\documentclass{article}", *(front if in_preamble else []),
+             "\\begin{document}", *([] if in_preamble else front), *title_page,
+             *body, "\\end{document}", ""]
+    return "\n".join(lines)
+
+
+def _outcome(run, text, profiles, seed):
+    try:
+        visual, truth = run(text, profiles, seed)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc).__name__
+    return visual, truth.to_dict()
+
+
+@given(_logical_documents(), _PROFILES, st.integers(0, 7))
+@settings(max_examples=300, deadline=None)
+def test_one_plan_reads_as_two_passes(text, profiles, seed):
+    assert _outcome(degrade, text, profiles, seed) == \
+        _outcome(_degrade_in_two_passes, text, profiles, seed)
+
+
+def test_one_plan_renders_the_abstract_with_its_body_edits():
+    text = MINI.replace("A compact abstract", "A \\emph{compact} abstract\n\\section{Inner}")
+    for profiles, seed in itertools.product(PROFILE_SETS, range(4)):
+        visual, _ = degrade(text, profiles, seed)
+        assert visual == _degrade_in_two_passes(text, profiles, seed)[0]
+        assert ("\\emph" in visual) is ("inline-emphasis" not in profiles)
+        assert ("\\section" in visual) is ("bold-solitary-sections" not in profiles)
+
+
+def test_front_matter_in_a_rewritten_argument_is_left_in_place():
+    # The two-pass degrader read this \title out of its own rewritten
+    # heading; the one plan reads the source, which has no title.
+    text = ("\\documentclass{article}\n\\author{A. B}\n\\begin{document}\n\\maketitle\n"
+            "\\section{\\title{T}}\nText.\n\\section{Two}\nMore.\n\\end{document}\n")
+    visual, truth = degrade(text, ("centerline-style", "bold-solitary-sections"), 0)
+    assert truth.title is None
+    assert "1 \\title{T}}" in visual or "1. \\title{T}}" in visual
+    assert "\\title{T}" not in _degrade_in_two_passes(
+        text, ("centerline-style", "bold-solitary-sections"), 0)[0]
+
+
+def test_degrade_parses_and_extracts_once(monkeypatch):
+    built, extracted = [], []
+    build_tree, original = lexer.build_tree, model.extract_logical
+
+    def recording_build_tree(stream):
+        built.append(stream.source)
+        return build_tree(stream)
+
+    def recording_extract_logical(tree):
+        extracted.append(tree.stream.source)
+        return original(tree)
+
+    monkeypatch.setattr(lexer, "build_tree", recording_build_tree)
+    for name, module in list(sys.modules.items()):
+        if name == "logicaltex" or name.startswith("logicaltex."):
+            if vars(module).get("extract_logical") is original:
+                monkeypatch.setattr(module, "extract_logical", recording_extract_logical)
+    text = MINI.replace("A compact abstract", "A \\emph{compact} abstract")
+    for profiles in PROFILE_SETS:
+        built.clear()
+        extracted.clear()
+        lexer._parse_text.cache_clear()
+        visual, _ = degrade(text, profiles, 3)
+        assert visual != text
+        assert built == [text]
+        assert extracted == [text]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+import re
+import unicodedata
 
 import pytest
 
 from logicaltex.converter import Edit, RewritePlan
-from logicaltex.lexer import Span
-from logicaltex.model import LETTER_WORDS
+from logicaltex.lexer import Span, latin1_fallback
+from logicaltex.model import LETTER_WORDS, fold_accents, strip_styling
 from logicaltex.validator import (
     ExtractedMetadata,
     MetadataScores,
@@ -104,6 +106,26 @@ def test_body_checks_replacement_text_too():
 
 def test_normalize_case_and_whitespace():
     assert normalize_for_compare("Quantum  Groups") == normalize_for_compare("quantum groups")
+
+
+def _normalize_filtering_every_text(text: str) -> str:
+    s = unicodedata.normalize("NFKD", fold_accents(strip_styling(latin1_fallback(text))))
+    s = "".join(ch for ch in s if not unicodedata.combining(ch)).replace("$", "")
+    return re.sub(r"\s+", " ", s).strip().casefold()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("Sparse  Cuts in $O(n)$ Time", "sparse cuts in o(n) time"),
+    (r"{\bf Erd\H{o}s}", "erdos"),
+    ("Erdős", "erdos"),
+    ("Søren", "soren"),
+    ("e\u0301", "e"),
+    ("Ame\u0301lie Lee", "amelie lee"),
+])
+def test_normalize_drops_combining_marks_of_any_text(text, want):
+    # An ASCII text holds no combining marks, so only a text that is not
+    # ASCII is filtered for them, with the same result.
+    assert normalize_for_compare(text) == _normalize_filtering_every_text(text) == want
 
 
 def test_normalize_accents_and_markup():
