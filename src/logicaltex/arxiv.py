@@ -14,7 +14,6 @@ import re
 import tempfile
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +94,8 @@ def _squash(text: str | None) -> str:
 
 def parse_feed(data: bytes, identifier: str) -> ArxivRecord:
     """Pull title, author names and summary out of an Atom query feed."""
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

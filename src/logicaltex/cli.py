@@ -9,8 +9,6 @@ for twice (--output inplace --force).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import difflib
 import functools
 import itertools
 import json
@@ -202,6 +200,8 @@ def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
                  f"{report.class_after.label.value}, "
                  f"{len(report.applied)} applied, {len(report.skipped)} skipped"]
         if cfg.report == "human" and report.applied:
+            import difflib
+
             diff = difflib.unified_diff(
                 decode_source(source).splitlines(keepends=True),
                 decode_source(output).splitlines(keepends=True),
@@ -352,6 +352,8 @@ def cmd_batch(corpus: Path, cfg: RunConfig) -> int:
     if jobs == 1:
         results = [_batch_worker(p, cfg) for p in paths]
     else:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, paths, itertools.repeat(cfg)))
     results.sort(key=lambda r: r["path"])

@@ -8,7 +8,6 @@ trusted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass
@@ -168,6 +167,10 @@ class _Degrader:
                 repl = "\\par" + repl
             if not has_trailing_break and not _break_after(self.text, sec.span.end):
                 repl = repl + "\\par"
+            # A letter right after \par would lengthen its name.
+            after = self.text[sec.span.end:sec.span.end + 1]
+            if after.isascii() and after.isalpha():
+                repl = repl + " "
             edits.append(Edit(sec.span, repl, "degrade-section"))
         return edits
 
@@ -311,26 +314,40 @@ class _Degrader:
     def merge_front_matter(self, doc: LogicalDocument, body: list[Edit]) -> list[Edit]:
         """The front matter's edits merged with the body's edits ``body``,
         all against the source.  A command's argument is taken, not
-        entered, so only the abstract environment can hold a body edit:
-        an edit of the abstract renders its text with the body edits inside
-        it applied, and takes them over."""
+        entered, so only the abstract environment can hold a body edit or
+        a front-matter command: an edit of the abstract renders its text
+        with the body edits and the removals inside it applied, and takes
+        them over."""
         style = self.fm_style()
         fm_active = style is not None and (doc.title_raw is not None or doc.authors)
         abstract_active = (fm_active or "unlabeled-abstract" in self.names) \
             and doc.abstract_span is not None
+        anchor = None
+        removals: list[Edit] = []
+        if fm_active:
+            # The block goes where \maketitle, the title or the first author
+            # block was, outside the abstract: one inside it is removed.
+            candidates = [span for span in (doc.maketitle_span, doc.title_span,
+                                            *doc.author_block_spans) if span is not None]
+            if abstract_active:
+                candidates = [span for span in candidates
+                              if not doc.abstract_inner.contains_span(span)]
+            anchor = candidates[0] if candidates else None
+            removals = [Edit(span, "", "degrade-front-matter")
+                        for span in (doc.title_span, doc.date_span, *doc.author_block_spans,
+                                     doc.maketitle_span)
+                        if span is not None and span != anchor]
+        edits = body + removals
         rendered_abstract = None
         if abstract_active:
             inner = doc.abstract_inner
-            held = [e for e in body if inner.contains_span(e.span)]
-            body = [e for e in body if not inner.contains_span(e.span)]
+            held = [e for e in edits if inner.contains_span(e.span)]
+            edits = [e for e in edits if not inner.contains_span(e.span)]
             rendered_abstract = self.build_abstract(
                 _spliced(doc.stream.source, inner, held).strip())
-        edits = list(body)
         abstract_handled = False
         if fm_active:
             block = self.build_front_matter(doc, style)
-            anchor = doc.maketitle_span or doc.title_span or (
-                doc.author_block_spans[0] if doc.author_block_spans else None)
             if (rendered_abstract is not None and anchor is not None
                     and doc.abstract_span.start < anchor.start):
                 # The source kept its abstract environment above \maketitle;
@@ -339,18 +356,6 @@ class _Degrader:
                 block = block + "\n\n" + rendered_abstract
                 edits.append(Edit(doc.abstract_span, "", "degrade-abstract"))
                 abstract_handled = True
-            removed: list[Span] = []
-            if doc.title_span is not None:
-                removed.append(doc.title_span)
-            if doc.date_span is not None:
-                removed.append(doc.date_span)
-            removed.extend(doc.author_block_spans)
-            if doc.maketitle_span is not None:
-                removed.append(doc.maketitle_span)
-            for span in removed:
-                if anchor is not None and span == anchor:
-                    continue
-                edits.append(Edit(span, "", "degrade-front-matter"))
             if anchor is not None:
                 edits.append(Edit(anchor, block, "degrade-front-matter"))
         if rendered_abstract is not None and not abstract_handled:
@@ -404,6 +409,8 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 

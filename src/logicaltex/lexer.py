@@ -24,18 +24,15 @@ from typing import Iterator, NamedTuple, Union
 # ordinary characters, with spaces and tabs between them belonging to the
 # run; whitespace at a boundary is its own token.  The classes are spelled
 # out because ``\s`` is wider than TeX's blanks (space, tab, CR, LF, FF).
+# The pattern captures nothing, so ``findall`` returns the lexemes, and
+# each alternative is told apart by its first character.
 _TOKEN = re.compile(
-    r"(?P<text>[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*)"
-    r"|(?P<blank>[ \t\r\n\x0c]+)"
-    r"|(?P<word>\\[A-Za-z]+)"
-    r"|(?P<symbol>\\(?s:.)?)"
-    r"|(?P<begin_group>\{)"
-    r"|(?P<end_group>\})"
-    r"|(?P<math_shift>\$)"
-    r"|(?P<alignment>&)"
-    r"|(?P<active_char>[~^_])"
-    r"|(?P<comment>%[^\n]*)"
-    r"|(?P<parameter>\#)"
+    r"[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*"
+    r"|[ \t\r\n\x0c]+"
+    r"|\\[A-Za-z]+"
+    r"|\\(?s:.)?"
+    r"|%[^\n]*"
+    r"|[{}$&~^_#]"
 )
 
 # What may stand between \begin or \end and its {name}: the blanks and
@@ -57,6 +54,13 @@ VERBATIM_ENVIRONMENTS = ("verbatim", "Verbatim", "lstlisting", "minted", "alltt"
 _VERBATIM_BEGIN = re.compile(
     r"\\begin" + _BEFORE_NAME + r"\{\s*(" + "|".join(VERBATIM_ENVIRONMENTS) + r")(\*?)\s*\}"
 )
+
+
+@lru_cache(maxsize=None)
+def _verbatim_end(name: str) -> re.Pattern:
+    """The ``\\end{name}`` that closes the verbatim environment ``name``,
+    one of ``VERBATIM_ENVIRONMENTS`` with or without its star."""
+    return re.compile(r"\\end" + _BEFORE_NAME + r"\{\s*" + re.escape(name) + r"\s*\}")
 
 
 class Span(namedtuple("Span", "start end")):
@@ -182,25 +186,33 @@ def latin1_fallback(text: str) -> str:
     return text.translate(_LATIN1_FALLBACK)
 
 
-# The kind of the token each group of ``_TOKEN`` matches, by group
-# number; a blank run of two line ends is a paragraph break instead.
-_GROUP_KINDS = (None,) + tuple({
-    "text": TokenKind.TEXT, "blank": TokenKind.WHITESPACE, "word": TokenKind.CONTROL_WORD,
-    "symbol": TokenKind.CONTROL_SYMBOL, "begin_group": TokenKind.BEGIN_GROUP,
-    "end_group": TokenKind.END_GROUP, "math_shift": TokenKind.MATH_SHIFT,
-    "alignment": TokenKind.ALIGNMENT, "active_char": TokenKind.ACTIVE_CHAR,
-    "comment": TokenKind.COMMENT, "parameter": TokenKind.PARAMETER,
-}[group] for group in sorted(_TOKEN.groupindex, key=_TOKEN.groupindex.get))
-_TEXT_GROUP, _BLANK_GROUP, _WORD_GROUP, _SYMBOL_GROUP, _PARAMETER_GROUP = (
-    _TOKEN.groupindex[g] for g in ("text", "blank", "word", "symbol", "parameter"))
-# Groups whose every token is structural, and groups whose token's value
-# is its lexeme.
-_STRUCTURAL_GROUPS = frozenset(_TOKEN.groupindex[g]
-                               for g in ("begin_group", "end_group", "math_shift"))
-_LEXEME_GROUPS = frozenset(_TOKEN.groupindex[g] for g in ("active_char", "comment"))
+# The kind of a lexeme by its first character; any other first character
+# starts a text run.  A backslash starts a control word when an ASCII
+# letter follows it, and a control symbol otherwise.
+_FIRST_KINDS = {
+    **dict.fromkeys(" \t\r\n\x0c", TokenKind.WHITESPACE),
+    "\\": TokenKind.CONTROL_WORD,
+    "{": TokenKind.BEGIN_GROUP, "}": TokenKind.END_GROUP, "$": TokenKind.MATH_SHIFT,
+    "&": TokenKind.ALIGNMENT, **dict.fromkeys("~^_", TokenKind.ACTIVE_CHAR),
+    "%": TokenKind.COMMENT, "#": TokenKind.PARAMETER,
+}
+_WORD_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+# The kinds the scanner holds in locals, in the order it unpacks them.
+_SCAN_KINDS = (TokenKind.TEXT, TokenKind.WHITESPACE, TokenKind.PAR_BREAK, TokenKind.CONTROL_WORD,
+               TokenKind.CONTROL_SYMBOL, TokenKind.PARAMETER, TokenKind.ALIGNMENT)
+# Kinds whose every token is structural.
+_STRUCTURAL_KINDS = frozenset({TokenKind.BEGIN_GROUP, TokenKind.END_GROUP,
+                               TokenKind.MATH_SHIFT})
 
 # The control symbols that open or close math.
 _MATH_DELIMITERS = frozenset({"(", "[", ")", "]"})
+
+# The window read after a restart that neither is a lexeme boundary of
+# the window it fell in nor falls in one of its text runs.  A window read
+# to its end is followed by one twice as large, so the lexemes a restart
+# discards never outnumber those read before it by more than a constant
+# factor.
+_RESTART_WINDOW = 64
 
 
 class _Scanner:
@@ -215,64 +227,113 @@ class _Scanner:
         return TokenStream(self.s, self.tokens, self.structural, self.verbatim_spans)
 
     def _scan(self, pos: int, endpos: int):
-        """Tokenize ``s[pos:endpos]``.  A construct that reads past its
-        own match (a parameter digit, ``\\verb``, a verbatim environment)
-        restarts the match loop after it."""
+        """Tokenize ``s[pos:endpos]``, one window of lexemes at a time: the
+        first window is the whole range, and each lexeme is dispatched on
+        its first character.
+
+        A construct that reads past its own lexeme (a parameter digit,
+        ``\\verb``, a verbatim environment) restarts the scan where it
+        ends.  The scan goes on in the same window when a lexeme of the
+        window starts there or the offset falls inside a text run of it,
+        and otherwise reads a new window from there."""
         s = self.s
         tokens = self.tokens
         add = tokens.append
         mark = self.structural.append
-        kinds = _GROUP_KINDS
-        par_break = TokenKind.PAR_BREAK
+        findall = _TOKEN.findall
+        first = _FIRST_KINDS.get
+        letters = _WORD_LETTERS
+        structural = _STRUCTURAL_KINDS
+        # Loading an Enum member through its class costs more than the
+        # rest of a lexeme's handling, so the kinds are locals.
+        TEXT, WHITESPACE, PAR_BREAK, BACKSLASH, CONTROL_SYMBOL, PARAMETER, ALIGNMENT = _SCAN_KINDS
         new = tuple.__new__
+        window = endpos - pos
         while pos < endpos:
-            # The alternatives tile the input, so each match starts where
-            # the one before it ended.
+            cut = min(pos + window, endpos)
+            lexemes = findall(s, pos, cut)
+            if cut < endpos:
+                # The cut may shorten the last lexeme, or split a text run
+                # whose inner blank reaches it into two; neither is kept.
+                del lexemes[-2:]
+                if not lexemes:
+                    window *= 2
+                    continue
+            # The lexemes tile the window, so each starts where the one
+            # before it ended.
             start = pos
-            for m in _TOKEN.finditer(s, pos, endpos):
-                end = m.end()
-                group = m.lastindex
-                if group == _TEXT_GROUP:
-                    add(new(Token, (kinds[group], start, end, m.group())))
-                elif group == _BLANK_GROUP:
-                    if (s.count("\n", start, end) or s.count("\r", start, end)) >= 2:
+            it = iter(lexemes)
+            while True:
+                for lex in it:
+                    end = start + len(lex)
+                    kind = first(lex[0], TEXT)
+                    if kind is TEXT:
+                        add(new(Token, (TEXT, start, end, lex)))
+                    elif kind is WHITESPACE:
+                        if end - start > 1 and (lex.count("\n") or lex.count("\r")) >= 2:
+                            mark(len(tokens))
+                            add(new(Token, (PAR_BREAK, start, end, None)))
+                        else:
+                            add(new(Token, (WHITESPACE, start, end, None)))
+                    elif kind is BACKSLASH:
+                        # A backslash at the very end has the empty name.
+                        name = lex[1:]
+                        if name[:1] not in letters:
+                            if name in _MATH_DELIMITERS:
+                                mark(len(tokens))
+                            add(new(Token, (CONTROL_SYMBOL, start, end, name)))
+                        elif name == "begin":
+                            mark(len(tokens))
+                            add(new(Token, (kind, start, end, name)))
+                            verbatim = _VERBATIM_BEGIN.match(s, start)
+                            if verbatim:
+                                restart = self._verbatim_environment(start, end, verbatim)
+                                break
+                        elif name == "end":
+                            mark(len(tokens))
+                            add(new(Token, (kind, start, end, name)))
+                        else:
+                            add(new(Token, (kind, start, end, name)))
+                            if name == "verb":
+                                restart = self._verb_argument(start, end)
+                                break
+                    elif kind in structural:
                         mark(len(tokens))
-                        add(new(Token, (par_break, start, end, None)))
-                    else:
-                        add(new(Token, (kinds[group], start, end, None)))
-                elif group == _WORD_GROUP:
-                    name = s[start + 1:end]
-                    if name == "begin" or name == "end":
-                        mark(len(tokens))
-                    add(new(Token, (kinds[group], start, end, name)))
-                    if name == "begin":
-                        verbatim = _VERBATIM_BEGIN.match(s, start)
-                        if verbatim:
-                            pos = self._verbatim_environment(start, end, verbatim)
-                            break
-                    elif name == "verb":
-                        pos = self._verb_argument(start, end)
+                        add(new(Token, (kind, start, end, None)))
+                    elif kind is PARAMETER and end < endpos and s[end].isdigit():
+                        restart = end + 1
+                        add(new(Token, (kind, start, restart, s[end])))
                         break
-                elif group in _STRUCTURAL_GROUPS:
-                    mark(len(tokens))
-                    add(new(Token, (kinds[group], start, end, None)))
-                elif group == _SYMBOL_GROUP:
-                    # A backslash at the very end has the empty name.
-                    value = s[start + 1:end]
-                    if value in _MATH_DELIMITERS:
-                        mark(len(tokens))
-                    add(new(Token, (kinds[group], start, end, value)))
-                elif group in _LEXEME_GROUPS:
-                    add(new(Token, (kinds[group], start, end, m.group())))
-                elif group == _PARAMETER_GROUP and end < endpos and s[end].isdigit():
-                    pos = end + 1
-                    add(new(Token, (kinds[group], start, pos, s[end])))
-                    break
+                    elif kind is PARAMETER or kind is ALIGNMENT:
+                        add(new(Token, (kind, start, end, None)))
+                    else:
+                        # A comment or an active character.
+                        add(new(Token, (kind, start, end, lex)))
+                    start = end
                 else:
-                    add(new(Token, (kinds[group], start, end, None)))
+                    # Every lexeme kept was read: the next window starts
+                    # after them and is twice as large.
+                    pos = start
+                    window *= 2
+                    break
+                # A restart: skip the window's lexemes before it.
                 start = end
-            else:
-                return
+                while start < restart and (lex := next(it, None)) is not None:
+                    start += len(lex)
+                if start == restart:
+                    continue
+                if restart < start and first(lex[0], TEXT) is TEXT:
+                    # The rest of a text run is a blank, when one starts
+                    # it, and a text run that ends where the run ended.
+                    rest = findall(s, restart, start)
+                    if len(rest) == 2:
+                        add(new(Token, (WHITESPACE, restart, restart + len(rest[0]), None)))
+                        restart += len(rest[0])
+                    add(new(Token, (TEXT, restart, start, rest[-1])))
+                    continue
+                pos = restart
+                window = _RESTART_WINDOW
+                break
 
     def _verb_argument(self, cmd_start: int, arg_start: int) -> int:
         # \verb<delim>...<delim> (or \verb* form); the delimited body is one
@@ -292,8 +353,9 @@ class _Scanner:
             end = eol
         else:
             end = close + 1
-        self.tokens.append(Token(TokenKind.TEXT, arg_start, end, s[arg_start:end]))
-        self.verbatim_spans.append(Span(cmd_start, end))
+        self.tokens.append(tuple.__new__(Token, (TokenKind.TEXT, arg_start, end,
+                                                 s[arg_start:end])))
+        self.verbatim_spans.append(tuple.__new__(Span, (cmd_start, end)))
         return end
 
     def _verbatim_environment(self, construct_start: int, name_start: int,
@@ -304,13 +366,12 @@ class _Scanner:
         name = begin_match.group(1) + begin_match.group(2)
         body_start = begin_match.end()
         self._scan(name_start, body_start)
-        end_re = re.compile(r"\\end" + _BEFORE_NAME + r"\{\s*" + re.escape(name) + r"\s*\}")
-        m = end_re.search(s, body_start)
+        m = _verbatim_end(name).search(s, body_start)
         body_end = m.start() if m else n
         if body_end > body_start:
-            self.tokens.append(Token(TokenKind.TEXT, body_start, body_end,
-                                     s[body_start:body_end]))
-        self.verbatim_spans.append(Span(construct_start, m.end() if m else n))
+            self.tokens.append(tuple.__new__(Token, (TokenKind.TEXT, body_start, body_end,
+                                                     s[body_start:body_end])))
+        self.verbatim_spans.append(tuple.__new__(Span, (construct_start, m.end() if m else n)))
         return body_end
 
 

@@ -232,6 +232,26 @@ def test_degrade_files_keeps_their_paths_and_skips_a_repeated_name(tmp_path, cap
     assert code == 3 and not (tmp_path / "unwritten").exists()
 
 
+def test_degrade_front_matter_inside_the_abstract(tmp_path, capsys):
+    # Removing the \title from the abstract is spliced into the rendered
+    # abstract, not planned as a second edit inside the abstract's own.
+    good = tmp_path / "good.tex"
+    shutil.copy(LOGICAL_FIXTURES[0], good)
+    x = tmp_path / "x.tex"
+    x.write_text("\\documentclass{article}\n\\author{A. B}\n\\begin{document}\n\\maketitle\n"
+                 "\\begin{abstract}\\title{T} Words.\\end{abstract}\n\\section{One}\nText.\n"
+                 "\\end{document}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "degrade", str(good), str(x), "--profiles", "unlabeled-abstract",
+                     "--out", str(out_dir))
+    assert code == 0
+    manifest = machine_records((out_dir / "manifest.jsonl").read_text())
+    assert [r["source"] for r in manifest] == [str(good), str(x)]
+    assert all(Path(r[f]).exists() for r in manifest for f in ("visual", "logical", "sidecar"))
+    visual = Path(manifest[1]["visual"]).read_text(encoding="utf-8")
+    assert "\\title" not in visual and "{\\small Words.}" in visual
+
+
 def test_validate_degraded_with_sidecar_passes(degraded_file, capsys):
     code, out, _ = run(capsys, "--report", "machine", "validate",
                        str(degraded_file), "--scope", "full", "--aggressive",
@@ -497,3 +517,18 @@ def test_parser_is_built_once(degraded_file, capsys, monkeypatch):
         assert run(capsys, *argv)[0] <= 1
     assert built == []
     assert build_parser() is build_parser()
+
+
+def test_one_command_modules_are_imported_where_used():
+    # hashlib (manifest digests), difflib (convert's diff),
+    # concurrent.futures (batch --jobs > 1) and ElementTree (the arXiv
+    # feed) each serve one command, so importing the CLI loads none.
+    deferred = ("hashlib", "difflib", "concurrent.futures", "xml.etree.ElementTree")
+    fresh = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, logicaltex, logicaltex.cli; "
+         f"print([m for m in {deferred!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(logicaltex.__file__).parents[1])})
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"

@@ -55,6 +55,16 @@ FORMS = {
     "author": lambda d: _document("\\author{" + "{" * d + "A. Name" + "}" * d + "}\n\\maketitle"),
 }
 
+# name -> the unit of a storm of scan restarts: a \verb argument that ends
+# at a lexeme boundary or inside a text run, a parameter digit and a
+# verbatim environment.
+STORMS = {
+    "verb": "\\verb|x| ",
+    "verb-in-text": "\\verb|x|y ",
+    "parameter": "#1 ",
+    "verbatim": "\\begin{verbatim}x\\end{verbatim}\n",
+}
+
 DEPTH = 2400
 CASES = [(form, DEPTH) for form in FORMS] + [("braces", 9600)]
 POLICIES = [ConversionPolicy(scope=scope, aggressive=aggressive)
@@ -137,3 +147,11 @@ def test_long_author_line_scales_linearly():
     # A separator is looked up in the line's text runs, and a segment's
     # nodes found in the line's, by bisection, not by a scan of them.
     _assert_doubles(_center_line(500), _center_line(1000))
+
+
+@pytest.mark.parametrize("storm", STORMS)
+def test_restart_storm_scales_linearly(storm):
+    # A restart reads on in the window of lexemes it fell in, or in a
+    # small new window that grows only while no restart falls in it, so
+    # the text read twice stays in proportion to the text.
+    _assert_doubles(_document(STORMS[storm] * 2000), _document(STORMS[storm] * 4000))

@@ -153,6 +153,20 @@ def test_sections_get_running_numbers():
     assert classify(tree).label is not DocumentClass.LOGICAL
 
 
+@pytest.mark.parametrize("seed, heading", [
+    (0, "\\textbf{\\large 1 One}\\par Words"),
+    (1, "\\noindent{\\bf 1. One}\\par Words"),
+])
+def test_par_after_a_heading_is_delimited_before_a_letter(seed, heading):
+    # Both variants end the heading with \par; a letter right after it
+    # would make the undefined control word \parWords.
+    text = MINI.replace("\\section{One}\n", "\\section{One}Words follow here.\n")
+    visual, _ = degrade(text, ("bold-solitary-sections",), seed)
+    assert heading in visual
+    out, _ = convert(visual, AGGRESSIVE)
+    assert "\\section{One} Words follow here." in out
+
+
 def test_inline_emphasis_degraded_to_old_style():
     visual, truth = degrade(MINI, ("inline-emphasis",), seed=0)
     assert "\\emph{stress}" not in visual
@@ -275,6 +289,20 @@ def test_front_matter_in_a_rewritten_argument_is_left_in_place():
     assert "1 \\title{T}}" in visual or "1. \\title{T}}" in visual
     assert "\\title{T}" not in _degrade_in_two_passes(
         text, ("centerline-style", "bold-solitary-sections"), 0)[0]
+
+
+@pytest.mark.parametrize("command", ["\\title{T}", "\\author{C. D}", "\\date{May}", "\\maketitle"])
+def test_front_matter_inside_the_abstract_is_removed_from_it(command):
+    # The removal is spliced into the rendered abstract; a \maketitle
+    # inside the abstract is no place for the front-matter block.
+    text = ("\\documentclass{article}\n\\author{A. B}\n\\begin{document}\n"
+            + ("" if command == "\\maketitle" else "\\maketitle\n")
+            + "\\begin{abstract}" + command + " Words.\\end{abstract}\n"
+            "\\section{One}\nText.\n\\end{document}\n")
+    for profiles, seed in itertools.product(PROFILE_SETS, range(2)):
+        visual, _ = degrade(text, profiles, seed)
+        assert command not in visual and "Words." in visual
+        assert "A. B" in visual
 
 
 def test_degrade_parses_and_extracts_once(monkeypatch):

@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicaltex import lexer
 from logicaltex.converter import convert
 from logicaltex.degrader import degrade
 from logicaltex.lexer import (
@@ -25,6 +27,7 @@ from logicaltex.lexer import (
 from logicaltex.validator import check_body_preservation, validate_structure
 
 from conftest import AGGRESSIVE, LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES
+from same_behaviour import inputs
 
 
 def kinds(stream):
@@ -346,6 +349,141 @@ FRAGMENTS = [
     "\\verb|x|", "#1", "%c\n", " \r\n\r ", "\r\r", "\n\x0c\n", "\x0b\n", "\x00",
     "\udcf6", "x y",
 ]
+
+
+# The scanner before it read windows of lexemes, kept as the reference:
+# one match object per token, told apart by its named group, and a new
+# ``finditer`` after each restart.
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<text>[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*)"
+    r"|(?P<blank>[ \t\r\n\x0c]+)"
+    r"|(?P<word>\\[A-Za-z]+)"
+    r"|(?P<symbol>\\(?s:.)?)"
+    r"|(?P<begin_group>\{)"
+    r"|(?P<end_group>\})"
+    r"|(?P<math_shift>\$)"
+    r"|(?P<alignment>&)"
+    r"|(?P<active_char>[~^_])"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<parameter>\#)"
+)
+_GROUP_KINDS = (None,) + tuple({
+    "text": K.TEXT, "blank": K.WHITESPACE, "word": K.CONTROL_WORD,
+    "symbol": K.CONTROL_SYMBOL, "begin_group": K.BEGIN_GROUP,
+    "end_group": K.END_GROUP, "math_shift": K.MATH_SHIFT,
+    "alignment": K.ALIGNMENT, "active_char": K.ACTIVE_CHAR,
+    "comment": K.COMMENT, "parameter": K.PARAMETER,
+}[group] for group in sorted(_REFERENCE_TOKEN.groupindex, key=_REFERENCE_TOKEN.groupindex.get))
+_TEXT_GROUP, _BLANK_GROUP, _WORD_GROUP, _SYMBOL_GROUP, _PARAMETER_GROUP = (
+    _REFERENCE_TOKEN.groupindex[g] for g in ("text", "blank", "word", "symbol", "parameter"))
+_STRUCTURAL_GROUPS = frozenset(_REFERENCE_TOKEN.groupindex[g]
+                               for g in ("begin_group", "end_group", "math_shift"))
+_LEXEME_GROUPS = frozenset(_REFERENCE_TOKEN.groupindex[g] for g in ("active_char", "comment"))
+
+
+class _ReferenceScanner(lexer._Scanner):
+    def _scan(self, pos, endpos):
+        s = self.s
+        tokens = self.tokens
+        add = tokens.append
+        mark = self.structural.append
+        kinds = _GROUP_KINDS
+        Token = lexer.Token
+        while pos < endpos:
+            # The alternatives tile the input, so each match starts where
+            # the one before it ended.
+            start = pos
+            for m in _REFERENCE_TOKEN.finditer(s, pos, endpos):
+                end = m.end()
+                group = m.lastindex
+                if group == _TEXT_GROUP:
+                    add(Token(kinds[group], start, end, m.group()))
+                elif group == _BLANK_GROUP:
+                    if (s.count("\n", start, end) or s.count("\r", start, end)) >= 2:
+                        mark(len(tokens))
+                        add(Token(K.PAR_BREAK, start, end, None))
+                    else:
+                        add(Token(kinds[group], start, end, None))
+                elif group == _WORD_GROUP:
+                    name = s[start + 1:end]
+                    if name == "begin" or name == "end":
+                        mark(len(tokens))
+                    add(Token(kinds[group], start, end, name))
+                    if name == "begin":
+                        verbatim = lexer._VERBATIM_BEGIN.match(s, start)
+                        if verbatim:
+                            pos = self._verbatim_environment(start, end, verbatim)
+                            break
+                    elif name == "verb":
+                        pos = self._verb_argument(start, end)
+                        break
+                elif group in _STRUCTURAL_GROUPS:
+                    mark(len(tokens))
+                    add(Token(kinds[group], start, end, None))
+                elif group == _SYMBOL_GROUP:
+                    # A backslash at the very end has the empty name.
+                    value = s[start + 1:end]
+                    if value in ("(", "[", ")", "]"):
+                        mark(len(tokens))
+                    add(Token(kinds[group], start, end, value))
+                elif group in _LEXEME_GROUPS:
+                    add(Token(kinds[group], start, end, m.group()))
+                elif group == _PARAMETER_GROUP and end < endpos and s[end].isdigit():
+                    pos = end + 1
+                    add(Token(kinds[group], start, pos, s[end]))
+                    break
+                else:
+                    add(Token(kinds[group], start, end, None))
+                start = end
+            else:
+                return
+
+
+def _reference_tokenize(source):
+    return _ReferenceScanner(decode_source(source)).run()
+
+
+def _assert_scans_as_the_reference(source):
+    stream, reference = tokenize(source), _reference_tokenize(source)
+    assert stream.tokens == reference.tokens
+    assert stream.structural == reference.structural
+    assert stream.verbatim_spans == reference.verbatim_spans
+
+
+# Fragments that end a restart at a lexeme boundary, inside a text run or
+# inside another lexeme, and that make a window's cut fall anywhere.
+_RESTART_FRAGMENTS = FRAGMENTS + [
+    "\\verb*|a b|", "\\verb|\n", "\\verb\n", "\\verb|x|y", "\\verb+a+ b", "\\verb!%!",
+    "\\verb|{|", "#\u00b2", "#12", "#1 a", "\\begin %c\n{lstlisting}", "\\end{lstlisting}",
+    "\\begin{verbatim*}", "x\\end{verbatim*}", "\r", " \r \r ", "\t", "\\", "\\\u00e9", "ab",
+    "\\foo", "%", "&", "~",
+]
+
+
+@given(st.lists(st.sampled_from(_RESTART_FRAGMENTS) | st.text(max_size=4), max_size=60),
+       st.integers(1, 40), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_tokenize_scans_as_the_reference(pieces, repeats, trailing_backslash):
+    # Repeated, a draw spans many restart windows.
+    _assert_scans_as_the_reference("".join(pieces) * repeats + ("\\" if trailing_backslash else ""))
+
+
+@pytest.mark.parametrize("pad", range(0, 80, 3))
+def test_a_window_cut_anywhere_scans_as_the_reference(pad):
+    # A \verb argument that ends inside a comment is read on in a new
+    # window; the padding moves each window's cut over text runs with inner
+    # blanks, groups, comments and a run longer than two windows.
+    unit = "ab cd\\emph{ef gh}  %c\n$x$\n\n"
+    _assert_scans_as_the_reference("\\verb!%!" + "x" * pad + unit * 12 + "w" * 200 + " z" + unit)
+
+
+def test_tokenize_scans_the_corpus_as_the_reference(corpus100):
+    # The acceptance sweep's pairs (each logical source and its degraded
+    # copies), every fixture and the hostile generators at seeds 1-3.
+    for _, source in corpus100:
+        _assert_scans_as_the_reference(source)
+    for _, source, _ in inputs(len(corpus100)):
+        _assert_scans_as_the_reference(source)
 
 
 def _is_structural(t):
