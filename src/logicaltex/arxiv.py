@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .model import collapse_blanks
+
 DEFAULT_BASE_URL = "https://export.arxiv.org/api/query"
 MIN_REQUEST_INTERVAL = 3.0  # seconds between live requests (API etiquette)
 
@@ -89,7 +91,7 @@ class ArxivRecord:
 
 
 def _squash(text: str | None) -> str:
-    return re.sub(r"\s+", " ", text or "").strip()
+    return collapse_blanks(text or "")
 
 
 def parse_feed(data: bytes, identifier: str) -> ArxivRecord:

@@ -298,7 +298,10 @@ def _render(det: Detection, author_block: str | None) -> str:
         env = det.keyword.lower()
         return f"\\begin{{{env}}}\n{_content(det)}\n\\end{{{env}}}"
     if det.kind is DetectionKind.EMPHASIS:
-        return f"\\emph{{{_content(det)}}}"
+        # A command's argument keeps its braces, so the command still
+        # reads the whole emphasis.
+        emph = f"\\emph{{{_content(det)}}}"
+        return f"{{{emph}}}" if det.data.get("argument") else emph
     return ""  # an affiliation line moves into the author block
 
 

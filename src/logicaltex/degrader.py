@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
-from .detector import DocumentClass, classify
+from .detector import DocumentClass, classify, document_body
 from .lexer import Span, SpanIndex, decode_source, parse
 from .model import LogicalDocument, extract_logical
 
@@ -311,11 +311,13 @@ class _Degrader:
             return "\\noindent{\\bf ABSTRACT.} " + text
         return "\\centerline{\\bf Abstract}\n\n" + text
 
-    def merge_front_matter(self, doc: LogicalDocument, body: list[Edit]) -> list[Edit]:
+    def merge_front_matter(self, doc: LogicalDocument, body: list[Edit],
+                           body_start: int) -> list[Edit]:
         """The front matter's edits merged with the body's edits ``body``,
-        all against the source.  A command's argument is taken, not
-        entered, so only the abstract environment can hold a body edit or
-        a front-matter command: an edit of the abstract renders its text
+        all against the source, whose document body starts at
+        ``body_start``.  A command's argument is taken, not entered, so
+        only the abstract environment can hold a body edit or a
+        front-matter command: an edit of the abstract renders its text
         with the body edits and the removals inside it applied, and takes
         them over."""
         style = self.fm_style()
@@ -333,6 +335,11 @@ class _Degrader:
                 candidates = [span for span in candidates
                               if not doc.abstract_inner.contains_span(span)]
             anchor = candidates[0] if candidates else None
+            if anchor is not None and anchor.start < body_start:
+                # A block in the preamble would be set before
+                # \begin{document}: it goes where the body starts, and the
+                # command it would have replaced is removed.
+                anchor = Span(body_start, body_start)
             removals = [Edit(span, "", "degrade-front-matter")
                         for span in (doc.title_span, doc.date_span, *doc.author_block_spans,
                                      doc.maketitle_span)
@@ -357,6 +364,8 @@ class _Degrader:
                 edits.append(Edit(doc.abstract_span, "", "degrade-abstract"))
                 abstract_handled = True
             if anchor is not None:
+                if not anchor.length:  # set apart from the body's text
+                    block = "\n" + block + "\n"
                 edits.append(Edit(anchor, block, "degrade-front-matter"))
         if rendered_abstract is not None and not abstract_handled:
             edits.append(Edit(doc.abstract_span, rendered_abstract, "degrade-abstract"))
@@ -395,7 +404,7 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
 
     body = worker.degrade_sections(doc)
     body += worker.degrade_emphasis(doc, [e.span for e in body])
-    edits = worker.merge_front_matter(doc, body)
+    edits = worker.merge_front_matter(doc, body, document_body(tree)[1].start)
     visual = apply(text, RewritePlan(tuple(edits))) if edits else text
 
     if isinstance(source, bytes):

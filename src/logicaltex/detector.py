@@ -29,6 +29,7 @@ from .lexer import (
     protected_spans,
 )
 from .model import (
+    ACCENT_SYMBOLS,
     AFFILIATION_WORDS,
     AUTHOR,
     AUTHOR_SEPARATORS,
@@ -152,22 +153,22 @@ class Contents:
 
     words: dict[str, list[int]]
     envs: dict[str, list[Span]]
+    # The sorted starts of each queried pair of name sets, built on first
+    # use; the sets are hashable, as frozensets and tuples are.
+    _starts: dict[tuple, list[int]] = field(default_factory=dict, init=False,
+                                            repr=False, compare=False)
 
     def within(self, span: Span, words=(), envs=()) -> bool:
         """Whether one of the named control words or environments starts
         inside ``span``.  The tree nests, so over a span of whole sibling
         nodes this is a search of those nodes and their descendants."""
-        for name in words:
-            starts = self.words.get(name, [])
-            i = bisect_left(starts, span.start)
-            if i < len(starts) and starts[i] < span.end:
-                return True
-        for name in envs:
-            spans = self.envs.get(name, [])
-            i = bisect_left(spans, span.start, key=lambda s: s.start)
-            if i < len(spans) and spans[i].start < span.end:
-                return True
-        return False
+        starts = self._starts.get((words, envs))
+        if starts is None:
+            starts = sorted([s for name in words for s in self.words.get(name, ())]
+                            + [s.start for name in envs for s in self.envs.get(name, ())])
+            self._starts[words, envs] = starts
+        i = bisect_left(starts, span.start)
+        return i < len(starts) and starts[i] < span.end
 
 
 def index_contents(tree: BlockTree) -> Contents:
@@ -227,6 +228,8 @@ SKIP_ENVIRONMENTS = frozenset({
     "table", "table*", "filecontents", "filecontents*", "thanks",
 })
 BIB_DENYLIST = frozenset({"bibinfo", "bibitem", "newblock", "bibliography"})
+# What no emphasis group may hold: a bibliography word or an environment.
+_EMPHASIS_DENYLIST = BIB_DENYLIST | {"begin", "end"}
 
 INSTITUTION_KEYWORDS = (
     "universit", "universidad", "institut", "department", "dipartimento",
@@ -1191,6 +1194,44 @@ def _theorem_label(line: Line) -> re.Match | None:
     return THEOREM_LABEL_RE.match(label.plain)
 
 
+# Control words that take no argument, so a group after one stands free.
+_NO_ARGUMENT = frozenset(word for word, (_, how) in STYLE_WORDS.items()
+                         if how in ("declaration", "decoration", "layout"))
+
+
+def _is_argument(siblings: list[Node], group: GroupNode) -> bool:
+    """Whether TeX reads ``group``, one of ``siblings``, as a command's
+    argument: read back over blanks, comments, earlier groups and
+    bracketed optional arguments, the first other node is an accent
+    symbol or a control word that may take one (any but
+    ``_NO_ARGUMENT``'s, since a macro's arguments are not known).  A
+    macro reads at most nine arguments, so the search passes at most
+    eight, and a row of groups costs linear time."""
+    k = bisect_left(siblings, group.start, key=lambda nd: nd.start)
+    passed = 0
+    while k and passed < 9:
+        k -= 1
+        nd = siblings[k]
+        cls = nd.__class__
+        if cls is GroupNode:
+            passed += 1
+            continue
+        if cls is not Token:
+            return False
+        kind = nd.kind
+        if kind is TokenKind.WHITESPACE or kind is TokenKind.COMMENT:
+            continue
+        if kind is TokenKind.TEXT:
+            if nd.value.startswith("[") and nd.value.endswith("]"):
+                passed += 1
+                continue
+            return False
+        if kind is TokenKind.CONTROL_WORD:
+            return nd.value not in _NO_ARGUMENT
+        return kind is TokenKind.CONTROL_SYMBOL and nd.value in ACCENT_SYMBOLS
+    return False
+
+
 def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detection]:
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
@@ -1232,9 +1273,10 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
 
     def group_candidates(nodes: list[Node]):
         # Depth first over an explicit stack of open child lists; an
-        # old-style group is a candidate and is not entered.
+        # old-style group is a candidate, with whether it is an argument,
+        # and is not entered.
         start, end = region.span
-        pending = [iter(nodes)]
+        lists, pending = [nodes], [iter(nodes)]
         while pending:
             for nd in pending[-1]:
                 cls = nd.__class__
@@ -1245,7 +1287,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
                     if start <= nd.start < end:
                         style = _old_style_group(nd)
                         if style is not None:
-                            yield nd, style
+                            yield nd, style, _is_argument(lists[-1], nd)
                             continue
                 else:
                     continue
@@ -1253,9 +1295,11 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
                 # ends before the region or starts after it holds none.
                 if nd.end <= start or nd.start >= end:
                     continue
+                lists.append(nd.children)
                 pending.append(iter(nd.children))
                 break
             else:
+                lists.pop()
                 pending.pop()
 
     def _old_style_group(group: GroupNode):
@@ -1271,7 +1315,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
 
     body_nodes, _ = document_body(tree)
     taken = SpanIndex(claimed)
-    for group, style in group_candidates(body_nodes):
+    for group, style, argument in group_candidates(body_nodes):
         span = group.span
         if taken.covers(span) or taken.intersects(span):
             continue
@@ -1280,7 +1324,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         info = analyze_styles([group])
         if not info.core:
             continue
-        if region.contents.within(span, BIB_DENYLIST | {"begin", "end"}):
+        if region.contents.within(span, _EMPHASIS_DENYLIST):
             continue
         content_span = _nodes_span(info.core)
         content_raw = stream.text(content_span)
@@ -1295,7 +1339,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             DetectionKind.EMPHASIS,
             span,
             cues,
-            data={"content_raw": content_raw.strip()},
+            data={"content_raw": content_raw.strip(), "argument": argument},
         ))
     out.sort(key=lambda d: d.span.start)
     return out

@@ -183,7 +183,8 @@ _LATIN1_FALLBACK = {cp: cp - 0xDC00 for cp in range(0xDCA0, 0xDD00)}
 
 
 def latin1_fallback(text: str) -> str:
-    return text.translate(_LATIN1_FALLBACK)
+    # No key of the table is ASCII, so ASCII text maps to itself.
+    return text if text.isascii() else text.translate(_LATIN1_FALLBACK)
 
 
 # The kind of a lexeme by its first character; any other first character

@@ -203,11 +203,27 @@ SECTION_LEVELS = {"section": 1, "subsection": 2, "subsubsection": 3}
 AUTHOR_SEPARATORS = frozenset({"and", "quad", "qquad"})
 
 
+def collapse_blanks(text: str) -> str:
+    """``text`` with each run of whitespace one space, and none at either
+    end.  ``str.split`` and ``re``'s ``\\s`` test the same Unicode
+    whitespace."""
+    return " ".join(text.split())
+
+
+# The characters that make a string lex to more than text and blank runs.
+_SPECIALS = "\\{}$&~^_#%"
+
+
 def strip_styling(raw: str) -> str:
     """Deterministic plain form: styling dropped, whitespace collapsed,
-    accent and letter commands preserved verbatim.  Idempotent."""
-    stream = tokenize(raw)
-    return plain_text(stream.tokens, stream.source)
+    accent and letter commands preserved verbatim.  Idempotent.  Text
+    without a special character lexes to text and blank runs only, whose
+    plain form is the text with its blanks collapsed, so it is not lexed."""
+    for special in _SPECIALS:
+        if special in raw:
+            stream = tokenize(raw)
+            return plain_text(stream.tokens, stream.source)
+    return collapse_blanks(raw)
 
 
 # The kinds ``plain_text`` tests each token against.  Loading an Enum
@@ -303,18 +319,17 @@ def plain_text(toks: list[Token], source: str) -> str:
                         j += 1
                     i = j - 1
             else:
-                # A kept word, letter commands included.  Text right after
-                # it, or an empty group, ends it as a space does.
+                # A kept word, letter commands included.  Text or a group
+                # right after it ends it as a space does; an empty group
+                # is dropped with it.
                 parts.append(source[t.start:t.end])
-                if i + 2 < n and toks[i + 1].kind is _BEGIN_GROUP \
-                        and toks[i + 2].kind is _END_GROUP:
+                if i + 1 < n and (toks[i + 1].kind is _TEXT or toks[i + 1].kind is _BEGIN_GROUP):
                     parts.append(" ")
-                    i += 2
-                elif i + 1 < n and toks[i + 1].kind is _TEXT:
-                    parts.append(" ")
+                    if i + 2 < n and toks[i + 1].kind is _BEGIN_GROUP \
+                            and toks[i + 2].kind is _END_GROUP:
+                        i += 2
         i += 1
-    out = "".join(parts)
-    return re.sub(r"\s+", " ", out).strip()
+    return collapse_blanks("".join(parts))
 
 
 def span_plain(stream: TokenStream, span: Span, cuts=()) -> str:
@@ -351,7 +366,9 @@ def fold_accents(plain: str) -> str:
     ``Erd\\H{o}s``, ``Mart\\'{\\i}n``, ``S\\o ren`` and ``Søren`` read
     ``Erdos``, ``Martin``, ``Soren`` and ``Soren``.  A command is a whole
     control word, so ``\\log``, ``\\LaTeX`` and ``\\infty`` stay."""
-    s = _LETTER.sub(r"\1", plain).translate(_UNICODE_LETTER)
+    s = _LETTER.sub(r"\1", plain)
+    if not s.isascii():  # no key of the table is ASCII
+        s = s.translate(_UNICODE_LETTER)
     s = _ACCENTED.sub(lambda m: m[1] or m[2] or m[3] or "", s)
     return s.replace("{", "").replace("}", "")
 

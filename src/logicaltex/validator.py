@@ -8,7 +8,6 @@ similarity.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from enum import Enum
 
 from .converter import RewritePlan
 from .lexer import decode_source, latin1_fallback, parse
-from .model import fold_accents, strip_styling
+from .model import collapse_blanks, fold_accents, strip_styling
 
 
 class Verdict(Enum):
@@ -120,9 +119,7 @@ def normalize_for_compare(text: str) -> str:
     s = unicodedata.normalize("NFKD", s)
     if not s.isascii():  # ASCII holds no combining marks
         s = "".join(ch for ch in s if not unicodedata.combining(ch))
-    s = s.replace("$", "")
-    s = re.sub(r"\s+", " ", s)
-    return s.strip().casefold()
+    return collapse_blanks(s.replace("$", "")).casefold()
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -97,6 +97,37 @@ def test_emphasis_rewrite():
     assert any("threshold" in r for _, r in rep2.skipped)
 
 
+# An old-style group that a command reads as its argument (the first six),
+# and groups that stand free, with what each converts to under --aggressive.
+_EMPHASIS_GROUPS = [
+    (r"\subsection{\bf Main result}", r"\subsection{\emph{Main result}}"),
+    (r"\footnote{\it See the appendix.}", r"\footnote{\emph{See the appendix.}}"),
+    (r"\mbox{\it word}", r"\mbox{\emph{word}}"),
+    (r"\caption{\it A plot}", r"\caption{\emph{A plot}}"),
+    (r"\href{x}{\it link}", r"\href{x}{\emph{link}}"),
+    (r"\emph{\bf x}", r"\emph{\emph{x}}"),
+    (r"\section[Short]{\bf Long}", r"\section[Short]{\emph{Long}}"),
+    (r'\"{\it o}', r'\"{\emph{o}}'),
+    # A macro reads at most nine arguments.
+    ("\\foo" + "{a}" * 8 + r"{\it b}", "\\foo" + "{a}" * 8 + r"{\emph{b}}"),
+    ("\\foo" + "{a}" * 9 + r"{\it b}", "\\foo" + "{a}" * 9 + r"\emph{b}"),
+    (r"See {\it this} word.", r"See \emph{this} word."),
+    (r"\item[{\bf (a)}]", r"\item[\emph{(a)}]"),
+    (r"\noindent{\it Remark.}", r"\noindent\emph{Remark.}"),
+]
+
+
+@pytest.mark.parametrize("group, converted", _EMPHASIS_GROUPS)
+@pytest.mark.parametrize("label", POLICIES)
+def test_emphasis_in_a_commands_argument_keeps_its_braces(group, converted, label):
+    src = wrap(f"\\section{{Intro}}\nSome text {group} more text.")
+    rewritten = label == "full+aggressive"
+    out, rep = convert(src, POLICIES[label])
+    assert out == src.replace(group, converted if rewritten else group)
+    assert [d.kind for d, _ in rep.applied] == [DetectionKind.EMPHASIS] * rewritten
+    assert convert(out, POLICIES[label])[0] == out
+
+
 def test_author_rewrite_with_thanks_and_and():
     src = wrap(
         "\\centerline{\\bf A Title Line Here}\n\n"

@@ -155,3 +155,10 @@ def test_restart_storm_scales_linearly(storm):
     # small new window that grows only while no restart falls in it, so
     # the text read twice stays in proportion to the text.
     _assert_doubles(_document(STORMS[storm] * 2000), _document(STORMS[storm] * 4000))
+
+
+def test_row_of_emphasis_groups_scales_linearly():
+    # Whether a group is a command's argument is read back over at most
+    # nine earlier groups, the most a macro reads, not over the whole row.
+    row = lambda n: _document("\\section{A}\n\\mbox{x}" + "{\\it a}" * n)
+    _assert_doubles(row(2000), row(4000))

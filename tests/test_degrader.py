@@ -19,7 +19,7 @@ from logicaltex.degrader import (
     degrade,
     emit_pairs,
 )
-from logicaltex.detector import DocumentClass, classify, detect_all, extract_frontmatter
+from logicaltex.detector import DocumentClass, classify, detect_all, document_body, extract_frontmatter
 from logicaltex.lexer import parse
 from logicaltex import lexer, model
 from logicaltex.cli import _extracted_from
@@ -208,7 +208,9 @@ def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, GroundT
     body = sections + worker.degrade_emphasis(doc, [e.span for e in sections])
     body.sort(key=lambda e: (e.span.start, e.span.end))
     stage = apply(text, RewritePlan(tuple(body))) if body else text
-    front = worker.merge_front_matter(extract_logical(parse(stage)), [])
+    staged = parse(stage)
+    front = worker.merge_front_matter(extract_logical(staged), [],
+                                      document_body(staged)[1].start)
     visual = apply(stage, RewritePlan(tuple(front))) if front else stage
     return visual, capture_ground_truth(doc)
 
@@ -303,6 +305,22 @@ def test_front_matter_inside_the_abstract_is_removed_from_it(command):
         visual, _ = degrade(text, profiles, seed)
         assert command not in visual and "Words." in visual
         assert "A. B" in visual
+
+
+def test_front_matter_from_the_preamble_goes_where_the_body_starts():
+    # No \maketitle: the block would replace \title, before \begin{document}.
+    text = ("\\documentclass{article}\n\\title{On Things}\n\\author{A. B}\n"
+            "\\begin{document}\n\\begin{abstract}Words here.\\end{abstract}\n"
+            "\\section{One}\nText.\n\\end{document}\n")
+    visual, _ = degrade(text, ("centerline-style",), 0)
+    assert visual.startswith("\\documentclass{article}\n\n\n\\begin{document}\n"
+                             "\\centerline{")
+    for profiles, seed in itertools.product(PROFILE_SETS, range(2)):
+        visual, truth = degrade(text, profiles, seed)
+        preamble, body = visual.split("\\begin{document}")
+        assert preamble == "\\documentclass{article}\n\n\n"
+        assert "On Things" in body and "A. B" in body
+        assert truth.title == "On Things"
 
 
 def test_degrade_parses_and_extracts_once(monkeypatch):

@@ -31,7 +31,7 @@ from logicaltex.detector import (
     segment_lines,
 )
 from logicaltex.degrader import degrade
-from logicaltex.lexer import EnvNode, Token, TokenKind, parse, protected_spans, walk
+from logicaltex.lexer import EnvNode, Span, Token, TokenKind, parse, protected_spans, walk
 from logicaltex.model import MarkerSymbol, strip_styling
 
 from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
@@ -772,3 +772,25 @@ def _contents_by_walk(tree):
 def test_index_contents_reads_as_walk(pieces):
     tree = parse(wrap("".join(pieces)))
     assert index_contents(tree) == _contents_by_walk(tree)
+
+
+_NAME_SETS = (frozenset({"section", "title", "bibitem"}), frozenset({"begin", "end", "bf"}),
+              frozenset(), frozenset({"nosuchword"}))
+_ENV_SETS = ((), ("abstract",), ("titlepage", "center"))
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS + REGION_FRAGMENTS), max_size=32),
+       st.lists(st.tuples(st.sampled_from(_NAME_SETS), st.sampled_from(_ENV_SETS),
+                          st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_contents_within_reads_as_a_scan_per_name(pieces, queries):
+    # Every query, a repeated one included, answers as a scan of each
+    # name's starts.
+    contents = index_contents(parse(wrap("".join(pieces))))
+    for words, envs, a, b in queries * 2:
+        span = Span(min(a, b), max(a, b))
+        by_scan = any(span.start <= s < span.end for name in words
+                      for s in contents.words.get(name, ())) or \
+            any(span.start <= e.start < span.end for name in envs
+                for e in contents.envs.get(name, ()))
+        assert contents.within(span, words, envs) is by_scan

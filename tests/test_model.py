@@ -1,11 +1,16 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logicaltex import model
 from logicaltex.converter import convert
 from logicaltex.degrader import degrade
-from logicaltex.lexer import Span, Token, parse, walk
+from logicaltex.lexer import _LATIN1_FALLBACK, Span, Token, parse, tokenize, walk
 from logicaltex.model import (
     Affiliation,
     Author,
@@ -16,6 +21,7 @@ from logicaltex.model import (
     extract_markers,
     fold_accents,
     normalize_marker,
+    plain_text,
     resolve_affiliations,
     strip_styling,
 )
@@ -87,6 +93,10 @@ def test_strip_styling_drops_style_keeps_content():
     assert strip_styling(r"S\o{}ren") == strip_styling(r"S\o ren") == r"S\o ren"
     assert strip_styling(r"Bj\o{}rn Stone") == r"Bj\o rn Stone"
     assert strip_styling(r"\TeX{}book") == r"\TeX book"
+    # So does a non-empty group, whose text is kept; a dropped word's
+    # group reads as its text.
+    assert strip_styling(r"\foo{T} Words \mbox{x}y.") == r"\foo T Words xy."
+    assert strip_styling(r"\foo {T}") == strip_styling(r"\foo{T}") == r"\foo T"
 
 
 def test_strip_styling_preserves_accents():
@@ -115,6 +125,50 @@ def test_strip_styling_idempotent_random():
         raw = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
         once = strip_styling(raw)
         assert strip_styling(once) == once, raw
+
+
+def test_re_blank_is_str_isspace():
+    # ``collapse_blanks`` splits where the regex collapse it replaced
+    # matched; the Unicode tables differ between Python versions.
+    blank = re.compile(r"\s")
+    differ = [cp for cp in range(sys.maxunicode + 1)
+              if bool(blank.match(chr(cp))) is not chr(cp).isspace()]
+    assert differ == []
+
+
+_BLANKS = "\t\n\r\x0b\x0c\x1c\x85\xa0\u3000 "
+# Text, every TeX special, blanks that TeX does and does not skip, lone
+# surrogates, and words that make a control word of a backslash.
+_PLAIN_TEXTS = st.lists(st.sampled_from(
+    [*"aZ09.,[]*'`\"=@", *"\\{}$&~^_#%", *_BLANKS, "\udcb6", "\udce9", "\ud800",
+     "bf", "o", "TeX", "H", "par"]), max_size=40).map("".join)
+
+
+@given(_PLAIN_TEXTS)
+@settings(max_examples=500, deadline=None)
+def test_strip_styling_reads_as_plain_text_of_its_tokens(s):
+    assert strip_styling(s) == plain_text(tokenize(s).tokens, s)
+
+
+def test_markup_free_text_is_not_lexed(monkeypatch):
+    calls = []
+
+    def counting_tokenize(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(model, "tokenize", counting_tokenize)
+    plain = "  Ann\u00a0Lee,\tBo [Chen]\r\n\n  and \udcb6 Others\u3000"
+    assert strip_styling(plain) == "Ann Lee, Bo [Chen] and \udcb6 Others"
+    assert calls == []
+    assert strip_styling(r"Ann {\bf Lee}") == "Ann Lee"
+    assert calls == [r"Ann {\bf Lee}"]
+
+
+def test_fold_tables_have_no_ascii_key():
+    # ``latin1_fallback`` and ``fold_accents`` return ASCII text untranslated.
+    for table in (_LATIN1_FALLBACK, model._UNICODE_LETTER):
+        assert not [cp for cp in table if chr(cp).isascii()]
 
 
 def A(name, *markers):
