@@ -61,6 +61,8 @@ def is_valid_id(identifier: str) -> bool:
 
 @dataclass(frozen=True)
 class ArxivRecord:
+    """One paper's metadata as the arXiv API lists it, the reference for scores."""
+
     id: str
     title: str
     authors: tuple[str, ...]

@@ -11,26 +11,24 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .arxiv import ArxivClient, ArxivError, is_valid_id
 from .converter import ConversionPolicy, Scope, convert
-from .degrader import PROFILE_CODES, emit_pairs
 from .detector import classify_detections, detect_all
 from .lexer import decode_source, parse
-from .model import extract_logical
-from .validator import (
-    ExtractedMetadata,
-    MetadataScores,
-    Thresholds,
-    Verdict,
-    compare_metadata,
-    validate,
-)
+from .model import PROFILE_CODES, extract_logical
+
+# The degrader, the validator and the arXiv client (and json, for machine
+# reports and config files) are imported by the commands that use them:
+# loading them takes longer than converting a file, and detect and convert
+# run none of them.
+if TYPE_CHECKING:
+    from .arxiv import ArxivClient
+    from .validator import ExtractedMetadata, MetadataScores, Thresholds
 
 SCHEMA_VERSION = 1
 DEFAULT_SUFFIX = ".logical.tex"
@@ -43,6 +41,8 @@ EXIT_USAGE = 3
 
 @dataclass
 class RunConfig:
+    """Every option of a run: the defaults, then a config file, then flags."""
+
     scope: str = ConversionPolicy.scope.value
     threshold: float = ConversionPolicy.apply_threshold
     affiliation_cmd: str = ConversionPolicy.affiliation_command
@@ -58,9 +58,10 @@ class RunConfig:
     cache_dir: str = ""
     offline: bool = False
     arxiv_id: str = ""
-    title_threshold: float = Thresholds.title
-    author_threshold: float = Thresholds.author_f1
-    abstract_threshold: float = Thresholds.abstract
+    # None reads the default of validator.Thresholds.
+    title_threshold: float | None = None
+    author_threshold: float | None = None
+    abstract_threshold: float | None = None
 
     def policy(self) -> ConversionPolicy:
         return ConversionPolicy(
@@ -71,8 +72,11 @@ class RunConfig:
         )
 
     def thresholds(self) -> Thresholds:
-        return Thresholds(self.title_threshold, self.author_threshold,
-                          self.abstract_threshold)
+        from .validator import Thresholds
+
+        given = {"title": self.title_threshold, "author_f1": self.author_threshold,
+                 "abstract": self.abstract_threshold}
+        return Thresholds(**{k: v for k, v in given.items() if v is not None})
 
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir:
@@ -84,6 +88,8 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -111,9 +117,13 @@ class _Reporter:
     def __init__(self, mode: str, out=None):
         self.mode = mode
         self.out = out or sys.stdout
+        if mode == "machine":
+            import json
+
+            self._dumps = json.dumps
 
     def emit(self, record: dict, human: str):
-        text = (json.dumps({"schema": SCHEMA_VERSION, **record}, ensure_ascii=False)
+        text = (self._dumps({"schema": SCHEMA_VERSION, **record}, ensure_ascii=False)
                 if self.mode == "machine" else human)
         # Undecodable input bytes live on as lone surrogates: escape them, so
         # that a strict UTF-8 stream prints the report (as valid JSON too).
@@ -126,6 +136,8 @@ def _report_stream(command: str, cfg: RunConfig):
 
 
 def _worst(verdicts) -> int:
+    from .validator import Verdict
+
     order = {Verdict.PASS: EXIT_PASS, Verdict.WARN: EXIT_WARN, Verdict.FAIL: EXIT_FAIL}
     code = EXIT_PASS
     for v in verdicts:
@@ -218,6 +230,8 @@ def cmd_convert(paths: list[Path], cfg: RunConfig) -> int:
 
 
 def cmd_degrade(paths: list[Path], cfg: RunConfig) -> int:
+    from .degrader import emit_pairs
+
     reporter = _Reporter(cfg.report)
     worst = EXIT_PASS
     corpus = paths[0] if len(paths) == 1 and paths[0].is_dir() else paths
@@ -244,6 +258,8 @@ def cmd_degrade(paths: list[Path], cfg: RunConfig) -> int:
 
 
 def _infer_arxiv_id(path: Path) -> str | None:
+    from .arxiv import is_valid_id
+
     stem = path.name
     for suffix in (".visual.tex", ".logical.tex", ".tex"):
         if stem.endswith(suffix):
@@ -258,6 +274,8 @@ def _infer_arxiv_id(path: Path) -> str | None:
 
 
 def _extracted_from(output) -> ExtractedMetadata:
+    from .validator import ExtractedMetadata
+
     logical = extract_logical(parse(output))
     return ExtractedMetadata(
         title=logical.title_plain,
@@ -267,14 +285,15 @@ def _extracted_from(output) -> ExtractedMetadata:
 
 
 def _sidecar_reference(path: Path):
-    from .degrader import GroundTruth
-
     name = path.name
     for suffix in (".visual.tex", ".tex"):
         if name.endswith(suffix):
             stem = name[: -len(suffix)]
             sidecar = path.with_name(stem + ".truth.json")
             if sidecar.exists():
+                from .degrader import GroundTruth
+                from .validator import ExtractedMetadata
+
                 truth = GroundTruth.from_json(sidecar.read_text(encoding="utf-8"))
                 return ExtractedMetadata(
                     title=truth.title,
@@ -285,13 +304,18 @@ def _sidecar_reference(path: Path):
 
 
 def _validate_one(path: Path, cfg: RunConfig, client: ArxivClient | None):
+    from .validator import compare_metadata, validate
+
     source = path.read_bytes()
     output, report = convert(source, cfg.policy())
     scores: MetadataScores | None = None
     notes: list[str] = []
     reference = _sidecar_reference(path)
-    arxiv_id = cfg.arxiv_id or _infer_arxiv_id(path)
-    if reference is None and arxiv_id and client is not None:
+    # batch has no client, so it never loads the arXiv client's module.
+    if reference is None and client is not None and (
+            arxiv_id := cfg.arxiv_id or _infer_arxiv_id(path)):
+        from .arxiv import ArxivError
+
         try:
             reference = client.fetch(arxiv_id)
         except ArxivError as exc:
@@ -304,6 +328,8 @@ def _validate_one(path: Path, cfg: RunConfig, client: ArxivClient | None):
 
 
 def cmd_validate(paths: list[Path], cfg: RunConfig) -> int:
+    from .arxiv import ArxivClient
+
     reporter = _Reporter(cfg.report)
     client = ArxivClient(cfg.resolved_cache_dir(), offline=cfg.offline)
     verdicts = []
@@ -336,7 +362,7 @@ def _batch_worker(path: Path, cfg: RunConfig) -> dict:
         }
     except Exception as exc:  # per-file failures never abort the batch
         return {"path": str(path), "error": f"{type(exc).__name__}: {exc}",
-                "verdict": Verdict.FAIL.value, "class": "error"}
+                "verdict": "fail", "class": "error"}
 
 
 def _batch_paths(corpus: Path) -> list[Path]:
@@ -353,6 +379,10 @@ def cmd_batch(corpus: Path, cfg: RunConfig) -> int:
         results = [_batch_worker(p, cfg) for p in paths]
     else:
         import concurrent.futures
+
+        # Imported before the pool starts, so that forked workers inherit
+        # the modules each file needs instead of each compiling them.
+        from . import degrader, validator  # noqa: F401
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, paths, itertools.repeat(cfg)))

@@ -56,6 +56,8 @@ class Scope(Enum):
 
 @dataclass(frozen=True)
 class ConversionPolicy:
+    """What a conversion may rewrite, and how sure a finding must be to apply."""
+
     scope: Scope = Scope.METADATA_ONLY
     affiliation_command: str = "thanks"  # "thanks" or "affiliation"
     apply_threshold: float = AUTO_APPLY_THRESHOLD
@@ -64,6 +66,8 @@ class ConversionPolicy:
 
 @dataclass(frozen=True)
 class Edit:
+    """One replacement of a source span, tagged with what made it."""
+
     span: Span
     replacement: str
     origin: str
@@ -71,6 +75,8 @@ class Edit:
 
 @dataclass(frozen=True)
 class RewritePlan:
+    """Edits in source order that do not overlap; applying them is the whole rewrite."""
+
     edits: tuple[Edit, ...]
 
     def __post_init__(self):
@@ -107,6 +113,8 @@ def apply(source: str | bytes, plan: RewritePlan) -> str | bytes:
 
 @dataclass
 class ConversionReport:
+    """What a conversion applied and skipped, and why, with the classes before and after."""
+
     applied: list[tuple[Detection, Edit]]
     skipped: list[tuple[Detection, str]]
     warnings: list[str]

@@ -16,7 +16,7 @@ from pathlib import Path
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify, document_body
 from .lexer import Span, SpanIndex, decode_source, parse
-from .model import LogicalDocument, extract_logical
+from .model import PROFILE_CODES, LogicalDocument, extract_logical
 
 
 class NotLogicalError(Exception):
@@ -24,20 +24,10 @@ class NotLogicalError(Exception):
     degrade faithfully."""
 
 
-# Each profile's name and the code that tags its pairs' file names.
-PROFILE_CODES = {
-    "centerline-style": "cl",
-    "center-env": "ce",
-    "numbered-markers": "nm",
-    "symbol-markers": "sm",
-    "unlabeled-abstract": "ua",
-    "bold-solitary-sections": "bs",
-    "inline-emphasis": "ie",
-}
-
-
 @dataclass(frozen=True)
 class DegradationProfile:
+    """One visual idiom the degrader writes, by name."""
+
     name: str
 
     def __post_init__(self):
@@ -57,6 +47,8 @@ def as_profiles(profiles) -> list[DegradationProfile]:
 
 @dataclass
 class GroundTruth:
+    """The logical metadata of a degraded document, written next to it as a sidecar."""
+
     title: str | None
     authors: list[tuple[str, list[str]]]
     abstract: str | None

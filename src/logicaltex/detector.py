@@ -87,6 +87,8 @@ AUTO_APPLY_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class Cue:
+    """One piece of evidence for a finding: its kind, where it is, and the word that gave it."""
+
     kind: CueKind
     span: Span
     word: str = ""
@@ -104,6 +106,8 @@ class DetectionKind(Enum):
 
 @dataclass
 class Detection:
+    """One finding: its kind, span, cues and confidence, and the converter's skip reason."""
+
     kind: DetectionKind
     span: Span
     cues: frozenset[Cue]
@@ -140,6 +144,8 @@ class DocumentClass(Enum):
 
 @dataclass(frozen=True)
 class FormattingClass:
+    """A document's class and the visual score and counts that decided it."""
+
     label: DocumentClass
     score: float
     visual_count: int = 0
@@ -294,6 +300,8 @@ def looks_like_person_names(plain: str) -> bool:
 
 @dataclass
 class Line:
+    """One visual line of the body: its nodes, container and styles."""
+
     stream: TokenStream = field(repr=False, compare=False)
     span: Span
     content_nodes: list[Node]
@@ -385,6 +393,8 @@ class Label:
 
 @dataclass
 class _StyleInfo:
+    """The styles peeled off a line's content, and the core they wrap."""
+
     bold: bool = False
     italic: bool = False
     large: bool = False
@@ -635,6 +645,8 @@ def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
 
 @dataclass
 class Segment:
+    """One author's part of an author line: raw name, markers and their spans."""
+
     stream: TokenStream = field(repr=False, compare=False)
     span: Span
     name_raw: str
@@ -1352,6 +1364,8 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
 
 @dataclass
 class DetectionSet:
+    """Every finding of one document, by kind, and the front-matter region they came from."""
+
     region: Region
     title_candidates: list[Detection]
     title: Detection | None

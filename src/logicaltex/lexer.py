@@ -444,6 +444,8 @@ Node = Union[Token, GroupNode, EnvNode, MathNode]
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One structural problem the parser met and recovered from."""
+
     kind: str
     detail: str
     span: Span
@@ -455,6 +457,8 @@ class Diagnostic:
 
 @dataclass
 class BlockTree:
+    """A parse: the node tree, its diagnostics, its token stream and its math spans."""
+
     nodes: list[Node]
     diagnostics: list[Diagnostic]
     stream: TokenStream

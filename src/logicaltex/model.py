@@ -201,6 +201,18 @@ AFFILIATION_WORDS = ("affiliation", "address", "institute")
 FRONT_MATTER_WORDS = (TITLE, AUTHOR, MAKETITLE, "date", THANKS, *AFFILIATION_WORDS)
 SECTION_LEVELS = {"section": 1, "subsection": 2, "subsubsection": 3}
 AUTHOR_SEPARATORS = frozenset({"and", "quad", "qquad"})
+# Each degradation profile's name and the code that tags its pairs' file
+# names.  The degrader's table, kept here so that the command line can
+# name the profiles without loading the degrader.
+PROFILE_CODES = {
+    "centerline-style": "cl",
+    "center-env": "ce",
+    "numbered-markers": "nm",
+    "symbol-markers": "sm",
+    "unlabeled-abstract": "ua",
+    "bold-solitary-sections": "bs",
+    "inline-emphasis": "ie",
+}
 
 
 def collapse_blanks(text: str) -> str:
@@ -375,6 +387,8 @@ def fold_accents(plain: str) -> str:
 
 @dataclass(frozen=True)
 class StyledText:
+    """A source fragment and its plain text."""
+
     raw: str
     plain: str
 
@@ -385,6 +399,8 @@ class StyledText:
 
 @dataclass
 class Author:
+    """One author as found in visual front matter, with the markers after the name."""
+
     name: StyledText
     markers: set[Marker]
     span: Span
@@ -392,6 +408,8 @@ class Author:
 
 @dataclass
 class Affiliation:
+    """One affiliation as found in visual front matter, with its marker if it has one."""
+
     text: StyledText
     marker: Marker | None
     span: Span  # the lines it was read from
@@ -399,6 +417,8 @@ class Affiliation:
 
 @dataclass
 class FrontMatter:
+    """The authors and affiliations of visual front matter and how they connect."""
+
     authors: list[Author] = field(default_factory=list)
     affiliations: list[Affiliation] = field(default_factory=list)
     author_affiliation_edges: set[tuple[int, int]] = field(default_factory=set)
@@ -408,6 +428,8 @@ class FrontMatter:
 
 @dataclass
 class ResolutionResult:
+    """Author-affiliation edges by marker, the markers left unmatched, and notes."""
+
     edges: set[tuple[int, int]]
     unresolved: list[tuple[int, Marker]]
     notes: list[str]
@@ -458,6 +480,8 @@ def resolve_affiliations(authors: list[Author], affiliations: list[Affiliation])
 
 @dataclass
 class LogicalAuthor:
+    """One ``\\author`` entry of a logical document, with its affiliations."""
+
     name_raw: str
     affiliations_raw: list[str]
     # The plain forms are read on first use from the tree's tokens: the
@@ -482,6 +506,8 @@ class LogicalAuthor:
 
 @dataclass
 class LogicalSection:
+    """One sectioning command of a logical document."""
+
     level: int
     heading_raw: str
     span: Span

@@ -26,6 +26,8 @@ class Verdict(Enum):
 
 @dataclass
 class MetadataScores:
+    """Similarities of extracted metadata to a reference, and the fields either side missed."""
+
     title_similarity: float | None = None
     author_set_f1: float | None = None
     abstract_similarity: float | None = None
@@ -42,6 +44,8 @@ class MetadataScores:
 
 @dataclass(frozen=True)
 class Thresholds:
+    """The lowest metadata scores that pass."""
+
     title: float = 0.9
     author_f1: float = 0.9
     abstract: float = 0.85
@@ -49,6 +53,8 @@ class Thresholds:
 
 @dataclass
 class ValidationReport:
+    """A conversion's structural delta, body check, metadata scores and verdict."""
+
     structural_delta: list[tuple[str, str]]
     body_preserved: bool
     first_difference: int | None
@@ -178,6 +184,8 @@ def multiset_f1(a: list[str], b: list[str]) -> float:
 
 @dataclass
 class ExtractedMetadata:
+    """Title, author names and abstract as plain text, read from a document."""
+
     title: str | None
     authors: list[str]
     abstract: str | None

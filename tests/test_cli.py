@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import shutil
@@ -17,6 +18,7 @@ from logicaltex.lexer import decode_source
 
 from conftest import (
     ARXIV_CACHE,
+    FIXTURES,
     FULL_PROFILES,
     LOGICAL_FIXTURES,
     PROFILE_SETS,
@@ -519,16 +521,93 @@ def test_parser_is_built_once(degraded_file, capsys, monkeypatch):
     assert build_parser() is build_parser()
 
 
-def test_one_command_modules_are_imported_where_used():
+def _fresh(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter without
+    site-packages, with this checkout's package on the path."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "COLUMNS": "80",
+                          "PYTHONPATH": str(Path(logicaltex.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_one_command_modules_are_imported_where_used(tmp_path):
     # hashlib (manifest digests), difflib (convert's diff),
     # concurrent.futures (batch --jobs > 1) and ElementTree (the arXiv
     # feed) each serve one command, so importing the CLI loads none.
     deferred = ("hashlib", "difflib", "concurrent.futures", "xml.etree.ElementTree")
-    fresh = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, logicaltex, logicaltex.cli; "
-         f"print([m for m in {deferred!r} if m in sys.modules])"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(logicaltex.__file__).parents[1])})
-    assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.strip() == "[]"
+    assert _fresh("import sys, logicaltex, logicaltex.cli; "
+                  f"print([m for m in {deferred!r} if m in sys.modules])").strip() == "[]"
+    # Nor do detect and convert load the degrader, the validator or the
+    # arXiv client; a human report needs no json either.
+    path = tmp_path / "paper.tex"
+    shutil.copy(VISUAL_FIXTURES[0], path)
+    pipeline = ["logicaltex", "logicaltex.cli", "logicaltex.converter",
+                "logicaltex.detector", "logicaltex.lexer", "logicaltex.model"]
+    run_main = ("import contextlib, io, sys\n"
+                "from logicaltex import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(sys.argv[1:])\n"
+                "print(code, 'json' in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('logicaltex')))")
+    for report, command in itertools.product(("human", "machine"), ("convert", "detect")):
+        loaded = _fresh(run_main, "--report", report, command, str(path))
+        assert loaded.strip() == f"0 {report == 'machine'} {pipeline}", (report, command)
+
+
+def test_batch_workers_inherit_the_validator(tmp_path):
+    # batch --jobs 2 imports what each file needs before its process pool
+    # starts, so forked workers do not each import it again.
+    pairs = tmp_path / "pairs"
+    emit_pairs([LOGICAL_FIXTURES[0]], pairs, ("center-env",), seeds=(0,))
+    loaded = _fresh(
+        "import concurrent.futures, contextlib, io, sys\n"
+        "from logicaltex import cli\n"
+        "at_start = []\n"
+        "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        at_start.extend(m for m in ('logicaltex.degrader', 'logicaltex.validator')\n"
+        "                        if m in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, at_start)",
+        "batch", "--jobs", "2", str(pairs))
+    assert loaded.split(" ", 1)[1].strip() == "['logicaltex.degrader', 'logicaltex.validator']"
+
+
+def test_help_is_unchanged():
+    # Every --help at 80 columns, pinned byte for byte; the degrade
+    # profiles' list is printed without loading the degrader.
+    printed = _fresh(
+        "import contextlib, io, sys\n"
+        "from logicaltex import cli\n"
+        "for command in ([], ['detect'], ['convert'], ['degrade'], ['validate'], ['batch']):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+        "        cli.main([*command, '--help'])\n"
+        "    print(' '.join(['$ logicaltex', *command, '--help']), out.getvalue(), sep='\\n',"
+        " end='')\n"
+        "print([m for m in ('logicaltex.degrader', 'logicaltex.validator') if m in sys.modules])")
+    expected = (FIXTURES / "cli_help.txt").read_text(encoding="utf-8")
+    assert printed == expected + "[]\n"
+
+
+@pytest.mark.parametrize("keys, expected", [
+    ({}, (0.9, 0.9, 0.85)),
+    ({"author_threshold": 0.5}, (0.9, 0.5, 0.85)),
+    ({"title_threshold": 0.99, "author_threshold": 0.8, "abstract_threshold": 0.7},
+     (0.99, 0.8, 0.7)),
+])
+def test_config_file_thresholds(tmp_path, keys, expected):
+    from logicaltex.cli import _merge_config
+    from logicaltex.validator import Thresholds
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(keys), encoding="utf-8")
+    args = build_parser().parse_args(["--config", str(path), "validate", "x.tex"])
+    assert _merge_config(args).thresholds() == Thresholds(*expected)
+    assert _merge_config(build_parser().parse_args(["validate", "x.tex"])).thresholds() \
+        == Thresholds() == Thresholds(0.9, 0.9, 0.85)

@@ -15,10 +15,18 @@ from logicaltex.converter import (
     convert,
 )
 from logicaltex.detector import DetectionKind
-from logicaltex.lexer import Span, parse
+from logicaltex.lexer import Span, TokenKind, parse, tokenize
+from logicaltex.model import ACCENT_SYMBOLS
 from logicaltex.validator import check_body_preservation, validate_structure
 
-from conftest import AGGRESSIVE, FULL_PROFILES, LOGICAL_FIXTURES, METADATA_ONLY, VISUAL_FIXTURES
+from conftest import (
+    AGGRESSIVE,
+    FIXTURES,
+    FULL_PROFILES,
+    LOGICAL_FIXTURES,
+    METADATA_ONLY,
+    VISUAL_FIXTURES,
+)
 from same_behaviour import HOSTILE_SEEDS, POLICIES, hostile
 
 
@@ -126,6 +134,61 @@ def test_emphasis_in_a_commands_argument_keeps_its_braces(group, converted, labe
     assert out == src.replace(group, converted if rewritten else group)
     assert [d.kind for d, _ in rep.applied] == [DetectionKind.EMPHASIS] * rewritten
     assert convert(out, POLICIES[label])[0] == out
+
+
+@pytest.mark.parametrize("label", POLICIES)
+def test_commands_in_a_visual_document_keep_their_arguments(label):
+    # The six commands above, with old-style groups as their arguments, in
+    # the running text, a heading and a figure of one visual document.
+    src = (FIXTURES / "visual" / "old_style_arguments.tex").read_text(encoding="utf-8")
+    out, rep = convert(src, POLICIES[label])
+    tokens = tokenize(out).tokens
+    commands = ("subsection", "footnote", "mbox", "caption", "href", "emph")
+    read = [after.kind for t, after in zip(tokens, tokens[1:])
+            if t.kind is TokenKind.CONTROL_WORD and t.value in commands]
+    assert len(read) >= 6 and all(kind is TokenKind.BEGIN_GROUP for kind in read)
+    rewritten = label == "full+aggressive"
+    assert (r"\mbox{\emph{unbroken}}" in out) is rewritten
+    assert (r"\subsection{\emph{Main result}}" in out) is rewritten
+    assert [d.kind for d, _ in rep.applied].count(DetectionKind.EMPHASIS) == 6 * rewritten
+    assert convert(out, POLICIES[label])[0] == out
+
+
+# Words that take no argument, so an edit may follow one.
+_NO_ARGUMENT = {"par", "noindent", "bigskip"}
+
+
+def test_section_and_theorem_edits_never_follow_a_command_that_reads_an_argument():
+    # A bold heading or theorem label right after a command: a section or
+    # theorem edit there would hand the command the edit's first token
+    # (\section or \begin) as its argument.  Each such edit starts a
+    # paragraph or covers the words before the label instead.
+    applied = {DetectionKind.SECTION_HEADER: 0, DetectionKind.THEOREM_LIKE: 0}
+    commands = ["\\foo", "\\foo[x]", "\\foo{a}", "\\mbox", "\\footnote", "\\caption",
+                "\\item", "\\emph", "\\textbf", "\\centerline", "\\vspace{1em}", '\\"',
+                "\\\\", "\\par", "\\noindent", "\\bigskip"]
+    labels = ["{\\bf 2 Results}", "{\\bf 2. Results}", "\\textbf{3 Methods}",
+              "{\\large\\bf 4 Discussion}", "\\centerline{\\bf 5 Outlook}",
+              "{\\bf Theorem 1.} Every case holds.", "\\textbf{Lemma 2.} It holds.",
+              "{\\bf Proposition 3} It holds too."]
+    for command, blank, text in itertools.product(commands, ("", " ", "\n", "%\n"), labels):
+        src = wrap("\\centerline{\\bf A Title For Tests}\n\n\\centerline{Ann Lee}\n\n"
+                   f"\\section{{Intro}}\nSome text.\n\n{command}{blank}{text}\n\nMore text.")
+        tokens = tokenize(src).tokens
+        for label, policy in POLICIES.items():
+            _, rep = convert(src, policy)
+            for det, edit in rep.applied:
+                if det.kind not in applied:
+                    continue
+                applied[det.kind] += 1
+                before = [t for t in tokens if t.end <= edit.span.start
+                          and t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)][-1]
+                assert before.kind is not TokenKind.CONTROL_WORD \
+                    or before.value in _NO_ARGUMENT, (command, blank, text, label)
+                assert before.kind is not TokenKind.CONTROL_SYMBOL \
+                    or before.value not in ACCENT_SYMBOLS, (command, blank, text, label)
+    # Both families did apply, under full scope, after some of the commands.
+    assert all(count >= 30 for count in applied.values()), applied
 
 
 def test_author_rewrite_with_thanks_and_and():

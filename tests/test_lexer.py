@@ -227,7 +227,7 @@ def test_walk_is_the_recursive_preorder(corpus100):
     sources = [path.read_bytes() for path in LOGICAL_FIXTURES + VISUAL_FIXTURES]
     sources += [degrade(text, PROFILE_SETS[i % len(PROFILE_SETS)], i)[0]
                 for i, (_, text) in enumerate(corpus100[:20])]
-    assert len(sources) == 48
+    assert len(sources) == 49
     for source in sources:
         tree = parse(source)
         walked = list(walk(tree.nodes))
