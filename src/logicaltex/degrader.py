@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify, document_body
-from .lexer import Span, SpanIndex, decode_source, parse
-from .model import PROFILE_CODES, LogicalDocument, extract_logical
+from .lexer import Span, SpanIndex, decode_source, encode_source, parse
+from .model import PROFILE_CODES, LogicalDocument, extract_logical, spliced
 
 
 class NotLogicalError(Exception):
@@ -343,7 +343,7 @@ class _Degrader:
             held = [e for e in edits if inner.contains_span(e.span)]
             edits = [e for e in edits if not inner.contains_span(e.span)]
             rendered_abstract = self.build_abstract(
-                _spliced(doc.stream.source, inner, held).strip())
+                spliced(doc.stream.source, inner, [(e.span, e.replacement) for e in held]).strip())
         abstract_handled = False
         if fm_active:
             block = self.build_front_matter(doc, style)
@@ -363,17 +363,6 @@ class _Degrader:
             edits.append(Edit(doc.abstract_span, rendered_abstract, "degrade-abstract"))
         edits.sort(key=lambda e: (e.span.start, e.span.end))
         return edits
-
-
-def _spliced(text: str, span: Span, edits: list[Edit]) -> str:
-    """The text of ``span`` with the ``edits`` inside it applied."""
-    parts, pos = [], span.start
-    for e in sorted(edits, key=lambda e: e.span.start):
-        parts.append(text[pos:e.span.start])
-        parts.append(e.replacement)
-        pos = e.span.end
-    parts.append(text[pos:span.end])
-    return "".join(parts)
 
 
 def degrade(source: str | bytes, profiles, seed: int = 0):
@@ -400,7 +389,7 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
     visual = apply(text, RewritePlan(tuple(edits))) if edits else text
 
     if isinstance(source, bytes):
-        return visual.encode("utf-8", errors="surrogateescape"), truth
+        return encode_source(visual), truth
     return visual, truth
 
 

@@ -31,6 +31,7 @@ from .lexer import (
 from .model import (
     ACCENT_SYMBOLS,
     AFFILIATION_WORDS,
+    ARGUMENTS,
     AUTHOR,
     AUTHOR_SEPARATORS,
     BREAK_SKIP,
@@ -49,9 +50,11 @@ from .model import (
     StyledText,
     extract_markers,
     fold_accents,
+    after_command,
+    read_arguments,
     resolve_affiliations,
     span_plain,
-    splice_out,
+    spliced,
 )
 
 
@@ -181,8 +184,8 @@ def index_contents(tree: BlockTree) -> Contents:
     words: dict[str, list[int]] = {}
     envs: dict[str, list[Span]] = {}
     control_word = TokenKind.CONTROL_WORD
-    # ``lexer.walk``'s traversal, inline: depth first over an explicit
-    # stack of open child lists, so every node is met in document order.
+    # Depth first over an explicit stack of open child lists, so every
+    # node is met in document order.
     pending = [iter(tree.nodes)]
     while pending:
         for nd in pending[-1]:
@@ -417,15 +420,17 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
                 break
             # A look is the name of the flag it sets.
             look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
-            if how == "argument":
-                rest = _trim(nodes[1:])
-                if len(rest) != 1 or rest[0].__class__ is not GroupNode:
-                    break
-                nodes = rest[0].children
-            elif how != "unpeeled":
-                nodes = nodes[1:]
-            else:
+            if how == "unpeeled":
                 break
+            rest, group = after_command(nodes)
+            rest = _trim(rest)
+            if how == "style" and ARGUMENTS[head.value]:
+                # A style's argument is what it styles: it is peeled only
+                # when it is all of the content.
+                if group is None or rest:
+                    break
+                rest = group.children
+            nodes = rest
             if look:
                 setattr(info, look, True)
         elif cls is GroupNode and len(nodes) == 1:
@@ -494,18 +499,15 @@ class _Segmenter:
                 cls = nd.__class__
                 if cls is Token:
                     if nd.kind is control_word and nd.value == CENTERLINE:
-                        j = i + 1
-                        while j < n and _is_neutral(block[j]):
-                            j += 1
-                        if j < n and block[j].__class__ is GroupNode:
+                        j, _, _, group = read_arguments(block, i + 1)
+                        if group is not None:
                             flush(block, run, i, in_titlepage)
-                            group = block[j]
                             self._add_line(
                                 group.children, centered=True, in_titlepage=in_titlepage,
                                 container="centerline",
                                 span=Span(nd.start, group.end),
                             )
-                            i = run = j + 1
+                            i = run = j
                             continue
                 elif cls is EnvNode:
                     if nd.name in ("center", "centering"):
@@ -676,24 +678,11 @@ def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[l
             found = extract_markers("\\" + name)
             if found:
                 return found, nd.span
-        if name == "footnotemark":
-            j = i + 1
-            if j < len(nodes) and isinstance(nodes[j], Token) \
-                    and nodes[j].kind is TokenKind.TEXT:
-                m = re.match(r"\[\s*([0-9]+|\*+)\s*\]", nodes[j].value or "")
-                if m:
-                    rendering = "\\footnotemark" + m.group(0)
-                    found = extract_markers(rendering)
-                    if found:
-                        return found, Span(nd.start, nodes[j].start + m.end())
-        if name == "textsuperscript":
-            j = i + 1
-            while j < len(nodes) and _is_neutral(nodes[j]):
-                j += 1
-            if j < len(nodes) and isinstance(nodes[j], GroupNode):
-                found = extract_markers(stream.text(Span(nd.start, nodes[j].end)))
-                if found:
-                    return found, Span(nd.start, nodes[j].end)
+        if name == "footnotemark" or name == "textsuperscript":
+            end = read_arguments(nodes, i + 1)[1]
+            found = extract_markers(stream.text(Span(nd.start, end))) if end > nd.end else []
+            if found:
+                return found, Span(nd.start, end)
     return None
 
 
@@ -722,7 +711,7 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
             continue
         first_real = False
         i += 1
-    name_raw = splice_out(stream.source, span.start, span.end, spans).strip()
+    name_raw = spliced(stream.source, span, [(s, "") for s in spans]).strip()
     name_raw = re.sub(r"\s+,", ",", name_raw).strip()
     if strip_commas:
         name_raw = name_raw.strip(",").strip()
@@ -1000,31 +989,21 @@ def detect_authors_affiliations(
 
 
 def _leading_label(line: Line, stream: TokenStream) -> Label | None:
-    """The styled keyword construct opening the line, or None."""
+    """The styled keyword construct opening the line, after its
+    decorations and layout words and what they read, or None."""
     nodes = _trim(line.content_nodes)
-    while nodes and isinstance(nodes[0], Token) \
-            and nodes[0].kind is TokenKind.CONTROL_WORD \
+    while nodes and nodes[0].__class__ is Token and nodes[0].kind is TokenKind.CONTROL_WORD \
             and STYLE_WORDS.get(nodes[0].value, _NO_STYLE)[1] in ("decoration", "layout"):
-        nodes = _trim(nodes[1:])
-    if not nodes:
+        nodes = _trim(after_command(nodes)[0])
+    head = nodes[0] if nodes else None
+    if head.__class__ is GroupNode:
+        label_nodes, content = [head], _trim(nodes[1:])
+    elif head.__class__ is Token and head.kind is TokenKind.CONTROL_WORD \
+            and STYLE_WORDS.get(head.value, _NO_STYLE)[1] == "style" \
+            and (read := after_command(nodes))[1] is not None:
+        label_nodes, content = [head, read[1]], _trim(read[0])
+    else:
         return None
-    head = nodes[0]
-    label_nodes: list[Node] | None = None
-    rest_index = 1
-    if isinstance(head, GroupNode):
-        label_nodes = [head]
-    elif isinstance(head, Token) and head.kind is TokenKind.CONTROL_WORD \
-            and STYLE_WORDS.get(head.value, _NO_STYLE)[1] == "argument":
-        rest = _trim(nodes[1:])
-        if rest and isinstance(rest[0], GroupNode):
-            label_nodes = [head, rest[0]]
-            for pos, cand in enumerate(nodes):
-                if cand is rest[0]:
-                    rest_index = pos + 1
-                    break
-    if label_nodes is None:
-        return None
-    content = _trim(nodes[rest_index:])
     if content:
         info = analyze_styles(label_nodes)
         bold, italic, core = info.bold, info.italic, info.core
@@ -1206,21 +1185,19 @@ def _theorem_label(line: Line) -> re.Match | None:
     return THEOREM_LABEL_RE.match(label.plain)
 
 
-# Control words that take no argument, so a group after one stands free.
-_NO_ARGUMENT = frozenset(word for word, (_, how) in STYLE_WORDS.items()
-                         if how in ("declaration", "decoration", "layout"))
-
-
 def _is_argument(siblings: list[Node], group: GroupNode) -> bool:
     """Whether TeX reads ``group``, one of ``siblings``, as a command's
-    argument: read back over blanks, comments, earlier groups and
-    bracketed optional arguments, the first other node is an accent
-    symbol or a control word that may take one (any but
-    ``_NO_ARGUMENT``'s, since a macro's arguments are not known).  A
-    macro reads at most nine arguments, so the search passes at most
-    eight, and a row of groups costs linear time."""
+    argument.  Read back over blanks, comments, groups and text to the
+    nearest other node: a known control word reads its ``ARGUMENTS``
+    entry, which may or may not reach the group.  Any other control word
+    or an accent symbol is taken to read every group up to it, passing
+    bracketed optional arguments but no other text, since a macro's
+    arguments are not known.  A macro reads at most nine arguments, so
+    the search passes at most eight groups and texts, and a row of groups
+    costs linear time."""
     k = bisect_left(siblings, group.start, key=lambda nd: nd.start)
     passed = 0
+    brackets_only = True
     while k and passed < 9:
         k -= 1
         nd = siblings[k]
@@ -1234,13 +1211,13 @@ def _is_argument(siblings: list[Node], group: GroupNode) -> bool:
         if kind is TokenKind.WHITESPACE or kind is TokenKind.COMMENT:
             continue
         if kind is TokenKind.TEXT:
-            if nd.value.startswith("[") and nd.value.endswith("]"):
-                passed += 1
-                continue
-            return False
-        if kind is TokenKind.CONTROL_WORD:
-            return nd.value not in _NO_ARGUMENT
-        return kind is TokenKind.CONTROL_SYMBOL and nd.value in ACCENT_SYMBOLS
+            passed += 1
+            brackets_only = brackets_only and nd.value.startswith("[") and nd.value.endswith("]")
+            continue
+        if kind is TokenKind.CONTROL_WORD and nd.value in ARGUMENTS:
+            return read_arguments(siblings, k + 1)[1] >= group.end
+        return brackets_only and (kind is TokenKind.CONTROL_WORD
+                                  or kind is TokenKind.CONTROL_SYMBOL and nd.value in ACCENT_SYMBOLS)
     return False
 
 
@@ -1321,7 +1298,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         head = kids[0]
         if head.__class__ is Token and head.kind is TokenKind.CONTROL_WORD:
             look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
-            if how == "declaration" and look in ("bold", "italic"):
+            if how == "style" and look in ("bold", "italic") and not ARGUMENTS[head.value]:
                 return look
         return None
 

@@ -708,22 +708,6 @@ def _parse_text(text: str) -> BlockTree:
     return build_tree(tokenize(text))
 
 
-def walk(nodes: list[Node]) -> Iterator[Node]:
-    """Yield every node in document order, depth first.
-
-    The open child lists are an explicit stack, so any depth is walked
-    and each node costs the same wherever it sits."""
-    pending = [iter(nodes)]
-    while pending:
-        for node in pending[-1]:
-            yield node
-            if isinstance(node, (GroupNode, EnvNode)):
-                pending.append(iter(node.children))
-                break
-        else:
-            pending.pop()
-
-
 def math_spans(tree: BlockTree) -> list[Span]:
     """All math region spans, sorted and non-overlapping: the tree
     builder records each as it places the region."""

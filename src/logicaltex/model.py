@@ -159,18 +159,17 @@ def extract_markers(rendering: str) -> list[Marker]:
 
 # The one table of styling control words: word -> (look, how).  A look is
 # the flag the detector's style peeling sets.  The detector peels every
-# word but the unpeeled ones from the head of a line; ``plain_text`` drops
-# every word but the layout ones, which it keeps verbatim.
+# word but the unpeeled ones, with what it reads, from the head of a line;
+# a style wraps what it reads.  ``plain_text`` drops every word but the
+# layout ones, which it keeps verbatim, and a decoration's arguments.
 STYLE_WORDS: dict[str, tuple[str | None, str]] = {word: style for style, words in {
-    ("bold", "declaration"): "bf bfseries",
-    ("italic", "declaration"): "it itshape em sl slshape",
-    ("large", "declaration"): "large Large LARGE huge Huge",
-    (None, "declaration"): "tiny scriptsize footnotesize small",
-    ("centered", "declaration"): "centering",
-    ("bold", "argument"): "textbf",
-    ("italic", "argument"): "textit textsl",
-    (None, "argument"): "textsc",
-    (None, "decoration"): "noindent indent smallskip medskip bigskip strut ignorespaces",
+    ("bold", "style"): "bf bfseries textbf",
+    ("italic", "style"): "it itshape em sl slshape textit textsl",
+    ("large", "style"): "large Large LARGE huge Huge",
+    (None, "style"): "tiny scriptsize footnotesize small textsc",
+    ("centered", "style"): "centering",
+    (None, "decoration"): "noindent indent smallskip medskip bigskip strut ignorespaces "
+                          "vspace hspace vskip hskip",
     (None, "layout"): "vfill relax sloppy frenchspacing leavevmode",
     (None, "unpeeled"): "sc scshape rm rmfamily sf sffamily tt ttfamily upshape mdseries "
                         "normalfont normalsize raggedright raggedleft par centerline mbox "
@@ -178,6 +177,7 @@ STYLE_WORDS: dict[str, tuple[str | None, str]] = {word: style for style, words i
                         "MakeUppercase boldmath unboldmath",
 }.items() for word in words.split()}
 _DROPPED = frozenset(w for w, (_, how) in STYLE_WORDS.items() if how != "layout")
+_DECORATIONS = frozenset(w for w, (_, how) in STYLE_WORDS.items() if how == "decoration")
 PAR, CENTERLINE = "par", "centerline"
 # The optional skip after a line break, as in ``\\[2mm]``.
 BREAK_SKIP = re.compile(r"\[[^\]]*\]")
@@ -201,6 +201,21 @@ AFFILIATION_WORDS = ("affiliation", "address", "institute")
 FRONT_MATTER_WORDS = (TITLE, AUTHOR, MAKETITLE, "date", THANKS, *AFFILIATION_WORDS)
 SECTION_LEVELS = {"section": 1, "subsection": 2, "subsubsection": 3}
 AUTHOR_SEPARATORS = frozenset({"and", "quad", "qquad"})
+# What TeX reads after each known control word, in the argument-spec
+# letters of LaTeX3's xparse: ``s`` a star, ``o`` an optional ``[...]``
+# and ``m`` a braced argument; and this table's own ``g``, TeX glue
+# (``2mm``, ``6pt plus 1pt minus 1pt``, ``0.5\baselineskip``).  The
+# peeled style words read nothing unless named here.  A word missing
+# from the table is a macro whose arguments are not known.
+ARGUMENTS: dict[str, str] = {
+    **{word: "" for word, (_, how) in STYLE_WORDS.items() if how != "unpeeled"},
+    **dict.fromkeys(SECTION_LEVELS, "som"),
+    **dict.fromkeys((TITLE, "date", AUTHOR, *AFFILIATION_WORDS, "emph"), "om"),
+    **dict.fromkeys(("textbf", "textit", "textsl", "textsc", CENTERLINE,
+                     "textsuperscript"), "m"),
+    "vspace": "sm", "hspace": "sm", "vskip": "g", "hskip": "g",
+    "footnotemark": "o", MAKETITLE: "",
+}
 # Each degradation profile's name and the code that tags its pairs' file
 # names.  The degrader's table, kept here so that the command line can
 # name the profiles without loading the degrader.
@@ -247,6 +262,96 @@ def strip_styling(raw: str) -> str:
     TokenKind.ALIGNMENT, TokenKind.ACTIVE_CHAR, TokenKind.PARAMETER,
     TokenKind.CONTROL_SYMBOL, TokenKind.CONTROL_WORD)
 _START = attrgetter("start")  # a token's offset, as a search key
+
+# TeX glue: a dimension, then an optional stretch and shrink.  A
+# dimension is a factor and a unit, or a register (``\baselineskip``)
+# with or without a factor.  Keywords and units are case-insensitive.
+_FACTOR = r"(?:[-+][ \t]*)*(?:[0-9]+(?:[.,][0-9]*)?|[.,][0-9]+)"
+_DIMEN = (rf"(?:{_FACTOR}[ \t]*(?:(?:true[ \t]*)?(?:pt|pc|in|bp|cm|mm|dd|cc|sp|ex|em|mu)"
+          rf"|fil+)|(?:{_FACTOR}[ \t]*)?\\[A-Za-z]+)")
+_GLUE = re.compile(rf"[ \t]*{_DIMEN}(?:[ \t]*plus[ \t]*{_DIMEN})?(?:[ \t]*minus[ \t]*{_DIMEN})?",
+                   re.IGNORECASE)
+
+
+def read_arguments(nodes: list[Node], i: int) -> tuple[int, int, bool, GroupNode | None]:
+    """Read what the known command ``nodes[i - 1]`` reads by its
+    ``ARGUMENTS`` entry from the nodes after it, tree nodes or tokens.
+    Blanks and comments may stand before any argument but a star.
+    Reading stops at the first braced argument or glue missing.  Returns
+    the index of the first node not wholly read, the offset where reading
+    stopped (inside that node when a star, a bracket or glue ends inside
+    a text run), whether a star was read, and the braced argument if it
+    is a tree node."""
+    n, end = len(nodes), nodes[i - 1].end
+    star, group = False, None
+    for letter in ARGUMENTS[nodes[i - 1].value]:
+        j = i
+        if letter != "s" and (j == n or nodes[j].start == end):
+            # At a node's edge: blanks and comments before the argument.
+            while j < n and nodes[j].__class__ is Token and (
+                    nodes[j].kind is _WHITESPACE or nodes[j].kind is _COMMENT):
+                j += 1
+        nd = nodes[j] if j < n else None
+        stop = None
+        if nd.__class__ is GroupNode:
+            if letter == "m":
+                group, stop = nd, nd.end
+        elif nd.__class__ is Token:
+            at = max(end - nd.start, 0)  # where the unread part of a text run starts
+            if letter == "g":
+                stop = _glue_end(nodes, j, at)
+            elif letter == "m":
+                if nd.kind is _BEGIN_GROUP:  # a group of tokens, to its closing brace
+                    depth = 0
+                    for k in range(j, n):
+                        depth += (nodes[k].kind is _BEGIN_GROUP) - (nodes[k].kind is _END_GROUP)
+                        if not depth:
+                            break
+                    stop = nodes[k].end
+            elif nd.kind is _TEXT and nd.value.startswith("*" if letter == "s" else "[", at):
+                close = at if letter == "s" else nd.value.find("]", at)
+                stop = nd.start + close + 1 if close >= 0 else None
+        if stop is None:
+            if letter in "mg":
+                break
+            continue  # an optional argument left out
+        star, end = star or letter == "s", stop
+        while nodes[j].end < end:
+            j += 1
+        i = j + (nodes[j].end == end)
+    return i, end, star, group
+
+
+def _glue_end(nodes: list[Node], j: int, at: int) -> int | None:
+    """Where glue that starts ``at`` characters into ``nodes[j]`` ends, or
+    None when none starts there.  It is matched over the text of a dozen
+    adjoining text runs, blanks and control words at most."""
+    text = ""
+    for k in range(j, min(j + 12, len(nodes))):
+        t = nodes[k]
+        if t.__class__ is not Token or k > j and t.start != nodes[k - 1].end:
+            break
+        if t.kind is _TEXT:
+            text += t.value
+        elif t.kind is _WHITESPACE:
+            text += " " * (t.end - t.start)  # a line end reads as a space
+        elif t.kind is _CONTROL_WORD:
+            text += "\\" + t.value
+        else:
+            break
+    m = _GLUE.match(text, at)
+    return nodes[j].start + m.end() if m else None
+
+
+def after_command(nodes: list[Node]) -> tuple[list[Node], GroupNode | None]:
+    """The nodes after the known command ``nodes[0]`` and what it reads,
+    and its braced argument if it read one.  A text run that reading
+    stopped inside keeps its part after the reading."""
+    i, end, _, group = read_arguments(nodes, 1)
+    if i < len(nodes) and nodes[i].start < end:
+        t = nodes[i]
+        return [Token(_TEXT, end, t.end, t.value[end - t.start:]), *nodes[i + 1:]], group
+    return nodes[i:], group
 
 
 def plain_text(toks: list[Token], source: str) -> str:
@@ -312,24 +417,20 @@ def plain_text(toks: list[Token], source: str) -> str:
                     depth += 1
                     keep_group_depths.append(depth)
                     i = j
+            elif name in _DECORATIONS:
+                # Dropped with its arguments, which are lengths; a skip
+                # still reads as a space.
+                if name in _SPACE_WORDS:
+                    parts.append(" ")
+                j, end, _, _ = read_arguments(toks, i + 1)
+                if j < n and toks[j].start < end:
+                    parts.append(toks[j].value[end - toks[j].start:])
+                    j += 1
+                i = j - 1
             elif name in _DROPPED:
                 pass
             elif name in _SPACE_WORDS:
                 parts.append(" ")
-            elif name in ("vspace", "hspace"):
-                j = i + 1
-                while j < n and toks[j].kind is _WHITESPACE:
-                    j += 1
-                if j < n and toks[j].kind is _BEGIN_GROUP:
-                    d = 1
-                    j += 1
-                    while j < n and d:
-                        if toks[j].kind is _BEGIN_GROUP:
-                            d += 1
-                        elif toks[j].kind is _END_GROUP:
-                            d -= 1
-                        j += 1
-                    i = j - 1
             else:
                 # A kept word, letter commands included.  Text or a group
                 # right after it ends it as a space does; an empty group
@@ -548,55 +649,6 @@ class LogicalDocument:
         return self.abstract_inner and span_plain(self.stream, self.abstract_inner)
 
 
-class _NodeCursor:
-    """Sequential reader over a node list for command-argument parsing."""
-
-    def __init__(self, nodes: list[Node], stream: TokenStream):
-        self.nodes = nodes
-        self.stream = stream
-        self.i = 0
-        # Index of a text node whose leading "*" was taken by take_star.
-        self.star_at = -1
-
-    def skip_ws(self):
-        while self.i < len(self.nodes):
-            nd = self.nodes[self.i]
-            if isinstance(nd, Token) and nd.kind in (TokenKind.WHITESPACE, TokenKind.COMMENT):
-                self.i += 1
-            else:
-                break
-
-    def peek(self) -> Node | None:
-        return self.nodes[self.i] if self.i < len(self.nodes) else None
-
-    def take_optional_bracket(self):
-        nd = self.peek()
-        if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
-            text = (nd.value or "")[1 if self.star_at == self.i else 0:]
-            if text.startswith("[") and text.rstrip().endswith("]"):
-                self.i += 1
-
-    def take_group(self) -> GroupNode | None:
-        self.skip_ws()
-        self.take_optional_bracket()
-        self.skip_ws()
-        nd = self.peek()
-        if isinstance(nd, GroupNode):
-            self.i += 1
-            return nd
-        return None
-
-    def take_star(self) -> bool:
-        nd = self.peek()
-        if isinstance(nd, Token) and nd.kind is TokenKind.TEXT and (nd.value or "").startswith("*"):
-            if nd.value == "*":
-                self.i += 1
-            else:
-                self.star_at = self.i
-            return True
-        return False
-
-
 def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAuthor]:
     """Split an \\author argument on top-level \\and (or commas when no
     \\and is present) and peel per-author \\thanks groups."""
@@ -636,20 +688,22 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
                     j += 2
                     continue
             j += 1
-        author.name_raw = splice_out(src, seg_start, seg_end, author.name_cuts).strip()
+        author.name_raw = spliced(src, author.name_span,
+                                  [(cut, "") for cut in author.name_cuts]).strip()
         if author.name_raw or author.affiliations_raw:
             out.append(author)
     return out
 
 
-def splice_out(src: str, start: int, end: int, cuts: list[Span]) -> str:
-    """``src[start:end]`` with the ``cuts`` spans removed."""
-    parts = []
-    pos = start
-    for c in sorted(cuts, key=lambda s: s.start):
-        parts.append(src[pos:c.start])
-        pos = c.end
-    parts.append(src[pos:end])
+def spliced(text: str, span: Span, edits) -> str:
+    """The text of ``span`` with each of ``edits``, (span, replacement)
+    pairs inside it, in place of its span's text."""
+    parts, pos = [], span.start
+    for (start, end), replacement in sorted(edits):
+        parts.append(text[pos:start])
+        parts.append(replacement)
+        pos = end
+    parts.append(text[pos:span.end])
     return "".join(parts)
 
 
@@ -660,15 +714,16 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
     src = stream.source
     doc = LogicalDocument(stream)
 
-    # Depth first over a stack of cursors, one per open child list; a
-    # command's argument group is taken with the command, not entered.
-    cursors = [_NodeCursor(tree.nodes, stream)]
+    # Depth first over a stack of open child lists, each with the index of
+    # its next node; a command's argument group is read with the command,
+    # not entered.
+    lists = [[tree.nodes, 0]]
     control_word = TokenKind.CONTROL_WORD
-    while cursors:
-        cur = cursors[-1]
-        nodes = cur.nodes
+    while lists:
+        top = lists[-1]
+        nodes, i = top
         # Skip to the next container or control word.
-        i, n = cur.i, len(nodes)
+        n = len(nodes)
         while i < n:
             nd = nodes[i]
             cls = nd.__class__
@@ -679,73 +734,50 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
                 break
             i += 1
         else:
-            cursors.pop()
+            lists.pop()
             continue
-        cur.i = i
+        top[1] = i + 1
         if cls is not Token:
             if cls is EnvNode and nd.name == "abstract" and doc.abstract_raw is None:
                 doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip()
                 doc.abstract_inner = nd.inner
                 doc.abstract_span = nd.span
-            cur.i += 1
-            cursors.append(_NodeCursor(nd.children, stream))
+            lists.append([nd.children, 0])
             continue
         name = nd.value
-        if name == TITLE and doc.title_raw is None:
-            cur.i += 1
-            g = cur.take_group()
-            if g is not None:
-                doc.title_raw = src[g.inner_start:g.inner_end].strip()
-                doc.title_inner = g.inner
-                doc.title_span = Span(nd.start, g.end)
+        if name == MAKETITLE:
+            if doc.maketitle_span is None:
+                doc.maketitle_span = nd.span
             continue
-        if name == "date" and doc.date_span is None:
-            cur.i += 1
-            g = cur.take_group()
-            if g is not None:
-                doc.date_span = Span(nd.start, g.end)
+        if not (name == TITLE and doc.title_raw is None or name == "date" and doc.date_span is None
+                or name == AUTHOR or name in AFFILIATION_WORDS and doc.authors
+                or name in SECTION_LEVELS or name == "emph"):
             continue
-        if name == AUTHOR:
-            cur.i += 1
-            g = cur.take_group()
-            if g is not None:
-                doc.authors.extend(_split_author_group(g, stream))
-                doc.author_block_spans.append(Span(nd.start, g.end))
+        top[1], _, starred, g = read_arguments(nodes, i + 1)
+        if g is None:
             continue
-        if name in AFFILIATION_WORDS and doc.authors:
-            cur.i += 1
-            g = cur.take_group()
-            if g is not None:
-                doc.authors[-1].add_affiliation(g)
-                doc.author_block_spans.append(Span(nd.start, g.end))
-            continue
-        if name == MAKETITLE and doc.maketitle_span is None:
-            doc.maketitle_span = nd.span
-            cur.i += 1
-            continue
-        if name in SECTION_LEVELS:
-            cur.i += 1
-            starred = cur.take_star()
-            g = cur.take_group()
-            if g is not None:
-                doc.sections.append(LogicalSection(
-                    level=SECTION_LEVELS[name],
-                    heading_raw=src[g.inner_start:g.inner_end].strip(),
-                    span=Span(nd.start, g.end),
-                    starred=starred,
-                    stream=stream,
-                    heading_span=g.inner,
-                ))
-            continue
-        if name == "emph":
-            cur.i += 1
-            g = cur.take_group()
-            if g is not None:
-                doc.emphases.append((
-                    src[g.inner_start:g.inner_end],
-                    Span(nd.start, g.end),
-                ))
-            continue
-        cur.i += 1
+        if name == TITLE:
+            doc.title_raw = src[g.inner_start:g.inner_end].strip()
+            doc.title_inner = g.inner
+            doc.title_span = Span(nd.start, g.end)
+        elif name == "date":
+            doc.date_span = Span(nd.start, g.end)
+        elif name == AUTHOR:
+            doc.authors.extend(_split_author_group(g, stream))
+            doc.author_block_spans.append(Span(nd.start, g.end))
+        elif name in AFFILIATION_WORDS:
+            doc.authors[-1].add_affiliation(g)
+            doc.author_block_spans.append(Span(nd.start, g.end))
+        elif name in SECTION_LEVELS:
+            doc.sections.append(LogicalSection(
+                level=SECTION_LEVELS[name],
+                heading_raw=src[g.inner_start:g.inner_end].strip(),
+                span=Span(nd.start, g.end),
+                starred=starred,
+                stream=stream,
+                heading_span=g.inner,
+            ))
+        elif name == "emph":
+            doc.emphases.append((src[g.inner_start:g.inner_end], Span(nd.start, g.end)))
 
     return doc

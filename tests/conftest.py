@@ -13,6 +13,7 @@ sys.path.insert(0, str(TESTS_DIR))
 
 from logicaltex import lexer  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope  # noqa: E402
+from logicaltex.lexer import EnvNode, GroupNode  # noqa: E402
 
 # The five canonical degradation bundles used for round-trip verification:
 # each one fixes a front-matter style, a marker alphabet, an abstract form
@@ -30,6 +31,21 @@ FULL_PROFILES = PROFILE_SETS[4]
 
 AGGRESSIVE = ConversionPolicy(scope=Scope.FULL, aggressive=True)
 METADATA_ONLY = ConversionPolicy(scope=Scope.METADATA_ONLY)
+
+
+def walk(nodes):
+    """The tests' reference traversal of a tree: every node in document
+    order, depth first.  The open child lists are an explicit stack, so
+    any depth is walked and each node costs the same wherever it sits."""
+    pending = [iter(nodes)]
+    while pending:
+        for node in pending[-1]:
+            yield node
+            if isinstance(node, (GroupNode, EnvNode)):
+                pending.append(iter(node.children))
+                break
+        else:
+            pending.pop()
 
 
 @pytest.fixture(autouse=True)

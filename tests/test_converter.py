@@ -122,6 +122,11 @@ _EMPHASIS_GROUPS = [
     (r"See {\it this} word.", r"See \emph{this} word."),
     (r"\item[{\bf (a)}]", r"\item[\emph{(a)}]"),
     (r"\noindent{\it Remark.}", r"\noindent\emph{Remark.}"),
+    # A known command reads exactly what its table entry names.
+    (r"\section*{\bf Long}", r"\section*{\emph{Long}}"),
+    (r"\vspace{1ex}{\bf b}", r"\vspace{1ex}\emph{b}"),
+    (r"\vskip 2mm{\it b}", r"\vskip 2mm\emph{b}"),
+    (r"\textbf{a}{\it b}", r"\textbf{a}\emph{b}"),
 ]
 
 
@@ -166,7 +171,8 @@ def test_section_and_theorem_edits_never_follow_a_command_that_reads_an_argument
     applied = {DetectionKind.SECTION_HEADER: 0, DetectionKind.THEOREM_LIKE: 0}
     commands = ["\\foo", "\\foo[x]", "\\foo{a}", "\\mbox", "\\footnote", "\\caption",
                 "\\item", "\\emph", "\\textbf", "\\centerline", "\\vspace{1em}", '\\"',
-                "\\\\", "\\par", "\\noindent", "\\bigskip"]
+                "\\\\", "\\par", "\\noindent", "\\bigskip", "\\vskip 2mm", "\\vspace*{1em}",
+                "\\vskip 2mm plus 1mm", "\\hspace{1em}"]
     labels = ["{\\bf 2 Results}", "{\\bf 2. Results}", "\\textbf{3 Methods}",
               "{\\large\\bf 4 Discussion}", "\\centerline{\\bf 5 Outlook}",
               "{\\bf Theorem 1.} Every case holds.", "\\textbf{Lemma 2.} It holds.",
@@ -189,6 +195,22 @@ def test_section_and_theorem_edits_never_follow_a_command_that_reads_an_argument
                     or before.value not in ACCENT_SYMBOLS, (command, blank, text, label)
     # Both families did apply, under full scope, after some of the commands.
     assert all(count >= 30 for count in applied.values()), applied
+
+
+@pytest.mark.parametrize("lead", ["\\vspace{2mm}", "\\vspace*{2mm}", "\\vskip 6pt",
+                                  "\\vskip 2mm plus 1mm"])
+@pytest.mark.parametrize("label", POLICIES)
+def test_a_skip_before_a_heading_or_label_converts_as_medskip_does(lead, label):
+    # Old papers space a heading or a theorem label with \vspace or \vskip
+    # as often as with \medskip.  Each converts as its \medskip twin does:
+    # an edit takes the skip with it, and an untouched line keeps it.
+    for text in ("\\noindent{\\bf 2. Results}", "\\noindent{\\bf Lemma 2.} It holds."):
+        def source(skip):
+            return wrap("\\centerline{\\bf A Title For Tests}\n\n\\centerline{Ann Lee}\n\n"
+                        f"\\section{{Intro}}\nSome text.\n\n{skip}{text}\n\nMore text.")
+        twin, _ = convert(source("\\medskip"), POLICIES[label])
+        out, _ = convert(source(lead), POLICIES[label])
+        assert out == twin.replace("\\medskip", lead), (text, label)
 
 
 def test_author_rewrite_with_thanks_and_and():

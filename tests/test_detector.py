@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from logicaltex.converter import convert
 from logicaltex.detector import (
+    _is_argument,
     AUTO_APPLY_THRESHOLD,
     Contents,
     CueKind,
@@ -31,10 +32,10 @@ from logicaltex.detector import (
     segment_lines,
 )
 from logicaltex.degrader import degrade
-from logicaltex.lexer import EnvNode, Span, Token, TokenKind, parse, protected_spans, walk
+from logicaltex.lexer import EnvNode, Span, Token, TokenKind, parse, protected_spans
 from logicaltex.model import MarkerSymbol, strip_styling
 
-from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS
+from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS, walk
 from test_lexer import FRAGMENTS
 
 
@@ -794,3 +795,12 @@ def test_contents_within_reads_as_a_scan_per_name(pieces, queries):
             any(span.start <= e.start < span.end for name in envs
                 for e in contents.envs.get(name, ()))
         assert contents.within(span, words, envs) is by_scan
+
+
+def test_an_unknown_macro_reads_at_most_nine_arguments():
+    # A macro's arguments are not known, but TeX allows it nine: a bold
+    # group after \foo and eight groups may be its argument, and one after
+    # nine groups stands free.
+    for groups, argument in ((8, True), (9, False)):
+        nodes = parse("\\foo" + "{a}" * groups + "{\\bf b}").nodes
+        assert _is_argument(nodes, nodes[-1]) is argument

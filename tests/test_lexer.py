@@ -22,11 +22,10 @@ from logicaltex.lexer import (
     parse,
     protected_spans,
     tokenize,
-    walk,
 )
 from logicaltex.validator import check_body_preservation, validate_structure
 
-from conftest import AGGRESSIVE, LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES
+from conftest import AGGRESSIVE, LOGICAL_FIXTURES, PROFILE_SETS, VISUAL_FIXTURES, walk
 from same_behaviour import inputs
 
 

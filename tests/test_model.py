@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from logicaltex import model
 from logicaltex.converter import convert
 from logicaltex.degrader import degrade
-from logicaltex.lexer import _LATIN1_FALLBACK, Span, Token, parse, tokenize, walk
+from logicaltex.lexer import _LATIN1_FALLBACK, Span, Token, parse, tokenize
 from logicaltex.model import (
     Affiliation,
     Author,
@@ -22,11 +22,12 @@ from logicaltex.model import (
     fold_accents,
     normalize_marker,
     plain_text,
+    read_arguments,
     resolve_affiliations,
     strip_styling,
 )
 
-from conftest import AGGRESSIVE, FIXTURES, PROFILE_SETS
+from conftest import AGGRESSIVE, FIXTURES, PROFILE_SETS, walk
 
 S = lambda: Span(0, 1)
 
@@ -97,6 +98,29 @@ def test_strip_styling_drops_style_keeps_content():
     # group reads as its text.
     assert strip_styling(r"\foo{T} Words \mbox{x}y.") == r"\foo T Words xy."
     assert strip_styling(r"\foo {T}") == strip_styling(r"\foo{T}") == r"\foo T"
+    # A skip is dropped with what it reads: a star, a braced length, glue.
+    assert strip_styling(r"\vspace*{2mm}Text") == "Text"
+    assert strip_styling(r"\hskip 1em plus 2pt Word") == "Word"
+    assert strip_styling(r"\vskip 6pt\noindent{\bf 2. Results}") == "2. Results"
+
+
+def test_reading_may_end_inside_a_text_run():
+    # A star, a bracket or glue ends inside a merged text run; what is
+    # left of the run is not read.
+    cases = [
+        (r"\section*[Short]{Long} Text", r"\section*[Short]{Long}", True),
+        (r"\section*Text{Long}", r"\section*", True),
+        (r"\title [x]y{T}", r"\title [x]", False),
+        (r"\vskip 2mm plus 1mm Word", r"\vskip 2mm plus 1mm", False),
+        (r"\vskip 6pt plus 1pt minus 1pt\noindent", r"\vskip 6pt plus 1pt minus 1pt", False),
+        ("\\vskip 0.5\\baselineskip\n{x}", r"\vskip 0.5\baselineskip", False),
+        (r"\vskip Word", r"\vskip", False),
+    ]
+    for source, read, star in cases:
+        nodes = parse(source).nodes
+        i, end, starred, _ = read_arguments(nodes, 1)
+        assert (source[:end], starred) == (read, star), source
+        assert i == len(nodes) or nodes[i].end > end >= nodes[i - 1].end, source
 
 
 def test_strip_styling_preserves_accents():
@@ -111,6 +135,7 @@ def test_strip_styling_idempotent_fixed_cases():
         r"J.\,R. Tolkien",
         r"Fran\c{c}ois M\"uller and S\o ren \AA berg",
         r"\noindent{\bf ABSTRACT.} We study \emph{things}.",
+        r"\vskip 2mm plus 1mm\noindent{\bf 2. Results}",
     ]
     for raw in cases:
         once = strip_styling(raw)
