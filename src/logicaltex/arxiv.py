@@ -14,8 +14,8 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import collapse_blanks
 
@@ -59,8 +59,7 @@ def is_valid_id(identifier: str) -> bool:
     return bool(_NEW_ID.match(identifier) or _OLD_ID.match(identifier))
 
 
-@dataclass(frozen=True)
-class ArxivRecord:
+class ArxivRecord(NamedTuple):
     """One paper's metadata as the arXiv API lists it, the reference for scores."""
 
     id: str

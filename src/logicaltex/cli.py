@@ -13,7 +13,6 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,29 +38,39 @@ EXIT_FAIL = 2
 EXIT_USAGE = 3
 
 
-@dataclass
+_POLICY = ConversionPolicy._field_defaults
+
+
 class RunConfig:
     """Every option of a run: the defaults, then a config file, then flags."""
 
-    scope: str = ConversionPolicy.scope.value
-    threshold: float = ConversionPolicy.apply_threshold
-    affiliation_cmd: str = ConversionPolicy.affiliation_command
-    aggressive: bool = ConversionPolicy.aggressive
-    output: str = "copy"  # copy | stdout | inplace
-    force: bool = False
-    suffix: str = DEFAULT_SUFFIX
-    report: str = "human"  # human | machine
-    profiles: list[str] = field(default_factory=lambda: ["centerline-style"])
-    seeds: list[int] = field(default_factory=lambda: [0])
-    out_dir: str = "degraded"
-    jobs: int = 1
-    cache_dir: str = ""
-    offline: bool = False
-    arxiv_id: str = ""
-    # None reads the default of validator.Thresholds.
-    title_threshold: float | None = None
-    author_threshold: float | None = None
-    abstract_threshold: float | None = None
+    # Each option and its default.
+    DEFAULTS = {
+        "scope": _POLICY["scope"].value,
+        "threshold": _POLICY["apply_threshold"],
+        "affiliation_cmd": _POLICY["affiliation_command"],
+        "aggressive": _POLICY["aggressive"],
+        "output": "copy",  # copy | stdout | inplace
+        "force": False,
+        "suffix": DEFAULT_SUFFIX,
+        "report": "human",  # human | machine
+        "profiles": ("centerline-style",),
+        "seeds": (0,),
+        "out_dir": "degraded",
+        "jobs": 1,
+        "cache_dir": "",
+        "offline": False,
+        "arxiv_id": "",
+        # None reads the default of validator.Thresholds.
+        "title_threshold": None,
+        "author_threshold": None,
+        "abstract_threshold": None,
+    }
+    __slots__ = tuple(DEFAULTS)
+
+    def __init__(self, **options):
+        for name, value in {**self.DEFAULTS, **options}.items():
+            setattr(self, name, value)
 
     def policy(self) -> ConversionPolicy:
         return ConversionPolicy(
@@ -98,19 +107,17 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    options = {}
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        known = set(cfg.__dataclass_fields__)
-        unknown = set(file_values) - known
+        options = _load_config_file(args.config)
+        unknown = options.keys() - RunConfig.DEFAULTS.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **file_values)
-    for name in cfg.__dataclass_fields__:
+    for name in RunConfig.DEFAULTS:
         value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    return cfg
+            options[name] = value
+    return RunConfig(**options)
 
 
 class _Reporter:

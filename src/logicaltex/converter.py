@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .detector import (
     AUTO_APPLY_THRESHOLD,
@@ -54,8 +54,7 @@ class Scope(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class ConversionPolicy:
+class ConversionPolicy(NamedTuple):
     """What a conversion may rewrite, and how sure a finding must be to apply."""
 
     scope: Scope = Scope.METADATA_ONLY
@@ -64,8 +63,7 @@ class ConversionPolicy:
     aggressive: bool = False
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(NamedTuple):
     """One replacement of a source span, tagged with what made it."""
 
     span: Span
@@ -73,13 +71,13 @@ class Edit:
     origin: str
 
 
-@dataclass(frozen=True)
 class RewritePlan:
     """Edits in source order that do not overlap; applying them is the whole rewrite."""
 
-    edits: tuple[Edit, ...]
+    __slots__ = ("edits",)
 
-    def __post_init__(self):
+    def __init__(self, edits: tuple[Edit, ...]):
+        self.edits = edits
         prev_end = -1
         prev = None
         for e in self.edits:
@@ -111,17 +109,19 @@ def apply(source: str | bytes, plan: RewritePlan) -> str | bytes:
     return encode_source(out) if isinstance(source, bytes) else out
 
 
-@dataclass
 class ConversionReport:
     """What a conversion applied and skipped, and why, with the classes before and after."""
 
-    applied: list[tuple[Detection, Edit]]
-    skipped: list[tuple[Detection, str]]
-    warnings: list[str]
-    class_before: FormattingClass
-    plan: RewritePlan
-    # The output text when it differs from the input, else None.
-    changed_text: str | None = field(default=None, repr=False, compare=False)
+    def __init__(self, applied: list[tuple[Detection, Edit]], skipped: list[tuple[Detection, str]],
+                 warnings: list[str], class_before: FormattingClass, plan: RewritePlan,
+                 changed_text: str | None = None):
+        self.applied = applied
+        self.skipped = skipped
+        self.warnings = warnings
+        self.class_before = class_before
+        self.plan = plan
+        # The output text when it differs from the input, else None.
+        self.changed_text = changed_text
 
     @cached_property
     def class_after(self) -> FormattingClass:
@@ -207,12 +207,15 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
     return block
 
 
-@dataclass
 class _Claim:
     """The span one edit would replace and the detections it rewrites."""
-    span: Span
-    dets: tuple[Detection, ...]
-    origin: str
+
+    __slots__ = ("span", "dets", "origin")
+
+    def __init__(self, span: Span, dets: tuple[Detection, ...], origin: str):
+        self.span = span
+        self.dets = dets
+        self.origin = origin
 
 
 def _edit_span(det: Detection, source: str) -> Span:

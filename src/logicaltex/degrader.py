@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
@@ -24,15 +23,15 @@ class NotLogicalError(Exception):
     degrade faithfully."""
 
 
-@dataclass(frozen=True)
 class DegradationProfile:
     """One visual idiom the degrader writes, by name."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in PROFILE_CODES:
-            raise ValueError(f"unknown degradation profile {self.name!r}")
+    def __init__(self, name: str):
+        if name not in PROFILE_CODES:
+            raise ValueError(f"unknown degradation profile {name!r}")
+        self.name = name
 
 
 def as_profiles(profiles) -> list[DegradationProfile]:
@@ -45,15 +44,18 @@ def as_profiles(profiles) -> list[DegradationProfile]:
     return sorted(out, key=lambda p: p.name)
 
 
-@dataclass
 class GroundTruth:
     """The logical metadata of a degraded document, written next to it as a sidecar."""
 
-    title: str | None
-    authors: list[tuple[str, list[str]]]
-    abstract: str | None
-    sections: list[tuple[int, str]]
-    emphases: int
+    __slots__ = ("title", "authors", "abstract", "sections", "emphases")
+
+    def __init__(self, title: str | None, authors: list[tuple[str, list[str]]],
+                 abstract: str | None, sections: list[tuple[int, str]], emphases: int):
+        self.title = title
+        self.authors = authors
+        self.abstract = abstract
+        self.sections = sections
+        self.emphases = emphases
 
     def to_dict(self) -> dict:
         return {

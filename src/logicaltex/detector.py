@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .lexer import (
     BlockTree,
@@ -88,8 +88,7 @@ CUE_WEIGHTS = {
 AUTO_APPLY_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class Cue:
+class Cue(NamedTuple):
     """One piece of evidence for a finding: its kind, where it is, and the word that gave it."""
 
     kind: CueKind
@@ -107,20 +106,34 @@ class DetectionKind(Enum):
     THEOREM_LIKE = "theorem-like"
 
 
-@dataclass
 class Detection:
-    """One finding: its kind, span, cues and confidence, and the converter's skip reason."""
+    """One finding: its kind, span, cues and confidence, and the converter's
+    skip reason.  Findings compare by their fields."""
 
-    kind: DetectionKind
-    span: Span
-    cues: frozenset[Cue]
-    confidence: float
-    level: int = 1
-    keyword: str = ""
-    data: dict = field(default_factory=dict)
-    # Set by the converter's gate: why this detection is not rewritten,
-    # or None when it is accepted.
-    skip_reason: str | None = None
+    __slots__ = ("kind", "span", "cues", "confidence", "level", "keyword", "data",
+                 "skip_reason")
+
+    def __init__(self, kind: DetectionKind, span: Span, cues: frozenset[Cue], confidence: float,
+                 level: int = 1, keyword: str = "", data: dict | None = None,
+                 skip_reason: str | None = None):
+        self.kind = kind
+        self.span = span
+        self.cues = cues
+        self.confidence = confidence
+        self.level = level
+        self.keyword = keyword
+        self.data = {} if data is None else data
+        # Set by the converter's gate: why this detection is not rewritten,
+        # or None when it is accepted.
+        self.skip_reason = skip_reason
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Detection:
+            return NotImplemented
+        return (self.kind, self.span, self.cues, self.confidence, self.level, self.keyword,
+                self.data, self.skip_reason) \
+            == (other.kind, other.span, other.cues, other.confidence, other.level,
+                other.keyword, other.data, other.skip_reason)
 
     def has_cue(self, kind: CueKind) -> bool:
         return any(c.kind is kind for c in self.cues)
@@ -145,8 +158,7 @@ class DocumentClass(Enum):
     VISUAL = "visual"
 
 
-@dataclass(frozen=True)
-class FormattingClass:
+class FormattingClass(NamedTuple):
     """A document's class and the visual score and counts that decided it."""
 
     label: DocumentClass
@@ -155,17 +167,23 @@ class FormattingClass:
     logical_count: int = 0
 
 
-@dataclass(frozen=True)
 class Contents:
     """Where a tree's control words start and its environments lie, by
     name and in document order, from one walk of the tree."""
 
-    words: dict[str, list[int]]
-    envs: dict[str, list[Span]]
-    # The sorted starts of each queried pair of name sets, built on first
-    # use; the sets are hashable, as frozensets and tuples are.
-    _starts: dict[tuple, list[int]] = field(default_factory=dict, init=False,
-                                            repr=False, compare=False)
+    __slots__ = ("words", "envs", "_starts")
+
+    def __init__(self, words: dict[str, list[int]], envs: dict[str, list[Span]]):
+        self.words = words
+        self.envs = envs
+        # The sorted starts of each queried pair of name sets, built on first
+        # use; the sets are hashable, as frozensets and tuples are.
+        self._starts: dict[tuple, list[int]] = {}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Contents:
+            return NotImplemented
+        return (self.words, self.envs) == (other.words, other.envs)
 
     def within(self, span: Span, words=(), envs=()) -> bool:
         """Whether one of the named control words or environments starts
@@ -205,25 +223,30 @@ def index_contents(tree: BlockTree) -> Contents:
     return Contents(words, envs)
 
 
-@dataclass(frozen=True)
 class Region:
     """A stretch of the document body, its lines sliced from the body's one
     segmentation, plus the document's protected and damaged spans and its
     contents; every detector reads them from here."""
 
-    span: Span
-    lines: list[Line]
-    # A protected span may sit wholly inside a candidate (it travels
-    # verbatim through a rewrite) but must never straddle its edges.
-    protected: SpanIndex
-    # Spans of structural diagnostics (unclosed group, stray \end, ...).
-    damaged: SpanIndex
-    contents: Contents
-    whole_body_fallback: bool = False
-    # The front matter's abstract, found while bounding the region.
-    abstract: Detection | None = None
-    # The body's lines after the region, cut from the same segmentation.
-    rest: list[Line] = field(default_factory=list)
+    __slots__ = ("span", "lines", "protected", "damaged", "contents", "whole_body_fallback",
+                 "abstract", "rest")
+
+    def __init__(self, span: Span, lines: list[Line], protected: SpanIndex, damaged: SpanIndex,
+                 contents: Contents, whole_body_fallback: bool = False,
+                 abstract: Detection | None = None, rest: list[Line] | None = None):
+        self.span = span
+        self.lines = lines
+        # A protected span may sit wholly inside a candidate (it travels
+        # verbatim through a rewrite) but must never straddle its edges.
+        self.protected = protected
+        # Spans of structural diagnostics (unclosed group, stray \end, ...).
+        self.damaged = damaged
+        self.contents = contents
+        self.whole_body_fallback = whole_body_fallback
+        # The front matter's abstract, found while bounding the region.
+        self.abstract = abstract
+        # The body's lines after the region, cut from the same segmentation.
+        self.rest = [] if rest is None else rest
 
 
 # ---------------------------------------------------------------------------
@@ -301,29 +324,47 @@ def looks_like_person_names(plain: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Line:
-    """One visual line of the body: its nodes, container and styles."""
+    """One visual line of the body: its nodes, container and styles.  Lines
+    compare by their fields, their stream and block aside."""
 
-    stream: TokenStream = field(repr=False, compare=False)
-    span: Span
-    content_nodes: list[Node]
-    centered: bool
-    in_titlepage: bool
-    container: str  # "centerline" | "center-env" | "paragraph"
-    container_span: Span | None = None
-    sep_span: Span | None = None
-    line_index: int = 0
-    env_line_count: int = 1
-    only_line_in_block: bool = True
-    bold: bool = False
-    italic: bool = False
-    large: bool = False
-    core_nodes: list[Node] = field(default_factory=list)
-    raw: str = ""
-    label: Label | None = None
-    # The top-level nodes of the paragraph block the line was cut from.
-    block: list[Node] = field(default_factory=list, repr=False, compare=False)
+    def __init__(self, stream: TokenStream, span: Span, content_nodes: list[Node],
+                 centered: bool, in_titlepage: bool, container: str,
+                 container_span: Span | None = None, sep_span: Span | None = None,
+                 line_index: int = 0, env_line_count: int = 1, only_line_in_block: bool = True,
+                 bold: bool = False, italic: bool = False, large: bool = False,
+                 core_nodes: list[Node] | None = None, raw: str = "",
+                 label: Label | None = None, block: list[Node] | None = None):
+        self.stream = stream
+        self.span = span
+        self.content_nodes = content_nodes
+        self.centered = centered
+        self.in_titlepage = in_titlepage
+        self.container = container  # "centerline" | "center-env" | "paragraph"
+        self.container_span = container_span
+        self.sep_span = sep_span
+        self.line_index = line_index
+        self.env_line_count = env_line_count
+        self.only_line_in_block = only_line_in_block
+        self.bold = bold
+        self.italic = italic
+        self.large = large
+        self.core_nodes = [] if core_nodes is None else core_nodes
+        self.raw = raw
+        self.label = label
+        # The top-level nodes of the paragraph block the line was cut from.
+        self.block = [] if block is None else block
+
+    def _fields(self) -> tuple:
+        return (self.span, self.content_nodes, self.centered, self.in_titlepage,
+                self.container, self.container_span, self.sep_span, self.line_index,
+                self.env_line_count, self.only_line_in_block, self.bold, self.italic,
+                self.large, self.core_nodes, self.raw, self.label)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Line:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @cached_property
     def plain(self) -> str:
@@ -377,16 +418,24 @@ def _nodes_span(nodes: list[Node]) -> Span:
     return Span(nodes[0].start, nodes[-1].end)
 
 
-@dataclass(frozen=True)
 class Label:
     """A styled keyword construct opening a line, such as
-    ``{\\bf Abstract.}``, and the line's nodes after it."""
+    ``{\\bf Abstract.}``, and the line's nodes after it.  Labels compare
+    by their fields, their stream aside, as the lines that hold them do."""
 
-    stream: TokenStream = field(repr=False, compare=False)
-    span: Span
-    bold: bool
-    italic: bool
-    content: list[Node]
+    def __init__(self, stream: TokenStream, span: Span, bold: bool, italic: bool,
+                 content: list[Node]):
+        self.stream = stream
+        self.span = span
+        self.bold = bold
+        self.italic = italic
+        self.content = content
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Label:
+            return NotImplemented
+        return (self.span, self.bold, self.italic, self.content) \
+            == (other.span, other.bold, other.italic, other.content)
 
     @cached_property
     def plain(self) -> str:
@@ -394,15 +443,18 @@ class Label:
         return span_plain(self.stream, self.span)
 
 
-@dataclass
 class _StyleInfo:
     """The styles peeled off a line's content, and the core they wrap."""
 
-    bold: bool = False
-    italic: bool = False
-    large: bool = False
-    centered: bool = False
-    core: list[Node] = field(default_factory=list)
+    __slots__ = ("bold", "italic", "large", "centered", "core")
+
+    def __init__(self, bold: bool = False, italic: bool = False, large: bool = False,
+                 centered: bool = False, core: list[Node] | None = None):
+        self.bold = bold
+        self.italic = italic
+        self.large = large
+        self.centered = centered
+        self.core = [] if core is None else core
 
 
 def analyze_styles(content: list[Node]) -> _StyleInfo:
@@ -645,17 +697,18 @@ def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Segment:
     """One author's part of an author line: raw name, markers and their spans."""
 
-    stream: TokenStream = field(repr=False, compare=False)
-    span: Span
-    name_raw: str
-    markers: list[Marker]
-    marker_spans: list[Span]
-    leading_marker: bool
-    strip_commas: bool = True
+    def __init__(self, stream: TokenStream, span: Span, name_raw: str, markers: list[Marker],
+                 marker_spans: list[Span], leading_marker: bool, strip_commas: bool = True):
+        self.stream = stream
+        self.span = span
+        self.name_raw = name_raw
+        self.markers = markers
+        self.marker_spans = marker_spans
+        self.leading_marker = leading_marker
+        self.strip_commas = strip_commas
 
     @cached_property
     def name_plain(self) -> str:
@@ -825,7 +878,8 @@ def frontmatter_region(tree: BlockTree) -> Region:
         # titlepage paragraph, which then stays the shorter one's last.
         coarse = _region(lines, stream, Span(body.start, det.data["construct_end"]),
                          protected, damaged, contents, False)
-    return replace(coarse, abstract=det)
+    coarse.abstract = det
+    return coarse
 
 
 def body_region(tree: BlockTree, fm: Region) -> Region:
@@ -1339,19 +1393,26 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DetectionSet:
     """Every finding of one document, by kind, and the front-matter region they came from."""
 
-    region: Region
-    title_candidates: list[Detection]
-    title: Detection | None
-    authors: list[Detection]
-    affiliations: list[Detection]
-    abstract: Detection | None
-    sections: list[Detection]
-    emphases: list[Detection]
-    theorems: list[Detection]
+    __slots__ = ("region", "title_candidates", "title", "authors", "affiliations", "abstract",
+                 "sections", "emphases", "theorems")
+
+    def __init__(self, region: Region, title_candidates: list[Detection],
+                 title: Detection | None, authors: list[Detection],
+                 affiliations: list[Detection], abstract: Detection | None,
+                 sections: list[Detection], emphases: list[Detection],
+                 theorems: list[Detection]):
+        self.region = region
+        self.title_candidates = title_candidates
+        self.title = title
+        self.authors = authors
+        self.affiliations = affiliations
+        self.abstract = abstract
+        self.sections = sections
+        self.emphases = emphases
+        self.theorems = theorems
 
     def all(self) -> list[Detection]:
         items: list[Detection] = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -131,7 +130,6 @@ class Token(NamedTuple):
         return self.kind is TokenKind.CONTROL_WORD and self.value in names
 
 
-@dataclass
 class TokenStream:
     """Token sequence plus the decoded source it tiles exactly.
 
@@ -139,10 +137,14 @@ class TokenStream:
     builder acts on: braces, ``$``, paragraph breaks, ``\\begin``,
     ``\\end`` and the math delimiters ``\\(`` ``\\)`` ``\\[`` ``\\]``."""
 
-    source: str
-    tokens: list[Token]
-    structural: list[int]
-    verbatim_spans: list[Span] = field(default_factory=list)
+    __slots__ = ("source", "tokens", "structural", "verbatim_spans")
+
+    def __init__(self, source: str, tokens: list[Token], structural: list[int],
+                 verbatim_spans: list[Span] | None = None):
+        self.source = source
+        self.tokens = tokens
+        self.structural = structural
+        self.verbatim_spans = [] if verbatim_spans is None else verbatim_spans
 
     def lexeme(self, token: Token) -> str:
         return self.source[token.start:token.end]
@@ -442,8 +444,7 @@ class MathNode(NamedTuple):
 Node = Union[Token, GroupNode, EnvNode, MathNode]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One structural problem the parser met and recovered from."""
 
     kind: str
@@ -455,15 +456,18 @@ class Diagnostic:
         return (self.kind, self.detail)
 
 
-@dataclass
 class BlockTree:
     """A parse: the node tree, its diagnostics, its token stream and its math spans."""
 
-    nodes: list[Node]
-    diagnostics: list[Diagnostic]
-    stream: TokenStream
-    # The spans of the tree's math nodes, in document order.
-    math: list[Span]
+    __slots__ = ("nodes", "diagnostics", "stream", "math")
+
+    def __init__(self, nodes: list[Node], diagnostics: list[Diagnostic], stream: TokenStream,
+                 math: list[Span]):
+        self.nodes = nodes
+        self.diagnostics = diagnostics
+        self.stream = stream
+        # The spans of the tree's math nodes, in document order.
+        self.math = math
 
 
 # Nodes and frames are built by ``tuple.__new__``, without the

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .lexer import (
     BlockTree,
@@ -39,7 +39,6 @@ class MarkerSymbol(Enum):
     LETTER = "letter"
 
 
-@dataclass(frozen=True)
 class Marker:
     """A canonical author/affiliation marker.
 
@@ -47,9 +46,20 @@ class Marker:
     rendering is kept for reporting only.
     """
 
-    symbol: MarkerSymbol
-    value: str = ""
-    rendering: str = field(default="", compare=False)
+    __slots__ = ("symbol", "value", "rendering")
+
+    def __init__(self, symbol: MarkerSymbol, value: str = "", rendering: str = ""):
+        self.symbol = symbol
+        self.value = value
+        self.rendering = rendering
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Marker:
+            return NotImplemented
+        return self.symbol is other.symbol and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.value))
 
     def __str__(self) -> str:
         if self.value:
@@ -212,7 +222,7 @@ ARGUMENTS: dict[str, str] = {
     **dict.fromkeys(SECTION_LEVELS, "som"),
     **dict.fromkeys((TITLE, "date", AUTHOR, *AFFILIATION_WORDS, "emph"), "om"),
     **dict.fromkeys(("textbf", "textit", "textsl", "textsc", CENTERLINE,
-                     "textsuperscript"), "m"),
+                     "textsuperscript", THANKS), "m"),
     "vspace": "sm", "hspace": "sm", "vskip": "g", "hskip": "g",
     "footnotemark": "o", MAKETITLE: "",
 }
@@ -360,6 +370,8 @@ def plain_text(toks: list[Token], source: str) -> str:
     ``strip_styling`` of that span's text, without lexing it again."""
     parts: list[str] = []
     keep_group_depths: list[int] = []
+    # The index in ``parts`` after each kept control word, accents included.
+    words: list[int] = []
     depth = 0
     i = 0
     n = len(toks)
@@ -409,6 +421,7 @@ def plain_text(toks: list[Token], source: str) -> str:
             name = t.value or ""
             if name in ACCENT_WORDS:
                 parts.append(source[t.start:t.end])
+                words.append(len(parts))
                 j = i + 1
                 while j < n and toks[j].kind is _WHITESPACE:
                     j += 1
@@ -432,16 +445,18 @@ def plain_text(toks: list[Token], source: str) -> str:
             elif name in _SPACE_WORDS:
                 parts.append(" ")
             else:
-                # A kept word, letter commands included.  Text or a group
-                # right after it ends it as a space does; an empty group
-                # is dropped with it.
+                # A kept word, letter commands included.
                 parts.append(source[t.start:t.end])
-                if i + 1 < n and (toks[i + 1].kind is _TEXT or toks[i + 1].kind is _BEGIN_GROUP):
-                    parts.append(" ")
-                    if i + 2 < n and toks[i + 1].kind is _BEGIN_GROUP \
-                            and toks[i + 2].kind is _END_GROUP:
-                        i += 2
+                words.append(len(parts))
         i += 1
+    # Text written right after a kept word, whatever was dropped between
+    # them, is parted from it by a space, so that a letter cannot lengthen
+    # its name.
+    for k in words:
+        while k < len(parts) and not parts[k]:
+            k += 1
+        if k < len(parts) and parts[k][0] not in _SPECIALS and not parts[k][0].isspace():
+            parts[k] = " " + parts[k]
     return collapse_blanks("".join(parts))
 
 
@@ -486,8 +501,7 @@ def fold_accents(plain: str) -> str:
     return s.replace("{", "").replace("}", "")
 
 
-@dataclass(frozen=True)
-class StyledText:
+class StyledText(NamedTuple):
     """A source fragment and its plain text."""
 
     raw: str
@@ -498,42 +512,57 @@ class StyledText:
         return cls(raw=raw.strip(), plain=strip_styling(raw))
 
 
-@dataclass
 class Author:
     """One author as found in visual front matter, with the markers after the name."""
 
-    name: StyledText
-    markers: set[Marker]
-    span: Span
+    __slots__ = ("name", "markers", "span")
+
+    def __init__(self, name: StyledText, markers: set[Marker], span: Span):
+        self.name = name
+        self.markers = markers
+        self.span = span
 
 
-@dataclass
 class Affiliation:
     """One affiliation as found in visual front matter, with its marker if it has one."""
 
-    text: StyledText
-    marker: Marker | None
-    span: Span  # the lines it was read from
+    __slots__ = ("text", "marker", "span")
+
+    def __init__(self, text: StyledText, marker: Marker | None, span: Span):
+        self.text = text
+        self.marker = marker
+        self.span = span  # the lines it was read from
 
 
-@dataclass
 class FrontMatter:
     """The authors and affiliations of visual front matter and how they connect."""
 
-    authors: list[Author] = field(default_factory=list)
-    affiliations: list[Affiliation] = field(default_factory=list)
-    author_affiliation_edges: set[tuple[int, int]] = field(default_factory=set)
-    unresolved_markers: list[tuple[int, Marker]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("authors", "affiliations", "author_affiliation_edges", "unresolved_markers",
+                 "notes")
+
+    def __init__(self, authors: list[Author] | None = None,
+                 affiliations: list[Affiliation] | None = None,
+                 author_affiliation_edges: set[tuple[int, int]] | None = None,
+                 unresolved_markers: list[tuple[int, Marker]] | None = None,
+                 notes: list[str] | None = None):
+        self.authors = [] if authors is None else authors
+        self.affiliations = [] if affiliations is None else affiliations
+        self.author_affiliation_edges = (set() if author_affiliation_edges is None
+                                         else author_affiliation_edges)
+        self.unresolved_markers = [] if unresolved_markers is None else unresolved_markers
+        self.notes = [] if notes is None else notes
 
 
-@dataclass
 class ResolutionResult:
     """Author-affiliation edges by marker, the markers left unmatched, and notes."""
 
-    edges: set[tuple[int, int]]
-    unresolved: list[tuple[int, Marker]]
-    notes: list[str]
+    __slots__ = ("edges", "unresolved", "notes")
+
+    def __init__(self, edges: set[tuple[int, int]], unresolved: list[tuple[int, Marker]],
+                 notes: list[str]):
+        self.edges = edges
+        self.unresolved = unresolved
+        self.notes = notes
 
 
 def resolve_affiliations(authors: list[Author], affiliations: list[Affiliation]) -> ResolutionResult:
@@ -579,18 +608,20 @@ def resolve_affiliations(authors: list[Author], affiliations: list[Affiliation])
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LogicalAuthor:
     """One ``\\author`` entry of a logical document, with its affiliations."""
 
-    name_raw: str
-    affiliations_raw: list[str]
-    # The plain forms are read on first use from the tree's tokens: the
-    # name's span less its cuts (the \thanks), and each affiliation's span.
-    stream: TokenStream = field(repr=False, compare=False)
-    name_span: Span
-    name_cuts: list[Span] = field(default_factory=list)
-    affiliation_spans: list[Span] = field(default_factory=list)
+    def __init__(self, name_raw: str, affiliations_raw: list[str], stream: TokenStream,
+                 name_span: Span, name_cuts: list[Span] | None = None,
+                 affiliation_spans: list[Span] | None = None):
+        self.name_raw = name_raw
+        self.affiliations_raw = affiliations_raw
+        # The plain forms are read on first use from the tree's tokens: the
+        # name's span less its cuts (the \thanks), and each affiliation's span.
+        self.stream = stream
+        self.name_span = name_span
+        self.name_cuts = [] if name_cuts is None else name_cuts
+        self.affiliation_spans = [] if affiliation_spans is None else affiliation_spans
 
     @cached_property
     def name_plain(self) -> str:
@@ -605,40 +636,55 @@ class LogicalAuthor:
         self.affiliation_spans.append(group.inner)
 
 
-@dataclass
 class LogicalSection:
-    """One sectioning command of a logical document."""
+    """One sectioning command of a logical document; sections compare by
+    their fields, their stream aside."""
 
-    level: int
-    heading_raw: str
-    span: Span
-    starred: bool
-    stream: TokenStream = field(repr=False, compare=False)
-    heading_span: Span
+    def __init__(self, level: int, heading_raw: str, span: Span, starred: bool,
+                 stream: TokenStream, heading_span: Span):
+        self.level = level
+        self.heading_raw = heading_raw
+        self.span = span
+        self.starred = starred
+        self.stream = stream
+        self.heading_span = heading_span
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LogicalSection:
+            return NotImplemented
+        return (self.level, self.heading_raw, self.span, self.starred, self.heading_span) \
+            == (other.level, other.heading_raw, other.span, other.starred, other.heading_span)
 
     @cached_property
     def heading_plain(self) -> str:
         return span_plain(self.stream, self.heading_span)
 
 
-@dataclass
 class LogicalDocument:
     """Positions, raw contents and plain forms of the logical structure
     commands; a plain form is read from the tree's tokens on first use."""
 
-    stream: TokenStream = field(repr=False, compare=False)
-    title_raw: str | None = None
-    title_inner: Span | None = None
-    title_span: Span | None = None  # whole \title{...} construct
-    date_span: Span | None = None
-    authors: list[LogicalAuthor] = field(default_factory=list)
-    author_block_spans: list[Span] = field(default_factory=list)
-    abstract_raw: str | None = None
-    abstract_inner: Span | None = None
-    abstract_span: Span | None = None  # whole environment
-    maketitle_span: Span | None = None
-    sections: list[LogicalSection] = field(default_factory=list)
-    emphases: list[tuple[str, Span]] = field(default_factory=list)
+    def __init__(self, stream: TokenStream, title_raw: str | None = None,
+                 title_inner: Span | None = None, title_span: Span | None = None,
+                 date_span: Span | None = None, authors: list[LogicalAuthor] | None = None,
+                 author_block_spans: list[Span] | None = None, abstract_raw: str | None = None,
+                 abstract_inner: Span | None = None, abstract_span: Span | None = None,
+                 maketitle_span: Span | None = None,
+                 sections: list[LogicalSection] | None = None,
+                 emphases: list[tuple[str, Span]] | None = None):
+        self.stream = stream
+        self.title_raw = title_raw
+        self.title_inner = title_inner
+        self.title_span = title_span  # whole \title{...} construct
+        self.date_span = date_span
+        self.authors = [] if authors is None else authors
+        self.author_block_spans = [] if author_block_spans is None else author_block_spans
+        self.abstract_raw = abstract_raw
+        self.abstract_inner = abstract_inner
+        self.abstract_span = abstract_span  # whole environment
+        self.maketitle_span = maketitle_span
+        self.sections = [] if sections is None else sections
+        self.emphases = [] if emphases is None else emphases
 
     @cached_property
     def title_plain(self) -> str | None:
@@ -681,11 +727,11 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
         while j < len(seg_nodes):
             nd = seg_nodes[j]
             if isinstance(nd, Token) and nd.is_control_word(THANKS):
-                g = seg_nodes[j + 1] if j + 1 < len(seg_nodes) else None
-                if isinstance(g, GroupNode):
+                after, _, _, g = read_arguments(seg_nodes, j + 1)
+                if g is not None:
                     author.add_affiliation(g)
                     author.name_cuts.append(Span(nd.start, g.end))
-                    j += 2
+                    j = after
                     continue
             j += 1
         author.name_raw = spliced(src, author.name_span,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .converter import RewritePlan
 from .lexer import decode_source, latin1_fallback, parse
@@ -24,14 +24,17 @@ class Verdict(Enum):
     FAIL = "fail"
 
 
-@dataclass
 class MetadataScores:
     """Similarities of extracted metadata to a reference, and the fields either side missed."""
 
-    title_similarity: float | None = None
-    author_set_f1: float | None = None
-    abstract_similarity: float | None = None
-    missing: list[str] = field(default_factory=list)
+    __slots__ = ("title_similarity", "author_set_f1", "abstract_similarity", "missing")
+
+    def __init__(self, title_similarity: float | None = None, author_set_f1: float | None = None,
+                 abstract_similarity: float | None = None, missing: list[str] | None = None):
+        self.title_similarity = title_similarity
+        self.author_set_f1 = author_set_f1
+        self.abstract_similarity = abstract_similarity
+        self.missing = [] if missing is None else missing
 
     def to_dict(self) -> dict:
         return {
@@ -42,8 +45,7 @@ class MetadataScores:
         }
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """The lowest metadata scores that pass."""
 
     title: float = 0.9
@@ -51,16 +53,21 @@ class Thresholds:
     abstract: float = 0.85
 
 
-@dataclass
 class ValidationReport:
     """A conversion's structural delta, body check, metadata scores and verdict."""
 
-    structural_delta: list[tuple[str, str]]
-    body_preserved: bool
-    first_difference: int | None
-    metadata: MetadataScores | None
-    verdict: Verdict
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("structural_delta", "body_preserved", "first_difference", "metadata", "verdict",
+                 "notes")
+
+    def __init__(self, structural_delta: list[tuple[str, str]], body_preserved: bool,
+                 first_difference: int | None, metadata: MetadataScores | None,
+                 verdict: Verdict, notes: list[str] | None = None):
+        self.structural_delta = structural_delta
+        self.body_preserved = body_preserved
+        self.first_difference = first_difference
+        self.metadata = metadata
+        self.verdict = verdict
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {
@@ -182,13 +189,15 @@ def multiset_f1(a: list[str], b: list[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-@dataclass
 class ExtractedMetadata:
     """Title, author names and abstract as plain text, read from a document."""
 
-    title: str | None
-    authors: list[str]
-    abstract: str | None
+    __slots__ = ("title", "authors", "abstract")
+
+    def __init__(self, title: str | None, authors: list[str], abstract: str | None):
+        self.title = title
+        self.authors = authors
+        self.abstract = abstract
 
 
 def compare_metadata(extracted: ExtractedMetadata, reference) -> MetadataScores:

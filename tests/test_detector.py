@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from logicaltex.detector import (
     CueKind,
     DetectionKind,
     DocumentClass,
+    Region,
     _Segmenter,
     _number_prefix,
     body_region,
@@ -754,7 +754,8 @@ def test_regions_read_as_if_segmented_apart(pieces):
             [_line_record(ln) for ln in _segmented_apart(tree, region.span)]
     # The abstract found while bounding the region is the one a search of
     # the region, segmented on its own, finds.
-    apart = replace(fm, lines=_segmented_apart(tree, fm.span), abstract=None)
+    apart = Region(fm.span, _segmented_apart(tree, fm.span), fm.protected, fm.damaged,
+                   fm.contents, fm.whole_body_fallback, rest=fm.rest)
     assert fm.abstract == detect_abstract(tree, apart)
 
 

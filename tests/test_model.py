@@ -102,6 +102,11 @@ def test_strip_styling_drops_style_keeps_content():
     assert strip_styling(r"\vspace*{2mm}Text") == "Text"
     assert strip_styling(r"\hskip 1em plus 2pt Word") == "Word"
     assert strip_styling(r"\vskip 6pt\noindent{\bf 2. Results}") == "2. Results"
+    # Text after a kept word is parted from it by a space, whatever was
+    # dropped between them, so that it cannot lengthen the word's name.
+    assert strip_styling(r"\foo\noindent2mm") == strip_styling(r"\foo2mm") == r"\foo 2mm"
+    assert strip_styling(r"\foo$x$y") == r"\foo xy"
+    assert strip_styling(r"\H$x$") == r"\H x"
 
 
 def test_reading_may_end_inside_a_text_run():
@@ -136,6 +141,8 @@ def test_strip_styling_idempotent_fixed_cases():
         r"Fran\c{c}ois M\"uller and S\o ren \AA berg",
         r"\noindent{\bf ABSTRACT.} We study \emph{things}.",
         r"\vskip 2mm plus 1mm\noindent{\bf 2. Results}",
+        r"\foo\noindent2mm",
+        r"\foo$x$y",
     ]
     for raw in cases:
         once = strip_styling(raw)
@@ -150,6 +157,23 @@ def test_strip_styling_idempotent_random():
         raw = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
         once = strip_styling(raw)
         assert strip_styling(once) == once, raw
+
+
+# Pieces of command fragments: kept, dropped, accent and skip words, and
+# what may stand between a word and the text after it.
+_COMMAND_FRAGMENTS = st.lists(st.sampled_from([
+    r"\foo", r"\TeX", r"\o", r"\H", r"\'", r"\c c", r"\&", r"\\", r"\\[2mm]", r"\ ",
+    r"\noindent", r"\bf ", r"\it", r"\emph", r"\mbox{x}", r"\quad", r"\medskip",
+    r"\vskip 2pt", r"\vspace*{2mm}", r"\hskip 1em plus 2pt", r"\thanks{x}", "$x$", "$",
+    "{", "}", "{}", "%c\n", " ", "\n\n", "~", "&", "^", "#", "y", "Word", "2mm", "1", ".",
+    "*", "[2mm]", "\xe9", "\xa0"]), max_size=12).map("".join)
+
+
+@given(_COMMAND_FRAGMENTS)
+@settings(max_examples=500, deadline=None)
+def test_strip_styling_idempotent_on_command_fragments(s):
+    once = strip_styling(s)
+    assert strip_styling(once) == once
 
 
 def test_re_blank_is_str_isspace():
@@ -280,6 +304,17 @@ A \emph{word}.
     assert len(ld.emphases) == 1
     assert ld.maketitle_span is not None
     assert ld.date_span is not None
+
+
+@pytest.mark.parametrize("source", [
+    r"\author{Ann Lee\thanks{MIT}}",
+    r"\author{Ann Lee\thanks {MIT}}",
+    "\\author{Ann Lee\\thanks % note\n{MIT}}",
+])
+def test_thanks_reads_its_argument_as_tex_does(source):
+    [author] = extract_logical(parse(source)).authors
+    assert (author.name_raw, author.affiliations_raw) == ("Ann Lee", ["MIT"])
+    assert (author.name_plain, author.affiliations_plain) == ("Ann Lee", ["MIT"])
 
 
 def test_extract_logical_affiliation_style_and_commas():

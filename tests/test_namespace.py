@@ -83,5 +83,18 @@ def test_first_access_loads_only_the_names_module():
         == "logicaltex.validator"
 
 
+def test_importing_and_converting_loads_neither_dataclasses_nor_inspect():
+    # The records are written out as classes: dataclasses would write
+    # their methods at import, and load inspect to do so.
+    modules = [*EXPORTED, "cli"]
+    doc = "\\centerline{\\bf A Title}\n\n{\\bf 1. Intro}\n\nText with {\\it words}.\n"
+    loaded = _fresh("import importlib, sys\n"
+                    f"for m in {modules!r}: importlib.import_module('logicaltex.' + m)\n"
+                    "from logicaltex.converter import ConversionPolicy, Scope, convert\n"
+                    f"convert({doc!r}, ConversionPolicy(Scope.FULL, aggressive=True))\n"
+                    "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert loaded == "[]"
+
+
 def test_dir_lists_every_exported_name():
     assert set(logicaltex.__all__) <= set(dir(logicaltex))
