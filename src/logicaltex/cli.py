@@ -486,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--jobs", type=int, default=None)
     p_batch.add_argument("--scope", choices=["metadata", "full"], default=None)
     p_batch.add_argument("--aggressive", action="store_true", default=None)
-    p_batch.add_argument("--offline", action="store_true", default=None)
-    p_batch.add_argument("--cache-dir", dest="cache_dir",
-                         default=argparse.SUPPRESS)
     return parser
 
 

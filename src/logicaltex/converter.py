@@ -86,9 +86,6 @@ class RewritePlan:
             prev_end = e.span.end
             prev = e
 
-    def __len__(self) -> int:
-        return len(self.edits)
-
 
 def apply(source: str | bytes, plan: RewritePlan) -> str | bytes:
     """Replace each edit span; every byte outside the spans is unchanged."""

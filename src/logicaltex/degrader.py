@@ -174,7 +174,7 @@ class _Degrader:
         edits = []
         sections = SpanIndex(taken)
         for raw, span in doc.emphases:
-            if sections.covers(span) or sections.intersects(span):
+            if sections.intersects(span):
                 continue
             style = "it" if self.rng.random() < 0.75 else "bf"
             edits.append(Edit(span, f"{{\\{style} {raw}}}", "degrade-emphasis"))

@@ -233,7 +233,7 @@ class Region:
 
     def __init__(self, span: Span, lines: list[Line], protected: SpanIndex, damaged: SpanIndex,
                  contents: Contents, whole_body_fallback: bool = False,
-                 abstract: Detection | None = None, rest: list[Line] | None = None):
+                 rest: list[Line] | None = None):
         self.span = span
         self.lines = lines
         # A protected span may sit wholly inside a candidate (it travels
@@ -244,7 +244,7 @@ class Region:
         self.contents = contents
         self.whole_body_fallback = whole_body_fallback
         # The front matter's abstract, found while bounding the region.
-        self.abstract = abstract
+        self.abstract: Detection | None = None
         # The body's lines after the region, cut from the same segmentation.
         self.rest = [] if rest is None else rest
 
@@ -325,16 +325,13 @@ def looks_like_person_names(plain: str) -> bool:
 
 
 class Line:
-    """One visual line of the body: its nodes, container and styles.  Lines
-    compare by their fields, their stream and block aside."""
+    """One visual line of the body: its nodes, container and styles."""
 
     def __init__(self, stream: TokenStream, span: Span, content_nodes: list[Node],
                  centered: bool, in_titlepage: bool, container: str,
                  container_span: Span | None = None, sep_span: Span | None = None,
-                 line_index: int = 0, env_line_count: int = 1, only_line_in_block: bool = True,
                  bold: bool = False, italic: bool = False, large: bool = False,
-                 core_nodes: list[Node] | None = None, raw: str = "",
-                 label: Label | None = None, block: list[Node] | None = None):
+                 core_nodes: list[Node] | None = None):
         self.stream = stream
         self.span = span
         self.content_nodes = content_nodes
@@ -343,28 +340,20 @@ class Line:
         self.container = container  # "centerline" | "center-env" | "paragraph"
         self.container_span = container_span
         self.sep_span = sep_span
-        self.line_index = line_index
-        self.env_line_count = env_line_count
-        self.only_line_in_block = only_line_in_block
+        self.line_index = 0
+        self.env_line_count = 1
+        self.only_line_in_block = True
         self.bold = bold
         self.italic = italic
         self.large = large
         self.core_nodes = [] if core_nodes is None else core_nodes
-        self.raw = raw
-        self.label = label
+        self.label: Label | None = None
         # The top-level nodes of the paragraph block the line was cut from.
-        self.block = [] if block is None else block
+        self.block: list[Node] = []
 
-    def _fields(self) -> tuple:
-        return (self.span, self.content_nodes, self.centered, self.in_titlepage,
-                self.container, self.container_span, self.sep_span, self.line_index,
-                self.env_line_count, self.only_line_in_block, self.bold, self.italic,
-                self.large, self.core_nodes, self.raw, self.label)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Line:
-            return NotImplemented
-        return self._fields() == other._fields()
+    @property
+    def raw(self) -> str:
+        return self.stream.text(self.span)
 
     @cached_property
     def plain(self) -> str:
@@ -394,12 +383,15 @@ class Line:
             return True
         return self.only_line_in_block
 
+    @property
+    def solitary_bold(self) -> bool:
+        """Whether the line is a paragraph of its own set bold or large: a
+        heading's shape, so neither emphasis nor a theorem label."""
+        return self.container == "paragraph" and self.only_line_in_block \
+            and (self.bold or self.large)
+
 
 _NEUTRAL_KINDS = frozenset({TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.PAR_BREAK})
-
-
-def _is_neutral(nd: Node) -> bool:
-    return nd.__class__ is Token and nd.kind in _NEUTRAL_KINDS
 
 
 def _trim(nodes: list[Node]) -> list[Node]:
@@ -420,8 +412,7 @@ def _nodes_span(nodes: list[Node]) -> Span:
 
 class Label:
     """A styled keyword construct opening a line, such as
-    ``{\\bf Abstract.}``, and the line's nodes after it.  Labels compare
-    by their fields, their stream aside, as the lines that hold them do."""
+    ``{\\bf Abstract.}``, and the line's nodes after it."""
 
     def __init__(self, stream: TokenStream, span: Span, bold: bool, italic: bool,
                  content: list[Node]):
@@ -430,12 +421,6 @@ class Label:
         self.bold = bold
         self.italic = italic
         self.content = content
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Label:
-            return NotImplemented
-        return (self.span, self.bold, self.italic, self.content) \
-            == (other.span, other.bold, other.italic, other.content)
 
     @cached_property
     def plain(self) -> str:
@@ -448,13 +433,12 @@ class _StyleInfo:
 
     __slots__ = ("bold", "italic", "large", "centered", "core")
 
-    def __init__(self, bold: bool = False, italic: bool = False, large: bool = False,
-                 centered: bool = False, core: list[Node] | None = None):
-        self.bold = bold
-        self.italic = italic
-        self.large = large
-        self.centered = centered
-        self.core = [] if core is None else core
+    def __init__(self):
+        self.bold = False
+        self.italic = False
+        self.large = False
+        self.centered = False
+        self.core: list[Node] = []
 
 
 def analyze_styles(content: list[Node]) -> _StyleInfo:
@@ -499,9 +483,9 @@ class _Segmenter:
         self.stream = stream
         self.lines: list[Line] = []
 
-    def run(self, nodes: list[Node], in_titlepage: bool = False) -> list[Line]:
+    def run(self, nodes: list[Node]) -> list[Line]:
         for block in self._blocks(nodes):
-            self._emit_block(block, in_titlepage)
+            self._emit_block(block)
         return self.lines
 
     @staticmethod
@@ -526,7 +510,7 @@ class _Segmenter:
             blocks.append(block)
         return blocks
 
-    def _emit_block(self, block: list[Node], in_titlepage: bool):
+    def _emit_block(self, block: list[Node]):
         first = len(self.lines)
         top = block
 
@@ -541,7 +525,7 @@ class _Segmenter:
         control_word = TokenKind.CONTROL_WORD
         # (block, next index, inside a titlepage): a titlepage's blocks go
         # on top and are emitted before the rest of the block holding it.
-        pending = [(block, 0, in_titlepage)]
+        pending = [(block, 0, False)]
         while pending:
             block, i, in_titlepage = pending.pop()
             n = len(block)
@@ -640,7 +624,6 @@ class _Segmenter:
             italic=info.italic,
             large=info.large,
             core_nodes=info.core,
-            raw=stream.text(span),
         )
         line.label = _leading_label(line, stream)
         self.lines.append(line)
@@ -748,7 +731,7 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
     first_real = True
     while i < len(nodes):
         nd = nodes[i]
-        if _is_neutral(nd):
+        if nd.__class__ is Token and nd.kind in _NEUTRAL_KINDS:
             i += 1
             continue
         hit = _marker_construct(nodes, i, stream)
@@ -921,41 +904,48 @@ def _opens_with_heading_number(core_plain: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Each style flag of a line, a label or a peeled group, and the cue it gives.
+_FLAG_CUES = {"centered": CueKind.CENTERED, "bold": CueKind.BOLD, "italic": CueKind.ITALIC,
+              "large": CueKind.LARGE_FONT, "in_titlepage": CueKind.INSIDE_TITLEPAGE}
+
+
+def _flag_cues(styled, span: Span, flags=tuple(_FLAG_CUES)) -> set[Cue]:
+    """The cue of each of ``flags`` that ``styled`` sets, each at ``span``."""
+    return {Cue(_FLAG_CUES[flag], span) for flag in flags if getattr(styled, flag)}
+
+
 def _line_cues(line: Line) -> set[Cue]:
-    cues: set[Cue] = set()
-    if line.centered:
-        cues.add(Cue(CueKind.CENTERED, line.span))
-    if line.bold:
-        cues.add(Cue(CueKind.BOLD, line.span))
-    if line.italic:
-        cues.add(Cue(CueKind.ITALIC, line.span))
-    if line.large:
-        cues.add(Cue(CueKind.LARGE_FONT, line.span))
+    cues = _flag_cues(line, line.span)
     if line.isolated and len(line.plain) <= PHRASE_MAX:
         cues.add(Cue(CueKind.SOLITARY_PARAGRAPH, line.span))
-    if line.in_titlepage:
-        cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
     return cues
+
+
+def _front_matter_text(line: Line, region: Region) -> bool:
+    """Whether a line may be a title, author or affiliation line: 1 to 250
+    characters of plain text and no abstract label, with no structure
+    command in it and no protected span across its edges."""
+    plain = line.plain
+    return (0 < len(plain) <= 250 and not ABSTRACT_LABEL_RE.match(plain)
+            and not _line_has_logical_commands(line, region.contents)
+            and not region.protected.straddles(line.span))
+
+
+def _lists_person_names(line: Line) -> bool:
+    """Whether the line is one to eight segments, each a person's name."""
+    segs = line.segments
+    return 0 < len(segs) <= 8 and all(looks_like_person_names(s.name_plain) for s in segs)
 
 
 def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     """Title candidates ranked by confidence, then position."""
     if TITLE in region.contents.words:
         return []
-    protected = region.protected
-    damaged = region.damaged
     out: list[Detection] = []
     for line in region.lines:
         if not (line.centered or line.bold or line.large):
             continue
-        plain = line.plain
-        if not 1 <= len(plain) <= 250:
-            continue
-        if ABSTRACT_LABEL_RE.match(plain):
-            continue
-        if _line_has_logical_commands(line, region.contents):
-            continue
-        if protected.straddles(line.span) or damaged.intersects(line.span):
+        if not _front_matter_text(line, region) or region.damaged.intersects(line.span):
             continue
         if _opens_with_heading_number(line.core_plain):
             continue  # a numbered heading
@@ -984,29 +974,19 @@ def detect_authors_affiliations(
     if AUTHOR in words:
         return [], []  # an \\author command already states both
     stream = tree.stream
-    protected = region.protected
     affils_suppressed = any(name in words for name in AFFILIATION_WORDS)
     start = title.span.end if title is not None else region.span.start
     author_dets: list[Detection] = []
     affil_dets: list[Detection] = []
     for line in region.lines:
-        if line.span.start < start:
-            continue
-        plain = line.plain
-        if not plain or len(plain) > 250:
-            continue
-        if ABSTRACT_LABEL_RE.match(plain):
+        if line.span.start < start or not _front_matter_text(line, region):
             continue
         if line.label is not None and ABSTRACT_LABEL_RE.match(line.label.plain):
             continue  # an abstract-labeled paragraph, not a person or place
-        if _line_has_logical_commands(line, region.contents):
-            continue
-        if protected.straddles(line.span):
-            continue
         segs = line.segments
         if not segs:
             continue
-        low = plain.casefold()
+        low = line.plain.casefold()
         keyworded = any(k in low for k in INSTITUTION_KEYWORDS)
         leading = segs[0].leading_marker
         cues = _line_cues(line)
@@ -1030,9 +1010,7 @@ def detect_authors_affiliations(
                 },
             ))
             continue
-        if len(segs) > 8:
-            continue
-        if all(looks_like_person_names(s.name_plain) for s in segs):
+        if _lists_person_names(line):
             author_dets.append(_scored(
                 DetectionKind.AUTHOR_LINE,
                 line.span,
@@ -1100,17 +1078,13 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
         label = line.label
         if label is not None and label.content and ABSTRACT_LABEL_RE.match(label.plain):
             content = label.content
-            cues = {Cue(CueKind.LEADING_KEYWORD, label.span, "Abstract")}
-            if label.bold:
-                cues.add(Cue(CueKind.BOLD, label.span))
+            cues = {Cue(CueKind.LEADING_KEYWORD, label.span, "Abstract"),
+                    *_flag_cues(label, label.span, ("bold",)),
+                    *_flag_cues(line, line.span, ("centered", "in_titlepage"))}
             content_span = _nodes_span(content)
             cinfo = analyze_styles(content)
             if cinfo.italic or label.italic:
                 cues.add(Cue(CueKind.ITALIC, content_span))
-            if line.centered:
-                cues.add(Cue(CueKind.CENTERED, line.span))
-            if line.in_titlepage:
-                cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
             content_raw = stream.text(_nodes_span(cinfo.core)) if cinfo.core else ""
             candidate(content_span, cues, label.span, content_raw, line.span.end)
             continue
@@ -1118,13 +1092,8 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
             if nxt is not None and nxt.container == "paragraph" and len(nxt.plain) >= 40 \
                     and not protected.straddles(nxt.span):
-                cues = {Cue(CueKind.LEADING_KEYWORD, line.span, "Abstract")}
-                if line.bold:
-                    cues.add(Cue(CueKind.BOLD, line.span))
-                if line.italic:
-                    cues.add(Cue(CueKind.ITALIC, line.span))
-                if line.centered:
-                    cues.add(Cue(CueKind.CENTERED, line.span))
+                cues = {Cue(CueKind.LEADING_KEYWORD, line.span, "Abstract"),
+                        *_flag_cues(line, line.span, ("bold", "italic", "centered"))}
                 candidate(nxt.span, cues, line.span, nxt.core_raw or nxt.raw, nxt.span.end)
                 continue
         unlabeled_centered = (line.centered and len(line.plain) >= 60
@@ -1138,14 +1107,9 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
                 continue
             if any(k in line.plain[:60].casefold() for k in INSTITUTION_KEYWORDS):
                 continue
-            if segs and len(segs) <= 8 and \
-                    all(looks_like_person_names(s.name_plain) for s in segs):
+            if _lists_person_names(line):
                 continue
-            cues = set()
-            if line.centered:
-                cues.add(Cue(CueKind.CENTERED, line.span))
-            if line.in_titlepage:
-                cues.add(Cue(CueKind.INSIDE_TITLEPAGE, line.span))
+            cues = _flag_cues(line, line.span, ("centered", "in_titlepage"))
             if not cues:
                 continue
             span = line.container_span if (
@@ -1181,9 +1145,7 @@ def _is_heading(line: Line, protected: SpanIndex, damaged: SpanIndex,
     """Whether a line reads as a section heading: a solitary bold or large
     paragraph, clear of protected and damaged text, whose core is no
     caption, theorem label or bibliography entry."""
-    if line.container != "paragraph" or not line.only_line_in_block:
-        return False
-    if not (line.bold or line.large) or not line.core_nodes:
+    if not line.solitary_bold or not line.core_nodes:
         return False
     if protected.intersects(line.span) or damaged.intersects(line.span):
         return False
@@ -1205,13 +1167,8 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
         if not _is_heading(line, protected, damaged, region.contents):
             continue
         core_raw = line.core_raw
-        cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span)}
-        if line.bold:
-            cues.add(Cue(CueKind.BOLD, line.span))
-        if line.large:
-            cues.add(Cue(CueKind.LARGE_FONT, line.span))
-        if line.italic:
-            cues.add(Cue(CueKind.ITALIC, line.span))
+        cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span),
+                *_flag_cues(line, line.span, ("bold", "large", "italic"))}
         numbered = _number_prefix(line.core_plain, core_raw)
         if numbered:
             num, level, heading_raw = numbered
@@ -1231,7 +1188,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
 def _theorem_label(line: Line) -> re.Match | None:
     """The keyword match of a paragraph opened by a bold theorem-like label
     such as ``{\\bf Theorem 1.}``, or None."""
-    if line.container != "paragraph" or line.only_line_in_block and (line.bold or line.large):
+    if line.container != "paragraph" or line.solitary_bold:
         return None
     label = line.label
     if label is None or not label.bold or not label.content:
@@ -1287,8 +1244,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     claimed: list[Span] = []
 
     for line in region.lines:
-        if line.container == "paragraph" and line.only_line_in_block \
-                and (line.bold or line.large):
+        if line.solitary_bold:
             claimed.append(line.span)  # section candidates are not emphasis
             continue
         m = _theorem_label(line)
@@ -1360,7 +1316,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     taken = SpanIndex(claimed)
     for group, style, argument in group_candidates(body_nodes):
         span = group.span
-        if taken.covers(span) or taken.intersects(span):
+        if taken.intersects(span):
             continue
         if protected.intersects(span) or damaged.intersects(span):
             continue
@@ -1373,15 +1329,10 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         content_raw = stream.text(content_span)
         if not span_plain(stream, content_span):
             continue
-        cues = set()
-        if info.bold:
-            cues.add(Cue(CueKind.BOLD, span))
-        if info.italic:
-            cues.add(Cue(CueKind.ITALIC, span))
         out.append(_scored(
             DetectionKind.EMPHASIS,
             span,
-            cues,
+            _flag_cues(info, span, ("bold", "italic")),
             data={"content_raw": content_raw.strip(), "argument": argument},
         ))
     out.sort(key=lambda d: d.span.start)

@@ -17,7 +17,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 # One token per match; the alternatives tile any input.  A text run is
 # ordinary characters, with spaces and tabs between them belonging to the
@@ -158,9 +158,6 @@ class TokenStream:
 
     def reassemble(self) -> str:
         return "".join(self.lexeme(t) for t in self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
 
 
 def decode_source(source: str | bytes) -> str:
@@ -577,14 +574,21 @@ class _TreeBuilder:
 
     def _unwind(self, eof: int):
         while self.stack:
-            f = self.stack.pop()
-            if f.kind == "group":
-                self.diags.append(Diagnostic("unclosed-group", "", Span(f.start, f.start + 1)))
-                self.sink().append(_new(GroupNode, (f.children, f.start, eof, f.inner_start, eof)))
-            else:
-                self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(_new(EnvNode, (f.name or "", f.children, f.start, eof,
-                                                  f.inner_start, eof)))
+            self._close(eof, "unclosed-group", "")
+
+    def _close(self, end: int, group_kind: str, group_detail: str):
+        """Close the innermost open frame at ``end``, where no closing
+        token ends it, and record a diagnostic: ``group_kind`` with
+        ``group_detail`` for a group, an unclosed environment for an
+        environment."""
+        f = self.stack.pop()
+        if f.kind == "group":
+            self.diags.append(Diagnostic(group_kind, group_detail, Span(f.start, f.start + 1)))
+            node = _new(GroupNode, (f.children, f.start, end, f.inner_start, end))
+        else:
+            self.diags.append(Diagnostic("unclosed-environment", f.name, Span(f.start, f.start + 1)))
+            node = _new(EnvNode, (f.name, f.children, f.start, end, f.inner_start, end))
+        self.sink().append(node)
 
     def _math(self, kind: str, start: int, end: int | None, stop: int) -> int:
         """Place a math node from ``start`` to ``end``; an unterminated one
@@ -679,15 +683,7 @@ class _TreeBuilder:
             self.sink().extend(self.toks[i:name_idx + 1])
             return name_idx + 1
         while len(self.stack) - 1 > depth:
-            f = self.stack.pop()
-            if f.kind == "group":
-                self.diags.append(Diagnostic("group-crosses-boundary", name, Span(f.start, f.start + 1)))
-                self.sink().append(_new(GroupNode, (f.children, f.start, t.start,
-                                                    f.inner_start, t.start)))
-            else:
-                self.diags.append(Diagnostic("unclosed-environment", f.name or "", Span(f.start, f.start + 1)))
-                self.sink().append(_new(EnvNode, (f.name or "", f.children, f.start, t.start,
-                                                  f.inner_start, t.start)))
+            self._close(t.start, "group-crosses-boundary", name)
         f = self.stack.pop()
         self.sink().append(_new(EnvNode, (name, f.children, f.start, after, f.inner_start,
                                           t.start)))

@@ -39,27 +39,12 @@ class MarkerSymbol(Enum):
     LETTER = "letter"
 
 
-class Marker:
-    """A canonical author/affiliation marker.
+class Marker(NamedTuple):
+    """A canonical author/affiliation marker: distinct source renderings
+    of the same symbol compare equal."""
 
-    Distinct source renderings of the same symbol compare equal; the
-    rendering is kept for reporting only.
-    """
-
-    __slots__ = ("symbol", "value", "rendering")
-
-    def __init__(self, symbol: MarkerSymbol, value: str = "", rendering: str = ""):
-        self.symbol = symbol
-        self.value = value
-        self.rendering = rendering
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Marker:
-            return NotImplemented
-        return self.symbol is other.symbol and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.symbol, self.value))
+    symbol: MarkerSymbol
+    value: str = ""
 
     def __str__(self) -> str:
         if self.value:
@@ -106,14 +91,14 @@ def _peel(text: str) -> tuple[str, bool]:
     return s, wrapped
 
 
-def _core_marker(core: str, wrapped: bool, rendering: str) -> Marker | None:
+def _core_marker(core: str, wrapped: bool) -> Marker | None:
     for symbol, forms in _SYMBOL_FORMS.items():
         if core in forms:
-            return Marker(symbol, rendering=rendering)
+            return Marker(symbol)
     if core.isdigit():
-        return Marker(MarkerSymbol.DIGIT, core.lstrip("0") or "0", rendering)
+        return Marker(MarkerSymbol.DIGIT, core.lstrip("0") or "0")
     if wrapped and len(core) == 1 and core.isalpha():
-        return Marker(MarkerSymbol.LETTER, core, rendering)
+        return Marker(MarkerSymbol.LETTER, core)
     return None
 
 
@@ -126,14 +111,14 @@ def normalize_marker(rendering: str) -> Marker | None:
     if m:
         v = m.group(1)
         if v.isdigit():
-            return Marker(MarkerSymbol.DIGIT, v.lstrip("0") or "0", rendering)
-        return Marker(MarkerSymbol.ASTERISK, rendering=rendering)
+            return Marker(MarkerSymbol.DIGIT, v.lstrip("0") or "0")
+        return Marker(MarkerSymbol.ASTERISK)
     m = _TEXTSUPERSCRIPT.fullmatch(s)
     if m:
         core, _ = _peel(m.group(1))
-        return _core_marker(core, True, rendering)
+        return _core_marker(core, True)
     core, wrapped = _peel(s)
-    return _core_marker(core, wrapped, rendering)
+    return _core_marker(core, wrapped)
 
 
 def extract_markers(rendering: str) -> list[Marker]:
@@ -156,7 +141,7 @@ def extract_markers(rendering: str) -> list[Marker]:
         piece = piece.strip()
         if not piece:
             continue
-        mk = _core_marker(piece, wrapped, rendering)
+        mk = _core_marker(piece, wrapped)
         if mk is None:
             return []
         out.append(mk)
@@ -612,16 +597,15 @@ class LogicalAuthor:
     """One ``\\author`` entry of a logical document, with its affiliations."""
 
     def __init__(self, name_raw: str, affiliations_raw: list[str], stream: TokenStream,
-                 name_span: Span, name_cuts: list[Span] | None = None,
-                 affiliation_spans: list[Span] | None = None):
+                 name_span: Span):
         self.name_raw = name_raw
         self.affiliations_raw = affiliations_raw
         # The plain forms are read on first use from the tree's tokens: the
         # name's span less its cuts (the \thanks), and each affiliation's span.
         self.stream = stream
         self.name_span = name_span
-        self.name_cuts = [] if name_cuts is None else name_cuts
-        self.affiliation_spans = [] if affiliation_spans is None else affiliation_spans
+        self.name_cuts: list[Span] = []
+        self.affiliation_spans: list[Span] = []
 
     @cached_property
     def name_plain(self) -> str:
@@ -664,27 +648,20 @@ class LogicalDocument:
     """Positions, raw contents and plain forms of the logical structure
     commands; a plain form is read from the tree's tokens on first use."""
 
-    def __init__(self, stream: TokenStream, title_raw: str | None = None,
-                 title_inner: Span | None = None, title_span: Span | None = None,
-                 date_span: Span | None = None, authors: list[LogicalAuthor] | None = None,
-                 author_block_spans: list[Span] | None = None, abstract_raw: str | None = None,
-                 abstract_inner: Span | None = None, abstract_span: Span | None = None,
-                 maketitle_span: Span | None = None,
-                 sections: list[LogicalSection] | None = None,
-                 emphases: list[tuple[str, Span]] | None = None):
+    def __init__(self, stream: TokenStream):
         self.stream = stream
-        self.title_raw = title_raw
-        self.title_inner = title_inner
-        self.title_span = title_span  # whole \title{...} construct
-        self.date_span = date_span
-        self.authors = [] if authors is None else authors
-        self.author_block_spans = [] if author_block_spans is None else author_block_spans
-        self.abstract_raw = abstract_raw
-        self.abstract_inner = abstract_inner
-        self.abstract_span = abstract_span  # whole environment
-        self.maketitle_span = maketitle_span
-        self.sections = [] if sections is None else sections
-        self.emphases = [] if emphases is None else emphases
+        self.title_raw: str | None = None
+        self.title_inner: Span | None = None
+        self.title_span: Span | None = None  # whole \title{...} construct
+        self.date_span: Span | None = None
+        self.authors: list[LogicalAuthor] = []
+        self.author_block_spans: list[Span] = []
+        self.abstract_raw: str | None = None
+        self.abstract_inner: Span | None = None
+        self.abstract_span: Span | None = None  # whole environment
+        self.maketitle_span: Span | None = None
+        self.sections: list[LogicalSection] = []
+        self.emphases: list[tuple[str, Span]] = []
 
     @cached_property
     def title_plain(self) -> str | None:
@@ -700,12 +677,10 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
     \\and is present) and peel per-author \\thanks groups."""
     src = stream.source
     seps: list[tuple[int, int]] = []
-    has_and = False
     for nd in group.children:
         if isinstance(nd, Token) and nd.is_control_word("and"):
             seps.append((nd.start, nd.end))
-            has_and = True
-    if not has_and:
+    if not seps:
         for nd in group.children:
             if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
                 text = nd.value or ""

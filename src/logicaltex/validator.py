@@ -92,32 +92,22 @@ def validate_structure(original: str | bytes, converted: str | bytes) -> list[tu
 
 def check_body_preservation(original: str | bytes, converted: str | bytes,
                             plan: RewritePlan) -> tuple[bool, int | None]:
-    """True iff every byte outside the plan's spans matches positionally
-    (after offset adjustment for replacement length changes); otherwise
-    the offset of the first difference in the converted text."""
+    """True iff the converted text is the original with each of the plan's
+    replacements in place of its span; otherwise the offset of the first
+    difference in the converted text.  The expected text is built here,
+    not by the converter, so the check does not trust the code it checks."""
     orig = decode_source(original)
     conv = decode_source(converted)
-    o = c = 0
+    parts, pos = [], 0
     for e in plan.edits:
-        seg = orig[o:e.span.start]
-        got = conv[c:c + len(seg)]
-        if got != seg:
-            for k, (x, y) in enumerate(zip(seg, got)):
-                if x != y:
-                    return False, c + k
-            return False, c + min(len(seg), len(got))
-        c += len(seg)
-        if conv[c:c + len(e.replacement)] != e.replacement:
-            return False, c
-        o = e.span.end
-        c += len(e.replacement)
-    tail = orig[o:]
-    if conv[c:] != tail:
-        for k, (x, y) in enumerate(zip(tail, conv[c:])):
-            if x != y:
-                return False, c + k
-        return False, c + min(len(tail), len(conv) - c)
-    return True, None
+        parts += (orig[pos:e.span.start], e.replacement)
+        pos = e.span.end
+    parts.append(orig[pos:])
+    expected = "".join(parts)
+    if conv == expected:
+        return True, None
+    n = min(len(conv), len(expected))
+    return False, next((k for k in range(n) if conv[k] != expected[k]), n)
 
 
 # ---------------------------------------------------------------------------

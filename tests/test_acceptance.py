@@ -294,7 +294,7 @@ def test_batch_sweep_tallies(corpus100, tmp_path_factory):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(["--report", "machine", "batch", str(pairs),
-                     "--scope", "full", "--aggressive", "--offline"])
+                     "--scope", "full", "--aggressive"])
     records = [json.loads(l) for l in buf.getvalue().splitlines() if l.strip()]
     summary = [r for r in records if r.get("command") == "batch-summary"][0]
     ok = (summary["files"] == 100

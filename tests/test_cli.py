@@ -316,7 +316,7 @@ def test_batch_on_pair_corpus(tmp_path, capsys):
     pairs = tmp_path / "pairs"
     emit_pairs(corpus, pairs, PROFILE_SETS[4], seeds=(0,))
     code, out, _ = run(capsys, "--report", "machine", "batch", str(pairs),
-                       "--scope", "full", "--aggressive", "--offline")
+                       "--scope", "full", "--aggressive")
     assert code == 0
     records = machine_records(out)
     summary = [r for r in records if r.get("command") == "batch-summary"][0]
@@ -334,9 +334,9 @@ def test_batch_deterministic_reports(tmp_path, capsys):
     pairs = tmp_path / "pairs"
     emit_pairs(corpus, pairs, ("centerline-style",), seeds=(0,))
     _, out1, _ = run(capsys, "--report", "machine", "batch", str(pairs),
-                     "--scope", "full", "--aggressive", "--offline")
+                     "--scope", "full", "--aggressive")
     _, out2, _ = run(capsys, "--report", "machine", "batch", str(pairs),
-                     "--scope", "full", "--aggressive", "--offline")
+                     "--scope", "full", "--aggressive")
     assert out1 == out2
 
 
@@ -348,10 +348,9 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     pairs = tmp_path / "pairs"
     emit_pairs(corpus, pairs, ("center-env",), seeds=(0,))
     _, serial, _ = run(capsys, "--report", "machine", "batch", str(pairs),
-                       "--scope", "full", "--aggressive", "--offline")
+                       "--scope", "full", "--aggressive")
     _, parallel, _ = run(capsys, "--report", "machine", "batch", str(pairs),
-                         "--jobs", "3", "--scope", "full", "--aggressive",
-                         "--offline")
+                         "--jobs", "3", "--scope", "full", "--aggressive")
     assert serial == parallel
 
 
@@ -424,6 +423,54 @@ def test_unexpected_exception_is_a_failure(degraded_file, capsys, monkeypatch):
     assert out == ""
     assert machine_records(err.split("\n", 1)[1]) == [
         {"schema": 1, "command": "error", "error": "RuntimeError: boom"}]
+
+
+def test_convert_exits_1_on_a_warning(tmp_path, capsys):
+    # Bob's marker 2 names no affiliation: the conversion warns.
+    path = tmp_path / "doc.tex"
+    path.write_text(
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\centerline{\\Large\\bf On Random Walks}\n\n"
+        "\\centerline{Ann Lee$^1$ and Bob Stone$^2$}\n\n"
+        "\\centerline{$^1$Department of Physics, University of X}\n\n"
+        "\\section{Introduction}\n\\end{document}\n", encoding="utf-8")
+    code, out, _ = run(capsys, "--report", "machine", "convert", str(path))
+    warnings = machine_records(out)[0]["warnings"]
+    assert code == 1
+    assert any("Bob Stone" in w and "no matching affiliation" in w for w in warnings)
+
+
+def test_batch_writes_an_error_row_and_exits_2_when_a_conversion_raises(
+        degraded_file, capsys, monkeypatch):
+    import logicaltex.cli
+
+    def crash(source, policy):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(logicaltex.cli, "convert", crash)
+    code, out, _ = run(capsys, "--report", "machine", "batch", str(degraded_file.parent))
+    records = machine_records(out)
+    assert code == 2
+    assert records[0] == {"schema": 1, "command": "batch-file", "path": str(degraded_file),
+                          "error": "RuntimeError: boom", "verdict": "fail", "class": "error"}
+    assert records[1]["conversion"] == {"pass": 0, "warn": 0, "fail": 1}
+    assert records[1]["classes"]["error"] == 1
+
+
+def test_batch_exits_1_on_a_warn_verdict(degraded_file, capsys):
+    # A sidecar whose title the conversion cannot match scores below the
+    # title threshold, so the file's verdict is a warning.
+    sidecar = degraded_file.with_name("sample.truth.json")
+    truth = json.loads(sidecar.read_text(encoding="utf-8"))
+    sidecar.write_text(json.dumps({**truth, "title": "Another Paper Entirely"}),
+                       encoding="utf-8")
+    code, out, _ = run(capsys, "--report", "machine", "batch", str(degraded_file.parent),
+                       "--scope", "full", "--aggressive")
+    records = machine_records(out)
+    assert code == 1
+    assert records[0]["verdict"] == "warn"
+    assert records[0]["metadata"]["title_similarity"] < 0.9
+    assert records[1]["conversion"] == {"pass": 0, "warn": 1, "fail": 0}
 
 
 def _count_detect_all(monkeypatch, *modules):

@@ -285,6 +285,14 @@ def test_section_rewrite_strips_number_and_par():
     assert "\\medskip" not in out and "\\section{Results}\\par" not in out
 
 
+def test_glue_read_inside_a_text_run_leaves_the_heading():
+    # \hskip reads "1em" from the text run "1em 2. Results": the style
+    # peeling keeps the run's rest, so the heading is still numbered.
+    src = wrap("Intro text here.\n\n{\\bf \\hskip 1em 2. Results}\n\nText of the results.")
+    out, _ = convert(src, ConversionPolicy(scope=Scope.FULL))
+    assert out == src.replace("{\\bf \\hskip 1em 2. Results}", "\\section{Results}")
+
+
 def test_unnumbered_section_becomes_starred():
     src = wrap("\\maketitle\n\n\\textbf{\\large Acknowledgments}\n\nThanks.",
                preamble="\\title{T}")

@@ -109,6 +109,13 @@ def test_strip_styling_drops_style_keeps_content():
     assert strip_styling(r"\H$x$") == r"\H x"
 
 
+def test_strip_styling_keeps_an_accent_symbols_group():
+    # An accent symbol keeps its braced argument, braces and all, as an
+    # accent word does.
+    assert strip_styling(r"Mart\'{\i}n") == r"Mart\'{\i}n"
+    assert strip_styling(r"G\"{o}del and Erd\H{o}s") == r"G\"{o}del and Erd\H{o}s"
+
+
 def test_reading_may_end_inside_a_text_run():
     # A star, a bracket or glue ends inside a merged text run; what is
     # left of the run is not read.
@@ -272,9 +279,9 @@ def test_resolve_order_insensitive_pair_set():
 
 
 def test_marker_value_equality_ignores_rendering():
-    a = Marker(MarkerSymbol.DIGIT, "2", rendering="$^{2}$")
-    b = Marker(MarkerSymbol.DIGIT, "2", rendering="\\footnotemark[2]")
-    assert a == b and hash(a) == hash(b)
+    a = normalize_marker("$^{2}$")
+    b = normalize_marker("\\footnotemark[2]")
+    assert a == b == Marker(MarkerSymbol.DIGIT, "2") and hash(a) == hash(b)
 
 
 def test_extract_logical_thanks_style():

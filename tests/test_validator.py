@@ -100,6 +100,22 @@ def test_body_checks_replacement_text_too():
     assert not ok2 and off2 == 0
 
 
+_B_TO_XY = RewritePlan((Edit(Span(1, 2), "XY", "t"),))
+
+
+@pytest.mark.parametrize("converted, offset", [
+    ("aXYc", None),
+    ("zXYc", 0),  # before the edit
+    ("aXZc", 2),  # inside the replacement: its second character
+    ("aX", 2),  # the replacement cut short
+    ("aXY", 3),  # the tail too short
+    ("aXYcd", 4),  # the tail too long
+])
+def test_body_check_reports_the_first_differing_offset(converted, offset):
+    # "abc" with b replaced by XY reads "aXYc".
+    assert check_body_preservation("abc", converted, _B_TO_XY) == (offset is None, offset)
+
+
 # ---------------------------------------------------------------------------
 # normalization and similarity
 # ---------------------------------------------------------------------------
