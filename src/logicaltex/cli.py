@@ -441,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file mirroring the flags")
     parser.add_argument("--report", choices=["human", "machine"], default=None,
                         help="report format (default: human)")
-    parser.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="metadata cache directory "
-                             "(env: LOGICALTEX_CACHE_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="list detections and classify")
@@ -476,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("paths", nargs="+", type=Path)
     p_validate.add_argument("--arxiv-id", dest="arxiv_id", default=None)
     p_validate.add_argument("--offline", action="store_true", default=None)
-    p_validate.add_argument("--cache-dir", dest="cache_dir",
-                            default=argparse.SUPPRESS)
+    p_validate.add_argument("--cache-dir", dest="cache_dir", default=None,
+                            help="metadata cache directory "
+                                 "(env: LOGICALTEX_CACHE_DIR)")
     p_validate.add_argument("--scope", choices=["metadata", "full"], default=None)
     p_validate.add_argument("--aggressive", action="store_true", default=None)
 
@@ -490,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
     except (OSError, ValueError) as exc:
@@ -510,11 +507,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_degrade(args.paths, cfg)
         if args.command == "validate":
             return cmd_validate(args.paths, cfg)
-        if args.command == "batch":
-            if not args.corpus.is_dir():
-                print(f"error: {args.corpus} is not a directory", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_batch(args.corpus, cfg)
+        # The parser requires one of the five commands: this is batch.
+        if not args.corpus.is_dir():
+            print(f"error: {args.corpus} is not a directory", file=sys.stderr)
+            return EXIT_USAGE
+        return cmd_batch(args.corpus, cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -525,8 +522,6 @@ def main(argv: list[str] | None = None) -> int:
             _Reporter(cfg.report, _report_stream(args.command, cfg)).emit(
                 {"command": "error", "error": error}, error)
         return EXIT_FAIL
-    parser.error("unknown command")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

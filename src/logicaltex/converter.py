@@ -110,15 +110,14 @@ class ConversionReport:
     """What a conversion applied and skipped, and why, with the classes before and after."""
 
     def __init__(self, applied: list[tuple[Detection, Edit]], skipped: list[tuple[Detection, str]],
-                 warnings: list[str], class_before: FormattingClass, plan: RewritePlan,
-                 changed_text: str | None = None):
+                 warnings: list[str], class_before: FormattingClass, plan: RewritePlan):
         self.applied = applied
         self.skipped = skipped
         self.warnings = warnings
         self.class_before = class_before
         self.plan = plan
-        # The output text when it differs from the input, else None.
-        self.changed_text = changed_text
+        # The output text when it differs from the input, else None; set by convert.
+        self.changed_text: str | None = None
 
     @cached_property
     def class_after(self) -> FormattingClass:

@@ -23,25 +23,13 @@ class NotLogicalError(Exception):
     degrade faithfully."""
 
 
-class DegradationProfile:
-    """One visual idiom the degrader writes, by name."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
+def _profile_names(profiles) -> list[str]:
+    """The names of a profile set, sorted; an unknown name is a ValueError."""
+    names = [str(p) for p in profiles]
+    for name in names:
         if name not in PROFILE_CODES:
             raise ValueError(f"unknown degradation profile {name!r}")
-        self.name = name
-
-
-def as_profiles(profiles) -> list[DegradationProfile]:
-    out = []
-    for p in profiles:
-        if isinstance(p, DegradationProfile):
-            out.append(p)
-        else:
-            out.append(DegradationProfile(str(p)))
-    return sorted(out, key=lambda p: p.name)
+    return sorted(names)
 
 
 class GroundTruth:
@@ -126,9 +114,9 @@ _SYM_TEXT = ("\\dag", "\\ddag", "\\S", "\\P")
 
 
 class _Degrader:
-    def __init__(self, text: str, profiles: list[DegradationProfile], seed: int):
+    def __init__(self, text: str, names: list[str], seed: int):
         self.text = text
-        self.names = {p.name for p in profiles}
+        self.names = set(names)
         self.rng = random.Random(seed)
 
     # -- body constructs: drawn first ---------------------------------------
@@ -380,10 +368,10 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
     tree = parse(text)
     if classify(tree).label is not DocumentClass.LOGICAL:
         raise NotLogicalError("input does not classify as logically formatted")
-    plist = as_profiles(profiles)
+    names = _profile_names(profiles)
     doc = extract_logical(tree)
     truth = capture_ground_truth(doc)
-    worker = _Degrader(text, plist, seed)
+    worker = _Degrader(text, names, seed)
 
     body = worker.degrade_sections(doc)
     body += worker.degrade_emphasis(doc, [e.span for e in body])
@@ -407,7 +395,7 @@ def _sha256(data: bytes) -> str:
 
 
 def profile_tag(profiles) -> str:
-    return "-".join(PROFILE_CODES[p.name] for p in as_profiles(profiles))
+    return "-".join(PROFILE_CODES[name] for name in _profile_names(profiles))
 
 
 def _row_key(row: dict) -> tuple:
@@ -434,8 +422,8 @@ def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                if line.strip()] if manifest.exists() else []
     # visual file name -> the source whose pair it is
     owners = {Path(r["visual"]).name: r["source"] for r in earlier if "visual" in r}
-    plist = as_profiles(profiles)
-    tag = profile_tag(plist)
+    names = _profile_names(profiles)
+    tag = profile_tag(names)
     rows: list[dict] = []
     for path in paths:
         data = path.read_bytes()
@@ -447,13 +435,13 @@ def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                 f"its pairs would overwrite those of {owner}"
             if skipped is None:
                 try:
-                    visual, truth = degrade(data, plist, seed)
+                    visual, truth = degrade(data, names, seed)
                 except NotLogicalError as exc:
                     skipped = str(exc)
             if skipped is not None:
                 rows.append({
                     "source": str(path),
-                    "profiles": [p.name for p in plist],
+                    "profiles": list(names),
                     "seed": seed,
                     "skipped": skipped,
                 })
@@ -468,7 +456,7 @@ def emit_pairs(corpus: str | Path | list[Path], out_dir: str | Path, profiles,
                 "visual": str(visual_path),
                 "logical": str(logical_path),
                 "sidecar": str(sidecar_path),
-                "profiles": [p.name for p in plist],
+                "profiles": list(names),
                 "seed": seed,
                 "checksums": {
                     "source": _sha256(data),

@@ -135,9 +135,6 @@ class Detection:
             == (other.kind, other.span, other.cues, other.confidence, other.level,
                 other.keyword, other.data, other.skip_reason)
 
-    def has_cue(self, kind: CueKind) -> bool:
-        return any(c.kind is kind for c in self.cues)
-
 
 def score_cues(cues) -> float:
     points = sum(CUE_WEIGHTS[c.kind] for c in cues)

@@ -102,25 +102,6 @@ def _core_marker(core: str, wrapped: bool) -> Marker | None:
     return None
 
 
-def normalize_marker(rendering: str) -> Marker | None:
-    """Map one marker rendering to its canonical value, or None."""
-    s = latin1_fallback(rendering.strip())
-    if not s:
-        return None
-    m = _FOOTNOTEMARK.fullmatch(s)
-    if m:
-        v = m.group(1)
-        if v.isdigit():
-            return Marker(MarkerSymbol.DIGIT, v.lstrip("0") or "0")
-        return Marker(MarkerSymbol.ASTERISK)
-    m = _TEXTSUPERSCRIPT.fullmatch(s)
-    if m:
-        core, _ = _peel(m.group(1))
-        return _core_marker(core, True)
-    core, wrapped = _peel(s)
-    return _core_marker(core, wrapped)
-
-
 def extract_markers(rendering: str) -> list[Marker]:
     """All markers in a rendering, honoring comma lists like $^{1,2}$."""
     s = latin1_fallback(rendering.strip())
@@ -128,8 +109,10 @@ def extract_markers(rendering: str) -> list[Marker]:
         return []
     m = _FOOTNOTEMARK.fullmatch(s)
     if m:
-        single = normalize_marker(s)
-        return [single] if single else []
+        v = m.group(1)
+        if v.isdigit():
+            return [Marker(MarkerSymbol.DIGIT, v.lstrip("0") or "0")]
+        return [Marker(MarkerSymbol.ASTERISK)]
     sup = _TEXTSUPERSCRIPT.fullmatch(s)
     if sup:
         core, wrapped = _peel(sup.group(1))
@@ -492,10 +475,6 @@ class StyledText(NamedTuple):
     raw: str
     plain: str
 
-    @classmethod
-    def from_raw(cls, raw: str) -> "StyledText":
-        return cls(raw=raw.strip(), plain=strip_styling(raw))
-
 
 class Author:
     """One author as found in visual front matter, with the markers after the name."""
@@ -525,17 +504,12 @@ class FrontMatter:
     __slots__ = ("authors", "affiliations", "author_affiliation_edges", "unresolved_markers",
                  "notes")
 
-    def __init__(self, authors: list[Author] | None = None,
-                 affiliations: list[Affiliation] | None = None,
-                 author_affiliation_edges: set[tuple[int, int]] | None = None,
-                 unresolved_markers: list[tuple[int, Marker]] | None = None,
-                 notes: list[str] | None = None):
-        self.authors = [] if authors is None else authors
-        self.affiliations = [] if affiliations is None else affiliations
-        self.author_affiliation_edges = (set() if author_affiliation_edges is None
-                                         else author_affiliation_edges)
-        self.unresolved_markers = [] if unresolved_markers is None else unresolved_markers
-        self.notes = [] if notes is None else notes
+    def __init__(self):
+        self.authors: list[Author] = []
+        self.affiliations: list[Affiliation] = []
+        self.author_affiliation_edges: set[tuple[int, int]] = set()
+        self.unresolved_markers: list[tuple[int, Marker]] = []
+        self.notes: list[str] = []
 
 
 class ResolutionResult:

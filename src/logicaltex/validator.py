@@ -61,13 +61,13 @@ class ValidationReport:
 
     def __init__(self, structural_delta: list[tuple[str, str]], body_preserved: bool,
                  first_difference: int | None, metadata: MetadataScores | None,
-                 verdict: Verdict, notes: list[str] | None = None):
+                 verdict: Verdict):
         self.structural_delta = structural_delta
         self.body_preserved = body_preserved
         self.first_difference = first_difference
         self.metadata = metadata
         self.verdict = verdict
-        self.notes = [] if notes is None else notes
+        self.notes: list[str] = []
 
     def to_dict(self) -> dict:
         return {

@@ -286,8 +286,8 @@ def test_validate_against_arxiv_cache_offline(tmp_path, capsys):
     quantum = next(p for p in LOGICAL_FIXTURES if p.name == "quantum_walks.tex")
     path = tmp_path / "2401.01234.tex"
     shutil.copy(quantum, path)
-    code, out, _ = run(capsys, "--report", "machine", "--cache-dir",
-                       str(ARXIV_CACHE), "validate", str(path), "--offline")
+    code, out, _ = run(capsys, "--report", "machine", "validate", str(path), "--offline",
+                       "--cache-dir", str(ARXIV_CACHE))
     rec = machine_records(out)[0]
     assert rec["verdict"] in ("pass", "warn")
     assert rec["metadata_scores"] is not None
@@ -299,9 +299,8 @@ def test_validate_against_arxiv_cache_offline(tmp_path, capsys):
 def test_validate_missing_reference_noted(tmp_path, capsys):
     path = tmp_path / "9999.99999.tex"
     shutil.copy(LOGICAL_FIXTURES[0], path)
-    code, out, _ = run(capsys, "--report", "machine", "--cache-dir",
-                       str(tmp_path / "empty_cache"), "validate", str(path),
-                       "--offline")
+    code, out, _ = run(capsys, "--report", "machine", "validate", str(path), "--offline",
+                       "--cache-dir", str(tmp_path / "empty_cache"))
     rec = machine_records(out)[0]
     assert rec["metadata_scores"] is None
     assert any("no reference record" in n for n in rec["notes"])
@@ -378,6 +377,14 @@ def test_config_file_unknown_key_is_usage_error(degraded_file, tmp_path, capsys)
     assert "unknown config keys" in err
 
 
+def test_config_file_holding_an_array_is_usage_error(degraded_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"scope": "full"}]), encoding="utf-8")
+    code, _, err = run(capsys, "--config", str(cfg), "convert", str(degraded_file))
+    assert code == 3
+    assert "must hold a JSON object" in err
+
+
 def test_human_report_includes_diff(degraded_file, capsys):
     code, out, _ = run(capsys, "convert", str(degraded_file),
                        "--scope", "full", "--aggressive")
@@ -401,6 +408,38 @@ def test_cache_dir_accepted_after_subcommand(tmp_path, capsys):
     rec = machine_records(out)[0]
     assert rec["metadata_scores"]["title_similarity"] == 1.0
     assert code in (0, 1)
+
+
+def test_cache_dir_from_the_environment(tmp_path, capsys, monkeypatch):
+    # Without --cache-dir, validate reads the cache LOGICALTEX_CACHE_DIR names.
+    quantum = next(p for p in LOGICAL_FIXTURES if p.name == "quantum_walks.tex")
+    path = tmp_path / "2401.01234.tex"
+    shutil.copy(quantum, path)
+    monkeypatch.setenv("LOGICALTEX_CACHE_DIR", str(ARXIV_CACHE))
+    code, out, _ = run(capsys, "--report", "machine", "validate", str(path), "--offline")
+    assert machine_records(out)[0]["metadata_scores"]["title_similarity"] == 1.0
+    assert code in (0, 1)
+    monkeypatch.setenv("LOGICALTEX_CACHE_DIR", str(tmp_path / "empty_cache"))
+    code, out, _ = run(capsys, "--report", "machine", "validate", str(path), "--offline")
+    assert machine_records(out)[0]["metadata_scores"] is None
+
+
+def test_cache_dir_before_the_command_is_usage_error(capsys):
+    # Only validate reads the cache, so only validate takes the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("hep-th_9901001.tex", "hep-th/9901001"),
+    ("2401.01234.visual.tex", "2401.01234"),
+    ("notes.tex", None),
+])
+def test_arxiv_id_inferred_from_the_file_name(name, expected):
+    from logicaltex.cli import _infer_arxiv_id
+
+    assert _infer_arxiv_id(Path(name)) == expected
 
 
 def test_unexpected_exception_is_a_failure(degraded_file, capsys, monkeypatch):

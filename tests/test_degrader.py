@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from logicaltex.converter import RewritePlan, apply, convert
 from logicaltex.degrader import (
     PROFILE_CODES,
-    DegradationProfile,
     GroundTruth,
     NotLogicalError,
     _Degrader,
-    as_profiles,
     capture_ground_truth,
     degrade,
     emit_pairs,
+    profile_tag,
 )
 from logicaltex.detector import DocumentClass, classify, detect_all, document_body, extract_frontmatter
 from logicaltex.lexer import parse
@@ -58,9 +57,12 @@ Body.
 """
 
 
-def test_unknown_profile_rejected():
-    with pytest.raises(ValueError):
-        DegradationProfile("no-such-profile")
+def test_unknown_profile_rejected(tmp_path):
+    for call in (lambda: profile_tag(["center-env", "no-such-profile"]),
+                 lambda: degrade(MINI, ["no-such-profile"]),
+                 lambda: emit_pairs([], tmp_path, ["no-such-profile"])):
+        with pytest.raises(ValueError, match="unknown degradation profile 'no-such-profile'"):
+            call()
 
 
 def test_degrade_deterministic():
@@ -203,7 +205,7 @@ def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, GroundT
     if classify(tree).label is not DocumentClass.LOGICAL:
         raise NotLogicalError("input does not classify as logically formatted")
     doc = extract_logical(tree)
-    worker = _Degrader(text, as_profiles(profiles), seed)
+    worker = _Degrader(text, profiles, seed)
     sections = worker.degrade_sections(doc)
     body = sections + worker.degrade_emphasis(doc, [e.span for e in sections])
     body.sort(key=lambda e: (e.span.start, e.span.end))
@@ -467,9 +469,9 @@ def test_emit_pairs_rerun_skips_a_name_owned_by_another_source(tmp_path):
         (str(first), 0, False), (str(second), 0, True), (str(second), 1, False)]
 
 
-def test_as_profiles_sorts_and_accepts_objects():
-    profs = as_profiles(["inline-emphasis", DegradationProfile("center-env")])
-    assert [p.name for p in profs] == ["center-env", "inline-emphasis"]
+def test_profile_tag_sorts_the_names():
+    assert profile_tag(["inline-emphasis", "center-env"]) == "ce-ie"
+    assert profile_tag(("center-env", "inline-emphasis")) == "ce-ie"
 
 
 def test_round_trip_reads_plain_forms_without_lexing_again(small_corpus, monkeypatch):

@@ -253,7 +253,7 @@ def test_two_marker_author_lines_and_numbered_institutes():
     authors, affils = detect_authors_affiliations(tree, region, title)
     assert len(authors) == 2 and len(affils) == 2
     for det in authors + affils:
-        assert det.has_cue(CueKind.MARKER_SYMBOL)
+        assert CueKind.MARKER_SYMBOL in {c.kind for c in det.cues}
     fm = extract_frontmatter(detect_all(tree))
     assert [a.name.plain for a in fm.authors] == ["Maria Santos", "Igor Petrov"]
     assert sorted(fm.author_affiliation_edges) == [(0, 0), (0, 1), (1, 0)]
@@ -362,7 +362,7 @@ def test_abstract_unlabeled_centered_below_threshold():
     det = detect_abstract(tree, frontmatter_region(tree))
     assert det is not None
     assert not passes(det.confidence, AUTO_APPLY_THRESHOLD)
-    assert det.has_cue(CueKind.CENTERED)
+    assert CueKind.CENTERED in {c.kind for c in det.cues}
 
 
 def test_abstract_label_line_then_paragraph():
@@ -373,7 +373,7 @@ def test_abstract_label_line_then_paragraph():
     tree = parse(src)
     det = detect_abstract(tree, frontmatter_region(tree))
     assert det is not None
-    assert det.has_cue(CueKind.LEADING_KEYWORD)
+    assert CueKind.LEADING_KEYWORD in {c.kind for c in det.cues}
     assert det.data["content_raw"].startswith("This paragraph carries")
 
 

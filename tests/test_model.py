@@ -20,7 +20,6 @@ from logicaltex.model import (
     extract_logical,
     extract_markers,
     fold_accents,
-    normalize_marker,
     plain_text,
     read_arguments,
     resolve_affiliations,
@@ -55,24 +54,27 @@ RENDERING_TABLE = [
     (r"$^b$", Marker(MarkerSymbol.LETTER, "b")),
     ("1", Marker(MarkerSymbol.DIGIT, "1")),
     (r"\footnotemark[*]", Marker(MarkerSymbol.ASTERISK)),
+    (r"\footnotemark[007]", Marker(MarkerSymbol.DIGIT, "7")),
+    (r"\footnotemark[00]", Marker(MarkerSymbol.DIGIT, "0")),
+    (r"\footnotemark [ ** ]", Marker(MarkerSymbol.ASTERISK)),
     ("\u2020", Marker(MarkerSymbol.DAGGER)),
 ]
 
 
 @pytest.mark.parametrize("rendering,expected", RENDERING_TABLE)
-def test_normalize_marker_table(rendering, expected):
-    assert normalize_marker(rendering) == expected
+def test_extract_markers_table(rendering, expected):
+    assert extract_markers(rendering) == [expected]
 
 
 @pytest.mark.parametrize("text", ["", "hello", "a", "Department", r"\alpha", "$x+y$"])
-def test_normalize_marker_rejects_non_markers(text):
-    assert normalize_marker(text) is None
+def test_extract_markers_rejects_non_markers(text):
+    assert extract_markers(text) == []
 
 
-def test_distinct_renderings_normalize_to_one_value():
+def test_distinct_renderings_extract_to_one_value():
     forms = [r"$^{\dagger}$", r"\dag", r"$\dagger$", "\u2020"]
-    values = {normalize_marker(f) for f in forms}
-    assert len(values) == 1
+    values = {tuple(extract_markers(f)) for f in forms}
+    assert values == {(Marker(MarkerSymbol.DAGGER),)}
 
 
 def test_extract_markers_comma_lists():
@@ -135,8 +137,12 @@ def test_reading_may_end_inside_a_text_run():
         assert i == len(nodes) or nodes[i].end > end >= nodes[i - 1].end, source
 
 
+def styled(raw: str) -> StyledText:
+    return StyledText(raw.strip(), strip_styling(raw))
+
+
 def test_strip_styling_preserves_accents():
-    text = StyledText.from_raw(r"{\bf Erd\H{o}s, P\'al}")
+    text = styled(r"{\bf Erd\H{o}s, P\'al}")
     assert text.plain == r"Erd\H{o}s, P\'al"
     assert r"\H{o}" in text.raw and r"\H{o}" in text.plain
 
@@ -228,11 +234,11 @@ def test_fold_tables_have_no_ascii_key():
 
 
 def A(name, *markers):
-    return Author(StyledText.from_raw(name), set(markers), S())
+    return Author(styled(name), set(markers), S())
 
 
 def F(text, marker=None):
-    return Affiliation(StyledText.from_raw(text), marker, S())
+    return Affiliation(styled(text), marker, S())
 
 
 DAG = Marker(MarkerSymbol.DAGGER)
@@ -279,8 +285,8 @@ def test_resolve_order_insensitive_pair_set():
 
 
 def test_marker_value_equality_ignores_rendering():
-    a = normalize_marker("$^{2}$")
-    b = normalize_marker("\\footnotemark[2]")
+    [a] = extract_markers("$^{2}$")
+    [b] = extract_markers("\\footnotemark[2]")
     assert a == b == Marker(MarkerSymbol.DIGIT, "2") and hash(a) == hash(b)
 
 

@@ -10,12 +10,12 @@ import pytest
 
 import logicaltex
 
-# Each module and the names ``import logicaltex`` has always exported from it.
+# Each module and the names ``import logicaltex`` exports from it.
 EXPORTED = {
     "arxiv": "ArxivClient ArxivRecord",
     "converter": "ConversionPolicy ConversionReport Edit OverlapError PolicyViolation "
                  "RewritePlan Scope apply convert plan",
-    "degrader": "DegradationProfile GroundTruth NotLogicalError degrade emit_pairs",
+    "degrader": "GroundTruth NotLogicalError degrade emit_pairs",
     "detector": "Cue CueKind Detection DetectionKind DocumentClass FormattingClass classify "
                 "detect_abstract detect_all detect_authors_affiliations "
                 "detect_emphasis_and_theorems detect_section_headers detect_title "
@@ -23,7 +23,7 @@ EXPORTED = {
     "lexer": "BlockTree Diagnostic Span Token TokenKind TokenStream build_tree math_spans "
              "parse protected_spans tokenize",
     "model": "Affiliation Author FrontMatter Marker MarkerSymbol StyledText extract_markers "
-             "normalize_marker resolve_affiliations strip_styling",
+             "resolve_affiliations strip_styling",
     "validator": "ExtractedMetadata MetadataScores ValidationReport Verdict "
                  "check_body_preservation compare_metadata validate validate_structure",
 }
