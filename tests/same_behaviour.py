@@ -13,7 +13,10 @@ fixtures, and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
 converted under the four policies (metadata or full scope, each with and
 without ``aggressive``).  A line hashes the output bytes, the plan, the
 applied and skipped detections with their cues and skip reasons, the
-warnings and both classes.  Each corpus pair gets one more line with three
+warnings and both classes.  One more line per input digests its block
+tree: the diagnostics, and every node depth first with its class,
+offsets, name and number of children, so a change of the tree shows even
+where no output byte moves.  Each corpus pair gets one more line with three
 digests: the degrader's visual bytes, its ground truth, and the metadata
 scores of what ``validate`` extracts from the full-scope ``aggressive``
 conversion, scored against that truth.
@@ -37,7 +40,7 @@ from corpusgen import build_corpus  # noqa: E402
 from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
-from logicaltex.lexer import encode_source  # noqa: E402
+from logicaltex.lexer import EnvNode, GroupNode, MathNode, encode_source, parse  # noqa: E402
 from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
 
 BUNDLES = (
@@ -93,6 +96,26 @@ def digest(source: str | bytes, policy: ConversionPolicy) -> str:
     return _hash(record)
 
 
+def tree_digest(source: str | bytes) -> str:
+    tree = parse(source)
+    nodes = []
+    pending = [iter(tree.nodes)]  # an explicit stack: any depth is walked
+    while pending:
+        for n in pending[-1]:
+            if isinstance(n, (GroupNode, EnvNode)):
+                name = n.name if isinstance(n, EnvNode) else None
+                nodes.append((type(n).__name__, n.start, n.end, n.inner_start, n.inner_end,
+                              name, len(n.children)))
+                pending.append(iter(n.children))
+                break
+            nodes.append((type(n).__name__, n.start, n.end,
+                          n.kind if isinstance(n, MathNode) else None))
+        else:
+            pending.pop()
+    diagnostics = [(d.kind, d.detail, tuple(d.span)) for d in tree.diagnostics]
+    return _hash((diagnostics, nodes))
+
+
 def _hash(record) -> str:
     return hashlib.sha256(repr(record).encode("utf-8", "backslashreplace")).hexdigest()[:20]
 
@@ -109,6 +132,7 @@ def lines(docs: int, limit: int | None = None):
     for name, source, truth in itertools.islice(inputs(docs), limit):
         for label, policy in POLICIES.items():
             yield f"{name} {label} {digest(source, policy)}"
+        yield f"{name} tree {tree_digest(source)}"
         if truth is not None:
             yield f"{name} {truth_digests(source, truth)}"
 

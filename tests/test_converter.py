@@ -676,6 +676,7 @@ def test_same_behaviour_digests(capsys):
     first = capsys.readouterr().out.splitlines()
     same_behaviour.main(["--docs", "1", "--limit", "3"])
     assert capsys.readouterr().out.splitlines() == first
-    assert len(first) == 3 * len(same_behaviour.POLICIES)
+    # one line per policy and one for the tree, for each input
+    assert len(first) == 3 * (len(same_behaviour.POLICIES) + 1)
     assert len({line.split()[0] for line in first}) == 3
     assert len({line.split()[2] for line in first}) > 1

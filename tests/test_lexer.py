@@ -208,6 +208,76 @@ def test_group_crossing_environment_boundary():
     assert any(d.kind == "group-crosses-boundary" for d in tree.diagnostics)
 
 
+def _shape(nodes):
+    """Each node as its class and offsets, inner offsets and name or math
+    kind, with a group's or environment's children nested in it."""
+    out = []
+    for n in nodes:
+        if isinstance(n, GroupNode):
+            out.append(("GroupNode", n.start, n.end, n.inner_start, n.inner_end,
+                        _shape(n.children)))
+        elif isinstance(n, EnvNode):
+            out.append(("EnvNode", n.name, n.start, n.end, n.inner_start, n.inner_end,
+                        _shape(n.children)))
+        elif isinstance(n, MathNode):
+            out.append(("MathNode", n.kind, n.start, n.end))
+        else:
+            out.append(("Token", n.start, n.end))
+    return out
+
+
+@pytest.mark.parametrize("text, nodes, diagnostics", [
+    # an unmatched }: kept as a token where it stands
+    ("a}b",
+     [("Token", 0, 1), ("Token", 1, 2), ("Token", 2, 3)],
+     [("unmatched-end-group", "", (1, 2))]),
+    # a group left open at the end runs to the end of the text
+    ("x{y",
+     [("Token", 0, 1), ("GroupNode", 1, 3, 2, 3, [("Token", 2, 3)])],
+     [("unclosed-group", "", (1, 2))]),
+    # \end{x} across open groups closes them at the \end, innermost first
+    ("\\begin{x}{a{b\\end{x}c",
+     [("EnvNode", "x", 0, 20, 9, 13,
+       [("GroupNode", 9, 13, 10, 13,
+         [("Token", 10, 11), ("GroupNode", 11, 13, 12, 13, [("Token", 12, 13)])])]),
+      ("Token", 20, 21)],
+     [("group-crosses-boundary", "x", (11, 12)), ("group-crosses-boundary", "x", (9, 10))]),
+    # \end without \begin: its tokens stay in place
+    ("a\\end{x}b",
+     [("Token", 0, 1), ("Token", 1, 5), ("Token", 5, 6), ("Token", 6, 7), ("Token", 7, 8),
+      ("Token", 8, 9)],
+     [("end-without-begin", "x", (1, 5))]),
+    # \end{a} across an open b closes b at the \end
+    ("\\begin{a}\\begin{b}\\end{a}c",
+     [("EnvNode", "a", 0, 25, 9, 18, [("EnvNode", "b", 9, 18, 18, 18, [])]), ("Token", 25, 26)],
+     [("unclosed-environment", "b", (9, 10))]),
+    # \end{a} inside an open b that no a encloses
+    ("\\begin{b}x\\end{a}",
+     [("EnvNode", "b", 0, 17, 9, 17,
+       [("Token", 9, 10), ("Token", 10, 14), ("Token", 14, 15), ("Token", 15, 16),
+        ("Token", 16, 17)])],
+     [("end-without-begin", "a", (10, 14)), ("unclosed-environment", "b", (0, 1))]),
+    # \begin with no name is a plain control word
+    ("\\begin x{y}",
+     [("Token", 0, 6), ("Token", 6, 7), ("Token", 7, 8),
+      ("GroupNode", 8, 11, 9, 10, [("Token", 9, 10)])],
+     []),
+    # \) with no open \(
+    ("a\\)b",
+     [("Token", 0, 1), ("Token", 1, 3), ("Token", 3, 4)],
+     [("math-close-without-open", ")", (1, 3))]),
+    # an unterminated $ ends at the paragraph break
+    ("a $x\n\nb",
+     [("Token", 0, 1), ("Token", 1, 2), ("MathNode", "inline", 2, 4), ("Token", 4, 6),
+      ("Token", 6, 7)],
+     [("unterminated-math", "inline", (2, 4))]),
+])
+def test_tree_recovery_table(text, nodes, diagnostics):
+    tree = parse(text)
+    assert _shape(tree.nodes) == nodes
+    assert [(d.kind, d.detail, (d.span.start, d.span.end)) for d in tree.diagnostics] == diagnostics
+
+
 def test_balanced_fixture_files_have_no_diagnostics():
     for path in LOGICAL_FIXTURES:
         tree = parse(path.read_bytes())
