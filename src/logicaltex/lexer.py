@@ -467,17 +467,9 @@ class BlockTree:
         self.math = math
 
 
-# Nodes and frames are built by ``tuple.__new__``, without the
-# Python-level constructor of a NamedTuple.
+# Nodes are built by ``tuple.__new__``, without the Python-level
+# constructor of a NamedTuple.
 _new = tuple.__new__
-
-
-class _Frame(NamedTuple):
-    kind: str  # "group" or "env"
-    name: str | None
-    start: int
-    inner_start: int
-    children: list[Node]
 
 
 def _env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
@@ -508,7 +500,14 @@ def _env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
 class _TreeBuilder:
     """Places the stream's tokens in a tree, visiting only the structural
     ones: the tokens between two of them go to the innermost open group
-    or environment as one slice."""
+    or environment as one slice.
+
+    An open group is the plain tuple ``(start, inner_start, children)``
+    and an open environment ``(start, inner_start, children, name)``, so
+    the length of a frame tells the two apart.  ``envs`` maps the name
+    of each open environment to the stack depths of its frames,
+    innermost last, so an ``\\end`` finds its ``\\begin`` without a scan
+    of the stack."""
 
     def __init__(self, stream: TokenStream):
         self.stream = stream
@@ -516,11 +515,12 @@ class _TreeBuilder:
         self.structural = stream.structural
         self.diags: list[Diagnostic] = []
         self.root: list[Node] = []
-        self.stack: list[_Frame] = []
+        self.stack: list[tuple] = []
+        self.envs: dict[str, list[int]] = {}
         self.math: list[Span] = []
 
     def sink(self) -> list[Node]:
-        return self.stack[-1].children if self.stack else self.root
+        return self.stack[-1][2] if self.stack else self.root
 
     def build(self) -> BlockTree:
         toks = self.toks
@@ -548,13 +548,12 @@ class _TreeBuilder:
             pos = i + 1
             if k is BEGIN_GROUP:
                 sink = []
-                stack.append(new(_Frame, ("group", None, t.start, t.end, sink)))
+                stack.append((t.start, t.end, sink))
             elif k is END_GROUP:
-                if stack and stack[-1].kind == "group":
-                    f = stack.pop()
-                    sink = stack[-1].children if stack else root
-                    sink.append(new(GroupNode,
-                                    (f.children, f.start, t.end, f.inner_start, t.start)))
+                if stack and len(stack[-1]) == 3:
+                    start, inner_start, children = stack.pop()
+                    sink = stack[-1][2] if stack else root
+                    sink.append(new(GroupNode, (children, start, t.end, inner_start, t.start)))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
                     sink.append(t)
@@ -582,12 +581,15 @@ class _TreeBuilder:
         ``group_detail`` for a group, an unclosed environment for an
         environment."""
         f = self.stack.pop()
-        if f.kind == "group":
-            self.diags.append(Diagnostic(group_kind, group_detail, Span(f.start, f.start + 1)))
-            node = _new(GroupNode, (f.children, f.start, end, f.inner_start, end))
+        if len(f) == 3:
+            start, inner_start, children = f
+            self.diags.append(Diagnostic(group_kind, group_detail, Span(start, start + 1)))
+            node = _new(GroupNode, (children, start, end, inner_start, end))
         else:
-            self.diags.append(Diagnostic("unclosed-environment", f.name, Span(f.start, f.start + 1)))
-            node = _new(EnvNode, (f.name, f.children, f.start, end, f.inner_start, end))
+            start, inner_start, children, name = f
+            self.envs[name].pop()
+            self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
+            node = _new(EnvNode, (name, children, start, end, inner_start, end))
         self.sink().append(node)
 
     def _math(self, kind: str, start: int, end: int | None, stop: int) -> int:
@@ -651,7 +653,8 @@ class _TreeBuilder:
         name, name_idx, after = named
         if name.rstrip("*") in MATH_ENVIRONMENTS:
             return self._math_environment(i, name, name_idx)
-        self.stack.append(_new(_Frame, ("env", name, t.start, after, [])))
+        self.envs.setdefault(name, []).append(len(self.stack))
+        self.stack.append((t.start, after, [], name))
         return name_idx + 1
 
     def _math_environment(self, i: int, name: str, name_idx: int) -> int:
@@ -673,20 +676,18 @@ class _TreeBuilder:
             self.sink().append(t)
             return i + 1
         name, name_idx, after = named
-        depth = None
-        for d in range(len(self.stack) - 1, -1, -1):
-            if self.stack[d].kind == "env" and self.stack[d].name == name:
-                depth = d
-                break
-        if depth is None:
+        depths = self.envs.get(name)
+        if not depths:
             self.diags.append(Diagnostic("end-without-begin", name, t.span))
             self.sink().extend(self.toks[i:name_idx + 1])
             return name_idx + 1
+        # The frames above the innermost one of this name are closed here,
+        # each once, so every \end costs what it closes.
+        depth = depths.pop()
         while len(self.stack) - 1 > depth:
             self._close(t.start, "group-crosses-boundary", name)
-        f = self.stack.pop()
-        self.sink().append(_new(EnvNode, (name, f.children, f.start, after, f.inner_start,
-                                          t.start)))
+        start, inner_start, children, _ = self.stack.pop()
+        self.sink().append(_new(EnvNode, (name, children, start, after, inner_start, t.start)))
         return name_idx + 1
 
 

@@ -53,6 +53,11 @@ FORMS = {
     "titlepage": lambda d: _environments("titlepage", d),
     "unclosed-braces": lambda d: _document("{" * d + "word"),
     "author": lambda d: _document("\\author{" + "{" * d + "A. Name" + "}" * d + "}\n\\maketitle"),
+    # stray \end storms: each \end finds its \begin, or that none is open,
+    # without a scan of the open groups and environments
+    "ends-without-begin": lambda d: _document("{" * d + "\\end{center}" * d),
+    "mismatched-ends": lambda d: _document("\\begin{a}" * d + "\\end{b}" * d),
+    "end-across-groups": lambda d: _document("\\begin{center}" + "{" * d + "\\end{center}"),
 }
 
 # name -> the unit of a storm of scan restarts: a \verb argument that ends
