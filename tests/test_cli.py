@@ -424,11 +424,20 @@ def test_cache_dir_from_the_environment(tmp_path, capsys, monkeypatch):
     assert machine_records(out)[0]["metadata_scores"] is None
 
 
-def test_cache_dir_before_the_command_is_usage_error(capsys):
+@pytest.mark.parametrize("argv, message", [
     # Only validate reads the cache, so only validate takes the flag.
+    (["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"],
+     "--cache-dir is an option of validate; give it after the command"),
+    (["--scope", "full", "convert", "x.tex"],
+     "--scope is an option of convert, validate and batch; give it after the command"),
+    (["--report", "machine", "--aggressive", "batch", "corpus"],
+     "--aggressive is an option of convert, validate and batch; give it after the command"),
+])
+def test_cache_dir_before_the_command_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"])
+        main(argv)
     assert exc.value.code == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"logicaltex: error: {message}"
 
 
 @pytest.mark.parametrize("name, expected", [
