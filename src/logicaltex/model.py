@@ -241,14 +241,17 @@ def strip_styling(raw: str) -> str:
     TokenKind.CONTROL_SYMBOL, TokenKind.CONTROL_WORD)
 _START = attrgetter("start")  # a token's offset, as a search key
 
-# TeX glue: a dimension, then an optional stretch and shrink.  A
-# dimension is a factor and a unit, or a register (``\baselineskip``)
-# with or without a factor.  Keywords and units are case-insensitive.
+# TeX glue: a dimension, then an optional stretch and shrink, each a
+# keyword and a dimension.  A dimension is a factor and a unit, or a
+# register (``\baselineskip``) with or without a factor.  Keywords and
+# units are case-insensitive.  The one dimension pattern serves all
+# three parts, so it is compiled once.
 _FACTOR = r"(?:[-+][ \t]*)*(?:[0-9]+(?:[.,][0-9]*)?|[.,][0-9]+)"
-_DIMEN = (rf"(?:{_FACTOR}[ \t]*(?:(?:true[ \t]*)?(?:pt|pc|in|bp|cm|mm|dd|cc|sp|ex|em|mu)"
-          rf"|fil+)|(?:{_FACTOR}[ \t]*)?\\[A-Za-z]+)")
-_GLUE = re.compile(rf"[ \t]*{_DIMEN}(?:[ \t]*plus[ \t]*{_DIMEN})?(?:[ \t]*minus[ \t]*{_DIMEN})?",
-                   re.IGNORECASE)
+_DIMEN = re.compile(
+    rf"[ \t]*(?:{_FACTOR}[ \t]*(?:(?:true[ \t]*)?(?:pt|pc|in|bp|cm|mm|dd|cc|sp|ex|em|mu)"
+    rf"|fil+)|(?:{_FACTOR}[ \t]*)?\\[A-Za-z]+)", re.IGNORECASE)
+_STRETCH_SHRINK = (re.compile(r"[ \t]*plus", re.IGNORECASE),
+                   re.compile(r"[ \t]*minus", re.IGNORECASE))
 
 
 def read_arguments(nodes: list[Node], i: int) -> tuple[int, int, bool, GroupNode | None]:
@@ -317,8 +320,21 @@ def _glue_end(nodes: list[Node], j: int, at: int) -> int | None:
             text += "\\" + t.value
         else:
             break
-    m = _GLUE.match(text, at)
-    return nodes[j].start + m.end() if m else None
+    end = _match_glue(text, at)
+    return None if end is None else nodes[j].start + end
+
+
+def _match_glue(text: str, at: int) -> int | None:
+    """Where glue that starts at offset ``at`` of ``text`` ends, or None."""
+    m = _DIMEN.match(text, at)
+    if m is None:
+        return None
+    end = m.end()
+    for keyword in _STRETCH_SHRINK:
+        k = keyword.match(text, end)
+        if k and (m := _DIMEN.match(text, k.end())):
+            end = m.end()
+    return end
 
 
 def after_command(nodes: list[Node]) -> tuple[list[Node], GroupNode | None]:

@@ -137,6 +137,48 @@ def test_reading_may_end_inside_a_text_run():
         assert i == len(nodes) or nodes[i].end > end >= nodes[i - 1].end, source
 
 
+# The glue pattern as one expression, with the dimension written out
+# three times: the reference that ``model._match_glue`` reads as.
+_FACTOR = r"(?:[-+][ \t]*)*(?:[0-9]+(?:[.,][0-9]*)?|[.,][0-9]+)"
+_DIMEN = (rf"(?:{_FACTOR}[ \t]*(?:(?:true[ \t]*)?(?:pt|pc|in|bp|cm|mm|dd|cc|sp|ex|em|mu)"
+          rf"|fil+)|(?:{_FACTOR}[ \t]*)?\\[A-Za-z]+)")
+_GLUE = re.compile(rf"[ \t]*{_DIMEN}(?:[ \t]*plus[ \t]*{_DIMEN})?(?:[ \t]*minus[ \t]*{_DIMEN})?",
+                   re.IGNORECASE)
+
+
+def _assert_glue_end_as_reference(text: str, at: int, monkeypatch):
+    nodes = tokenize(text).tokens
+    end = model._glue_end(nodes, 0, at)
+    with monkeypatch.context() as m:
+        m.setattr(model, "_match_glue",
+                  lambda text, at: (g := _GLUE.match(text, at)) and g.end())
+        assert end == model._glue_end(nodes, 0, at), (text, at)
+
+
+@pytest.mark.parametrize("text", [
+    "6pt plus 1pt minus 1pt", "6pt minus 1pt plus 1pt", "0.5\\baselineskip", "fill",
+    "2fill", "-.5em", "2 ſp", "2 SP plus 1 fil", "1,5 true cm", "+ - 3mu\\foo", "3 \\parskip",
+    "1pt plus", "1pt plusminus 2pt", "1pt plus 2pt minus", "1pt\tMINUS\t2pt", "pt", "",
+    " 2pt", "2ptplus1fillminus.5em", "1e", "\\vskip", "12",
+])
+def test_glue_ends_where_the_single_pattern_ends(text, monkeypatch):
+    for at in range(len(text) + 1):
+        _assert_glue_end_as_reference(text, at, monkeypatch)
+
+
+_GLUE_PIECES = ["6", "0.5", ".5", ",", "-", "+", " ", "\t", "pt", "PT", "em", "ſp", "sp", "true",
+                "fil", "fill", "l", "plus", "PLUS", "minus", "Minus", "\\baselineskip", "\\x",
+                "mu", "in", "x", "1"]
+
+
+@given(st.lists(st.sampled_from(_GLUE_PIECES), max_size=12), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_glue_ends_where_the_single_pattern_ends_on_glue_like_text(pieces, at):
+    text = "".join(pieces)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_glue_end_as_reference(text, min(at, len(text)), monkeypatch)
+
+
 def styled(raw: str) -> StyledText:
     return StyledText(raw.strip(), strip_styling(raw))
 
