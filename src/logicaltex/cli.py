@@ -488,40 +488,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _misplaced_option(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
-    """The usage error for a command's option given before the command,
-    or None.  It reads the words before the command: a word that is an
-    option of some commands but not of the root is misplaced; any other
-    mistake is left to argparse's own message."""
+def _check_option_order(parser: argparse.ArgumentParser, argv: list[str]):
+    """Fail with a usage error that names the commands that take an
+    option given before the command.  Any other mistake in the words
+    before the command is left to argparse's own message."""
     root = parser._option_string_actions
-    commands = parser._commands
     words = iter(argv)
     for word in words:
-        if word in commands or not word.startswith("-") or word == "--":
-            return None
+        if not word.startswith("-"):
+            return  # the command, or a mistake argparse reports
         option = word.split("=", 1)[0]
         if option in root:
             if root[option].nargs != 0 and "=" not in word:
                 next(words, None)  # the root option's value
             continue
-        owners = [name for name, sub in commands.items() if option in sub._option_string_actions]
+        owners = [name for name, sub in parser._commands.items()
+                  if option in sub._option_string_actions]
         if owners:
-            return (f"{option} is an option of {_either(owners)}; "
-                    f"give it after the command")
-        return None
-    return None
-
-
-def _either(names: list[str]) -> str:
-    return names[0] if len(names) == 1 else ", ".join(names[:-1]) + " and " + names[-1]
+            parser.error(f"{option} is an option of {', '.join(owners)}; "
+                         f"give it after the command")
+        return
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    misplaced = _misplaced_option(parser, argv)
-    if misplaced:
-        parser.error(misplaced)
+    _check_option_order(parser, argv)
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)

@@ -429,9 +429,9 @@ def test_cache_dir_from_the_environment(tmp_path, capsys, monkeypatch):
     (["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"],
      "--cache-dir is an option of validate; give it after the command"),
     (["--scope", "full", "convert", "x.tex"],
-     "--scope is an option of convert, validate and batch; give it after the command"),
+     "--scope is an option of convert, validate, batch; give it after the command"),
     (["--report", "machine", "--aggressive", "batch", "corpus"],
-     "--aggressive is an option of convert, validate and batch; give it after the command"),
+     "--aggressive is an option of convert, validate, batch; give it after the command"),
 ])
 def test_cache_dir_before_the_command_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
