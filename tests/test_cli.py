@@ -424,20 +424,23 @@ def test_cache_dir_from_the_environment(tmp_path, capsys, monkeypatch):
     assert machine_records(out)[0]["metadata_scores"] is None
 
 
-@pytest.mark.parametrize("argv, message", [
-    # Only validate reads the cache, so only validate takes the flag.
-    (["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"],
-     "--cache-dir is an option of validate; give it after the command"),
-    (["--scope", "full", "convert", "x.tex"],
-     "--scope is an option of convert, validate, batch; give it after the command"),
-    (["--report", "machine", "--aggressive", "batch", "corpus"],
-     "--aggressive is an option of convert, validate, batch; give it after the command"),
-])
-def test_cache_dir_before_the_command_is_usage_error(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 3
-    assert capsys.readouterr().err.splitlines()[-1] == f"logicaltex: error: {message}"
+def test_cache_dir_before_the_command_is_usage_error(capsys):
+    # Only validate reads the cache, so only validate takes the flag.  An
+    # option given before its command is named, with the commands that
+    # take it.
+    cases = [
+        (["--cache-dir", str(ARXIV_CACHE), "validate", "x.tex", "--offline"],
+         "--cache-dir is an option of validate; give it after the command"),
+        (["--scope", "full", "convert", "x.tex"],
+         "--scope is an option of convert, validate, batch; give it after the command"),
+        (["--report", "machine", "--aggressive", "batch", "corpus"],
+         "--aggressive is an option of convert, validate, batch; give it after the command"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == f"logicaltex: error: {message}"
 
 
 @pytest.mark.parametrize("name, expected", [
