@@ -484,37 +484,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--jobs", type=int, default=None)
     p_batch.add_argument("--scope", choices=["metadata", "full"], default=None)
     p_batch.add_argument("--aggressive", action="store_true", default=None)
-    parser._commands = sub.choices  # command name -> its parser
+    # An option that only commands take, given before the command, is a
+    # hidden root option that names the commands taking it; argparse reads
+    # it as any root option, abbreviated or with "=".
+    commands: dict[str, list[str]] = {}
+    for name, command in sub.choices.items():
+        for option in command._option_string_actions:
+            if option not in parser._option_string_actions:
+                commands.setdefault(option, []).append(name)
+    for option, names in commands.items():
+        parser.add_argument(option, action=_CommandOption, dest=argparse.SUPPRESS,
+                            commands=names)
     return parser
 
 
-def _check_option_order(parser: argparse.ArgumentParser, argv: list[str]):
-    """Fail with a usage error that names the commands that take an
-    option given before the command.  Any other mistake in the words
-    before the command is left to argparse's own message."""
-    root = parser._option_string_actions
-    words = iter(argv)
-    for word in words:
-        if not word.startswith("-"):
-            return  # the command, or a mistake argparse reports
-        option = word.split("=", 1)[0]
-        if option in root:
-            if root[option].nargs != 0 and "=" not in word:
-                next(words, None)  # the root option's value
-            continue
-        owners = [name for name, sub in parser._commands.items()
-                  if option in sub._option_string_actions]
-        if owners:
-            parser.error(f"{option} is an option of {', '.join(owners)}; "
-                         f"give it after the command")
-        return
+class _CommandOption(argparse.Action):
+    """An option of ``commands`` given before the command: a usage error."""
+
+    def __init__(self, option_strings, dest, commands):
+        super().__init__(option_strings, dest, nargs="?", help=argparse.SUPPRESS)
+        self.commands = commands
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{self.option_strings[0]} is an option of {', '.join(self.commands)}; "
+                     f"give it after the command")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    _check_option_order(parser, argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
     except (OSError, ValueError) as exc:

@@ -172,9 +172,7 @@ def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
             det.skip_reason = None
 
 
-def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]) -> str | None:
-    if not fm.authors:
-        return None
+def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]) -> str:
     per_author_affs: list[list[int]] = [[] for _ in fm.authors]
     for (i, j) in sorted(fm.author_affiliation_edges):
         per_author_affs[i].append(j)

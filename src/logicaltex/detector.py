@@ -114,8 +114,7 @@ class Detection:
                  "skip_reason")
 
     def __init__(self, kind: DetectionKind, span: Span, cues: frozenset[Cue], confidence: float,
-                 level: int = 1, keyword: str = "", data: dict | None = None,
-                 skip_reason: str | None = None):
+                 level: int = 1, keyword: str = "", data: dict | None = None):
         self.kind = kind
         self.span = span
         self.cues = cues
@@ -125,7 +124,7 @@ class Detection:
         self.data = {} if data is None else data
         # Set by the converter's gate: why this detection is not rewritten,
         # or None when it is accepted.
-        self.skip_reason = skip_reason
+        self.skip_reason: str | None = None
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Detection:
@@ -233,10 +232,9 @@ class Region:
                  rest: list[Line] | None = None):
         self.span = span
         self.lines = lines
-        # A protected span may sit wholly inside a candidate (it travels
-        # verbatim through a rewrite) but must never straddle its edges.
+        # Math, verbatim and comment spans, and damaged text: the spans of
+        # structural diagnostics.  Detectors ask ``admits`` and ``clear``.
         self.protected = protected
-        # Spans of structural diagnostics (unclosed group, stray \end, ...).
         self.damaged = damaged
         self.contents = contents
         self.whole_body_fallback = whole_body_fallback
@@ -244,6 +242,19 @@ class Region:
         self.abstract: Detection | None = None
         # The body's lines after the region, cut from the same segmentation.
         self.rest = [] if rest is None else rest
+
+    # No rewrite meets damaged text: it could carry an unclosed construct
+    # into the command it writes.
+
+    def admits(self, span: Span) -> bool:
+        """Whether a front-matter candidate may cover ``span``: a protected
+        span may travel verbatim inside it, but not cross its edges."""
+        return not self.damaged.intersects(span) and not self.protected.straddles(span)
+
+    def clear(self, span: Span) -> bool:
+        """Whether a body candidate may cover ``span``: no protected span
+        meets it."""
+        return not self.damaged.intersects(span) and not self.protected.intersects(span)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +307,6 @@ def looks_like_person_names(plain: str) -> bool:
     """2-6 capitalized words (initials, accents and name particles allowed),
     free of institution keywords."""
     flat = fold_accents(latin1_fallback(plain)).strip().rstrip(",")
-    if not flat:
-        return False
     low = flat.casefold()
     if any(k in low for k in INSTITUTION_KEYWORDS):
         return False
@@ -656,10 +665,11 @@ def _split(lines: list[Line], stream: TokenStream, at: int) -> tuple[list[Line],
             _Segmenter(stream).run(block[k:]) + lines[j:])
 
 
-def _region(lines: list[Line], stream: TokenStream, span: Span, protected: SpanIndex,
-            damaged: SpanIndex, contents: Contents, whole_body_fallback: bool) -> Region:
-    head, rest = _split(lines, stream, span.end)
-    return Region(span, head, protected, damaged, contents, whole_body_fallback, rest=rest)
+def _region(body: Region, stream: TokenStream, end: int, whole_body_fallback: bool) -> Region:
+    """The part of the whole-body region ``body`` that ends at ``end``."""
+    head, rest = _split(body.lines, stream, end)
+    return Region(Span(body.span.start, end), head, body.protected, body.damaged, body.contents,
+                  whole_body_fallback, rest=rest)
 
 
 _STRUCTURE_WORDS = frozenset({*FRONT_MATTER_WORDS, *SECTION_LEVELS, "abstract"})
@@ -835,19 +845,21 @@ def frontmatter_region(tree: BlockTree) -> Region:
     boundaries += [span.end for name in ("titlepage", "abstract")
                    for span in contents.envs.get(name, []) if body.contains(span.start)]
     end = min(boundaries, default=body.end)
-    protected = SpanIndex(protected_spans(tree))
-    damaged = SpanIndex(d.span for d in tree.diagnostics)
     stream = tree.stream
-    lines = segment_lines(tree)
+    # A lone backslash at the very end is no diagnostic, but it would
+    # escape the closing brace of an edit that covers it.
+    damaged = [d.span for d in tree.diagnostics] + [
+        t.span for t in stream.tokens[-1:] if t.kind is TokenKind.CONTROL_SYMBOL and not t.value]
+    whole = Region(body, segment_lines(tree), SpanIndex(protected_spans(tree)),
+                   SpanIndex(damaged), contents)
     # Only lines of blocks wholly before the boundary are segmented alike
     # on either side of it.
-    before = bisect_left(lines, end, key=lambda ln: ln.block[-1].start)
-    evidence = next((ln.span.start for ln in lines[:before]
-                     if _is_body_text(ln, protected, damaged, contents)), None)
+    before = bisect_left(whole.lines, end, key=lambda ln: ln.block[-1].start)
+    evidence = next((ln.span.start for ln in whole.lines[:before]
+                     if _is_body_text(ln, whole)), None)
     if evidence is not None:
         end = min(end, evidence)
-    coarse = _region(lines, stream, Span(body.start, end), protected, damaged, contents,
-                     not boundaries and evidence is None)
+    coarse = _region(whole, stream, end, not boundaries and evidence is None)
     det = detect_abstract(tree, coarse)
     if det is not None and det.data["construct_end"] < end:
         # The abstract ends the region.  A search of the shorter region
@@ -856,8 +868,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
         # a candidate here already if centred, and else scores 0.20.  A
         # winner here scores that little only as this region's last
         # titlepage paragraph, which then stays the shorter one's last.
-        coarse = _region(lines, stream, Span(body.start, det.data["construct_end"]),
-                         protected, damaged, contents, False)
+        coarse = _region(whole, stream, det.data["construct_end"], False)
     coarse.abstract = det
     return coarse
 
@@ -868,15 +879,14 @@ def body_region(tree: BlockTree, fm: Region) -> Region:
                   fm.contents)
 
 
-def _is_body_text(line: Line, protected: SpanIndex, damaged: SpanIndex,
-                  contents: Contents) -> bool:
+def _is_body_text(line: Line, region: Region) -> bool:
     """Whether the line is one that only a body holds: a heading
     ``detect_section_headers`` takes, whose core opens with a heading
     number, or a paragraph opened by a theorem-like label.  A titlepage's
     lines are front matter."""
     if line.in_titlepage:
         return False
-    if _is_heading(line, protected, damaged, contents):
+    if _is_heading(line, region):
         return _opens_with_heading_number(line.core_plain)
     return _theorem_label(line) is not None
 
@@ -921,11 +931,11 @@ def _line_cues(line: Line) -> set[Cue]:
 def _front_matter_text(line: Line, region: Region) -> bool:
     """Whether a line may be a title, author or affiliation line: 1 to 250
     characters of plain text and no abstract label, with no structure
-    command in it and no protected span across its edges."""
+    command in it, that the region admits."""
     plain = line.plain
     return (0 < len(plain) <= 250 and not ABSTRACT_LABEL_RE.match(plain)
             and not _line_has_logical_commands(line, region.contents)
-            and not region.protected.straddles(line.span))
+            and region.admits(line.span))
 
 
 def _lists_person_names(line: Line) -> bool:
@@ -942,7 +952,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
     for line in region.lines:
         if not (line.centered or line.bold or line.large):
             continue
-        if not _front_matter_text(line, region) or region.damaged.intersects(line.span):
+        if not _front_matter_text(line, region):
             continue
         if _opens_with_heading_number(line.core_plain):
             continue  # a numbered heading
@@ -1052,7 +1062,6 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     if "abstract" in region.contents.envs:
         return None
     stream = tree.stream
-    protected = region.protected
     lines = region.lines
     candidates: list[Detection] = []
 
@@ -1070,7 +1079,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     for idx, line in enumerate(lines):
         if _line_has_logical_commands(line, region.contents):
             continue
-        if protected.straddles(line.span):
+        if not region.admits(line.span):
             continue
         label = line.label
         if label is not None and label.content and ABSTRACT_LABEL_RE.match(label.plain):
@@ -1088,7 +1097,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
         if (line.bold or line.italic or line.centered) and ABSTRACT_LABEL_RE.match(line.plain):
             nxt = lines[idx + 1] if idx + 1 < len(lines) else None
             if nxt is not None and nxt.container == "paragraph" and len(nxt.plain) >= 40 \
-                    and not protected.straddles(nxt.span):
+                    and region.admits(nxt.span):
                 cues = {Cue(CueKind.LEADING_KEYWORD, line.span, "Abstract"),
                         *_flag_cues(line, line.span, ("bold", "italic", "centered"))}
                 candidate(nxt.span, cues, line.span, nxt.core_raw or nxt.raw, nxt.span.end)
@@ -1107,8 +1116,6 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             if _lists_person_names(line):
                 continue
             cues = _flag_cues(line, line.span, ("centered", "in_titlepage"))
-            if not cues:
-                continue
             span = line.container_span if (
                 line.container == "center-env" and line.env_line_count == 1) else line.span
             candidate(line.span, cues, None, line.core_raw or line.raw, span.end,
@@ -1137,31 +1144,26 @@ def _number_prefix(core_plain: str, core_raw: str):
     return num, level, heading_raw.strip()
 
 
-def _is_heading(line: Line, protected: SpanIndex, damaged: SpanIndex,
-                contents: Contents) -> bool:
+def _is_heading(line: Line, region: Region) -> bool:
     """Whether a line reads as a section heading: a solitary bold or large
-    paragraph, clear of protected and damaged text, whose core is no
-    caption, theorem label or bibliography entry."""
-    if not line.solitary_bold or not line.core_nodes:
-        return False
-    if protected.intersects(line.span) or damaged.intersects(line.span):
+    paragraph that the region holds clear, whose core is no caption,
+    theorem label or bibliography entry."""
+    if not line.solitary_bold or not line.core_nodes or not region.clear(line.span):
         return False
     core_plain = line.core_plain
     if not core_plain or len(core_plain) > 120:
         return False
     if CAPTION_PREFIX_RE.match(core_plain) or THEOREM_LABEL_RE.match(core_plain):
         return False
-    return not contents.within(line.span, BIB_DENYLIST)
+    return not region.contents.within(line.span, BIB_DENYLIST)
 
 
 def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
     """Solitary bold/large paragraphs in the body, optionally number
     prefixed; level follows the numbering depth."""
-    protected = region.protected
-    damaged = region.damaged
     out: list[Detection] = []
     for line in region.lines:
-        if not _is_heading(line, protected, damaged, region.contents):
+        if not _is_heading(line, region):
             continue
         core_raw = line.core_raw
         cues = {Cue(CueKind.SOLITARY_PARAGRAPH, line.span),
@@ -1233,10 +1235,6 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
     stream = tree.stream
-    protected = region.protected
-    # Damaged text is never rewritten: that could drag an environment
-    # boundary inside a command argument.
-    damaged = region.damaged
     out: list[Detection] = []
     claimed: list[Span] = []
 
@@ -1248,7 +1246,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if not m:
             continue
         label = line.label
-        if protected.intersects(line.span) or damaged.intersects(line.span):
+        if not region.clear(line.span):
             claimed.append(label.span)
             continue
         keyword = m.group(1)
@@ -1315,7 +1313,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         span = group.span
         if taken.intersects(span):
             continue
-        if protected.intersects(span) or damaged.intersects(span):
+        if not region.clear(span):
             continue
         info = analyze_styles([group])
         if not info.core:

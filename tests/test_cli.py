@@ -435,6 +435,11 @@ def test_cache_dir_before_the_command_is_usage_error(capsys):
          "--scope is an option of convert, validate, batch; give it after the command"),
         (["--report", "machine", "--aggressive", "batch", "corpus"],
          "--aggressive is an option of convert, validate, batch; give it after the command"),
+        # Abbreviated, or with its value after "=", as argparse reads them.
+        (["--rep", "machine", "--sc", "full", "convert", "x.tex"],
+         "--scope is an option of convert, validate, batch; give it after the command"),
+        (["--scope=full", "convert", "x.tex"],
+         "--scope is an option of convert, validate, batch; give it after the command"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """The whole pipeline is total: for any input and every policy, converting,
-detecting and validating return a result, and no byte outside the plan's
-front-matter edits changes."""
+detecting and validating return a result, no byte outside the plan's
+front-matter edits changes, and the output passes its own validator."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +30,9 @@ def _check_total(src):
         preserved, offset = check_body_preservation(src, out, rep.plan)
         assert preserved, (label, offset)
         assert_report_covers_once(rep, count)
-        assert validate(src, out, rep.plan).body_preserved, label
+        verdict = validate(src, out, rep.plan)
+        assert verdict.body_preserved, label
+        assert verdict.structural_delta == [], label
 
 
 @given(st.lists(st.sampled_from(PIECES), max_size=24), st.booleans())

@@ -293,6 +293,14 @@ def test_glue_read_inside_a_text_run_leaves_the_heading():
     assert out == src.replace("{\\bf \\hskip 1em 2. Results}", "\\section{Results}")
 
 
+def test_heading_holding_math_is_not_rewritten():
+    # A body rewrite touches no protected text, even where no threshold
+    # is checked.
+    src = wrap("\\section{One}\n\nText.\n\n{\\bf 2. The $L^2$ case}\n\nText.")
+    out, rep = convert(src, AGGRESSIVE)
+    assert out == src and rep.applied == []
+
+
 def test_unnumbered_section_becomes_starred():
     src = wrap("\\maketitle\n\n\\textbf{\\large Acknowledgments}\n\nThanks.",
                preamble="\\title{T}")
@@ -397,17 +405,37 @@ def test_title_never_spans_damaged_text():
         assert convert(out, policy)[0] == out, label
 
 
-# Two inputs on which families of edits collide: an abstract and an
+@pytest.mark.parametrize("src", [
+    # An unterminated $ once carried the abstract past \end{document}.
+    wrap("{\\bf Abstract.}$"),
+    # Display math opened in an author line once swallowed its brace.
+    "\\begin{center}Alice Smith$$",
+    # A lone backslash at the very end is no diagnostic, but a title or
+    # author command over it would escape its own closing brace.
+    "\\centering Big Title Words\\",
+    "\\centerline{\\bf A Title}\n\nAlice Smith\\",
+])
+def test_no_edit_covers_damaged_text(src):
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        assert validate_structure(src, out) == [], label
+
+
+# Inputs on which families of edits collide: an abstract and an
 # affiliation line claim the same span, and an affiliation line ends past
 # the front matter under metadata-only scope.  Under the named policies the
 # planner raised before claims were resolved; the losing detection is now
-# skipped with the resolver's reason.
+# skipped with the resolver's reason.  The second input's unclosed
+# \begin{center} is damaged text, so it yields no affiliation line and
+# nothing collides; the third takes its place.
 COLLIDING = [
     ("\\begin{titlepage}\x00\\and\udcf6Theorem 1.\\d{abstract}^*\\titleKeywornoindent "
      "\\d{center}Keywords: \\beginve", ("metadata+aggressive", "full+aggressive"),
      DetectionKind.ABSTRACT, OVERLAP_SKIP),
-    ("{\\it \\begin{titlepage}\\end{titlepage}\\begin{center}", ("metadata+aggressive",),
+    ("{\\it \\begin{titlepage}\\end{titlepage}\\begin{center}", (),
      DetectionKind.AFFILIATION_LINE, SCOPE_SKIP),
+    ("{\\it \\begin{titlepage}\\end{titlepage} University of Somewhere}",
+     ("metadata+aggressive",), DetectionKind.AFFILIATION_LINE, SCOPE_SKIP),
 ]
 
 

@@ -313,6 +313,16 @@ def test_resolve_markerless_superset_is_flagged():
     assert res.notes
 
 
+def test_resolve_one_markerless_affiliation_of_one_author_is_not_flagged():
+    # The one author takes the one markerless affiliation beside its
+    # marked one; with no other author or affiliation to choose, there is
+    # nothing to note.
+    one = Marker(MarkerSymbol.DIGIT, "1")
+    res = resolve_affiliations([A("A", one)], [F("U1", one), F("U2")])
+    assert res.edges == {(0, 0), (0, 1)}
+    assert res.notes == []
+
+
 def test_resolve_order_insensitive_pair_set():
     authors = [A("Ann", DAG), A("Ben", DDAG)]
     affs = [F("X", DAG), F("Y", DDAG)]

@@ -4,7 +4,9 @@ A default that no caller overrides is a branch no run takes: the
 parameter goes, and its default becomes the code.  The scan reads the
 package, the tests and the benchmark with ``ast`` and matches calls to
 definitions by name, so it errs toward "passed": a call of any function
-of that name counts, and so does any ``*`` or ``**`` argument.
+of that name counts, and so does any ``*`` or ``**`` argument.  The one
+exception is a wrapper's ``**`` parameter passed on whole: that call
+passes the keywords the wrapper's own callers pass, followed one level.
 """
 
 import ast
@@ -64,23 +66,29 @@ def _definitions() -> dict[str, list[tuple[str, str, int | None]]]:
     return defs
 
 
-def _scoped_calls(node: ast.AST, cls: str | None):
-    """Each call under ``node`` with the class whose body holds it."""
+def _scoped_calls(node: ast.AST, cls: str | None, fn: ast.FunctionDef | None):
+    """Each call under ``node`` with the class and the function whose
+    bodies hold it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from _scoped_calls(child, child.name)
+            yield from _scoped_calls(child, child.name, fn)
+            continue
+        if isinstance(child, ast.FunctionDef):
+            yield from _scoped_calls(child, cls, child)
             continue
         if isinstance(child, ast.Call):
-            yield child, cls
-        yield from _scoped_calls(child, cls)
+            yield child, cls, fn
+        yield from _scoped_calls(child, cls, fn)
 
 
 def _calls():
-    """Each call as (callee name, positional count, keyword names, unpacks).
-    ``cls(...)`` in a class body calls that class."""
+    """Each call as (callee name, positional count, keyword names, unpacks,
+    wrapper): ``wrapper`` names the function whose ``**`` parameter the
+    call passes on whole, and is None otherwise.  ``cls(...)`` in a class
+    body calls that class."""
     for directory in CALLERS:
         for _, tree in _trees(directory):
-            for node, cls in _scoped_calls(tree, None):
+            for node, cls, fn in _scoped_calls(tree, None, None):
                 func = node.func
                 if isinstance(func, ast.Name):
                     name = cls if func.id == "cls" and cls else func.id
@@ -89,15 +97,27 @@ def _calls():
                 else:
                     continue
                 positional = [a for a in node.args if not isinstance(a, ast.Starred)]
-                keywords = {k.arg for k in node.keywords}
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                unpacked = [getattr(k.value, "id", None) for k in node.keywords if k.arg is None]
+                forwarded = fn is not None and fn.args.kwarg is not None \
+                    and unpacked == [fn.args.kwarg.arg]
                 yield (name, len(positional), keywords,
-                       len(positional) < len(node.args) or None in keywords)
+                       len(positional) < len(node.args) or bool(unpacked) and not forwarded,
+                       fn.name if forwarded else None)
 
 
 def unpassed() -> list[tuple[str, str]]:
     passed = set()
     defs = _definitions()
-    for name, n_positional, keywords, unpacks in _calls():
+    calls = list(_calls())
+    for name, n_positional, keywords, unpacks, wrapper in calls:
+        if wrapper is not None:
+            # A wrapper's callers pass its keywords on; one that passes
+            # its own ``**`` parameter on passes any.
+            for outer, _, outer_keywords, outer_unpacks, outer_wrapper in calls:
+                if outer == wrapper:
+                    keywords = keywords | outer_keywords
+                    unpacks = unpacks or outer_unpacks or outer_wrapper is not None
         for qualified, param, pos in defs.get(name, ()):
             if unpacks or param in keywords or (pos is not None and pos < n_positional):
                 passed.add((qualified, param))
@@ -118,9 +138,12 @@ def test_the_scan_sees_positional_keyword_and_unpacked_arguments(tmp_path, monke
         "    def g(self, z=0): pass\n"
         "    @classmethod\n"
         "    def make(cls):\n"
-        "        return cls(y=1)\n", encoding="utf-8")
+        "        return cls(y=1)\n"
+        "def wrap(**kw):\n"
+        "    return f(0, **kw)\n", encoding="utf-8")
+    # wrap passes on its callers' keywords: d, but neither c nor e.
     (tmp_path / "caller.py").write_text(
-        "f(0, 1, d=2)\nK.g(*args)\n", encoding="utf-8")
+        "f(0, 1)\nK.g(*args)\nwrap(d=2)\n", encoding="utf-8")
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path / "pkg")
     monkeypatch.setattr(sys.modules[__name__], "CALLERS", (tmp_path,))
     assert unpassed() == [("m.K.__init__", "x"), ("m.f", "c"), ("m.f", "e")]

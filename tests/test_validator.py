@@ -208,6 +208,8 @@ def test_similarity_symmetric_and_reflexive():
         a, b = rng.choice(words), rng.choice(words)
         assert edit_similarity(a, b) == edit_similarity(b, a)
         assert edit_similarity(a, a) == 1.0
+    assert edit_similarity("", "") == 1.0
+    assert edit_similarity("", "abc") == 0.0
 
 
 def test_multiset_f1_properties():
@@ -225,6 +227,10 @@ def test_missing_reference_fields_noted_not_fatal():
     assert m.title_similarity == 1.0
     assert m.author_set_f1 is None
     assert "authors" in m.missing and "abstract" in m.missing
+    # A title missing from the extraction is noted the same way.
+    m = compare_metadata(ExtractedMetadata(None, [], None),
+                         ExtractedMetadata("T", [], None))
+    assert m.title_similarity is None and "title" in m.missing
 
 
 # ---------------------------------------------------------------------------
