@@ -16,7 +16,10 @@ applied and skipped detections with their cues and skip reasons, the
 warnings and both classes.  One more line per input digests its block
 tree: the diagnostics, and every node depth first with its class,
 offsets, name and number of children, so a change of the tree shows even
-where no output byte moves.  Each corpus pair gets one more line with three
+where no output byte moves.  The same line digests what the detectors read
+of the tree: its index of control words and environments, and the plain
+text and core plain text of every line of the front matter and of the
+body after it.  Each corpus pair gets one more line with three
 digests: the degrader's visual bytes, its ground truth, and the metadata
 scores of what ``validate`` extracts from the full-scope ``aggressive``
 conversion, scored against that truth.
@@ -39,6 +42,7 @@ from corpusgen import build_corpus  # noqa: E402
 
 from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
+from logicaltex.detector import frontmatter_region, index_contents  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
 from logicaltex.lexer import EnvNode, GroupNode, MathNode, encode_source, parse  # noqa: E402
 from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
@@ -113,7 +117,12 @@ def tree_digest(source: str | bytes) -> str:
         else:
             pending.pop()
     diagnostics = [(d.kind, d.detail, tuple(d.span)) for d in tree.diagnostics]
-    return _hash((diagnostics, nodes))
+    contents = index_contents(tree)
+    envs = {name: [tuple(span) for span in spans] for name, spans in contents.envs.items()}
+    region = frontmatter_region(tree)
+    plain = [(ln.plain, ln.core_plain) for ln in region.lines + region.rest]
+    return _hash((diagnostics, nodes, sorted(contents.words.items()), sorted(envs.items()),
+                  plain))
 
 
 def _hash(record) -> str:
