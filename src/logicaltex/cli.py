@@ -427,6 +427,17 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _get_option_tuples(self, option_string):
+        # The root parser sorts every word, those after the command too,
+        # before the command's parser reads them.  So a prefix that several
+        # options match is read as one of the parser's own options, and the
+        # hidden options of the commands give way: after the command, the
+        # command's parser resolves the prefix among its own options.
+        tuples = super()._get_option_tuples(option_string)
+        if len(tuples) > 1:
+            tuples = [t for t in tuples if not isinstance(t[0], _CommandOption)]
+        return tuples
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:

@@ -448,6 +448,25 @@ def test_cache_dir_before_the_command_is_usage_error(capsys):
         assert capsys.readouterr().err.splitlines()[-1] == f"logicaltex: error: {message}"
 
 
+def test_abbreviated_options_after_the_command(capsys):
+    # After the command, a prefix is resolved among that command's options,
+    # even where it also prefixes another command's option; before the
+    # command, an abbreviated command option is still named.
+    parser = build_parser()
+    args = parser.parse_args(["validate", "x.tex", "--c", "cache", "--offline"])
+    assert (args.cache_dir, args.offline) == ("cache", True)
+    assert parser.parse_args(["degrade", "x.tex", "--s", "0,1"]).seeds == [0, 1]
+    args = parser.parse_args(["--rep", "machine", "convert", "x.tex"])
+    assert (args.report, args.command) == ("machine", "convert")
+    message = "--scope is an option of convert, validate, batch; give it after the command"
+    for argv in (["--rep", "machine", "--sc", "full", "convert", "x.tex"],
+                 ["--scope=full", "convert", "x.tex"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == f"logicaltex: error: {message}"
+
+
 @pytest.mark.parametrize("name, expected", [
     ("hep-th_9901001.tex", "hep-th/9901001"),
     ("2401.01234.visual.tex", "2401.01234"),
