@@ -165,7 +165,7 @@ class FormattingClass(NamedTuple):
 
 class Contents:
     """Where a tree's control words start and its environments lie, by
-    name and in document order, from one walk of the tree."""
+    name and in document order."""
 
     __slots__ = ("words", "envs", "_starts")
 
@@ -195,27 +195,25 @@ class Contents:
 
 
 def index_contents(tree: BlockTree) -> Contents:
+    """The tree's contents, read from what the lexer recorded, without a
+    walk of the tree: the tree holds every control word of the stream but
+    those in the token ranges it leaves out, and the environments its
+    builder closed."""
+    toks, positions = tree.stream.tokens, tree.stream.words
+    kept: list[int] = []
+    at = 0
+    for a, b in tree.left_out:
+        cut = bisect_left(positions, a, at)
+        kept += positions[at:cut]
+        at = bisect_left(positions, b, cut)
+    kept += positions[at:]
     words: dict[str, list[int]] = {}
+    for i in kept:
+        t = toks[i]
+        words.setdefault(t.value, []).append(t.start)
     envs: dict[str, list[Span]] = {}
-    control_word = TokenKind.CONTROL_WORD
-    # Depth first over an explicit stack of open child lists, so every
-    # node is met in document order.
-    pending = [iter(tree.nodes)]
-    while pending:
-        for nd in pending[-1]:
-            cls = nd.__class__
-            if cls is Token:
-                if nd.kind is control_word:
-                    words.setdefault(nd.value, []).append(nd.start)
-            elif cls is GroupNode:
-                pending.append(iter(nd.children))
-                break
-            elif cls is EnvNode:
-                envs.setdefault(nd.name, []).append(Span(nd.start, nd.end))
-                pending.append(iter(nd.children))
-                break
-        else:
-            pending.pop()
+    for nd in sorted(tree.closed, key=lambda nd: nd.start):
+        envs.setdefault(nd.name, []).append(Span(nd.start, nd.end))
     return Contents(words, envs)
 
 
@@ -337,7 +335,7 @@ class Line:
                  centered: bool, in_titlepage: bool, container: str,
                  container_span: Span | None = None, sep_span: Span | None = None,
                  bold: bool = False, italic: bool = False, large: bool = False,
-                 core_nodes: list[Node] | None = None):
+                 core_nodes: list[Node] | None = None, layout: bool = False):
         self.stream = stream
         self.span = span
         self.content_nodes = content_nodes
@@ -353,6 +351,8 @@ class Line:
         self.italic = italic
         self.large = large
         self.core_nodes = [] if core_nodes is None else core_nodes
+        # Whether a layout word was peeled off the core.
+        self.layout = layout
         self.label: Label | None = None
         # The top-level nodes of the paragraph block the line was cut from.
         self.block: list[Node] = []
@@ -363,12 +363,16 @@ class Line:
 
     @cached_property
     def plain(self) -> str:
-        # Lines are made of whole nodes, so their spans fall on token
-        # boundaries and the line's own tokens give its plain text.  Only
-        # the front matter's detectors read it.  A label that is the whole
-        # line has the same text, computed once for both.
+        # Only the front matter's detectors read it.  A label that is the
+        # whole line has the same text, computed once for both.
+        # ``plain_text`` reads the wrappers peeled off the core as blanks at
+        # most, so the core's text is the line's unless a layout word, which
+        # it keeps, was peeled.  Else the line's own tokens give it: lines
+        # are made of whole nodes, so their spans fall on token boundaries.
         if self.label is not None and self.label.span == self.span:
             return self.label.plain
+        if not self.layout:
+            return self.core_plain
         return span_plain(self.stream, self.span)
 
     @cached_property
@@ -418,32 +422,39 @@ def _nodes_span(nodes: list[Node]) -> Span:
 
 class Label:
     """A styled keyword construct opening a line, such as
-    ``{\\bf Abstract.}``, and the line's nodes after it."""
+    ``{\\bf Abstract.}``, the core its styles wrap, whether a layout word
+    was peeled off it, and the line's nodes after it."""
 
     def __init__(self, stream: TokenStream, span: Span, bold: bool, italic: bool,
-                 content: list[Node]):
+                 content: list[Node], core: list[Node], layout: bool):
         self.stream = stream
         self.span = span
         self.bold = bold
         self.italic = italic
         self.content = content
+        self.core = core
+        self.layout = layout
 
     @cached_property
     def plain(self) -> str:
-        # Read only where the label may open an abstract or a theorem.
-        return span_plain(self.stream, self.span)
+        # Read where the label may open an abstract or a theorem.  Its text
+        # is its core's unless a layout word was peeled, as a line's is.
+        if self.layout:
+            return span_plain(self.stream, self.span)
+        return span_plain(self.stream, _nodes_span(self.core))
 
 
 class _StyleInfo:
     """The styles peeled off a line's content, and the core they wrap."""
 
-    __slots__ = ("bold", "italic", "large", "centered", "core")
+    __slots__ = ("bold", "italic", "large", "centered", "layout", "core")
 
     def __init__(self):
         self.bold = False
         self.italic = False
         self.large = False
         self.centered = False
+        self.layout = False
         self.core: list[Node] = []
 
 
@@ -630,6 +641,7 @@ class _Segmenter:
             italic=info.italic,
             large=info.large,
             core_nodes=info.core,
+            layout=info.layout,
         )
         line.label = _leading_label(line, stream)
         self.lines.append(line)
@@ -1045,14 +1057,14 @@ def _leading_label(line: Line, stream: TokenStream) -> Label | None:
         return None
     if content:
         info = analyze_styles(label_nodes)
-        bold, italic, core = info.bold, info.italic, info.core
+        bold, italic, core, layout = info.bold, info.italic, info.core, info.layout
     else:
         # The label is all the line holds after its decorations, so the
         # line's own styles (peeled past the same decorations) are its.
-        bold, italic, core = line.bold, line.italic, line.core_nodes
+        bold, italic, core, layout = line.bold, line.italic, line.core_nodes, line.layout
     if not core:
         return None
-    return Label(stream, _nodes_span(label_nodes), bold, italic, content)
+    return Label(stream, _nodes_span(label_nodes), bold, italic, content, core, layout)
 
 
 def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:

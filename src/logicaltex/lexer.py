@@ -135,15 +135,17 @@ class TokenStream:
 
     ``structural`` holds, in order, the indices of the tokens the tree
     builder acts on: braces, ``$``, paragraph breaks, ``\\begin``,
-    ``\\end`` and the math delimiters ``\\(`` ``\\)`` ``\\[`` ``\\]``."""
+    ``\\end`` and the math delimiters ``\\(`` ``\\)`` ``\\[`` ``\\]``;
+    ``words`` the indices of the control words, in order."""
 
-    __slots__ = ("source", "tokens", "structural", "verbatim_spans")
+    __slots__ = ("source", "tokens", "structural", "words", "verbatim_spans")
 
     def __init__(self, source: str, tokens: list[Token], structural: list[int],
-                 verbatim_spans: list[Span] | None = None):
+                 words: list[int], verbatim_spans: list[Span] | None = None):
         self.source = source
         self.tokens = tokens
         self.structural = structural
+        self.words = words
         self.verbatim_spans = [] if verbatim_spans is None else verbatim_spans
 
     def lexeme(self, token: Token) -> str:
@@ -220,11 +222,12 @@ class _Scanner:
         self.s = source
         self.tokens: list[Token] = []
         self.structural: list[int] = []
+        self.words: list[int] = []
         self.verbatim_spans: list[Span] = []
 
     def run(self) -> TokenStream:
         self._scan(0, len(self.s))
-        return TokenStream(self.s, self.tokens, self.structural, self.verbatim_spans)
+        return TokenStream(self.s, self.tokens, self.structural, self.words, self.verbatim_spans)
 
     def _scan(self, pos: int, endpos: int):
         """Tokenize ``s[pos:endpos]``, one window of lexemes at a time: the
@@ -240,6 +243,7 @@ class _Scanner:
         tokens = self.tokens
         add = tokens.append
         mark = self.structural.append
+        word = self.words.append
         findall = _TOKEN.findall
         first = _FIRST_KINDS.get
         letters = _WORD_LETTERS
@@ -284,6 +288,7 @@ class _Scanner:
                             add(new(Token, (CONTROL_SYMBOL, start, end, name)))
                         elif name == "begin":
                             mark(len(tokens))
+                            word(len(tokens))
                             add(new(Token, (kind, start, end, name)))
                             verbatim = _VERBATIM_BEGIN.match(s, start)
                             if verbatim:
@@ -291,8 +296,10 @@ class _Scanner:
                                 break
                         elif name == "end":
                             mark(len(tokens))
+                            word(len(tokens))
                             add(new(Token, (kind, start, end, name)))
                         else:
+                            word(len(tokens))
                             add(new(Token, (kind, start, end, name)))
                             if name == "verb":
                                 restart = self._verb_argument(start, end)
@@ -454,17 +461,24 @@ class Diagnostic(NamedTuple):
 
 
 class BlockTree:
-    """A parse: the node tree, its diagnostics, its token stream and its math spans."""
+    """A parse: the node tree, its diagnostics, its token stream, and what
+    the tree builder recorded while placing the tokens."""
 
-    __slots__ = ("nodes", "diagnostics", "stream", "math")
+    __slots__ = ("nodes", "diagnostics", "stream", "math", "left_out", "closed")
 
     def __init__(self, nodes: list[Node], diagnostics: list[Diagnostic], stream: TokenStream,
-                 math: list[Span]):
+                 math: list[Span], left_out: list[tuple[int, int]], closed: list[EnvNode]):
         self.nodes = nodes
         self.diagnostics = diagnostics
         self.stream = stream
         # The spans of the tree's math nodes, in document order.
         self.math = math
+        # The half-open token index ranges no node holds, in order: each
+        # math region, and the \begin{name} and \end{name} of each
+        # environment node.
+        self.left_out = left_out
+        # The environment nodes, in the order they were closed.
+        self.closed = closed
 
 
 # Nodes are built by ``tuple.__new__``, without the Python-level
@@ -518,6 +532,8 @@ class _TreeBuilder:
         self.stack: list[tuple] = []
         self.envs: dict[str, list[int]] = {}
         self.math: list[Span] = []
+        self.left_out: list[tuple[int, int]] = []
+        self.closed: list[EnvNode] = []
 
     def sink(self) -> list[Node]:
         return self.stack[-1][2] if self.stack else self.root
@@ -569,7 +585,8 @@ class _TreeBuilder:
                 sink.append(t)
         sink += toks[pos:]
         self._unwind(len(self.stream.source))
-        return BlockTree(self.root, self.diags, self.stream, self.math)
+        return BlockTree(self.root, self.diags, self.stream, self.math, self.left_out,
+                         self.closed)
 
     def _unwind(self, eof: int):
         while self.stack:
@@ -590,12 +607,16 @@ class _TreeBuilder:
             self.envs[name].pop()
             self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
             node = _new(EnvNode, (name, children, start, end, inner_start, end))
+            self.closed.append(node)
         self.sink().append(node)
 
-    def _math(self, kind: str, start: int, end: int | None, stop: int) -> int:
-        """Place a math node from ``start`` to ``end``; an unterminated one
-        (``end`` None) runs to the token at ``stop``, or to the end of the
-        text.  Returns ``stop``."""
+    def _math(self, kind: str, i: int, end: int | None, stop: int) -> int:
+        """Place a math node for the tokens from index ``i`` up to
+        ``stop``, spanning from the start of the token at ``i`` to ``end``;
+        an unterminated one (``end`` None) runs to the token at ``stop``, or
+        to the end of the text.  Returns ``stop``."""
+        start = self.toks[i].start
+        self.left_out.append((i, stop))
         if end is None:
             end = self.toks[stop].start if stop < len(self.toks) else len(self.stream.source)
             self.diags.append(Diagnostic("unterminated-math", kind, Span(start, end)))
@@ -618,31 +639,32 @@ class _TreeBuilder:
             j = structural[sj]
             t = toks[j]
             if t.kind is TokenKind.PAR_BREAK:
-                return self._math(kind, open_tok.start, None, j)
+                return self._math(kind, i, None, j)
             if t.kind is TokenKind.MATH_SHIFT:
                 if not display:
-                    return self._math(kind, open_tok.start, t.end, j + 1)
+                    return self._math(kind, i, t.end, j + 1)
                 if (
                     j + 1 < n
                     and toks[j + 1].kind is TokenKind.MATH_SHIFT
                     and toks[j + 1].start == t.end
                 ):
-                    return self._math(kind, open_tok.start, toks[j + 1].end, j + 2)
-        return self._math(kind, open_tok.start, None, n)
+                    return self._math(kind, i, toks[j + 1].end, j + 2)
+        return self._math(kind, i, None, n)
 
     def _bracket_math(self, si: int) -> int:
         toks, structural = self.toks, self.structural
-        open_tok = toks[structural[si]]
+        i = structural[si]
+        open_tok = toks[i]
         closing = ")" if open_tok.value == "(" else "]"
         kind = "inline" if open_tok.value == "(" else "display"
         for sj in range(si + 1, len(structural)):
             j = structural[sj]
             t = toks[j]
             if t.kind is TokenKind.PAR_BREAK:
-                return self._math(kind, open_tok.start, None, j)
+                return self._math(kind, i, None, j)
             if t.kind is TokenKind.CONTROL_SYMBOL and t.value == closing:
-                return self._math(kind, open_tok.start, t.end, j + 1)
-        return self._math(kind, open_tok.start, None, len(toks))
+                return self._math(kind, i, t.end, j + 1)
+        return self._math(kind, i, None, len(toks))
 
     def _begin(self, i: int) -> int:
         t = self.toks[i]
@@ -655,6 +677,7 @@ class _TreeBuilder:
             return self._math_environment(i, name, name_idx)
         self.envs.setdefault(name, []).append(len(self.stack))
         self.stack.append((t.start, after, [], name))
+        self.left_out.append((i, name_idx + 1))
         return name_idx + 1
 
     def _math_environment(self, i: int, name: str, name_idx: int) -> int:
@@ -665,9 +688,9 @@ class _TreeBuilder:
             if toks[j].is_control_word("end"):
                 named = _env_name(self.stream, j)
                 if named is not None and named[0] == name:
-                    return self._math("display", start, named[2], named[1] + 1)
+                    return self._math("display", i, named[2], named[1] + 1)
         self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
-        return self._math("display", start, len(self.stream.source), len(toks))
+        return self._math("display", i, len(self.stream.source), len(toks))
 
     def _end(self, i: int) -> int:
         t = self.toks[i]
@@ -687,7 +710,10 @@ class _TreeBuilder:
         while len(self.stack) - 1 > depth:
             self._close(t.start, "group-crosses-boundary", name)
         start, inner_start, children, _ = self.stack.pop()
-        self.sink().append(_new(EnvNode, (name, children, start, after, inner_start, t.start)))
+        node = _new(EnvNode, (name, children, start, after, inner_start, t.start))
+        self.closed.append(node)
+        self.sink().append(node)
+        self.left_out.append((i, name_idx + 1))
         return name_idx + 1
 
 

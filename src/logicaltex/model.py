@@ -139,7 +139,9 @@ def extract_markers(rendering: str) -> list[Marker]:
 # the flag the detector's style peeling sets.  The detector peels every
 # word but the unpeeled ones, with what it reads, from the head of a line;
 # a style wraps what it reads.  ``plain_text`` drops every word but the
-# layout ones, which it keeps verbatim, and a decoration's arguments.
+# layout ones, which it keeps verbatim, and a decoration's arguments; so
+# a layout word's look, ``layout``, notes that the peeling took off a word
+# that ``plain_text`` keeps.
 STYLE_WORDS: dict[str, tuple[str | None, str]] = {word: style for style, words in {
     ("bold", "style"): "bf bfseries textbf",
     ("italic", "style"): "it itshape em sl slshape textit textsl",
@@ -148,7 +150,7 @@ STYLE_WORDS: dict[str, tuple[str | None, str]] = {word: style for style, words i
     ("centered", "style"): "centering",
     (None, "decoration"): "noindent indent smallskip medskip bigskip strut ignorespaces "
                           "vspace hspace vskip hskip",
-    (None, "layout"): "vfill relax sloppy frenchspacing leavevmode",
+    ("layout", "layout"): "vfill relax sloppy frenchspacing leavevmode",
     (None, "unpeeled"): "sc scshape rm rmfamily sf sffamily tt ttfamily upshape mdseries "
                         "normalfont normalsize raggedright raggedleft par centerline mbox "
                         "hbox textrm texttt textsf textup textmd emph textnormal uppercase "

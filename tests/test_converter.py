@@ -594,7 +594,8 @@ def test_convert_analyses_each_tree_once(monkeypatch):
 
 
 def test_convert_walks_each_tree_once(monkeypatch):
-    # ``detector.index_contents`` walks the whole tree for the analysis.
+    # ``detector.index_contents`` indexes each analysed tree once, from the
+    # records its builder kept.
     from logicaltex import detector, lexer
 
     walked = []
@@ -614,7 +615,7 @@ def test_convert_walks_each_tree_once(monkeypatch):
     _, rep = convert(VISUAL_FIXTURES[0].read_text(), AGGRESSIVE)
     assert len(walked) == 1
     assert len(trees) == 1
-    rep.class_after  # the output's tree is built and walked on this read
+    rep.class_after  # the output's tree is built and indexed on this read
     assert len(walked) == 2
     assert len(trees) == 2
     assert all(walked_tree is tree for walked_tree, tree in zip(walked, trees))

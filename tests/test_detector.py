@@ -33,7 +33,7 @@ from logicaltex.detector import (
 )
 from logicaltex.degrader import degrade
 from logicaltex.lexer import EnvNode, Span, Token, TokenKind, parse, protected_spans
-from logicaltex.model import MarkerSymbol, strip_styling
+from logicaltex.model import MarkerSymbol, span_plain, strip_styling
 
 from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS, walk
 from test_lexer import FRAGMENTS
@@ -686,7 +686,7 @@ def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
     assert (line.label.bold, line.label.italic) == (line.bold, line.italic)
     assert line.plain == strip_styling(line.raw)
     if line.label.span == line.span:
-        assert vars(line.label)["plain"] is line.plain
+        assert line.label.plain is line.plain
 
 
 def _detect_all_calls_once_per_tree(monkeypatch, small_corpus, name):
@@ -769,11 +769,47 @@ def _contents_by_walk(tree):
     return Contents(words, envs)
 
 
-@given(st.lists(st.sampled_from(FRAGMENTS + REGION_FRAGMENTS), max_size=32))
+# Control words the tree leaves out, inside math and environment names,
+# and environments the builder closes without a matching \\end.
+CONTENTS_FRAGMENTS = [
+    "$\\alpha x$", "\\[\\beta\\]", "\\begin{equation}\\gamma\\end{equation}",
+    "\\begin{\\foo}", "\\end{\\foo}", "\\end{x}", "\\begin{center}", "\\relax",
+]
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS + REGION_FRAGMENTS + CONTENTS_FRAGMENTS),
+                max_size=32))
 @settings(max_examples=200, deadline=None)
 def test_index_contents_reads_as_walk(pieces):
+    # The index read from the lexer's records equals a walk of the tree.
     tree = parse(wrap("".join(pieces)))
     assert index_contents(tree) == _contents_by_walk(tree)
+
+
+# Lines wrapped in layout words, decorations with their glue, comments,
+# \\centerline and deep style groups, whole or cut anywhere.
+PLAIN_FRAGMENTS = [
+    "\\relax ", "\\leavevmode", "\\vskip 2pt plus 1pt ", "\\vspace*{2mm}", "\\noindent",
+    "%c\n", "\\centerline{Ann Lee}", "\\centerline{", "{\\large {\\it " * 50 + "Deep" + "}}" * 50,
+    "{\\large {\\it ", "}}", "{\\bf Abstract.}", "\\textbf{", "}", "{", "\\H{o}", "\\o ",
+    "Ann Lee", "\\\\", "\\begin{center}", "\\end{center}", " ", "\n", "\n\n",
+]
+
+
+@given(st.lists(st.sampled_from(PLAIN_FRAGMENTS), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_line_plain_reads_as_its_span(pieces):
+    # A line's plain text is its span's, whether read from its core or from
+    # its own tokens, and a label that is its whole line reads the same.
+    tree = parse(wrap("".join(pieces)))
+    fm = frontmatter_region(tree)
+    for line in fm.lines + fm.rest:
+        assert line.plain == span_plain(tree.stream, line.span)
+        label = line.label
+        if label is not None:
+            assert label.plain == span_plain(tree.stream, label.span)
+            if label.span == line.span:
+                assert label.plain is line.plain
 
 
 _NAME_SETS = (frozenset({"section", "title", "bibitem"}), frozenset({"begin", "end", "bf"}),
