@@ -48,6 +48,34 @@ def walk(nodes):
             pending.pop()
 
 
+PACKAGE_DIR = str(Path(lexer.__file__).parent)
+
+
+def line_events(fn, *args) -> int:
+    """How many lines run in ``logicaltex`` frames during ``fn(*args)``: a
+    count of work that the host's load does not move.  Work done in C (a
+    regex, ``str.find``, a slice) counts as the one line that asks for it,
+    so the count adds to the clock and does not replace it."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 @pytest.fixture(autouse=True)
 def fresh_parse_memo():
     """Start every test with an empty parse memo, so that counts of the

@@ -13,10 +13,12 @@ import pytest
 from logicaltex import lexer
 from logicaltex.cli import main
 from logicaltex.converter import ConversionPolicy, Scope, convert
-from logicaltex.detector import classify
+from logicaltex.detector import classify, detect_all
 from logicaltex.lexer import parse
 from logicaltex.model import extract_logical
 from logicaltex.validator import check_body_preservation, validate
+
+from conftest import line_events
 
 
 def _document(body: str) -> str:
@@ -167,3 +169,23 @@ def test_row_of_emphasis_groups_scales_linearly():
     # nine earlier groups, the most a macro reads, not over the whole row.
     row = lambda n: _document("\\section{A}\n\\mbox{x}" + "{\\it a}" * n)
     _assert_doubles(row(2000), row(4000))
+
+
+# A cost linear in n doubles at most from n to 2n: the counts below read
+# ratios of 1.96 to 2.00.  A part quadratic in n that is a share s of the
+# work at n reads 2 + 2s, so the bound catches one above 2.5 %.
+COUNTED_RATIO = 2.05
+
+
+@pytest.mark.parametrize("form, n", [
+    ("wrappers", 200),  # {\large {\it ...}}: two groups and two style words a level
+    ("braces", 1200),
+])
+def test_detect_all_work_doubles_with_depth(form, n):
+    # The lines detect_all runs on a line wrapped n and 2n deep, counted
+    # rather than timed.
+    make = {"wrappers": lambda d: "{\\large {\\it " * d + "Deep" + "}}" * d,
+            "braces": lambda d: "{" * d + "word" + "}" * d}[form]
+    small, large = (parse(_document(make(d))) for d in (n, 2 * n))
+    ratio = line_events(detect_all, large) / line_events(detect_all, small)
+    assert ratio <= COUNTED_RATIO, ratio
