@@ -172,8 +172,9 @@ def test_row_of_emphasis_groups_scales_linearly():
 
 
 # A cost linear in n doubles at most from n to 2n: the counts below read
-# ratios of 1.96 to 2.00.  A part quadratic in n that is a share s of the
-# work at n reads 2 + 2s, so the bound catches one above 2.5 %.
+# ratios of 1.956 (braces) and 1.964 (wrappers).  A part quadratic in n
+# that is a share s of the work at n reads 2 + 2s, so the bound catches
+# one above 2.5 %.
 COUNTED_RATIO = 2.05
 
 
