@@ -432,10 +432,19 @@ class _Parser(argparse.ArgumentParser):
         # before the command's parser reads them.  So a prefix that several
         # options match is read as one of the parser's own options, and the
         # hidden options of the commands give way: after the command, the
-        # command's parser resolves the prefix among its own options.
+        # command's parser resolves the prefix among its own options.  A
+        # prefix of command options only is one hidden option naming all
+        # their commands, which the root parser calls only before the
+        # command.
         tuples = super()._get_option_tuples(option_string)
         if len(tuples) > 1:
-            tuples = [t for t in tuples if not isinstance(t[0], _CommandOption)]
+            own = [t for t in tuples if not isinstance(t[0], _CommandOption)]
+            if own:
+                return own
+            commands = dict.fromkeys(name for t in tuples for name in t[0].commands)
+            hidden = _CommandOption([option_string.split("=", 1)[0]], argparse.SUPPRESS,
+                                    list(commands))
+            return [(hidden, *tuples[0][1:])]
         return tuples
 
 

@@ -458,9 +458,13 @@ def test_abbreviated_options_after_the_command(capsys):
     assert parser.parse_args(["degrade", "x.tex", "--s", "0,1"]).seeds == [0, 1]
     args = parser.parse_args(["--rep", "machine", "convert", "x.tex"])
     assert (args.report, args.command) == ("machine", "convert")
-    message = "--scope is an option of convert, validate, batch; give it after the command"
-    for argv in (["--rep", "machine", "--sc", "full", "convert", "x.tex"],
-                 ["--scope=full", "convert", "x.tex"]):
+    scope = "--scope is an option of convert, validate, batch; give it after the command"
+    for argv, message in (
+            (["--rep", "machine", "--sc", "full", "convert", "x.tex"], scope),
+            (["--scope=full", "convert", "x.tex"], scope),
+            # A prefix of --scope, --suffix and --seeds names all their commands.
+            (["--s", "0,1", "degrade", "x.tex"],
+             "--s is an option of convert, validate, batch, degrade; give it after the command")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
