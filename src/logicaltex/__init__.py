@@ -24,8 +24,8 @@ _EXPORTS = {
                  "frontmatter_region"),
     "lexer": ("BlockTree", "Diagnostic", "Span", "Token", "TokenKind", "TokenStream",
               "build_tree", "math_spans", "parse", "protected_spans", "tokenize"),
-    "model": ("Affiliation", "Author", "FrontMatter", "Marker", "MarkerSymbol",
-              "StyledText", "extract_markers", "resolve_affiliations", "strip_styling"),
+    "model": ("Affiliation", "FrontMatter", "Marker", "MarkerSymbol", "extract_markers",
+              "resolve_affiliations", "strip_styling"),
     "validator": ("ExtractedMetadata", "MetadataScores", "ValidationReport", "Verdict",
                   "check_body_preservation", "compare_metadata", "validate",
                   "validate_structure"),

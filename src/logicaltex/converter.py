@@ -177,23 +177,22 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
     for (i, j) in sorted(fm.author_affiliation_edges):
         per_author_affs[i].append(j)
     for i, mk in fm.unresolved_markers:
-        name = fm.authors[i].name.plain if i < len(fm.authors) else "?"
         warnings.append(
-            f"author '{name}' carries marker {mk} with no matching affiliation; "
-            "no affiliation attached")
+            f"author '{fm.authors[i].name_plain}' carries marker {mk} with no matching "
+            "affiliation; no affiliation attached")
     pieces: list[str] = []
     if policy.affiliation_command == "affiliation":
         for i, author in enumerate(fm.authors):
-            pieces.append(f"\\author{{{author.name.raw}}}")
-            for j in sorted(set(per_author_affs[i])):
-                pieces.append(f"\\affiliation{{{fm.affiliations[j].text.raw}}}")
+            pieces.append(f"\\author{{{author.name_raw}}}")
+            for j in per_author_affs[i]:
+                pieces.append(f"\\affiliation{{{fm.affiliations[j].raw}}}")
         block = "\n".join(pieces)
     else:
         entries = []
         for i, author in enumerate(fm.authors):
-            entry = author.name.raw
-            for j in sorted(set(per_author_affs[i])):
-                entry += f"\\thanks{{{fm.affiliations[j].text.raw}}}"
+            entry = author.name_raw
+            for j in per_author_affs[i]:
+                entry += f"\\thanks{{{fm.affiliations[j].raw}}}"
             entries.append(entry)
         block = "\\author{" + " \\and ".join(entries) + "}"
     if MARKER_RESIDUE.search(block):

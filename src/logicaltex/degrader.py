@@ -204,15 +204,10 @@ class _Degrader:
                 title_lines.append(f"{{{deco} {doc.title_raw}}}")
 
         # Unique affiliation texts in first-seen order; edges by index.
-        aff_texts: list[str] = []
-        edges: list[list[int]] = []
-        for author in doc.authors:
-            idxs = []
-            for aff in author.affiliations_raw:
-                if aff not in aff_texts:
-                    aff_texts.append(aff)
-                idxs.append(aff_texts.index(aff))
-            edges.append(idxs)
+        first_index: dict[str, int] = {}
+        edges = [[first_index.setdefault(aff, len(first_index)) for aff in author.affiliations_raw]
+                 for author in doc.authors]
+        aff_texts = list(first_index)
 
         mode = self.marker_mode()
         use_markers = mode is not None and bool(aff_texts)

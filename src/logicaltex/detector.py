@@ -44,10 +44,8 @@ from .model import (
     STYLE_WORDS,
     TITLE,
     Affiliation,
-    Author,
     FrontMatter,
     Marker,
-    StyledText,
     extract_markers,
     fold_accents,
     after_command,
@@ -363,16 +361,16 @@ class Line:
 
     @cached_property
     def plain(self) -> str:
-        # Only the front matter's detectors read it.  A label that is the
-        # whole line has the same text, computed once for both.
-        # ``plain_text`` reads the wrappers peeled off the core as blanks at
-        # most, so the core's text is the line's unless a layout word, which
-        # it keeps, was peeled.  Else the line's own tokens give it: lines
+        # Only the front matter's detectors read it.  ``plain_text`` reads
+        # the wrappers peeled off the core as blanks at most, so the core's
+        # text is the line's unless a layout word, which it keeps, was
+        # peeled.  Else a label that is the whole line has the same text,
+        # computed once for both, or the line's own tokens give it: lines
         # are made of whole nodes, so their spans fall on token boundaries.
-        if self.label is not None and self.label.span == self.span:
-            return self.label.plain
         if not self.layout:
             return self.core_plain
+        if self.label is not None and self.label.span == self.span:
+            return self.label.plain
         return span_plain(self.stream, self.span)
 
     @cached_property
@@ -385,6 +383,10 @@ class Line:
 
     @cached_property
     def core_plain(self) -> str:
+        # A label whose core is the line's reads the same text when no
+        # layout word was peeled, computed once for both.
+        if self.label is not None and self.label.core is self.core_nodes and not self.layout:
+            return self.label.plain
         return span_plain(self.stream, _nodes_span(self.core_nodes)) if self.core_nodes else ""
 
     @property
@@ -700,24 +702,24 @@ def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
 
 
 class Segment:
-    """One author's part of an author line: raw name, markers and their spans."""
+    """One author's part of an author line: raw name, markers and their
+    spans.  The front matter's record of an accepted author."""
 
     def __init__(self, stream: TokenStream, span: Span, name_raw: str, markers: list[Marker],
-                 marker_spans: list[Span], leading_marker: bool, strip_commas: bool = True):
+                 marker_spans: list[Span], leading_marker: bool):
         self.stream = stream
         self.span = span
         self.name_raw = name_raw
         self.markers = markers
         self.marker_spans = marker_spans
         self.leading_marker = leading_marker
-        self.strip_commas = strip_commas
 
     @cached_property
     def name_plain(self) -> str:
-        # The edits ``_scan_segment`` makes to the raw name, made to the
-        # plain text of the same tokens.
+        # The edits ``_scan_segment`` makes to an author's raw name, made
+        # to the plain text of the same tokens.
         plain = re.sub(r"\s+,", ",", span_plain(self.stream, self.span, self.marker_spans))
-        return plain.strip(",").strip() if self.strip_commas else plain
+        return plain.strip(",").strip()
 
 
 def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[list[Marker], Span] | None:
@@ -777,7 +779,6 @@ def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
         markers=markers,
         marker_spans=spans,
         leading_marker=leading,
-        strip_commas=strip_commas,
     )
 
 
@@ -1023,7 +1024,6 @@ def detect_authors_affiliations(
                 cues,
                 data={
                     "text_raw": whole.name_raw,
-                    "text_plain": whole.name_plain,
                     "marker": whole.markers[0] if whole.leading_marker and whole.markers else None,
                     "line": line,
                 },
@@ -1451,29 +1451,18 @@ def extract_frontmatter(dets: DetectionSet) -> FrontMatter:
     the converter's gate did not skip."""
     fm = FrontMatter()
     for det in _accepted(dets.authors):
-        for seg in det.data.get("segments", []):
-            fm.authors.append(Author(
-                name=StyledText(seg.name_raw, seg.name_plain),
-                markers=set(seg.markers),
-                span=seg.span,
-            ))
+        fm.authors += det.data["segments"]
     for det in _accepted(dets.affiliations):
-        marker = det.data["marker"]
-        text = StyledText(det.data["text_raw"].strip(), det.data["text_plain"])
+        marker, raw = det.data["marker"], det.data["text_raw"]
         prev = fm.affiliations[-1] if fm.affiliations else None
         # A markerless line continues an affiliation that has a marker or
         # whose text ends with a comma.
-        if marker is None and prev and (prev.marker is not None or prev.text.raw.endswith(",")):
-            text = StyledText(f"{prev.text.raw} {text.raw}",
-                              f"{prev.text.plain} {text.plain}".strip())
-            span = Span(prev.span.start, det.span.end)
-            fm.affiliations[-1] = Affiliation(text, prev.marker, span)
+        if marker is None and prev and (prev.marker is not None or prev.raw.endswith(",")):
+            prev.raw += " " + raw
+            prev.span = Span(prev.span.start, det.span.end)
         else:
-            fm.affiliations.append(Affiliation(text, marker, det.span))
-    resolution = resolve_affiliations(fm.authors, fm.affiliations)
-    fm.author_affiliation_edges = resolution.edges
-    fm.unresolved_markers = resolution.unresolved
-    fm.notes = list(resolution.notes)
+            fm.affiliations.append(Affiliation(raw, marker, det.span))
+    resolve_affiliations(fm)
     if dets.region.whole_body_fallback:
         fm.notes.append("no front-matter boundary found; whole body considered")
     return fm

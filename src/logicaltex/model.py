@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lexer import (
     BlockTree,
@@ -26,6 +26,9 @@ from .lexer import (
     latin1_fallback,
     tokenize,
 )
+
+if TYPE_CHECKING:
+    from .detector import Segment
 
 
 class MarkerSymbol(Enum):
@@ -487,97 +490,68 @@ def fold_accents(plain: str) -> str:
     return s.replace("{", "").replace("}", "")
 
 
-class StyledText(NamedTuple):
-    """A source fragment and its plain text."""
+class Affiliation:
+    """One affiliation as found in visual front matter: its source text,
+    its marker if it has one, and the lines it was read from."""
 
-    raw: str
-    plain: str
+    __slots__ = ("raw", "marker", "span")
 
-
-class Author:
-    """One author as found in visual front matter, with the markers after the name."""
-
-    __slots__ = ("name", "markers", "span")
-
-    def __init__(self, name: StyledText, markers: set[Marker], span: Span):
-        self.name = name
-        self.markers = markers
+    def __init__(self, raw: str, marker: Marker | None, span: Span):
+        self.raw = raw
+        self.marker = marker
         self.span = span
 
 
-class Affiliation:
-    """One affiliation as found in visual front matter, with its marker if it has one."""
-
-    __slots__ = ("text", "marker", "span")
-
-    def __init__(self, text: StyledText, marker: Marker | None, span: Span):
-        self.text = text
-        self.marker = marker
-        self.span = span  # the lines it was read from
-
-
 class FrontMatter:
-    """The authors and affiliations of visual front matter and how they connect."""
+    """The authors and affiliations of visual front matter and how they
+    connect.  An author is the detector's ``Segment`` of an accepted
+    author line, with its raw and plain name, markers and span."""
 
     __slots__ = ("authors", "affiliations", "author_affiliation_edges", "unresolved_markers",
                  "notes")
 
     def __init__(self):
-        self.authors: list[Author] = []
+        self.authors: list[Segment] = []
         self.affiliations: list[Affiliation] = []
         self.author_affiliation_edges: set[tuple[int, int]] = set()
         self.unresolved_markers: list[tuple[int, Marker]] = []
         self.notes: list[str] = []
 
 
-class ResolutionResult:
-    """Author-affiliation edges by marker, the markers left unmatched, and notes."""
-
-    __slots__ = ("edges", "unresolved", "notes")
-
-    def __init__(self, edges: set[tuple[int, int]], unresolved: list[tuple[int, Marker]],
-                 notes: list[str]):
-        self.edges = edges
-        self.unresolved = unresolved
-        self.notes = notes
-
-
-def resolve_affiliations(authors: list[Author], affiliations: list[Affiliation]) -> ResolutionResult:
-    """Connect authors to affiliations by normalized marker symbol only.
+def resolve_affiliations(fm: FrontMatter) -> None:
+    """Connect ``fm``'s authors to its affiliations by normalized marker
+    symbol only, and record the edges, the markers left unmatched and the
+    notes on ``fm``.  A marker given twice on one author counts once.
 
     Markerless fallbacks: a single affiliation claims every markerless
     author list; multiple markerless affiliations attach to every author
     (a flagged superset rather than a guess).
     """
-    edges: set[tuple[int, int]] = set()
-    unresolved: list[tuple[int, Marker]] = []
-    notes: list[str] = []
+    authors, affiliations = fm.authors, fm.affiliations
+    edges = fm.author_affiliation_edges
     by_marker: dict[Marker, int] = {}
     for j, aff in enumerate(affiliations):
         if aff.marker is not None:
             if aff.marker in by_marker:
-                notes.append(f"duplicate affiliation marker {aff.marker}")
+                fm.notes.append(f"duplicate affiliation marker {aff.marker}")
             else:
                 by_marker[aff.marker] = j
     for i, author in enumerate(authors):
-        for mk in sorted(author.markers, key=str):
+        for mk in sorted(set(author.markers), key=str):
             j = by_marker.get(mk)
             if j is None:
-                unresolved.append((i, mk))
+                fm.unresolved_markers.append((i, mk))
             else:
                 edges.add((i, j))
     markerless = [j for j, aff in enumerate(affiliations) if aff.marker is None]
     if len(affiliations) == 1 and markerless and all(not a.markers for a in authors):
-        edges |= {(i, 0) for i in range(len(authors))}
+        edges.update((i, 0) for i in range(len(authors)))
     elif markerless and authors:
-        for j in markerless:
-            for i in range(len(authors)):
-                edges.add((i, j))
+        edges.update((i, j) for j in markerless for i in range(len(authors)))
         if len(markerless) > 1 or len(authors) > 1:
-            notes.append(
+            fm.notes.append(
                 "affiliations without markers were attached to every author"
             )
-    return ResolutionResult(edges, unresolved, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -667,28 +641,29 @@ class LogicalDocument:
 def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAuthor]:
     """Split an \\author argument on top-level \\and (or commas when no
     \\and is present) and peel per-author \\thanks groups."""
-    src = stream.source
+    src, children = stream.source, group.children
     seps: list[tuple[int, int]] = []
-    for nd in group.children:
+    for nd in children:
         if isinstance(nd, Token) and nd.is_control_word("and"):
             seps.append((nd.start, nd.end))
     if not seps:
-        for nd in group.children:
+        for nd in children:
             if isinstance(nd, Token) and nd.kind is TokenKind.TEXT:
                 text = nd.value or ""
                 for m in re.finditer(",", text):
                     seps.append((nd.start + m.start(), nd.start + m.end()))
     seps.sort()
-    bounds = [group.inner_start] + [e for _, e in seps] + [group.inner_end]
-    starts = [group.inner_start] + [s for s, _ in seps]
+    # The children are disjoint and in order: a segment's nodes are one
+    # slice, each end found by bisection.
+    child_starts = [nd.start for nd in children]
+    child_ends = [nd.end for nd in children]
     out: list[LogicalAuthor] = []
-    for k in range(len(starts)):
-        seg_start = bounds[k]
-        seg_end = starts[k + 1] if k + 1 < len(starts) else group.inner_end
+    for seg_start, seg_end in zip([group.inner_start] + [e for _, e in seps],
+                                  [s for s, _ in seps] + [group.inner_end]):
         if seg_end <= seg_start:
             continue
-        seg_nodes = [nd for nd in group.children
-                     if nd.start >= seg_start and nd.end <= seg_end]
+        seg_nodes = children[bisect_left(child_starts, seg_start):
+                             bisect_right(child_ends, seg_end)]
         author = LogicalAuthor("", [], stream, Span(seg_start, seg_end))
         j = 0
         while j < len(seg_nodes):

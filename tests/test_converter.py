@@ -14,9 +14,9 @@ from logicaltex.converter import (
     apply,
     convert,
 )
-from logicaltex.detector import DetectionKind
+from logicaltex.detector import DetectionKind, detect_all, extract_frontmatter
 from logicaltex.lexer import Span, TokenKind, parse, tokenize
-from logicaltex.model import ACCENT_SYMBOLS
+from logicaltex.model import ACCENT_SYMBOLS, Marker, MarkerSymbol
 from logicaltex.validator import check_body_preservation, validate_structure
 
 from conftest import (
@@ -239,6 +239,20 @@ def test_author_rewrite_affiliation_command():
     assert "\\affiliation{University of X}" in out
     assert "\\author{Bob Jones}" in out
     assert "\\thanks" not in out
+
+
+def test_marker_given_twice_is_one_unresolved_marker():
+    src = wrap(
+        "\\centerline{\\bf A Title Line Here}\n\n"
+        "\\centerline{Ann Lee$^{1,1}$ and Bob Stone$^{2}$}\n"
+        "\\centerline{$^{2}$Institute of Y}\n\nBody.")
+    fm = extract_frontmatter(detect_all(parse(src)))
+    assert fm.unresolved_markers == [(0, Marker(MarkerSymbol.DIGIT, "1"))]
+    out, rep = convert(src, AGGRESSIVE)
+    assert "\\author{Ann Lee \\and Bob Stone\\thanks{Institute of Y}}" in out
+    assert [w for w in rep.warnings if "marker" in w] == [
+        "author 'Ann Lee' carries marker digit(1) with no matching affiliation; "
+        "no affiliation attached"]
 
 
 def test_author_hygiene_no_marker_renderings():

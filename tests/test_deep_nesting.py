@@ -190,3 +190,14 @@ def test_detect_all_work_doubles_with_depth(form, n):
     small, large = (parse(_document(make(d))) for d in (n, 2 * n))
     ratio = line_events(detect_all, large) / line_events(detect_all, small)
     assert ratio <= COUNTED_RATIO, ratio
+
+
+def test_extract_logical_work_doubles_with_authors():
+    # The lines extract_logical runs on one \author of n and 2n names,
+    # each with its own \thanks: a name's nodes are found by bisection,
+    # not by a scan of the whole argument.
+    make = lambda n: "\\author{" + " \\and ".join(
+        f"Name\\thanks{{Univ {i}}}" for i in range(n)) + "}\n\\maketitle"
+    small, large = (parse(_document(make(n))) for n in (100, 200))
+    ratio = line_events(extract_logical, large) / line_events(extract_logical, small)
+    assert ratio <= COUNTED_RATIO, ratio

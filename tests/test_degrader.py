@@ -123,8 +123,8 @@ def test_symbol_markers_preserve_edges_via_redetection():
     tree = parse(visual)
     fm = extract_frontmatter(detect_all(tree))
     got_pairs = {
-        (normalize_for_compare(fm.authors[i].name.raw),
-         normalize_for_compare(fm.affiliations[j].text.raw))
+        (normalize_for_compare(fm.authors[i].name_raw),
+         normalize_for_compare(fm.affiliations[j].raw))
         for i, j in fm.author_affiliation_edges}
     assert got_pairs == want_pairs
     assert truth.authors == [

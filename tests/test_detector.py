@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -255,7 +256,7 @@ def test_two_marker_author_lines_and_numbered_institutes():
     for det in authors + affils:
         assert CueKind.MARKER_SYMBOL in {c.kind for c in det.cues}
     fm = extract_frontmatter(detect_all(tree))
-    assert [a.name.plain for a in fm.authors] == ["Maria Santos", "Igor Petrov"]
+    assert [a.name_plain for a in fm.authors] == ["Maria Santos", "Igor Petrov"]
     assert sorted(fm.author_affiliation_edges) == [(0, 0), (0, 1), (1, 0)]
     assert all(m.symbol is MarkerSymbol.DIGIT
                for a in fm.authors for m in a.markers)
@@ -324,7 +325,7 @@ def test_multiline_affiliation_merged():
     tree = parse(src)
     fm = extract_frontmatter(detect_all(tree))
     assert len(fm.affiliations) == 1
-    assert fm.affiliations[0].text.plain == \
+    assert fm.affiliations[0].raw == \
         "Department of Mathematics, University of Somewhere, Cityville"
 
 
@@ -593,21 +594,18 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
 
 
 def test_segment_plain_matches_strip_styling_of_raw(small_corpus):
-    # Author names and affiliation texts are spliced around their markers;
-    # their plain forms come from the tokens the line already holds.
+    # Author names are spliced around their markers; their plain forms
+    # come from the tokens the line already holds.
     sources = [path.read_bytes() for path in sorted(FIXTURES.rglob("*.tex"))]
     sources += [degrade(text, profiles, seed)[0] for (_, text), profiles, seed
                 in itertools.product(small_corpus, PROFILE_SETS, (0, 1))]
-    names = affiliations = 0
+    names = 0
     for source in sources:
         dets = detect_all(parse(source))
         for seg in (seg for d in dets.authors for seg in d.data["segments"]):
             assert seg.name_plain == strip_styling(seg.name_raw), seg.name_raw
             names += 1
-        for det in dets.affiliations:
-            assert det.data["text_plain"] == strip_styling(det.data["text_raw"])
-            affiliations += 1
-    assert names and affiliations
+    assert names
 
 
 def test_body_lines_leave_their_plain_text_unread(small_corpus, monkeypatch):
@@ -687,6 +685,29 @@ def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
     assert line.plain == strip_styling(line.raw)
     if line.label.span == line.span:
         assert line.label.plain is line.plain
+
+
+def test_detect_all_reads_each_spans_plain_text_once(monkeypatch):
+    # A bold title line's plain text is its label's and its core's, and an
+    # affiliation line's is read for its detection only, so no span's
+    # plain text is computed twice.
+    from logicaltex import detector
+
+    spans = []
+
+    def counting_span_plain(stream, span, cuts=()):
+        spans.append(span)
+        return span_plain(stream, span, cuts)
+
+    monkeypatch.setattr(detector, "span_plain", counting_span_plain)
+    dets = detect_all(parse(wrap(
+        "{\\bf A Study of Things}\n\n"
+        "Ann Lee$^{1}$ and Bob Stone$^{2}$\n\n"
+        "$^{1}$University of Somewhere\n\n"
+        "{\\bf Abstract.} We study things in depth.\n\n\\section{Intro}\nBody.")))
+    assert dets.title and dets.authors and dets.affiliations and dets.abstract
+    assert len(spans) >= 6
+    assert [span for span, n in Counter(spans).items() if n > 1] == []
 
 
 def _detect_all_calls_once_per_tree(monkeypatch, small_corpus, name):
@@ -793,6 +814,7 @@ PLAIN_FRAGMENTS = [
     "%c\n", "\\centerline{Ann Lee}", "\\centerline{", "{\\large {\\it " * 50 + "Deep" + "}}" * 50,
     "{\\large {\\it ", "}}", "{\\bf Abstract.}", "\\textbf{", "}", "{", "\\H{o}", "\\o ",
     "Ann Lee", "\\\\", "\\begin{center}", "\\end{center}", " ", "\n", "\n\n",
+    "{\\relax Ann Lee}",
 ]
 
 
@@ -801,10 +823,14 @@ PLAIN_FRAGMENTS = [
 def test_line_plain_reads_as_its_span(pieces):
     # A line's plain text is its span's, whether read from its core or from
     # its own tokens, and a label that is its whole line reads the same.
+    # A line's core plain text is its core's, a label's shared or not.
     tree = parse(wrap("".join(pieces)))
     fm = frontmatter_region(tree)
     for line in fm.lines + fm.rest:
         assert line.plain == span_plain(tree.stream, line.span)
+        core = line.core_nodes
+        assert line.core_plain == (
+            span_plain(tree.stream, Span(core[0].start, core[-1].end)) if core else "")
         label = line.label
         if label is not None:
             assert label.plain == span_plain(tree.stream, label.span)

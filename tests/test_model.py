@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from logicaltex import model
 from logicaltex.converter import convert
 from logicaltex.degrader import degrade
+from logicaltex.detector import Segment
 from logicaltex.lexer import _LATIN1_FALLBACK, Span, Token, parse, tokenize
 from logicaltex.model import (
     Affiliation,
-    Author,
+    FrontMatter,
     Marker,
     MarkerSymbol,
-    StyledText,
     extract_logical,
     extract_markers,
     fold_accents,
@@ -179,14 +179,8 @@ def test_glue_ends_where_the_single_pattern_ends_on_glue_like_text(pieces, at):
         _assert_glue_end_as_reference(text, min(at, len(text)), monkeypatch)
 
 
-def styled(raw: str) -> StyledText:
-    return StyledText(raw.strip(), strip_styling(raw))
-
-
 def test_strip_styling_preserves_accents():
-    text = styled(r"{\bf Erd\H{o}s, P\'al}")
-    assert text.plain == r"Erd\H{o}s, P\'al"
-    assert r"\H{o}" in text.raw and r"\H{o}" in text.plain
+    assert strip_styling(r"{\bf Erd\H{o}s, P\'al}") == r"Erd\H{o}s, P\'al"
 
 
 def test_strip_styling_idempotent_fixed_cases():
@@ -276,11 +270,18 @@ def test_fold_tables_have_no_ascii_key():
 
 
 def A(name, *markers):
-    return Author(styled(name), set(markers), S())
+    return Segment(None, S(), name, list(markers), [], False)
 
 
-def F(text, marker=None):
-    return Affiliation(styled(text), marker, S())
+def F(raw, marker=None):
+    return Affiliation(raw, marker, S())
+
+
+def resolved(authors, affiliations) -> FrontMatter:
+    fm = FrontMatter()
+    fm.authors, fm.affiliations = authors, affiliations
+    resolve_affiliations(fm)
+    return fm
 
 
 DAG = Marker(MarkerSymbol.DAGGER)
@@ -289,27 +290,27 @@ SEC = Marker(MarkerSymbol.SECTION_SIGN)
 
 
 def test_resolve_marker_matching():
-    res = resolve_affiliations(
+    res = resolved(
         [A("A", DAG), A("B", DAG, DDAG)],
         [F("X", DAG), F("Y", DDAG)])
-    assert res.edges == {(0, 0), (1, 0), (1, 1)}
-    assert res.unresolved == []
+    assert res.author_affiliation_edges == {(0, 0), (1, 0), (1, 1)}
+    assert res.unresolved_markers == []
 
 
 def test_resolve_single_affiliation_fallback():
-    res = resolve_affiliations([A("A")], [F("X")])
-    assert res.edges == {(0, 0)}
+    res = resolved([A("A")], [F("X")])
+    assert res.author_affiliation_edges == {(0, 0)}
 
 
 def test_resolve_unmatched_marker_reported():
-    res = resolve_affiliations([A("A", SEC)], [F("X", DAG)])
-    assert res.edges == set()
-    assert res.unresolved == [(0, SEC)]
+    res = resolved([A("A", SEC)], [F("X", DAG)])
+    assert res.author_affiliation_edges == set()
+    assert res.unresolved_markers == [(0, SEC)]
 
 
 def test_resolve_markerless_superset_is_flagged():
-    res = resolve_affiliations([A("A"), A("B")], [F("X"), F("Y")])
-    assert res.edges == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    res = resolved([A("A"), A("B")], [F("X"), F("Y")])
+    assert res.author_affiliation_edges == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert res.notes
 
 
@@ -318,8 +319,8 @@ def test_resolve_one_markerless_affiliation_of_one_author_is_not_flagged():
     # marked one; with no other author or affiliation to choose, there is
     # nothing to note.
     one = Marker(MarkerSymbol.DIGIT, "1")
-    res = resolve_affiliations([A("A", one)], [F("U1", one), F("U2")])
-    assert res.edges == {(0, 0), (0, 1)}
+    res = resolved([A("A", one)], [F("U1", one), F("U2")])
+    assert res.author_affiliation_edges == {(0, 0), (0, 1)}
     assert res.notes == []
 
 
@@ -328,8 +329,8 @@ def test_resolve_order_insensitive_pair_set():
     affs = [F("X", DAG), F("Y", DDAG)]
 
     def pair_set(authors, affs):
-        res = resolve_affiliations(authors, affs)
-        return {(authors[i].name.plain, affs[j].text.plain) for i, j in res.edges}
+        res = resolved(authors, affs)
+        return {(authors[i].name_raw, affs[j].raw) for i, j in res.author_affiliation_edges}
 
     forward = pair_set(authors, affs)
     backward = pair_set(authors, list(reversed(affs)))
