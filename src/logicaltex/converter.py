@@ -26,13 +26,16 @@ from .detector import (
     passes,
 )
 from .lexer import (
+    BLANKS,
     BlockTree,
     EnvNode,
     Span,
     SpanIndex,
+    TokenKind,
     decode_source,
     encode_source,
     parse,
+    tokenize,
 )
 from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter
 
@@ -149,7 +152,15 @@ UNCARRIED_SKIP = "no accepted author line carries this affiliation"
 
 
 def _content(det: Detection) -> str:
-    return det.data.get(_CONTENT[det.kind][0], "").strip()
+    return det.data.get(_CONTENT[det.kind][0], "").strip(BLANKS)
+
+
+def _closed(raw: str) -> str:
+    """``raw`` with a line end after it if it ends in a comment, so that
+    the text written after it is not commented out."""
+    if "%" in raw and tokenize(raw).tokens[-1].kind is TokenKind.COMMENT:
+        return raw + "\n"
+    return raw
 
 
 def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
@@ -183,16 +194,16 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
     pieces: list[str] = []
     if policy.affiliation_command == "affiliation":
         for i, author in enumerate(fm.authors):
-            pieces.append(f"\\author{{{author.name_raw}}}")
+            pieces.append(f"\\author{{{_closed(author.name_raw)}}}")
             for j in per_author_affs[i]:
-                pieces.append(f"\\affiliation{{{fm.affiliations[j].raw}}}")
+                pieces.append(f"\\affiliation{{{_closed(fm.affiliations[j].raw)}}}")
         block = "\n".join(pieces)
     else:
         entries = []
         for i, author in enumerate(fm.authors):
-            entry = author.name_raw
+            entry = _closed(author.name_raw)
             for j in per_author_affs[i]:
-                entry += f"\\thanks{{{fm.affiliations[j].raw}}}"
+                entry += f"\\thanks{{{_closed(fm.affiliations[j].raw)}}}"
             entries.append(entry)
         block = "\\author{" + " \\and ".join(entries) + "}"
     if MARKER_RESIDUE.search(block):
@@ -289,7 +300,7 @@ def _skip_uncarried(dets: DetectionSet, fm: FrontMatter) -> bool:
 def _render(det: Detection, author_block: str | None) -> str:
     """The replacement text for one accepted detection."""
     if det.kind is DetectionKind.TITLE:
-        return f"\\title{{{_content(det)}}}"
+        return f"\\title{{{_closed(_content(det))}}}"
     if det.kind is DetectionKind.AUTHOR_LINE:
         return author_block or ""
     if det.kind is DetectionKind.ABSTRACT:
@@ -297,14 +308,14 @@ def _render(det: Detection, author_block: str | None) -> str:
     if det.kind is DetectionKind.SECTION_HEADER:
         cmd = _SECTION_COMMANDS.get(det.level, "subsubsection")
         star = "" if det.data.get("numbered") else "*"
-        return f"\\{cmd}{star}{{{_content(det)}}}"
+        return f"\\{cmd}{star}{{{_closed(_content(det))}}}"
     if det.kind is DetectionKind.THEOREM_LIKE:
         env = det.keyword.lower()
         return f"\\begin{{{env}}}\n{_content(det)}\n\\end{{{env}}}"
     if det.kind is DetectionKind.EMPHASIS:
         # A command's argument keeps its braces, so the command still
         # reads the whole emphasis.
-        emph = f"\\emph{{{_content(det)}}}"
+        emph = f"\\emph{{{_closed(_content(det))}}}"
         return f"{{{emph}}}" if det.data.get("argument") else emph
     return ""  # an affiliation line moves into the author block
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .lexer import (
+    BLANKS,
     BlockTree,
     EnvNode,
     GroupNode,
@@ -1080,7 +1081,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
     def candidate(span: Span, cues, label_span: Span | None, content_raw: str,
                   construct_end: int, **data):
         candidates.append(_scored(DetectionKind.ABSTRACT, span, cues, data={
-            "label_span": label_span, "content_raw": content_raw.strip(),
+            "label_span": label_span, "content_raw": content_raw.strip(BLANKS),
             "construct_end": construct_end, **data}))
 
     trailing_titlepage: Line | None = None
@@ -1153,7 +1154,7 @@ def _number_prefix(core_plain: str, core_raw: str):
         level = min(num.rstrip(".").count(".") + 1, 3)
     else:
         level = 1
-    return num, level, heading_raw.strip()
+    return num, level, heading_raw.strip(BLANKS)
 
 
 def _is_heading(line: Line, region: Region) -> bool:
@@ -1185,7 +1186,7 @@ def detect_section_headers(tree: BlockTree, region: Region) -> list[Detection]:
             num, level, heading_raw = numbered
             cues.add(Cue(CueKind.NUMBER_PREFIX, line.span, num))
         else:
-            level, heading_raw = 1, core_raw.strip()
+            level, heading_raw = 1, core_raw.strip(BLANKS)
         out.append(_scored(
             DetectionKind.SECTION_HEADER,
             line.span,
@@ -1273,7 +1274,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             line.span,
             cues,
             keyword=keyword,
-            data={"content_raw": content_raw.strip(), "label_span": label.span},
+            data={"content_raw": content_raw.strip(BLANKS), "label_span": label.span},
         ))
         claimed.append(label.span)
 
@@ -1340,7 +1341,7 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
             DetectionKind.EMPHASIS,
             span,
             _flag_cues(info, span, ("bold", "italic")),
-            data={"content_raw": content_raw.strip(), "argument": argument},
+            data={"content_raw": content_raw.strip(BLANKS), "argument": argument},
         ))
     out.sort(key=lambda d: d.span.start)
     return out

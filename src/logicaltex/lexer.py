@@ -188,11 +188,16 @@ def latin1_fallback(text: str) -> str:
     return text if text.isascii() else text.translate(_LATIN1_FALLBACK)
 
 
+# The characters TeX reads as blanks.  Raw text is trimmed of these only:
+# ``str.strip`` also drops characters such as a vertical tab, which the
+# lexer reads as text, and with them the line end that closes a comment.
+BLANKS = " \t\r\n\x0c"
+
 # The kind of a lexeme by its first character; any other first character
 # starts a text run.  A backslash starts a control word when an ASCII
 # letter follows it, and a control symbol otherwise.
 _FIRST_KINDS = {
-    **dict.fromkeys(" \t\r\n\x0c", TokenKind.WHITESPACE),
+    **dict.fromkeys(BLANKS, TokenKind.WHITESPACE),
     "\\": TokenKind.CONTROL_WORD,
     "{": TokenKind.BEGIN_GROUP, "}": TokenKind.END_GROUP, "$": TokenKind.MATH_SHIFT,
     "&": TokenKind.ALIGNMENT, **dict.fromkeys("~^_", TokenKind.ACTIVE_CHAR),

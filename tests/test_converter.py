@@ -17,7 +17,7 @@ from logicaltex.converter import (
 from logicaltex.detector import DetectionKind, detect_all, extract_frontmatter
 from logicaltex.lexer import Span, TokenKind, parse, tokenize
 from logicaltex.model import ACCENT_SYMBOLS, Marker, MarkerSymbol
-from logicaltex.validator import check_body_preservation, validate_structure
+from logicaltex.validator import check_body_preservation, validate, validate_structure
 
 from conftest import (
     AGGRESSIVE,
@@ -253,6 +253,29 @@ def test_marker_given_twice_is_one_unresolved_marker():
     assert [w for w in rep.warnings if "marker" in w] == [
         "author 'Ann Lee' carries marker digit(1) with no matching affiliation; "
         "no affiliation attached"]
+
+
+# Rewritten text that ends in a comment, as written or once a character
+# that Python reads as blank but TeX reads as text is trimmed off it.
+COMMENT_ENDED = [
+    "\\begin{center}\x00%c\n\x0b\n",
+    "{\\bf A Study of Things}\n\nAnn Lee%c\n\x0b and Bob Stone\n\nBody.",
+    "{\\bf A Study of Things}\n\nAnn Lee %c\n, Bob Stone\n\nBody.",
+    "{\\bf A Study of Things}\n\nAnn Lee$^{1}$ and Bob Stone$^{2}$%c\n\x0b\n\n"
+    "$^{1}$University of Somewhere%c\n\x0b\n\n$^{2}$Institute of Y\n\nBody.",
+]
+
+
+@pytest.mark.parametrize("body", COMMENT_ENDED,
+                         ids=["title", "author", "author-comma", "affiliation"])
+@pytest.mark.parametrize("label", POLICIES)
+def test_text_ending_in_a_comment_keeps_the_brace_after_it(body, label):
+    for src in (body, wrap(body)):
+        out, rep = convert(src, POLICIES[label])
+        assert out != src
+        verdict = validate(src, out, rep.plan)
+        assert verdict.body_preserved
+        assert verdict.structural_delta == []
 
 
 def test_author_hygiene_no_marker_renderings():
