@@ -17,9 +17,11 @@ warnings and both classes.  One more line per input digests its block
 tree: the diagnostics, and every node depth first with its class,
 offsets, name and number of children, so a change of the tree shows even
 where no output byte moves.  The same line digests what the detectors read
-of the tree: its index of control words and environments, and the plain
-text and core plain text of every line of the front matter and of the
-body after it.  Each corpus pair gets one more line with three
+of the tree: its index of control words and environments; the plain
+text, core plain text and segments (each one's span, raw and plain name,
+markers and marker spans) of every line of the front matter and of the
+body after it; and the raw text and marker of every author and
+affiliation detection.  Each corpus pair gets one more line with three
 digests: the degrader's visual bytes, its ground truth, and the metadata
 scores of what ``validate`` extracts from the full-scope ``aggressive``
 conversion, scored against that truth.
@@ -42,7 +44,7 @@ from corpusgen import build_corpus  # noqa: E402
 
 from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
-from logicaltex.detector import frontmatter_region, index_contents  # noqa: E402
+from logicaltex.detector import detect_all, frontmatter_region, index_contents  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
 from logicaltex.lexer import EnvNode, GroupNode, MathNode, encode_source, parse  # noqa: E402
 from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
@@ -120,9 +122,18 @@ def tree_digest(source: str | bytes) -> str:
     contents = index_contents(tree)
     envs = {name: [tuple(span) for span in spans] for name, spans in contents.envs.items()}
     region = frontmatter_region(tree)
-    plain = [(ln.plain, ln.core_plain) for ln in region.lines + region.rest]
+    plain = [(ln.plain, ln.core_plain, [_segment(s) for s in ln.segments])
+             for ln in region.lines + region.rest]
+    dets = detect_all(tree)
+    front = [(d.kind.value, tuple(d.span), d.data.get("text_raw"), str(d.data.get("marker")))
+             for d in dets.authors + dets.affiliations]
     return _hash((diagnostics, nodes, sorted(contents.words.items()), sorted(envs.items()),
-                  plain))
+                  plain, front))
+
+
+def _segment(s) -> tuple:
+    return (tuple(s.span), s.name_raw, s.name_plain, [str(m) for m in s.markers],
+            [tuple(span) for span in s.marker_spans])
 
 
 def _hash(record) -> str:
