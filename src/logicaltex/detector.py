@@ -375,8 +375,12 @@ class Line:
         return span_plain(self.stream, self.span)
 
     @cached_property
-    def segments(self) -> list[Segment]:
+    def reading(self) -> Reading:
         return split_author_segments(self, self.stream)
+
+    @property
+    def segments(self) -> list[Segment]:
+        return self.reading.segments
 
     @property
     def core_raw(self) -> str:
@@ -707,20 +711,29 @@ class Segment:
     spans.  The front matter's record of an accepted author."""
 
     def __init__(self, stream: TokenStream, span: Span, name_raw: str, markers: list[Marker],
-                 marker_spans: list[Span], leading_marker: bool):
+                 marker_spans: list[Span]):
         self.stream = stream
         self.span = span
         self.name_raw = name_raw
         self.markers = markers
         self.marker_spans = marker_spans
-        self.leading_marker = leading_marker
 
     @cached_property
     def name_plain(self) -> str:
-        # The edits ``_scan_segment`` makes to an author's raw name, made
-        # to the plain text of the same tokens.
+        # The edits ``_less_markers`` and the comma strip make to an
+        # author's raw name, made to the plain text of the same tokens.
         plain = re.sub(r"\s+,", ",", span_plain(self.stream, self.span, self.marker_spans))
         return plain.strip(",").strip()
+
+
+class Reading(NamedTuple):
+    """What one pass over a line's core finds: its author segments, the
+    span of every marker construct in it, and the first marker of the
+    construct it opens with, if any."""
+
+    segments: list[Segment]
+    marker_spans: list[Span]
+    opening: Marker | None
 
 
 def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[list[Marker], Span] | None:
@@ -744,98 +757,80 @@ def _marker_construct(nodes: list[Node], i: int, stream: TokenStream) -> tuple[l
     return None
 
 
-def _scan_segment(nodes: list[Node], span: Span, stream: TokenStream,
-                  strip_commas: bool = True) -> Segment:
-    markers: list[Marker] = []
-    spans: list[Span] = []
-    leading = False
-    i = 0
-    first_real = True
-    while i < len(nodes):
-        nd = nodes[i]
-        if nd.__class__ is Token and nd.kind in _NEUTRAL_KINDS:
-            i += 1
-            continue
-        hit = _marker_construct(nodes, i, stream)
-        if hit:
-            found, mspan = hit
-            markers.extend(found)
-            spans.append(mspan)
-            if first_real:
-                leading = True
-            while i < len(nodes) and nodes[i].start < mspan.end:
-                i += 1
-            first_real = False
-            continue
-        first_real = False
-        i += 1
-    name_raw = spliced(stream.source, span, [(s, "") for s in spans]).strip()
-    name_raw = re.sub(r"\s+,", ",", name_raw).strip()
-    if strip_commas:
-        name_raw = name_raw.strip(",").strip()
-    return Segment(
-        stream=stream,
-        span=span,
-        name_raw=name_raw,
-        markers=markers,
-        marker_spans=spans,
-        leading_marker=leading,
-    )
+def _less_markers(stream: TokenStream, span: Span, marker_spans: list[Span]) -> str:
+    """The raw text of ``span`` without the marker spans in it, trimmed,
+    with no blank before a comma."""
+    raw = spliced(stream.source, span, [(s, "") for s in marker_spans]).strip()
+    return re.sub(r"\s+,", ",", raw).strip()
 
 
 _AND_SPLIT = re.compile(r",|\s+and\s+")
 
 
-def split_author_segments(line: Line, stream: TokenStream) -> list[Segment]:
-    """Split a line's core on top-level separators; each piece keeps the
-    marker constructs found inside it."""
+def split_author_segments(line: Line, stream: TokenStream) -> Reading:
+    """Read a line's core in one pass: split it on top-level separators
+    into segments, each keeping the marker constructs that start inside
+    it.  The line opens with a marker when its first node that is no blank
+    or separator word opens a construct."""
     nodes = line.core_nodes
     if not nodes:
-        return []
+        return Reading([], [], None)
     whole = _nodes_span(nodes)
     cuts: list[tuple[int, int]] = []
     # Textual separators are matched over the joined top-level text so a
     # separator may straddle token boundaries; anything inside a group,
     # math or command argument is off limits.
     mask: list[tuple[int, int]] = []
-    for nd in nodes:
-        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL_WORD \
-                and nd.value in AUTHOR_SEPARATORS:
-            cuts.append((nd.start, nd.end))
-        elif isinstance(nd, Token) and nd.kind in (TokenKind.TEXT, TokenKind.WHITESPACE):
-            if mask and mask[-1][1] == nd.start:
-                mask[-1] = (mask[-1][0], nd.end)
-            else:
-                mask.append((nd.start, nd.end))
-    # The runs are disjoint and in order, as are the nodes: a separator is
-    # looked up in the run that starts last at or before it, and a
-    # segment's nodes are one slice, each found by bisection.
+    found: list[list[Marker]] = []
+    spans: list[Span] = []
+    head = None  # the first node that is no blank or separator word
+    covered = whole.start  # where the last construct found ends
+    for i, nd in enumerate(nodes):
+        if nd.__class__ is Token:
+            kind = nd.kind
+            if kind is TokenKind.CONTROL_WORD and nd.value in AUTHOR_SEPARATORS:
+                cuts.append((nd.start, nd.end))
+                continue
+            if kind is TokenKind.TEXT or kind is TokenKind.WHITESPACE:
+                if mask and mask[-1][1] == nd.start:
+                    mask[-1] = (mask[-1][0], nd.end)
+                else:
+                    mask.append((nd.start, nd.end))
+            if kind in _NEUTRAL_KINDS:
+                continue
+        if head is None:
+            head = nd
+        if nd.start < covered or nd.__class__ is Token and nd.kind is TokenKind.TEXT:
+            continue  # read with the construct before it, or text, never a marker
+        hit = _marker_construct(nodes, i, stream)
+        if hit:
+            found.append(hit[0])
+            spans.append(hit[1])
+            covered = hit[1].end
+    # The runs are disjoint and in order, as are the constructs: a
+    # separator is looked up in the run that starts last at or before it,
+    # and a segment's constructs are one slice, found by bisection.
     run_starts = [r0 for r0, _ in mask]
-    raw = stream.text(whole)
-    for m in _AND_SPLIT.finditer(raw):
+    for m in _AND_SPLIT.finditer(stream.text(whole)):
         a, b = whole.start + m.start(), whole.start + m.end()
         k = bisect_right(run_starts, a) - 1
         if k >= 0 and b <= mask[k][1]:
             cuts.append((a, b))
     cuts.sort()
-    bounds = [whole.start]
-    for s, e in cuts:
-        bounds.extend([s, e])
-    bounds.append(whole.end)
-    starts = [nd.start for nd in nodes]
-    ends = [nd.end for nd in nodes]
+    starts = [span.start for span in spans]
     segments = []
-    for k in range(0, len(bounds), 2):
-        a, b = bounds[k], bounds[k + 1]
+    for a, b in zip([whole.start] + [e for _, e in cuts], [s for s, _ in cuts] + [whole.end]):
         if b <= a:
             continue
         # Separators may fall inside a text token, so the segment range is
         # character-based; marker constructs never straddle a separator.
-        seg_nodes = nodes[bisect_left(starts, a):bisect_right(ends, b)]
-        seg = _scan_segment(seg_nodes, Span(a, b), stream)
-        if seg.name_raw or seg.markers:
-            segments.append(seg)
-    return segments
+        lo, hi = bisect_left(starts, a), bisect_left(starts, b)
+        markers = [mk for hit in found[lo:hi] for mk in hit]
+        name_raw = _less_markers(stream, Span(a, b), spans[lo:hi]).strip(",").strip()
+        if name_raw or markers:
+            segments.append(Segment(stream, Span(a, b), name_raw, markers, spans[lo:hi]))
+    opening = found[0][0] if spans and spans[0].start == head.start else None
+    return Reading(segments, spans, opening)
 
 
 # ---------------------------------------------------------------------------
@@ -970,8 +965,7 @@ def detect_title(tree: BlockTree, region: Region) -> list[Detection]:
             continue
         if _opens_with_heading_number(line.core_plain):
             continue  # a numbered heading
-        segs = line.segments
-        if segs and segs[0].leading_marker:
+        if line.reading.opening is not None:
             continue
         cues = _line_cues(line)
         if line.span.start - region.span.start <= NEAR_START_WINDOW:
@@ -1004,30 +998,23 @@ def detect_authors_affiliations(
             continue
         if line.label is not None and ABSTRACT_LABEL_RE.match(line.label.plain):
             continue  # an abstract-labeled paragraph, not a person or place
-        segs = line.segments
-        if not segs:
+        reading = line.reading
+        if not reading.segments:
             continue
         low = line.plain.casefold()
         keyworded = any(k in low for k in INSTITUTION_KEYWORDS)
-        leading = segs[0].leading_marker
         cues = _line_cues(line)
-        marker_spans = [s for seg in segs for s in seg.marker_spans]
-        if marker_spans:
-            cues.add(Cue(CueKind.MARKER_SYMBOL, marker_spans[0]))
-        if keyworded or leading:
+        if reading.marker_spans:
+            cues.add(Cue(CueKind.MARKER_SYMBOL, reading.marker_spans[0]))
+        if keyworded or reading.opening is not None:
             if affils_suppressed:
                 continue
-            whole = _scan_segment(line.core_nodes, _nodes_span(line.core_nodes),
-                                  stream, strip_commas=False)
+            text_raw = _less_markers(stream, _nodes_span(line.core_nodes), reading.marker_spans)
             affil_dets.append(_scored(
                 DetectionKind.AFFILIATION_LINE,
                 line.span,
                 cues,
-                data={
-                    "text_raw": whole.name_raw,
-                    "marker": whole.markers[0] if whole.leading_marker and whole.markers else None,
-                    "line": line,
-                },
+                data={"text_raw": text_raw, "marker": reading.opening, "line": line},
             ))
             continue
         if _lists_person_names(line):
@@ -1035,7 +1022,7 @@ def detect_authors_affiliations(
                 DetectionKind.AUTHOR_LINE,
                 line.span,
                 cues,
-                data={"segments": segs, "line": line},
+                data={"segments": reading.segments, "line": line},
             ))
     return author_dets, affil_dets
 
@@ -1121,8 +1108,7 @@ def detect_abstract(tree: BlockTree, region: Region) -> Detection | None:
             # Unlabeled paragraph: long centered running text, or the
             # trailing paragraph of a titlepage; never a marker-led line,
             # an institution line or a list of person names.
-            segs = line.segments
-            if segs and segs[0].leading_marker:
+            if line.reading.opening is not None:
                 continue
             if any(k in line.plain[:60].casefold() for k in INSTITUTION_KEYWORDS):
                 continue

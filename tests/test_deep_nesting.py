@@ -201,3 +201,16 @@ def test_extract_logical_work_doubles_with_authors():
     small, large = (parse(_document(make(n))) for n in (100, 200))
     ratio = line_events(extract_logical, large) / line_events(extract_logical, small)
     assert ratio <= COUNTED_RATIO, ratio
+
+
+def test_detect_all_work_doubles_with_names_on_one_line():
+    # The lines detect_all runs on a centred line of n and 2n names, each
+    # with its own marker.  Only the unlabeled-abstract search reads so
+    # long a line's segments (the title, author and affiliation searches
+    # stop at 250 characters), and each segment takes its marker
+    # constructs from the line's by bisection, not by a scan of them.
+    make = lambda n: "\\begin{center}\n" + ", ".join(
+        f"Ann Lee$^{{{k}}}$" for k in range(1, n + 1)) + "\n\\end{center}"
+    small, large = (parse(_document(make(n))) for n in (200, 400))
+    ratio = line_events(detect_all, large) / line_events(detect_all, small)
+    assert ratio <= COUNTED_RATIO, ratio

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logicaltex.converter import convert
 from logicaltex.detector import (
     _is_argument,
+    _lists_person_names,
     AUTO_APPLY_THRESHOLD,
     Contents,
     CueKind,
@@ -327,6 +328,74 @@ def test_multiline_affiliation_merged():
     assert len(fm.affiliations) == 1
     assert fm.affiliations[0].raw == \
         "Department of Mathematics, University of Somewhere, Cityville"
+
+
+# Lines below a title and an author line, and what detect_all reads of
+# each: its kind, and an affiliation's marker and raw text, or an author
+# line's names and each name's markers.
+@pytest.mark.parametrize("row, kind, marker, text", [
+    ("$^{1}$University of Somewhere, Dept. of Things", DetectionKind.AFFILIATION_LINE,
+     "digit(1)", "University of Somewhere, Dept. of Things"),
+    # A separator word before the marker: the line still opens with it.
+    ("\\quad $^{1}$ Department of Things", DetectionKind.AFFILIATION_LINE,
+     "digit(1)", "\\quad  Department of Things"),
+    ("Ann Lee$^{1}$ and Bob Stone$^{2}$", DetectionKind.AUTHOR_LINE,
+     [["digit(1)"], ["digit(2)"]], ["Ann Lee", "Bob Stone"]),
+    # A marker's bracket and the comma after it are one text run.
+    ("Ann Lee\\footnotemark[1], Bob Stone\\footnotemark[2]", DetectionKind.AUTHOR_LINE,
+     [["digit(1)"], ["digit(2)"]], ["Ann Lee", "Bob Stone"]),
+])
+def test_front_matter_line_is_read_once(row, kind, marker, text):
+    src = wrap("\\centerline{\\bf A Study of Things}\n\n\\centerline{Ann Lee$^{1}$}\n\n"
+               f"\\centerline{{{row}}}\n\nrest")
+    dets = detect_all(parse(src))
+    [det] = [d for d in dets.authors + dets.affiliations if row in d.data["line"].raw]
+    assert det.kind is kind
+    if kind is DetectionKind.AUTHOR_LINE:
+        segments = det.data["segments"]
+        assert [[str(m) for m in s.markers] for s in segments] == marker
+        assert [s.name_raw for s in segments] == text
+        assert det.data["line"].reading.opening is None
+    else:
+        assert (str(det.data["marker"]), det.data["text_raw"]) == (marker, text)
+
+
+def test_detect_all_checks_each_node_for_a_marker_once(monkeypatch):
+    # A line's core is read in one pass, whichever detectors ask for its
+    # segments, its marker spans or the marker it opens with.
+    from logicaltex import detector
+
+    checked = Counter()
+    marker_construct = detector._marker_construct
+
+    def counting_marker_construct(nodes, i, stream):
+        checked[nodes[i].start, nodes[i].end] += 1
+        return marker_construct(nodes, i, stream)
+
+    monkeypatch.setattr(detector, "_marker_construct", counting_marker_construct)
+    affiliation = "$^{1}$University of Somewhere, Dept. of Things"
+    src = wrap("\\centerline{\\bf A Study of Things}\n\n\\centerline{Ann Lee$^{1}$}\n\n"
+               f"\\centerline{{{affiliation}}}\n\nrest")
+    dets = detect_all(parse(src))
+    assert [d.data["marker"] for d in dets.affiliations] == [dets.authors[0].data["segments"][0]
+                                                           .markers[0]]
+    opening = src.index(affiliation)
+    assert checked[opening, opening + len("$^{1}$")] == 1
+    assert max(checked.values()) == 1
+
+
+def test_paragraph_break_in_a_center_environment_skips_no_bracket():
+    # Only a \\ takes a [..] skip after it; after a paragraph break the
+    # bracket is text of the next line.
+    tree = parse(wrap("\\begin{center}\nAnn Lee\n\n[2mm]\nBob Stone\n\\end{center}"))
+    assert [line.raw for line in segment_lines(tree)] == ["Ann Lee", "[2mm]\nBob Stone"]
+
+
+def test_a_line_without_segments_lists_no_names():
+    tree = parse(wrap("\\centerline{" + ", " * 40 + "}"))
+    [line] = segment_lines(tree)
+    assert line.segments == []
+    assert not _lists_person_names(line)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def test_fold_tables_have_no_ascii_key():
 
 
 def A(name, *markers):
-    return Segment(None, S(), name, list(markers), [], False)
+    return Segment(None, S(), name, list(markers), [])
 
 
 def F(raw, marker=None):
