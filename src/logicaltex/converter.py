@@ -31,13 +31,11 @@ from .lexer import (
     EnvNode,
     Span,
     SpanIndex,
-    TokenKind,
     decode_source,
     encode_source,
     parse,
-    tokenize,
 )
-from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter
+from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter, closed
 
 MARKER_RESIDUE = re.compile(
     r"\$\s*\^|\\dag\b|\\ddag\b|\\dagger\b|\\ddagger\b|\\footnotemark\b|\\textsuperscript\b"
@@ -155,14 +153,6 @@ def _content(det: Detection) -> str:
     return det.data.get(_CONTENT[det.kind][0], "").strip(BLANKS)
 
 
-def _closed(raw: str) -> str:
-    """``raw`` with a line end after it if it ends in a comment, so that
-    the text written after it is not commented out."""
-    if "%" in raw and tokenize(raw).tokens[-1].kind is TokenKind.COMMENT:
-        return raw + "\n"
-    return raw
-
-
 def _gate(dets: DetectionSet, policy: ConversionPolicy) -> None:
     """Record on each detection why it is not rewritten, if it is not:
     the policy skips it, or it has nothing to rewrite to."""
@@ -194,16 +184,16 @@ def _author_block(fm: FrontMatter, policy: ConversionPolicy, warnings: list[str]
     pieces: list[str] = []
     if policy.affiliation_command == "affiliation":
         for i, author in enumerate(fm.authors):
-            pieces.append(f"\\author{{{_closed(author.name_raw)}}}")
+            pieces.append(f"\\author{{{closed(author.name_raw)}}}")
             for j in per_author_affs[i]:
-                pieces.append(f"\\affiliation{{{_closed(fm.affiliations[j].raw)}}}")
+                pieces.append(f"\\affiliation{{{closed(fm.affiliations[j].raw)}}}")
         block = "\n".join(pieces)
     else:
         entries = []
         for i, author in enumerate(fm.authors):
-            entry = _closed(author.name_raw)
+            entry = closed(author.name_raw)
             for j in per_author_affs[i]:
-                entry += f"\\thanks{{{_closed(fm.affiliations[j].raw)}}}"
+                entry += f"\\thanks{{{closed(fm.affiliations[j].raw)}}}"
             entries.append(entry)
         block = "\\author{" + " \\and ".join(entries) + "}"
     if MARKER_RESIDUE.search(block):
@@ -300,7 +290,7 @@ def _skip_uncarried(dets: DetectionSet, fm: FrontMatter) -> bool:
 def _render(det: Detection, author_block: str | None) -> str:
     """The replacement text for one accepted detection."""
     if det.kind is DetectionKind.TITLE:
-        return f"\\title{{{_closed(_content(det))}}}"
+        return f"\\title{{{closed(_content(det))}}}"
     if det.kind is DetectionKind.AUTHOR_LINE:
         return author_block or ""
     if det.kind is DetectionKind.ABSTRACT:
@@ -308,14 +298,14 @@ def _render(det: Detection, author_block: str | None) -> str:
     if det.kind is DetectionKind.SECTION_HEADER:
         cmd = _SECTION_COMMANDS.get(det.level, "subsubsection")
         star = "" if det.data.get("numbered") else "*"
-        return f"\\{cmd}{star}{{{_closed(_content(det))}}}"
+        return f"\\{cmd}{star}{{{closed(_content(det))}}}"
     if det.kind is DetectionKind.THEOREM_LIKE:
         env = det.keyword.lower()
         return f"\\begin{{{env}}}\n{_content(det)}\n\\end{{{env}}}"
     if det.kind is DetectionKind.EMPHASIS:
         # A command's argument keeps its braces, so the command still
         # reads the whole emphasis.
-        emph = f"\\emph{{{_closed(_content(det))}}}"
+        emph = f"\\emph{{{closed(_content(det))}}}"
         return f"{{{emph}}}" if det.data.get("argument") else emph
     return ""  # an affiliation line moves into the author block
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify, document_body
-from .lexer import Span, SpanIndex, decode_source, encode_source, parse
-from .model import PROFILE_CODES, LogicalDocument, extract_logical, spliced
+from .lexer import BLANKS, Span, SpanIndex, decode_source, encode_source, parse
+from .model import PROFILE_CODES, LogicalDocument, closed, extract_logical, spliced
 
 
 class NotLogicalError(Exception):
@@ -133,15 +133,16 @@ class _Degrader:
             for k in range(lvl, 3):
                 counters[k] = 0
             num = ".".join(str(c) for c in counters[:lvl])
+            heading = closed(sec.heading_raw)
             if variant == "skip-bold":
                 lead = "\\medskip" if lvl == 1 else "\\smallskip"
-                repl = f"{lead}\\noindent{{\\bf {num}. {sec.heading_raw}}}\\par"
+                repl = f"{lead}\\noindent{{\\bf {num}. {heading}}}\\par"
                 has_trailing_break = True
             else:
                 if lvl == 1:
-                    repl = f"\\textbf{{\\large {num} {sec.heading_raw}}}"
+                    repl = f"\\textbf{{\\large {num} {heading}}}"
                 else:
-                    repl = f"\\textbf{{{num} {sec.heading_raw}}}"
+                    repl = f"\\textbf{{{num} {heading}}}"
                 has_trailing_break = False
             # the header must sit in a paragraph of its own even when the
             # surrounding source has no blank lines
@@ -198,16 +199,18 @@ class _Degrader:
         title_lines: list[str] = []
         if doc.title_raw is not None:
             deco = rng.choice(("\\bf", "\\large\\bf", "\\Large\\bf", "\\Large \\bf"))
+            title = closed(doc.title_raw)
             if centerline:
-                title_lines.append(f"\\centerline{{{deco} {doc.title_raw}}}")
+                title_lines.append(f"\\centerline{{{deco} {title}}}")
             else:
-                title_lines.append(f"{{{deco} {doc.title_raw}}}")
+                title_lines.append(f"{{{deco} {title}}}")
 
         # Unique affiliation texts in first-seen order; edges by index.
         first_index: dict[str, int] = {}
         edges = [[first_index.setdefault(aff, len(first_index)) for aff in author.affiliations_raw]
                  for author in doc.authors]
         aff_texts = list(first_index)
+        author_names = [closed(a.name_raw) for a in doc.authors]
 
         mode = self.marker_mode()
         use_markers = mode is not None and bool(aff_texts)
@@ -230,8 +233,7 @@ class _Degrader:
                         syms = _SYM_TEXT
                         author_mark = lambda idxs: "".join(syms[j % len(syms)] for j in idxs)
                         aff_mark = lambda j: syms[j % len(syms)] + " "
-                marked = [a.name_raw + author_mark(idxs)
-                          for a, idxs in zip(doc.authors, edges)]
+                marked = [name + author_mark(idxs) for name, idxs in zip(author_names, edges)]
                 if len(marked) > 1 and rng.random() < 0.35:
                     author_lines.extend(marked)  # one line per author
                 else:
@@ -241,14 +243,14 @@ class _Degrader:
                     aff_lines.extend(self._affiliation_rows(aff_mark(j), text))
             elif len(aff_texts) <= 1:
                 sep = rng.choice((", ", " and "))
-                author_lines.append(sep.join(a.name_raw for a in doc.authors))
+                author_lines.append(sep.join(author_names))
                 for text in aff_texts:
                     aff_lines.extend(self._affiliation_rows("", text))
             else:
                 # several affiliations, no markers: each author sits right
                 # above its own affiliation lines
-                for a in doc.authors:
-                    author_lines.append(a.name_raw)
+                for name, a in zip(author_names, doc.authors):
+                    author_lines.append(name)
                     for text in a.affiliations_raw:
                         author_lines.extend(self._affiliation_rows("", text))
 
@@ -272,8 +274,8 @@ class _Degrader:
         # the extractor is expected to re-join.
         if len(text) > 45 and ", " in text and self.rng.random() < 0.3:
             cut = text.index(", ") + 1
-            return [lead + text[:cut], text[cut:].strip()]
-        return [lead + text]
+            return [closed(lead + text[:cut]), closed(text[cut:].strip(BLANKS))]
+        return [closed(lead + text)]
 
     def build_abstract(self, text: str) -> str:
         rng = self.rng
@@ -327,8 +329,9 @@ class _Degrader:
             inner = doc.abstract_inner
             held = [e for e in edits if inner.contains_span(e.span)]
             edits = [e for e in edits if not inner.contains_span(e.span)]
-            rendered_abstract = self.build_abstract(
-                spliced(doc.stream.source, inner, [(e.span, e.replacement) for e in held]).strip())
+            rendered_abstract = self.build_abstract(closed(
+                spliced(doc.stream.source, inner, [(e.span, e.replacement) for e in held])
+                .strip(BLANKS)))
         abstract_handled = False
         if fm_active:
             block = self.build_front_matter(doc, style)

@@ -15,6 +15,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lexer import (
+    BLANKS,
     BlockTree,
     EnvNode,
     GroupNode,
@@ -582,7 +583,7 @@ class LogicalAuthor:
         return [span_plain(self.stream, span) for span in self.affiliation_spans]
 
     def add_affiliation(self, group: GroupNode) -> None:
-        self.affiliations_raw.append(self.stream.text(group.inner).strip())
+        self.affiliations_raw.append(self.stream.text(group.inner).strip(BLANKS))
         self.affiliation_spans.append(group.inner)
 
 
@@ -677,10 +678,18 @@ def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAu
                     continue
             j += 1
         author.name_raw = spliced(src, author.name_span,
-                                  [(cut, "") for cut in author.name_cuts]).strip()
+                                  [(cut, "") for cut in author.name_cuts]).strip(BLANKS)
         if author.name_raw or author.affiliations_raw:
             out.append(author)
     return out
+
+
+def closed(raw: str) -> str:
+    """``raw`` with a line end after it if it ends in a comment, so that
+    the text written after it is not commented out."""
+    if "%" in raw and tokenize(raw).tokens[-1].kind is TokenKind.COMMENT:
+        return raw + "\n"
+    return raw
 
 
 def spliced(text: str, span: Span, edits) -> str:
@@ -727,7 +736,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
         top[1] = i + 1
         if cls is not Token:
             if cls is EnvNode and nd.name == "abstract" and doc.abstract_raw is None:
-                doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip()
+                doc.abstract_raw = src[nd.inner_start:nd.inner_end].strip(BLANKS)
                 doc.abstract_inner = nd.inner
                 doc.abstract_span = nd.span
             lists.append([nd.children, 0])
@@ -745,7 +754,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
         if g is None:
             continue
         if name == TITLE:
-            doc.title_raw = src[g.inner_start:g.inner_end].strip()
+            doc.title_raw = src[g.inner_start:g.inner_end].strip(BLANKS)
             doc.title_inner = g.inner
             doc.title_span = Span(nd.start, g.end)
         elif name == "date":
@@ -759,7 +768,7 @@ def extract_logical(tree: BlockTree) -> LogicalDocument:
         elif name in SECTION_LEVELS:
             doc.sections.append(LogicalSection(
                 level=SECTION_LEVELS[name],
-                heading_raw=src[g.inner_start:g.inner_end].strip(),
+                heading_raw=src[g.inner_start:g.inner_end].strip(BLANKS),
                 span=Span(nd.start, g.end),
                 starred=starred,
                 stream=stream,

@@ -23,7 +23,7 @@ from logicaltex.lexer import parse
 from logicaltex import lexer, model
 from logicaltex.cli import _extracted_from
 from logicaltex.model import extract_logical
-from logicaltex.validator import normalize_for_compare
+from logicaltex.validator import normalize_for_compare, validate_structure
 
 from conftest import AGGRESSIVE, FULL_PROFILES, PROFILE_SETS
 
@@ -323,6 +323,30 @@ def test_front_matter_from_the_preamble_goes_where_the_body_starts():
         assert preamble == "\\documentclass{article}\n\n\n"
         assert "On Things" in body and "A. B" in body
         assert truth.title == "On Things"
+
+
+# Every field the degrader writes before a brace ends in a comment.
+COMMENTED = (
+    "\\documentclass{article}\n\\title{A Study of Things % note\n}\n"
+    "\\author{Ann Lee % x\n\\and Bob Stone\\thanks{Univ of X % y\n}}\n"
+    "\\begin{document}\n\\maketitle\n\\begin{abstract}\n"
+    "We study things at some length and report what we find. % z\n\\end{abstract}\n"
+    "\\section{Intro % c\n}\nText.\n\\end{document}\n"
+)
+
+
+def test_text_ending_in_a_comment_keeps_the_brace_after_it():
+    # A field's comment keeps its line end, so no brace the degrader writes
+    # after the field is commented out, and no author after it either.
+    runs = 0
+    for k in (1, 2, 3):
+        for profiles, seed in itertools.product(
+                itertools.combinations(sorted(PROFILE_CODES), k), (0, 1, 2)):
+            visual, truth = degrade(COMMENTED, profiles, seed)
+            assert validate_structure(COMMENTED, visual) == [], (profiles, seed)
+            assert "Bob Stone" in model.strip_styling(visual), (profiles, seed)
+            runs += 1
+    assert runs == 189
 
 
 def test_degrade_parses_and_extracts_once(monkeypatch):
