@@ -20,8 +20,9 @@ where no output byte moves.  The same line digests what the detectors read
 of the tree: its index of control words and environments; the plain
 text, core plain text and segments (each one's span, raw and plain name,
 markers and marker spans) of every line of the front matter and of the
-body after it; and the raw text and marker of every author and
-affiliation detection.  Each corpus pair gets one more line with three
+body after it; the raw text and marker of every author and affiliation
+detection; and the protected spans (math, verbatim and comments) that no
+rewrite may touch.  Each corpus pair gets one more line with three
 digests: the degrader's visual bytes, its ground truth, and the metadata
 scores of what ``validate`` extracts from the full-scope ``aggressive``
 conversion, scored against that truth.
@@ -46,7 +47,9 @@ from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
 from logicaltex.detector import detect_all, frontmatter_region, index_contents  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
-from logicaltex.lexer import EnvNode, GroupNode, MathNode, encode_source, parse  # noqa: E402
+from logicaltex.lexer import (  # noqa: E402
+    EnvNode, GroupNode, MathNode, encode_source, parse, protected_spans,
+)
 from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
 
 BUNDLES = (
@@ -127,8 +130,9 @@ def tree_digest(source: str | bytes) -> str:
     dets = detect_all(tree)
     front = [(d.kind.value, tuple(d.span), d.data.get("text_raw"), str(d.data.get("marker")))
              for d in dets.authors + dets.affiliations]
+    protected = [tuple(span) for span in protected_spans(tree)]
     return _hash((diagnostics, nodes, sorted(contents.words.items()), sorted(envs.items()),
-                  plain, front))
+                  plain, front, protected))
 
 
 def _segment(s) -> tuple:
