@@ -489,15 +489,19 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
                 # when it is all of the content.
                 if group is None or rest:
                     break
-                rest = group.children
+                rest = _trim(group.children)
             nodes = rest
             if look:
                 setattr(info, look, True)
         elif cls is GroupNode and len(nodes) == 1:
             nodes = head.children
+            # Trimmed only when a neutral token ends the children, so that
+            # a level of bare nesting costs one step.
+            if nodes and (nodes[0].__class__ is Token and nodes[0].kind in _NEUTRAL_KINDS
+                          or nodes[-1].__class__ is Token and nodes[-1].kind in _NEUTRAL_KINDS):
+                nodes = _trim(nodes)
         else:
             break
-        nodes = _trim(nodes)
     info.core = nodes
     return info
 
@@ -1009,7 +1013,16 @@ def detect_authors_affiliations(
         if keyworded or reading.opening is not None:
             if affils_suppressed:
                 continue
-            text_raw = _less_markers(stream, _nodes_span(line.core_nodes), reading.marker_spans)
+            # A separator word that opens the line, and the blanks after
+            # it, are layout, not the affiliation's text.
+            core = line.core_nodes
+            k = 0
+            while k < len(core) - 1 and core[k].__class__ is Token and (
+                    core[k].kind is TokenKind.WHITESPACE
+                    or core[k].kind is TokenKind.CONTROL_WORD and core[k].value in AUTHOR_SEPARATORS):
+                k += 1
+            text_raw = _less_markers(stream, Span(core[k].start, core[-1].end),
+                                     reading.marker_spans)
             affil_dets.append(_scored(
                 DetectionKind.AFFILIATION_LINE,
                 line.span,

@@ -136,16 +136,19 @@ class TokenStream:
     ``structural`` holds, in order, the indices of the tokens the tree
     builder acts on: braces, ``$``, paragraph breaks, ``\\begin``,
     ``\\end`` and the math delimiters ``\\(`` ``\\)`` ``\\[`` ``\\]``;
-    ``words`` the indices of the control words, in order."""
+    ``words`` the indices of the control words, in order, and ``comments``
+    those of the comments."""
 
-    __slots__ = ("source", "tokens", "structural", "words", "verbatim_spans")
+    __slots__ = ("source", "tokens", "structural", "words", "comments", "verbatim_spans")
 
     def __init__(self, source: str, tokens: list[Token], structural: list[int],
-                 words: list[int], verbatim_spans: list[Span] | None = None):
+                 words: list[int], comments: list[int],
+                 verbatim_spans: list[Span] | None = None):
         self.source = source
         self.tokens = tokens
         self.structural = structural
         self.words = words
+        self.comments = comments
         self.verbatim_spans = [] if verbatim_spans is None else verbatim_spans
 
     def lexeme(self, token: Token) -> str:
@@ -206,7 +209,8 @@ _FIRST_KINDS = {
 _WORD_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 # The kinds the scanner holds in locals, in the order it unpacks them.
 _SCAN_KINDS = (TokenKind.TEXT, TokenKind.WHITESPACE, TokenKind.PAR_BREAK, TokenKind.CONTROL_WORD,
-               TokenKind.CONTROL_SYMBOL, TokenKind.PARAMETER, TokenKind.ALIGNMENT)
+               TokenKind.CONTROL_SYMBOL, TokenKind.PARAMETER, TokenKind.ALIGNMENT,
+               TokenKind.COMMENT)
 # Kinds whose every token is structural.
 _STRUCTURAL_KINDS = frozenset({TokenKind.BEGIN_GROUP, TokenKind.END_GROUP,
                                TokenKind.MATH_SHIFT})
@@ -228,11 +232,13 @@ class _Scanner:
         self.tokens: list[Token] = []
         self.structural: list[int] = []
         self.words: list[int] = []
+        self.comments: list[int] = []
         self.verbatim_spans: list[Span] = []
 
     def run(self) -> TokenStream:
         self._scan(0, len(self.s))
-        return TokenStream(self.s, self.tokens, self.structural, self.words, self.verbatim_spans)
+        return TokenStream(self.s, self.tokens, self.structural, self.words, self.comments,
+                           self.verbatim_spans)
 
     def _scan(self, pos: int, endpos: int):
         """Tokenize ``s[pos:endpos]``, one window of lexemes at a time: the
@@ -249,13 +255,15 @@ class _Scanner:
         add = tokens.append
         mark = self.structural.append
         word = self.words.append
+        note = self.comments.append
         findall = _TOKEN.findall
         first = _FIRST_KINDS.get
         letters = _WORD_LETTERS
         structural = _STRUCTURAL_KINDS
         # Loading an Enum member through its class costs more than the
         # rest of a lexeme's handling, so the kinds are locals.
-        TEXT, WHITESPACE, PAR_BREAK, BACKSLASH, CONTROL_SYMBOL, PARAMETER, ALIGNMENT = _SCAN_KINDS
+        TEXT, WHITESPACE, PAR_BREAK, BACKSLASH, CONTROL_SYMBOL, PARAMETER, ALIGNMENT, COMMENT = \
+            _SCAN_KINDS
         new = tuple.__new__
         window = endpos - pos
         while pos < endpos:
@@ -320,6 +328,8 @@ class _Scanner:
                         add(new(Token, (kind, start, end, None)))
                     else:
                         # A comment or an active character.
+                        if kind is COMMENT:
+                            note(len(tokens))
                         add(new(Token, (kind, start, end, lex)))
                     start = end
                 else:
@@ -521,12 +531,15 @@ class _TreeBuilder:
     ones: the tokens between two of them go to the innermost open group
     or environment as one slice.
 
-    An open group is the plain tuple ``(start, inner_start, children)``
-    and an open environment ``(start, inner_start, children, name)``, so
-    the length of a frame tells the two apart.  ``envs`` maps the name
-    of each open environment to the stack depths of its frames,
-    innermost last, so an ``\\end`` finds its ``\\begin`` without a scan
-    of the stack."""
+    ``sinks`` holds the children of the root and of each open group or
+    environment, innermost last, and ``opens`` beside it what opened
+    each: a group's own ``{`` token, or an environment's record
+    ``(start, inner_start, name)``, so the class tells the two apart.
+    The root's place in ``opens`` holds None, so every frame has the
+    same index in both stacks and an unmatched ``}`` is told apart from
+    a group's by the class alone.  ``envs`` maps the name of each open
+    environment to the indices of its frames, innermost last, so an
+    ``\\end`` finds its ``\\begin`` without a scan of the stack."""
 
     def __init__(self, stream: TokenStream):
         self.stream = stream
@@ -534,19 +547,20 @@ class _TreeBuilder:
         self.structural = stream.structural
         self.diags: list[Diagnostic] = []
         self.root: list[Node] = []
-        self.stack: list[tuple] = []
+        self.sinks: list[list[Node]] = [self.root]
+        self.opens: list[Token | tuple[int, int, str] | None] = [None]
         self.envs: dict[str, list[int]] = {}
         self.math: list[Span] = []
         self.left_out: list[tuple[int, int]] = []
         self.closed: list[EnvNode] = []
 
     def sink(self) -> list[Node]:
-        return self.stack[-1][2] if self.stack else self.root
+        return self.sinks[-1]
 
     def build(self) -> BlockTree:
         toks = self.toks
-        root = self.root
-        stack = self.stack
+        sinks = self.sinks
+        opens = self.opens
         # Loading an Enum member through its class costs more than the
         # rest of a token's handling, so the kinds are locals.
         BEGIN_GROUP = TokenKind.BEGIN_GROUP
@@ -555,7 +569,7 @@ class _TreeBuilder:
         CONTROL_WORD = TokenKind.CONTROL_WORD
         PAR_BREAK = TokenKind.PAR_BREAK
         new = _new
-        sink = root  # the children of the innermost open frame
+        sink = self.root  # the children of the innermost open frame
         pos = 0  # the tokens before it are placed
         for si, i in enumerate(self.structural):
             if i < pos:
@@ -569,12 +583,14 @@ class _TreeBuilder:
             pos = i + 1
             if k is BEGIN_GROUP:
                 sink = []
-                stack.append((t.start, t.end, sink))
+                sinks.append(sink)
+                opens.append(t)
             elif k is END_GROUP:
-                if stack and len(stack[-1]) == 3:
-                    start, inner_start, children = stack.pop()
-                    sink = stack[-1][2] if stack else root
-                    sink.append(new(GroupNode, (children, start, t.end, inner_start, t.start)))
+                if opens[-1].__class__ is Token:
+                    brace = opens.pop()
+                    children = sinks.pop()
+                    sink = sinks[-1]
+                    sink.append(new(GroupNode, (children, brace.start, t.end, brace.end, t.start)))
                 else:
                     self.diags.append(Diagnostic("unmatched-end-group", "", t.span))
                     sink.append(t)
@@ -594,7 +610,7 @@ class _TreeBuilder:
                          self.closed)
 
     def _unwind(self, eof: int):
-        while self.stack:
+        while len(self.opens) > 1:
             self._close(eof, "unclosed-group", "")
 
     def _close(self, end: int, group_kind: str, group_detail: str):
@@ -602,13 +618,14 @@ class _TreeBuilder:
         token ends it, and record a diagnostic: ``group_kind`` with
         ``group_detail`` for a group, an unclosed environment for an
         environment."""
-        f = self.stack.pop()
-        if len(f) == 3:
-            start, inner_start, children = f
+        opened = self.opens.pop()
+        children = self.sinks.pop()
+        if opened.__class__ is Token:
+            start = opened.start
             self.diags.append(Diagnostic(group_kind, group_detail, Span(start, start + 1)))
-            node = _new(GroupNode, (children, start, end, inner_start, end))
+            node = _new(GroupNode, (children, start, end, opened.end, end))
         else:
-            start, inner_start, children, name = f
+            start, inner_start, name = opened
             self.envs[name].pop()
             self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
             node = _new(EnvNode, (name, children, start, end, inner_start, end))
@@ -680,8 +697,9 @@ class _TreeBuilder:
         name, name_idx, after = named
         if name.rstrip("*") in MATH_ENVIRONMENTS:
             return self._math_environment(i, name, name_idx)
-        self.envs.setdefault(name, []).append(len(self.stack))
-        self.stack.append((t.start, after, [], name))
+        self.envs.setdefault(name, []).append(len(self.opens))
+        self.opens.append((t.start, after, name))
+        self.sinks.append([])
         self.left_out.append((i, name_idx + 1))
         return name_idx + 1
 
@@ -712,9 +730,10 @@ class _TreeBuilder:
         # The frames above the innermost one of this name are closed here,
         # each once, so every \end costs what it closes.
         depth = depths.pop()
-        while len(self.stack) - 1 > depth:
+        while len(self.opens) - 1 > depth:
             self._close(t.start, "group-crosses-boundary", name)
-        start, inner_start, children, _ = self.stack.pop()
+        start, inner_start, _ = self.opens.pop()
+        children = self.sinks.pop()
         node = _new(EnvNode, (name, children, start, after, inner_start, t.start))
         self.closed.append(node)
         self.sink().append(node)
@@ -747,8 +766,10 @@ def math_spans(tree: BlockTree) -> list[Span]:
 
 
 def comment_spans(tree: BlockTree) -> list[Span]:
-    comment = TokenKind.COMMENT
-    return [Span(t.start, t.end) for t in tree.stream.tokens if t.kind is comment]
+    """All comment spans, in order: the scanner records each comment's
+    index as it reads it."""
+    toks = tree.stream.tokens
+    return [toks[i].span for i in tree.stream.comments]
 
 
 def merge_spans(spans: list[Span]) -> list[Span]:

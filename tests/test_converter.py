@@ -226,6 +226,16 @@ def test_author_rewrite_with_thanks_and_and():
     assert "$^{1}$" not in out
 
 
+def test_separator_word_opening_an_affiliation_line_is_left_out():
+    # \\quad before an affiliation's marker is layout: the \\thanks holds
+    # the text after the marker alone.
+    src = wrap("\\centerline{\\Large\\bf On Random Walks}\n\n\\centerline{Ann Lee$^{1}$}\n\n"
+               "\\centerline{\\quad $^{1}$ Department of Things}\n\n\\section{Introduction}\nText.")
+    for policy in (ConversionPolicy(), AGGRESSIVE):
+        out, _ = convert(src, policy)
+        assert "\\author{Ann Lee\\thanks{Department of Things}}" in out, policy
+
+
 def test_author_rewrite_affiliation_command():
     src = wrap(
         "\\centerline{\\bf A Title Line Here}\n\n"

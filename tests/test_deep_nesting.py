@@ -14,11 +14,12 @@ from logicaltex import lexer
 from logicaltex.cli import main
 from logicaltex.converter import ConversionPolicy, Scope, convert
 from logicaltex.detector import classify, detect_all
-from logicaltex.lexer import parse
+from logicaltex.lexer import parse, tokenize
 from logicaltex.model import extract_logical
 from logicaltex.validator import check_body_preservation, validate
 
-from conftest import line_events
+from conftest import AGGRESSIVE, line_events
+from same_behaviour import HOSTILE_SEEDS, hostile
 
 
 def _document(body: str) -> str:
@@ -172,7 +173,7 @@ def test_row_of_emphasis_groups_scales_linearly():
 
 
 # A cost linear in n doubles at most from n to 2n: the counts below read
-# ratios of 1.956 (braces) and 1.964 (wrappers).  A part quadratic in n
+# ratios of 1.928 (braces) and 1.955 (wrappers).  A part quadratic in n
 # that is a share s of the work at n reads 2 + 2s, so the bound catches
 # one above 2.5 %.
 COUNTED_RATIO = 2.05
@@ -214,3 +215,21 @@ def test_detect_all_work_doubles_with_names_on_one_line():
     small, large = (parse(_document(make(n))) for n in (200, 400))
     ratio = line_events(detect_all, large) / line_events(detect_all, small)
     assert ratio <= COUNTED_RATIO, ratio
+
+
+# A full-scope aggressive convert of a hostile input at 2n runs at most
+# this factor more lines per token than at n.  Per token, because a
+# generator's 2n input need not hold twice the tokens of its n input:
+# giant_line's holds 2.15 times as many at seed 1.  The normalised ratios
+# read 0.65 to 1.02 at seeds 1-3.
+HOSTILE_RATIO = 1.05
+
+
+@pytest.mark.parametrize("seed", HOSTILE_SEEDS)
+@pytest.mark.parametrize("generator", hostile.GENERATORS)
+def test_convert_work_doubles_with_hostile_inputs(generator, seed):
+    small, large = [source for name, _, source in hostile.hostile_inputs(seed)
+                    if name == generator]
+    events = line_events(convert, large, AGGRESSIVE) / line_events(convert, small, AGGRESSIVE)
+    tokens = len(tokenize(large).tokens) / len(tokenize(small).tokens)
+    assert events <= HOSTILE_RATIO * tokens, (events, tokens)

@@ -17,6 +17,7 @@ from logicaltex.detector import (
     Region,
     _Segmenter,
     _number_prefix,
+    analyze_styles,
     body_region,
     classify,
     detect_abstract,
@@ -34,7 +35,9 @@ from logicaltex.detector import (
     segment_lines,
 )
 from logicaltex.degrader import degrade
-from logicaltex.lexer import EnvNode, Span, Token, TokenKind, parse, protected_spans
+from logicaltex.lexer import (
+    EnvNode, Span, Token, TokenKind, comment_spans, parse, protected_spans,
+)
 from logicaltex.model import MarkerSymbol, span_plain, strip_styling
 
 from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, LOGICAL_FIXTURES, PROFILE_SETS, walk
@@ -336,9 +339,12 @@ def test_multiline_affiliation_merged():
 @pytest.mark.parametrize("row, kind, marker, text", [
     ("$^{1}$University of Somewhere, Dept. of Things", DetectionKind.AFFILIATION_LINE,
      "digit(1)", "University of Somewhere, Dept. of Things"),
-    # A separator word before the marker: the line still opens with it.
+    # A separator word before the marker: the line still opens with it,
+    # and neither the word nor the blank after it is the affiliation's.
     ("\\quad $^{1}$ Department of Things", DetectionKind.AFFILIATION_LINE,
-     "digit(1)", "\\quad  Department of Things"),
+     "digit(1)", "Department of Things"),
+    ("\\qquad\\quad $^{1}$ Department of Things", DetectionKind.AFFILIATION_LINE,
+     "digit(1)", "Department of Things"),
     ("Ann Lee$^{1}$ and Bob Stone$^{2}$", DetectionKind.AUTHOR_LINE,
      [["digit(1)"], ["digit(2)"]], ["Ann Lee", "Bob Stone"]),
     # A marker's bracket and the comma after it are one text run.
@@ -756,6 +762,33 @@ def test_whole_line_label_shares_the_line_analysis(monkeypatch, body):
         assert line.label.plain is line.plain
 
 
+def test_peeling_nested_groups_trims_a_bounded_number_of_times(monkeypatch):
+    # A lone group's children are trimmed only when a blank, a comment or
+    # a paragraph break ends them, so a level of bare nesting costs one
+    # step, and the core is the same as when every level is trimmed.
+    from logicaltex import detector
+
+    calls = 0
+    trim = detector._trim
+
+    def counting_trim(nodes):
+        nonlocal calls
+        calls += 1
+        return trim(nodes)
+
+    monkeypatch.setattr(detector, "_trim", counting_trim)
+    counts = []
+    for depth in (1, 1200):
+        calls = 0
+        info = analyze_styles(parse("{" * depth + "word" + "}" * depth).nodes)
+        assert [t.value for t in info.core] == ["word"]
+        counts.append(calls)
+    assert counts[0] == counts[1] <= 2, counts
+    for text in ("{ %c\n" * 40 + "word" + " }" * 40, "{{ {\n\n{word}\n\n} }}"):
+        info = analyze_styles(parse(text).nodes)
+        assert [t.value for t in info.core] == ["word"], text
+
+
 def test_detect_all_reads_each_spans_plain_text_once(monkeypatch):
     # A bold title line's plain text is its label's and its core's, and an
     # affiliation line's is read for its detection only, so no span's
@@ -857,6 +890,30 @@ def _contents_by_walk(tree):
         elif isinstance(nd, EnvNode):
             envs.setdefault(nd.name, []).append(nd.span)
     return Contents(words, envs)
+
+
+def _comment_spans_by_walk(tree):
+    return [t.span for t in tree.stream.tokens if t.kind is TokenKind.COMMENT]
+
+
+# A % that is text (in a \\verb argument, a verbatim environment or after
+# a backslash), comments ended by LF, CR and CRLF, and a % or a comment
+# that ends the text.
+COMMENT_FRAGMENTS = [
+    "%c\n", "%", "a % b", "\\%", "\\\\%x\n", "\\verb|%|", "\\verb+a%b+ ", "\\verb|%\n",
+    "\\begin{verbatim}%x\n\\end{verbatim}", "\\begin{verbatim}\n%", "%c\r", "%c\r\n",
+    "\r", "\r\n", "%%\n", "\\begin %c\n{center}",
+]
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS + COMMENT_FRAGMENTS)
+                | st.text(alphabet="%\\\r\n a{}|", max_size=4), max_size=32))
+@settings(max_examples=300, deadline=None)
+def test_comment_spans_read_as_a_pass_over_every_token(pieces):
+    # The comments the scanner records are those a pass over the whole
+    # stream finds.
+    tree = parse("".join(pieces))
+    assert comment_spans(tree) == _comment_spans_by_walk(tree)
 
 
 # Control words the tree leaves out, inside math and environment names,
