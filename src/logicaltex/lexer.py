@@ -532,14 +532,12 @@ class _TreeBuilder:
     or environment as one slice.
 
     ``sinks`` holds the children of the root and of each open group or
-    environment, innermost last, and ``opens`` beside it what opened
-    each: a group's own ``{`` token, or an environment's record
-    ``(start, inner_start, name)``, so the class tells the two apart.
-    The root's place in ``opens`` holds None, so every frame has the
-    same index in both stacks and an unmatched ``}`` is told apart from
-    a group's by the class alone.  ``envs`` maps the name of each open
-    environment to the indices of its frames, innermost last, so an
-    ``\\end`` finds its ``\\begin`` without a scan of the stack."""
+    environment, innermost last; ``opens`` holds, at the same index,
+    what opened it: a group's own ``{`` token, or an environment's
+    ``(start, inner_start, name)``, told apart by class, and None for
+    the root, which no ``}`` closes.  ``envs`` maps the name of each
+    open environment to the indices of its frames, innermost last, so
+    an ``\\end`` finds its ``\\begin`` without a scan of the stack."""
 
     def __init__(self, stream: TokenStream):
         self.stream = stream
