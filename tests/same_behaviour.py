@@ -22,10 +22,11 @@ text, core plain text and segments (each one's span, raw and plain name,
 markers and marker spans) of every line of the front matter and of the
 body after it; the raw text and marker of every author and affiliation
 detection; and the protected spans (math, verbatim and comments) that no
-rewrite may touch.  Each corpus pair gets one more line with three
-digests: the degrader's visual bytes, its ground truth, and the metadata
-scores of what ``validate`` extracts from the full-scope ``aggressive``
-conversion, scored against that truth.
+rewrite may touch.  Each corpus pair gets one more line with four
+digests: the degrader's visual bytes, its ground truth, the bytes of its
+``.truth.json`` sidecar, and the metadata scores of what ``validate``
+extracts from the full-scope ``aggressive`` conversion, scored against
+that truth.
 """
 
 from __future__ import annotations
@@ -149,7 +150,9 @@ def truth_digests(source: str, truth) -> str:
     reference = ExtractedMetadata(truth.title, [n for n, _ in truth.authors], truth.abstract)
     scores = compare_metadata(_extracted_from(out), reference)
     visual = hashlib.sha256(encode_source(source)).hexdigest()[:20]
-    return f"visual {visual} truth {_hash(truth.to_dict())} metadata {_hash(scores.to_dict())}"
+    sidecar = hashlib.sha256(truth.to_json().encode("utf-8")).hexdigest()[:20]
+    return (f"visual {visual} truth {_hash(truth.to_dict())} sidecar {sidecar} "
+            f"metadata {_hash(scores.to_dict())}")
 
 
 def lines(docs: int, limit: int | None = None):
