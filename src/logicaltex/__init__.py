@@ -13,10 +13,10 @@ only for the modules it runs.
 
 # Each module and the names the package exports from it.
 _EXPORTS = {
-    "arxiv": ("ArxivClient", "ArxivRecord"),
+    "arxiv": ("ArxivClient",),
     "converter": ("ConversionPolicy", "ConversionReport", "Edit", "OverlapError",
                   "PolicyViolation", "RewritePlan", "Scope", "apply", "convert", "plan"),
-    "degrader": ("GroundTruth", "NotLogicalError", "degrade", "emit_pairs"),
+    "degrader": ("NotLogicalError", "degrade", "emit_pairs"),
     "detector": ("Cue", "CueKind", "Detection", "DetectionKind", "DocumentClass",
                  "FormattingClass", "classify", "detect_abstract", "detect_all",
                  "detect_authors_affiliations", "detect_emphasis_and_theorems",
@@ -24,8 +24,8 @@ _EXPORTS = {
                  "frontmatter_region"),
     "lexer": ("BlockTree", "Diagnostic", "Span", "Token", "TokenKind", "TokenStream",
               "build_tree", "math_spans", "parse", "protected_spans", "tokenize"),
-    "model": ("Affiliation", "FrontMatter", "Marker", "MarkerSymbol", "extract_markers",
-              "resolve_affiliations", "strip_styling"),
+    "model": ("Affiliation", "FrontMatter", "Marker", "MarkerSymbol", "Metadata", "MetadataError",
+              "extract_markers", "resolve_affiliations", "strip_styling"),
     "validator": ("ExtractedMetadata", "MetadataScores", "ValidationReport", "Verdict",
                   "check_body_preservation", "compare_metadata", "validate",
                   "validate_structure"),

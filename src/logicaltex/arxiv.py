@@ -15,9 +15,8 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import NamedTuple
 
-from .model import collapse_blanks
+from .model import Metadata, MetadataError, collapse_blanks
 
 DEFAULT_BASE_URL = "https://export.arxiv.org/api/query"
 MIN_REQUEST_INTERVAL = 3.0  # seconds between live requests (API etiquette)
@@ -59,44 +58,13 @@ def is_valid_id(identifier: str) -> bool:
     return bool(_NEW_ID.match(identifier) or _OLD_ID.match(identifier))
 
 
-class ArxivRecord(NamedTuple):
-    """One paper's metadata as the arXiv API lists it, the reference for scores."""
-
-    id: str
-    title: str
-    authors: tuple[str, ...]
-    abstract: str
-    affiliations: tuple[str, ...] = ()  # stored when present, never scored
-    fetched_at: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "authors": list(self.authors),
-            "abstract": self.abstract,
-            "affiliations": list(self.affiliations),
-            "fetched_at": self.fetched_at,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArxivRecord":
-        return cls(
-            id=d["id"],
-            title=d["title"],
-            authors=tuple(d.get("authors", [])),
-            abstract=d.get("abstract", ""),
-            affiliations=tuple(d.get("affiliations", [])),
-            fetched_at=float(d.get("fetched_at", 0.0)),
-        )
-
-
 def _squash(text: str | None) -> str:
     return collapse_blanks(text or "")
 
 
-def parse_feed(data: bytes, identifier: str) -> ArxivRecord:
-    """Pull title, author names and summary out of an Atom query feed."""
+def parse_feed(data: bytes, identifier: str) -> Metadata:
+    """Pull the title, each author with their own affiliations and the
+    summary out of an Atom query feed."""
     import xml.etree.ElementTree as ET
 
     try:
@@ -111,26 +79,15 @@ def parse_feed(data: bytes, identifier: str) -> ArxivRecord:
     if title == "Error" or not title:
         raise NotFoundError(f"identifier {identifier} unknown to the API")
     authors = []
-    affiliations = []
     for person in entry.findall(f"{_ATOM}author"):
         name = _squash(person.findtext(f"{_ATOM}name"))
         if name:
-            authors.append(name)
-        for aff in person.findall(f"{_ARXIV}affiliation"):
-            text = _squash(aff.text)
-            if text:
-                affiliations.append(text)
+            texts = [_squash(aff.text) for aff in person.findall(f"{_ARXIV}affiliation")]
+            authors.append((name, [text for text in texts if text]))
     abstract = _squash(entry.findtext(f"{_ATOM}summary"))
     if not authors and not abstract:
         raise FeedParseError(f"entry for {identifier} carries no usable fields")
-    return ArxivRecord(
-        id=identifier,
-        title=title,
-        authors=tuple(authors),
-        abstract=abstract,
-        affiliations=tuple(affiliations),
-        fetched_at=time.time(),
-    )
+    return Metadata(title, authors, abstract)
 
 
 def _default_transport(url: str) -> bytes:
@@ -180,29 +137,34 @@ class ArxivClient:
         safe = identifier.replace("/", "_")
         return self.cache_dir / f"{safe}.json"
 
-    def cache_get(self, identifier: str) -> ArxivRecord | None:
+    def cache_get(self, identifier: str) -> Metadata | None:
+        """The cached record of an identifier.  The file's identifier and
+        fetch time are not part of the record.  An author listed as a bare
+        name has no affiliations; a flat ``affiliations`` list, which
+        older files hold, is not read."""
         path = self._cache_path(identifier)
         if not path.exists():
             return None
         try:
-            return ArxivRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return Metadata.from_json(path.read_bytes())
+        except (OSError, MetadataError) as exc:
             raise CacheError(f"unreadable cache record {path}: {exc}") from exc
 
-    def cache_put(self, record: ArxivRecord) -> None:
-        path = self._cache_path(record.id)
+    def cache_put(self, identifier: str, record: Metadata) -> None:
+        path = self._cache_path(identifier)
+        entry = {"id": identifier, **record.to_dict(), "fetched_at": time.time()}
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record.to_dict(), fh, ensure_ascii=False, indent=1)
+                json.dump(entry, fh, ensure_ascii=False, indent=1)
             os.replace(tmp, path)
         except OSError as exc:
             raise CacheError(f"cannot write cache record {path}: {exc}") from exc
 
     # -- fetch ----------------------------------------------------------------
 
-    def fetch(self, identifier: str) -> ArxivRecord:
+    def fetch(self, identifier: str) -> Metadata:
         """Return the record for an identifier, from cache when possible;
         live requests are serialized and spaced."""
         if not is_valid_id(identifier):
@@ -217,5 +179,5 @@ class ArxivClient:
         url = f"{self.base_url}?id_list={identifier}"
         data = self._transport(url)
         record = parse_feed(data, identifier)
-        self.cache_put(record)
+        self.cache_put(identifier, record)
         return record

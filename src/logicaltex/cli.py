@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .converter import ConversionPolicy, Scope, convert
 from .detector import classify_detections, detect_all
 from .lexer import decode_source, parse
-from .model import PROFILE_CODES, extract_logical
+from .model import PROFILE_CODES, Metadata, MetadataError, extract_logical
 
 # The degrader, the validator and the arXiv client (and json, for machine
 # reports and config files) are imported by the commands that use them:
@@ -27,7 +27,7 @@ from .model import PROFILE_CODES, extract_logical
 # run none of them.
 if TYPE_CHECKING:
     from .arxiv import ArxivClient
-    from .validator import ExtractedMetadata, MetadataScores, Thresholds
+    from .validator import MetadataScores, Thresholds
 
 SCHEMA_VERSION = 1
 DEFAULT_SUFFIX = ".logical.tex"
@@ -280,33 +280,14 @@ def _infer_arxiv_id(path: Path) -> str | None:
     return None
 
 
-def _extracted_from(output) -> ExtractedMetadata:
-    from .validator import ExtractedMetadata
-
-    logical = extract_logical(parse(output))
-    return ExtractedMetadata(
-        title=logical.title_plain,
-        authors=[a.name_plain for a in logical.authors],
-        abstract=logical.abstract_plain,
-    )
-
-
-def _sidecar_reference(path: Path):
+def _sidecar(path: Path) -> Path | None:
+    """The ``.truth.json`` sidecar of a degraded file, if it has one."""
     name = path.name
     for suffix in (".visual.tex", ".tex"):
         if name.endswith(suffix):
-            stem = name[: -len(suffix)]
-            sidecar = path.with_name(stem + ".truth.json")
+            sidecar = path.with_name(name[: -len(suffix)] + ".truth.json")
             if sidecar.exists():
-                from .degrader import GroundTruth
-                from .validator import ExtractedMetadata
-
-                truth = GroundTruth.from_json(sidecar.read_text(encoding="utf-8"))
-                return ExtractedMetadata(
-                    title=truth.title,
-                    authors=[n for n, _ in truth.authors],
-                    abstract=truth.abstract,
-                )
+                return sidecar
     return None
 
 
@@ -317,10 +298,14 @@ def _validate_one(path: Path, cfg: RunConfig, client: ArxivClient | None):
     output, report = convert(source, cfg.policy())
     scores: MetadataScores | None = None
     notes: list[str] = []
-    reference = _sidecar_reference(path)
+    reference = None
+    if (sidecar := _sidecar(path)) is not None:
+        try:
+            reference = Metadata.from_json(sidecar.read_bytes())
+        except (OSError, MetadataError) as exc:
+            notes.append(f"no reference record: unreadable sidecar {sidecar}: {exc}")
     # batch has no client, so it never loads the arXiv client's module.
-    if reference is None and client is not None and (
-            arxiv_id := cfg.arxiv_id or _infer_arxiv_id(path)):
+    elif client is not None and (arxiv_id := cfg.arxiv_id or _infer_arxiv_id(path)):
         from .arxiv import ArxivError
 
         try:
@@ -328,7 +313,7 @@ def _validate_one(path: Path, cfg: RunConfig, client: ArxivClient | None):
         except ArxivError as exc:
             notes.append(f"no reference record: {exc}")
     if reference is not None:
-        scores = compare_metadata(_extracted_from(output), reference)
+        scores = compare_metadata(extract_logical(parse(output)).metadata(), reference)
     result = validate(source, output, report.plan, scores, cfg.thresholds())
     result.notes.extend(notes)
     return output, report, result
@@ -366,6 +351,7 @@ def _batch_worker(path: Path, cfg: RunConfig) -> dict:
             "structural_delta": len(result.structural_delta),
             "metadata": result.metadata.to_dict() if result.metadata else None,
             "warnings": report.warnings,
+            "notes": result.notes,
         }
     except Exception as exc:  # per-file failures never abort the batch
         return {"path": str(path), "error": f"{type(exc).__name__}: {exc}",
@@ -388,8 +374,8 @@ def cmd_batch(corpus: Path, cfg: RunConfig) -> int:
         import concurrent.futures
 
         # Imported before the pool starts, so that forked workers inherit
-        # the modules each file needs instead of each compiling them.
-        from . import degrader, validator  # noqa: F401
+        # the module each file needs instead of each compiling it.
+        from . import validator  # noqa: F401
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, paths, itertools.repeat(cfg)))

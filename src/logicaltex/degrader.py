@@ -2,8 +2,8 @@
 
 Each profile rewrites one logical construct into a specific visual form;
 the logical elements erased along the way are captured first as a ground
-truth sidecar, so a later conversion back can be scored instead of
-trusted.
+truth sidecar (a ``model.Metadata`` record), so a later conversion back
+can be scored instead of trusted.
 """
 
 from __future__ import annotations
@@ -30,56 +30,6 @@ def _profile_names(profiles) -> list[str]:
         if name not in PROFILE_CODES:
             raise ValueError(f"unknown degradation profile {name!r}")
     return sorted(names)
-
-
-class GroundTruth:
-    """The logical metadata of a degraded document, written next to it as a sidecar."""
-
-    __slots__ = ("title", "authors", "abstract", "sections", "emphases")
-
-    def __init__(self, title: str | None, authors: list[tuple[str, list[str]]],
-                 abstract: str | None, sections: list[tuple[int, str]], emphases: int):
-        self.title = title
-        self.authors = authors
-        self.abstract = abstract
-        self.sections = sections
-        self.emphases = emphases
-
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "authors": [{"name": n, "affiliations": a} for n, a in self.authors],
-            "abstract": self.abstract,
-            "sections": [{"level": l, "heading": h} for l, h in self.sections],
-            "emphases": self.emphases,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=1)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            title=d.get("title"),
-            authors=[(a["name"], list(a["affiliations"])) for a in d.get("authors", [])],
-            abstract=d.get("abstract"),
-            sections=[(s["level"], s["heading"]) for s in d.get("sections", [])],
-            emphases=int(d.get("emphases", 0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        return cls.from_dict(json.loads(text))
-
-
-def capture_ground_truth(doc: LogicalDocument) -> GroundTruth:
-    return GroundTruth(
-        title=doc.title_plain,
-        authors=[(a.name_plain, list(a.affiliations_plain)) for a in doc.authors],
-        abstract=doc.abstract_plain,
-        sections=[(s.level, s.heading_plain) for s in doc.sections],
-        emphases=len(doc.emphases),
-    )
 
 
 def _break_before(text: str, pos: int) -> bool:
@@ -368,7 +318,7 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
         raise NotLogicalError("input does not classify as logically formatted")
     names = _profile_names(profiles)
     doc = extract_logical(tree)
-    truth = capture_ground_truth(doc)
+    truth = doc.metadata()
     worker = _Degrader(text, names, seed)
 
     body = worker.degrade_sections(doc)

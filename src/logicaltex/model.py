@@ -2,7 +2,9 @@
 
 Covers marker normalization (the footnote-like symbols linking authors to
 affiliations), the control-word vocabulary, plain text and its one accent
-fold, and extraction of already-logical metadata commands from a tree.
+fold, extraction of already-logical metadata commands from a tree, and
+the one metadata record that ground truth, extraction and the arXiv
+reference share.
 """
 
 from __future__ import annotations
@@ -611,6 +613,73 @@ class LogicalSection:
         return span_plain(self.stream, self.heading_span)
 
 
+class MetadataError(ValueError):
+    """A text that is not JSON, or not a metadata record."""
+
+
+class Metadata:
+    """A paper's metadata as plain text: the degrader's ground truth (the
+    ``.truth.json`` sidecar), what ``validate`` extracts from an output,
+    and an arXiv record.  Each author is a (name, affiliations) pair, and
+    a bare name is an author without affiliations; each section is a
+    (level, heading) pair.  A source that lists no sections or emphases
+    leaves them empty."""
+
+    __slots__ = ("title", "authors", "abstract", "sections", "emphases")
+
+    def __init__(self, title: str | None, authors, abstract: str | None,
+                 sections=(), emphases: int = 0):
+        self.title = title
+        self.authors: list[tuple[str, list[str]]] = [
+            (a, []) if isinstance(a, str) else (a[0], list(a[1])) for a in authors]
+        self.abstract = abstract
+        self.sections: list[tuple[int, str]] = list(sections)
+        self.emphases = emphases
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Metadata:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def to_dict(self) -> dict:
+        return {
+            "title": self.title,
+            "authors": [{"name": n, "affiliations": list(a)} for n, a in self.authors],
+            "abstract": self.abstract,
+            "sections": [{"level": l, "heading": h} for l, h in self.sections],
+            "emphases": self.emphases,
+        }
+
+    def to_json(self) -> str:
+        import json
+
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=1)
+
+    @classmethod
+    def from_json(cls, text: str | bytes) -> Metadata:
+        """The record of a JSON object, which may hold other keys too; an
+        author is a name or a {"name", "affiliations"} object.  Anything
+        else raises ``MetadataError``."""
+        import json
+
+        try:
+            d = json.loads(text)
+            record = cls(d.get("title"),
+                         [a if isinstance(a, str) else (a["name"], a["affiliations"])
+                          for a in d.get("authors", [])],
+                         d.get("abstract"),
+                         [(s["level"], s["heading"]) for s in d.get("sections", [])],
+                         int(d.get("emphases", 0)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MetadataError(f"not a metadata record: {type(exc).__name__}: {exc}") from exc
+        texts = [t for n, affs in record.authors for t in (n, *affs)]
+        texts += [h for _, h in record.sections]
+        texts += [t for t in (record.title, record.abstract) if t is not None]
+        if not all(isinstance(t, str) for t in texts):
+            raise MetadataError("not a metadata record: a text field is not a string")
+        return record
+
+
 class LogicalDocument:
     """Positions, raw contents and plain forms of the logical structure
     commands; a plain form is read from the tree's tokens on first use."""
@@ -637,6 +706,15 @@ class LogicalDocument:
     @cached_property
     def abstract_plain(self) -> str | None:
         return self.abstract_inner and span_plain(self.stream, self.abstract_inner)
+
+    def metadata(self) -> Metadata:
+        """The plain forms as a record: the degrader's ground truth, and
+        what ``validate`` reads from an output."""
+        return Metadata(self.title_plain,
+                        [(a.name_plain, a.affiliations_plain) for a in self.authors],
+                        self.abstract_plain,
+                        [(s.level, s.heading_plain) for s in self.sections],
+                        len(self.emphases))
 
 
 def _split_author_group(group: GroupNode, stream: TokenStream) -> list[LogicalAuthor]:

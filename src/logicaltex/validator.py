@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .converter import RewritePlan
 from .lexer import decode_source, latin1_fallback, parse
-from .model import collapse_blanks, fold_accents, strip_styling
+from .model import Metadata, collapse_blanks, fold_accents, strip_styling
 
 
 class Verdict(Enum):
@@ -179,42 +179,31 @@ def multiset_f1(a: list[str], b: list[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-class ExtractedMetadata:
-    """Title, author names and abstract as plain text, read from a document."""
-
-    __slots__ = ("title", "authors", "abstract")
-
-    def __init__(self, title: str | None, authors: list[str], abstract: str | None):
-        self.title = title
-        self.authors = authors
-        self.abstract = abstract
+# The name that extraction's callers know the one metadata record by.
+ExtractedMetadata = Metadata
 
 
-def compare_metadata(extracted: ExtractedMetadata, reference) -> MetadataScores:
-    """Normalized similarity scores against a reference record.
-
-    ``reference`` needs title/authors/abstract attributes (an archive
-    record or another ExtractedMetadata).  A side missing a field omits
-    that score and notes it; affiliations are deliberately not scored.
-    """
+def compare_metadata(extracted: Metadata, reference: Metadata) -> MetadataScores:
+    """Normalized similarity scores of one record against another, field
+    by field: the title and the abstract by edit similarity, the author
+    names as a multiset.  A field either side lacks is noted as missing
+    instead of scored.  Affiliations, sections and emphases are not
+    scored yet."""
     scores = MetadataScores()
-    ref_title = getattr(reference, "title", None)
-    ref_authors = list(getattr(reference, "authors", []) or [])
-    ref_abstract = getattr(reference, "abstract", None)
-    if extracted.title is not None and ref_title:
+    if extracted.title is not None and reference.title:
         scores.title_similarity = edit_similarity(
-            normalize_for_compare(extracted.title), normalize_for_compare(ref_title))
+            normalize_for_compare(extracted.title), normalize_for_compare(reference.title))
     else:
         scores.missing.append("title")
-    if extracted.authors and ref_authors:
+    if extracted.authors and reference.authors:
         scores.author_set_f1 = multiset_f1(
-            [normalize_for_compare(a) for a in extracted.authors],
-            [normalize_for_compare(a) for a in ref_authors])
+            [normalize_for_compare(name) for name, _ in extracted.authors],
+            [normalize_for_compare(name) for name, _ in reference.authors])
     else:
         scores.missing.append("authors")
-    if extracted.abstract is not None and ref_abstract:
+    if extracted.abstract is not None and reference.abstract:
         scores.abstract_similarity = edit_similarity(
-            normalize_for_compare(extracted.abstract), normalize_for_compare(ref_abstract))
+            normalize_for_compare(extracted.abstract), normalize_for_compare(reference.abstract))
     else:
         scores.missing.append("abstract")
     return scores

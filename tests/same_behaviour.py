@@ -44,14 +44,14 @@ sys.path.insert(0, str(TESTS.parent / "perfbench"))
 import hostile  # noqa: E402
 from corpusgen import build_corpus  # noqa: E402
 
-from logicaltex.cli import _extracted_from  # noqa: E402
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
 from logicaltex.detector import detect_all, frontmatter_region, index_contents  # noqa: E402
 from logicaltex.degrader import degrade  # noqa: E402
 from logicaltex.lexer import (  # noqa: E402
     EnvNode, GroupNode, MathNode, encode_source, parse, protected_spans,
 )
-from logicaltex.validator import ExtractedMetadata, compare_metadata  # noqa: E402
+from logicaltex.model import extract_logical  # noqa: E402
+from logicaltex.validator import compare_metadata  # noqa: E402
 
 BUNDLES = (
     ("centerline-style",),
@@ -147,8 +147,7 @@ def _hash(record) -> str:
 
 def truth_digests(source: str, truth) -> str:
     out, _ = convert(source, POLICIES["full+aggressive"])
-    reference = ExtractedMetadata(truth.title, [n for n, _ in truth.authors], truth.abstract)
-    scores = compare_metadata(_extracted_from(out), reference)
+    scores = compare_metadata(extract_logical(parse(out)).metadata(), truth)
     visual = hashlib.sha256(encode_source(source)).hexdigest()[:20]
     sidecar = hashlib.sha256(truth.to_json().encode("utf-8")).hexdigest()[:20]
     return (f"visual {visual} truth {_hash(truth.to_dict())} sidecar {sidecar} "

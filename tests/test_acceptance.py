@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from logicaltex.arxiv import ArxivClient, ArxivRecord
+from logicaltex.arxiv import ArxivClient
 from logicaltex.converter import convert
 from logicaltex.degrader import degrade
 from logicaltex.detector import DocumentClass, classify
 from logicaltex.lexer import encode_source, parse, protected_spans, tokenize
-from logicaltex.model import extract_logical, strip_styling
+from logicaltex.model import Metadata, extract_logical, strip_styling
 from logicaltex.validator import (
-    ExtractedMetadata,
     check_body_preservation,
     compare_metadata,
     edit_similarity,
@@ -221,20 +220,18 @@ def test_metadata_validation_offline():
 
     client = ArxivClient(ARXIV_CACHE, transport=no_network)
     ids = sorted(p.stem.replace("_", "/") for p in ARXIV_CACHE.glob("*.json"))
-    records: list[ArxivRecord] = [client.fetch(i) for i in ids]
+    records: list[Metadata] = [client.fetch(i) for i in ids]
     assert len(records) >= 10
 
     checked = 0
     worst = 0.0
     for rec in records:
-        scores = compare_metadata(
-            ExtractedMetadata(rec.title, list(rec.authors), rec.abstract), rec)
+        scores = compare_metadata(rec, rec)
         assert scores.title_similarity == 1.0
         assert scores.author_set_f1 == 1.0
         assert scores.abstract_similarity == 1.0
     for a, b in itertools.permutations(records, 2):
-        scores = compare_metadata(
-            ExtractedMetadata(a.title, list(a.authors), a.abstract), b)
+        scores = compare_metadata(a, b)
         for got, (xa, xb) in (
             (scores.title_similarity, (a.title, b.title)),
             (scores.abstract_similarity, (a.abstract, b.abstract)),

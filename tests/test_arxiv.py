@@ -7,7 +7,6 @@ import pytest
 from logicaltex.arxiv import (
     MIN_REQUEST_INTERVAL,
     ArxivClient,
-    ArxivRecord,
     CacheError,
     FeedParseError,
     InvalidIdError,
@@ -16,6 +15,7 @@ from logicaltex.arxiv import (
     is_valid_id,
     parse_feed,
 )
+from logicaltex.model import Metadata
 
 from conftest import ARXIV_CACHE, FIXTURES
 
@@ -35,22 +35,41 @@ def test_invalid_ids(identifier):
     assert not is_valid_id(identifier)
 
 
-def _record(i=0):
-    return ArxivRecord(
-        id=f"2401.{10000 + i:05d}",
+def _record(i=0) -> tuple[str, Metadata]:
+    return f"2401.{10000 + i:05d}", Metadata(
         title=f"Record number {i}",
-        authors=("Ann Author", f"Person {i}"),
+        authors=["Ann Author", f"Person {i}"],
         abstract="Some abstract text.",
-        affiliations=(),
-        fetched_at=123.0 + i,
     )
 
 
 def test_cache_put_get_roundtrip(tmp_path):
     client = ArxivClient(tmp_path, offline=True)
-    rec = _record()
-    client.cache_put(rec)
-    assert client.cache_get(rec.id) == rec
+    identifier, rec = _record()
+    client.cache_put(identifier, rec)
+    assert client.cache_get(identifier) == rec
+
+
+def test_cache_keeps_each_authors_affiliations(tmp_path):
+    client = ArxivClient(tmp_path, offline=True)
+    rec = Metadata("A Title", [("Ann Author", ["First Institute", "Second Lab"]),
+                               ("Bo Chen", [])], "An abstract.")
+    client.cache_put("2401.10000", rec)
+    again = client.cache_get("2401.10000")
+    assert again == rec
+    assert again.authors == [("Ann Author", ["First Institute", "Second Lab"]), ("Bo Chen", [])]
+    on_disk = json.loads(client._cache_path("2401.10000").read_text(encoding="utf-8"))
+    assert on_disk["id"] == "2401.10000" and on_disk["fetched_at"] > 0
+
+
+@pytest.mark.parametrize("path", sorted(ARXIV_CACHE.glob("*.json")), ids=lambda p: p.name)
+def test_cached_fixture_reads_its_names_title_and_abstract(path):
+    # A fixture lists each author as a bare name, with a flat affiliations
+    # list beside them that the record does not read.
+    on_disk = json.loads(path.read_text(encoding="utf-8"))
+    rec = ArxivClient(ARXIV_CACHE, offline=True).cache_get(on_disk["id"])
+    assert (rec.title, rec.abstract) == (on_disk["title"], on_disk["abstract"])
+    assert rec.authors == [(name, []) for name in on_disk["authors"]]
 
 
 def test_cache_get_empty(tmp_path):
@@ -61,16 +80,17 @@ def test_cache_get_empty(tmp_path):
 def test_cache_thousand_records(tmp_path):
     client = ArxivClient(tmp_path, offline=True)
     records = [_record(i) for i in range(1000)]
-    for rec in records:
-        client.cache_put(rec)
-    for rec in records:
-        assert client.cache_get(rec.id) == rec
+    for identifier, rec in records:
+        client.cache_put(identifier, rec)
+    for identifier, rec in records:
+        assert client.cache_get(identifier) == rec
 
 
 def test_cache_survives_new_client(tmp_path):
-    ArxivClient(tmp_path, offline=True).cache_put(_record())
+    ArxivClient(tmp_path, offline=True).cache_put(*_record())
     again = ArxivClient(tmp_path, offline=True)
-    assert again.cache_get(_record().id) == _record()
+    identifier, rec = _record()
+    assert again.cache_get(identifier) == rec
 
 
 def test_cache_error_is_distinct(tmp_path):
@@ -110,9 +130,9 @@ def test_fetch_cache_hit_makes_no_network_call(tmp_path):
     client = ArxivClient(ARXIV_CACHE, transport=transport)
     rec = client.fetch("2401.01234")
     assert rec.title == "Mixing Times of Quantum Walks on Sparse Graphs"
-    assert rec.authors == ("Helena Varga",)
+    assert rec.authors == [("Helena Varga", [])]
     old = client.fetch("hep-th/9901001")
-    assert old.authors == ("Nora Lindqvist",)
+    assert old.authors == [("Nora Lindqvist", [])]
 
 
 def test_fetch_offline_miss_is_transport_error(tmp_path):
@@ -134,8 +154,9 @@ def test_fetch_parses_feed_and_caches(tmp_path):
     rec = client.fetch("2407.02222")
     assert calls == ["https://example.test/api/query?id_list=2407.02222"]
     assert rec.title == "Temporal Stability of the Leaf Microbiome under Drought Stress"
-    assert rec.authors == ("Lucía Fernández", "Tomáš Novák")
-    assert rec.affiliations == ("Department of Biology, Riverton State University",)
+    # Each author keeps their own affiliations.
+    assert rec.authors == [("Lucía Fernández", ["Department of Biology, Riverton State University"]),
+                           ("Tomáš Novák", [])]
     assert rec.abstract.startswith("We tracked the phyllosphere")
     assert "\n" not in rec.title
     # cached now: second fetch is served locally
@@ -143,7 +164,9 @@ def test_fetch_parses_feed_and_caches(tmp_path):
     assert len(calls) == 1
     assert rec2 == rec
     on_disk = json.loads((tmp_path / "2407.02222.json").read_text())
-    assert on_disk["authors"][0] == "Lucía Fernández"
+    assert on_disk["authors"][0] == {
+        "name": "Lucía Fernández",
+        "affiliations": ["Department of Biology, Riverton State University"]}
 
 
 def test_fetch_not_found_on_empty_feed(tmp_path):

@@ -307,6 +307,27 @@ def test_validate_missing_reference_noted(tmp_path, capsys):
     assert code == 0
 
 
+# Sidecars that are not a metadata record: a misspelt key, text that is
+# not JSON, a title that is not a string, and JSON that is not an object.
+UNREADABLE_SIDECARS = ['{"title": "x", "authors": [{"nam": "A"}]}', "{not json",
+                       '{"title": 5}', "[]"]
+
+
+@pytest.mark.parametrize("text", UNREADABLE_SIDECARS)
+def test_validate_notes_an_unreadable_sidecar(tmp_path, capsys, text):
+    # As with an unreadable cache record, the file is checked without
+    # metadata scores and a note says why; the run does not fail.
+    path = tmp_path / "paper.tex"
+    shutil.copy(LOGICAL_FIXTURES[0], path)
+    (tmp_path / "paper.truth.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--report", "machine", "validate", str(path), "--offline",
+                         "--cache-dir", str(tmp_path / "empty_cache"))
+    rec = machine_records(out)[0]
+    assert (code, err, rec["verdict"], rec["metadata_scores"]) == (0, "", "pass", None)
+    [note] = rec["notes"]
+    assert note.startswith(f"no reference record: unreadable sidecar {tmp_path / 'paper.truth.json'}")
+
+
 def test_batch_on_pair_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -536,6 +557,18 @@ def test_batch_writes_an_error_row_and_exits_2_when_a_conversion_raises(
     assert records[1]["classes"]["error"] == 1
 
 
+@pytest.mark.parametrize("text", UNREADABLE_SIDECARS)
+def test_batch_notes_an_unreadable_sidecar(degraded_file, capsys, text):
+    # The file is converted and checked, not marked as an error.
+    degraded_file.with_name("sample.truth.json").write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "--report", "machine", "batch", str(degraded_file.parent),
+                       "--scope", "full", "--aggressive")
+    row, summary = machine_records(out)
+    assert (code, row["class"], row["verdict"], row["metadata"]) == (0, "visual", "pass", None)
+    assert [note.split(":")[0] for note in row["notes"]] == ["no reference record"]
+    assert summary["classes"]["error"] == 0
+
+
 def test_batch_exits_1_on_a_warn_verdict(degraded_file, capsys):
     # A sidecar whose title the conversion cannot match scores below the
     # title threshold, so the file's verdict is a warning.
@@ -701,7 +734,7 @@ def test_batch_workers_inherit_the_validator(tmp_path):
         "    code = cli.main(sys.argv[1:])\n"
         "print(code, at_start)",
         "batch", "--jobs", "2", str(pairs))
-    assert loaded.split(" ", 1)[1].strip() == "['logicaltex.degrader', 'logicaltex.validator']"
+    assert loaded.split(" ", 1)[1].strip() == "['logicaltex.validator']"
 
 
 def test_help_is_unchanged():

@@ -13,12 +13,13 @@ import pytest
 from logicaltex import lexer
 from logicaltex.cli import main
 from logicaltex.converter import ConversionPolicy, Scope, convert
+from logicaltex.degrader import degrade
 from logicaltex.detector import classify, detect_all
 from logicaltex.lexer import parse, tokenize
 from logicaltex.model import extract_logical
 from logicaltex.validator import check_body_preservation, validate
 
-from conftest import AGGRESSIVE, line_events
+from conftest import AGGRESSIVE, PROFILE_SETS, line_events
 from same_behaviour import HOSTILE_SEEDS, hostile
 
 
@@ -214,6 +215,30 @@ def test_detect_all_work_doubles_with_names_on_one_line():
         f"Ann Lee$^{{{k}}}$" for k in range(1, n + 1)) + "\n\\end{center}"
     small, large = (parse(_document(make(n))) for n in (200, 400))
     ratio = line_events(detect_all, large) / line_events(detect_all, small)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
+def _logical_paper(authors: int, sections: int) -> str:
+    """A logical paper of ``authors`` authors, each with their own
+    ``\\thanks``, and ``sections`` sections, each with an ``\\emph``."""
+    names = " \\and ".join(f"Name {i}\\thanks{{Univ {i}}}" for i in range(authors))
+    body = "".join(f"\\section{{Part {k}}}\nText with \\emph{{stress}} in part {k}.\n\n"
+                   for k in range(sections))
+    return ("\\documentclass{article}\n\\title{Counted Work}\n\\author{" + names + "}\n"
+            "\\begin{document}\n\\maketitle\n\\begin{abstract}\nA short abstract.\n"
+            "\\end{abstract}\n" + body + "\\end{document}\n")
+
+
+@pytest.mark.parametrize("profiles", PROFILE_SETS, ids="-".join)
+@pytest.mark.parametrize("part, n", [("authors", 50), ("sections", 200)])
+def test_degrade_work_doubles_with_authors_and_sections(profiles, part, n):
+    # The lines degrade runs on a paper of n and 2n authors, or of n and
+    # 2n sections, under each bundle: its ground truth, the edits and the
+    # front-matter block each cost the same per author or section.
+    make = {"authors": lambda k: _logical_paper(k, 2),
+            "sections": lambda k: _logical_paper(2, k)}[part]
+    small, large = make(n), make(2 * n)
+    ratio = line_events(degrade, large, profiles, 0) / line_events(degrade, small, profiles, 0)
     assert ratio <= COUNTED_RATIO, ratio
 
 

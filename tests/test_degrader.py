@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from logicaltex.converter import RewritePlan, apply, convert
 from logicaltex.degrader import (
     PROFILE_CODES,
-    GroundTruth,
     NotLogicalError,
     _Degrader,
-    capture_ground_truth,
     degrade,
     emit_pairs,
     profile_tag,
@@ -21,8 +19,7 @@ from logicaltex.degrader import (
 from logicaltex.detector import DocumentClass, classify, detect_all, document_body, extract_frontmatter
 from logicaltex.lexer import parse
 from logicaltex import lexer, model
-from logicaltex.cli import _extracted_from
-from logicaltex.model import extract_logical
+from logicaltex.model import Metadata, extract_logical
 from logicaltex.validator import normalize_for_compare, validate_structure
 
 from conftest import AGGRESSIVE, FULL_PROFILES, PROFILE_SETS
@@ -134,8 +131,8 @@ def test_symbol_markers_preserve_edges_via_redetection():
 
 
 def test_ground_truth_captured_independently_of_output():
-    once = capture_ground_truth(extract_logical(parse(MINI)))
-    twice = capture_ground_truth(extract_logical(parse(MINI)))
+    once = extract_logical(parse(MINI)).metadata()
+    twice = extract_logical(parse(MINI)).metadata()
     assert once.to_dict() == twice.to_dict()
     _, through_degrade = degrade(MINI, FULL_PROFILES, 9)
     assert through_degrade.to_dict() == once.to_dict()
@@ -143,8 +140,9 @@ def test_ground_truth_captured_independently_of_output():
 
 def test_ground_truth_json_roundtrip():
     _, truth = degrade(MINI, FULL_PROFILES, 0)
-    again = GroundTruth.from_json(truth.to_json())
-    assert again.to_dict() == truth.to_dict()
+    again = Metadata.from_json(truth.to_json())
+    assert again == truth
+    assert again.to_json() == truth.to_json()
 
 
 def test_sections_get_running_numbers():
@@ -197,7 +195,7 @@ def test_roundtrip_on_mini_document():
 # matter's on a second parse of their output
 # ---------------------------------------------------------------------------
 
-def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, GroundTruth]:
+def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, Metadata]:
     """The reference for ``degrade``: the section and emphasis edits are
     applied first, and the front matter is planned on a second parse and
     extraction of that output."""
@@ -214,7 +212,7 @@ def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, GroundT
     front = worker.merge_front_matter(extract_logical(staged), [],
                                       document_body(staged)[1].start)
     visual = apply(stage, RewritePlan(tuple(front))) if front else stage
-    return visual, capture_ground_truth(doc)
+    return visual, doc.metadata()
 
 
 # Pieces of the documents.  None puts a front-matter command inside a
@@ -398,7 +396,7 @@ def test_emit_pairs_single_file(tmp_path):
     for key in ("visual", "logical", "sidecar"):
         assert Path(row[key]).exists()
     assert set(row["checksums"]) == {"source", "visual", "sidecar"}
-    truth = GroundTruth.from_json(Path(row["sidecar"]).read_text())
+    truth = Metadata.from_json(Path(row["sidecar"]).read_text())
     assert truth.title == "X"
     manifest = (out / "manifest.jsonl").read_text().strip().splitlines()
     assert len(manifest) == 1
@@ -518,6 +516,19 @@ def test_round_trip_reads_plain_forms_without_lexing_again(small_corpus, monkeyp
     for (_, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
         visual, truth = degrade(text, profiles, 0)
         out, _ = convert(visual, AGGRESSIVE)
-        extracted.append((truth, extract_logical(parse(out)), _extracted_from(out)))
+        extracted.append((truth, extract_logical(parse(out)).metadata()))
     assert calls == []
-    assert any(truth.authors and got.authors for truth, _, got in extracted)
+    assert any(truth.authors and got.authors for truth, got in extracted)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sections_survive_the_round_trip(small_corpus, seed):
+    # The sections of each output's record are the ground truth's, level
+    # for level and heading for heading once normalised.
+    for (name, text), profiles in itertools.product(small_corpus, PROFILE_SETS):
+        visual, truth = degrade(text, profiles, seed)
+        out, _ = convert(visual, AGGRESSIVE)
+        got = extract_logical(parse(out)).metadata()
+        assert [(level, normalize_for_compare(heading)) for level, heading in got.sections] \
+            == [(level, normalize_for_compare(heading)) for level, heading in truth.sections], \
+            (name, profiles)

@@ -17,6 +17,8 @@ from logicaltex.model import (
     FrontMatter,
     Marker,
     MarkerSymbol,
+    Metadata,
+    MetadataError,
     extract_logical,
     extract_markers,
     fold_accents,
@@ -467,3 +469,23 @@ def test_author_plain_form_keeps_tokens_apart_across_a_cut_thanks():
 ])
 def test_fold_accents_reads_whole_control_words(plain, folded):
     assert fold_accents(plain) == folded
+
+
+def test_metadata_reads_a_bare_name_as_an_author_without_affiliations():
+    both = [("Ann Lee", []), ("Bo Chen", ["Inst X"])]
+    assert Metadata("T", ["Ann Lee", ("Bo Chen", ("Inst X",))], None).authors == both
+    record = Metadata.from_json(
+        '{"authors": ["Ann Lee", {"name": "Bo Chen", "affiliations": ["Inst X"]}], "id": "x"}')
+    assert record == Metadata(None, both, None)
+    assert (record.sections, record.emphases) == ([], 0)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", b"\xff", "[]", "null", '{"authors": [{"nam": "A"}]}', '{"authors": 5}',
+    '{"authors": [{"name": "A"}]}', '{"sections": [{"level": 1}]}', '{"emphases": "x"}',
+    '{"title": 5}', '{"authors": [{"name": 1, "affiliations": []}]}',
+    '{"authors": [{"name": "A", "affiliations": [null]}]}',
+])
+def test_metadata_reader_raises_one_error_for_what_is_not_a_record(text):
+    with pytest.raises(MetadataError, match="^not a metadata record"):
+        Metadata.from_json(text)

@@ -12,18 +12,18 @@ import logicaltex
 
 # Each module and the names ``import logicaltex`` exports from it.
 EXPORTED = {
-    "arxiv": "ArxivClient ArxivRecord",
+    "arxiv": "ArxivClient",
     "converter": "ConversionPolicy ConversionReport Edit OverlapError PolicyViolation "
                  "RewritePlan Scope apply convert plan",
-    "degrader": "GroundTruth NotLogicalError degrade emit_pairs",
+    "degrader": "NotLogicalError degrade emit_pairs",
     "detector": "Cue CueKind Detection DetectionKind DocumentClass FormattingClass classify "
                 "detect_abstract detect_all detect_authors_affiliations "
                 "detect_emphasis_and_theorems detect_section_headers detect_title "
                 "extract_frontmatter frontmatter_region",
     "lexer": "BlockTree Diagnostic Span Token TokenKind TokenStream build_tree math_spans "
              "parse protected_spans tokenize",
-    "model": "Affiliation FrontMatter Marker MarkerSymbol extract_markers "
-             "resolve_affiliations strip_styling",
+    "model": "Affiliation FrontMatter Marker MarkerSymbol Metadata MetadataError "
+             "extract_markers resolve_affiliations strip_styling",
     "validator": "ExtractedMetadata MetadataScores ValidationReport Verdict "
                  "check_body_preservation compare_metadata validate validate_structure",
 }
