@@ -34,6 +34,7 @@ from .lexer import (
     decode_source,
     encode_source,
     parse,
+    pauses_collector,
 )
 from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter, closed
 
@@ -372,6 +373,7 @@ def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> Conve
     return ConversionReport(applied, skipped, warnings, classify_detections(dets), rewrite)
 
 
+@pauses_collector
 def convert(source: str | bytes,
             policy: ConversionPolicy | None = None) -> tuple[str | bytes, ConversionReport]:
     """Full pipeline: tokenize, detect, resolve, plan, apply.

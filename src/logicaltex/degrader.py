@@ -14,7 +14,15 @@ from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
 from .detector import DocumentClass, classify, document_body
-from .lexer import BLANKS, Span, SpanIndex, decode_source, encode_source, parse
+from .lexer import (
+    BLANKS,
+    Span,
+    SpanIndex,
+    decode_source,
+    encode_source,
+    parse,
+    pauses_collector,
+)
 from .model import PROFILE_CODES, LogicalDocument, closed, extract_logical, spliced
 
 
@@ -32,25 +40,43 @@ def _profile_names(profiles) -> list[str]:
     return sorted(names)
 
 
-def _break_before(text: str, pos: int) -> bool:
-    prefix = text[:pos].rstrip(" \t")
-    if not prefix:
+def _blanks_before(text: str, pos: int) -> int:
+    """Where the run of spaces and tabs that ends at ``pos`` starts."""
+    while pos and text[pos - 1] in " \t":
+        pos -= 1
+    return pos
+
+
+def _blanks_after(text: str, pos: int) -> int:
+    """Where the run of spaces and tabs that starts at ``pos`` ends."""
+    while pos < len(text) and text[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def _break_before(text: str, pos: int, first: int) -> bool:
+    """Whether a paragraph ends before ``pos``: at the start of the text,
+    at ``\\par``, at a blank line, or after nothing but whitespace.
+    ``first`` is the offset of the text's first non-whitespace character
+    (its length when it has none).  Only the blanks before ``pos`` are
+    read, so a check costs no more than they do."""
+    p = _blanks_before(text, pos)
+    if not p or text.endswith("\\par", 0, p):
         return True
-    if prefix.endswith("\\par"):
-        return True
-    if prefix.endswith("\n"):
-        return prefix[:-1].rstrip(" \t").endswith("\n") or not prefix[:-1].strip()
+    if text[p - 1] == "\n":
+        return text.endswith("\n", 0, _blanks_before(text, p - 1)) or first >= p - 1
     return False
 
 
-def _break_after(text: str, pos: int) -> bool:
-    suffix = text[pos:].lstrip(" \t")
-    if not suffix:
+def _break_after(text: str, pos: int, last: int) -> bool:
+    """Whether a paragraph ends after ``pos``, read as ``_break_before``
+    reads the text before it; ``last`` is the offset just past the text's
+    last non-whitespace character (0 when it has none)."""
+    q = _blanks_after(text, pos)
+    if q == len(text) or text.startswith("\\par", q):
         return True
-    if suffix.startswith("\\par"):
-        return True
-    if suffix.startswith("\n"):
-        return suffix[1:].lstrip(" \t").startswith("\n") or not suffix[1:].strip()
+    if text[q] == "\n":
+        return text.startswith("\n", _blanks_after(text, q + 1)) or last <= q + 1
     return False
 
 
@@ -77,6 +103,8 @@ class _Degrader:
         variant = self.rng.choice(("skip-bold", "textbf-large"))
         counters = [0, 0, 0]
         edits = []
+        text = self.text
+        first, last = len(text) - len(text.lstrip()), len(text.rstrip())
         for sec in doc.sections:
             lvl = min(sec.level, 3)
             counters[lvl - 1] += 1
@@ -96,12 +124,12 @@ class _Degrader:
                 has_trailing_break = False
             # the header must sit in a paragraph of its own even when the
             # surrounding source has no blank lines
-            if not _break_before(self.text, sec.span.start):
+            if not _break_before(text, sec.span.start, first):
                 repl = "\\par" + repl
-            if not has_trailing_break and not _break_after(self.text, sec.span.end):
+            if not has_trailing_break and not _break_after(text, sec.span.end, last):
                 repl = repl + "\\par"
             # A letter right after \par would lengthen its name.
-            after = self.text[sec.span.end:sec.span.end + 1]
+            after = text[sec.span.end:sec.span.end + 1]
             if after.isascii() and after.isalpha():
                 repl = repl + " "
             edits.append(Edit(sec.span, repl, "degrade-section"))
@@ -303,6 +331,7 @@ class _Degrader:
         return edits
 
 
+@pauses_collector
 def degrade(source: str | bytes, profiles, seed: int = 0):
     """Rewrite a logical document into a visually formatted one.
 

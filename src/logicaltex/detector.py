@@ -27,6 +27,7 @@ from .lexer import (
     TokenKind,
     TokenStream,
     latin1_fallback,
+    pauses_collector,
     protected_spans,
 )
 from .model import (
@@ -1385,6 +1386,7 @@ class DetectionSet:
         return items
 
 
+@pauses_collector
 def detect_all(tree: BlockTree) -> DetectionSet:
     region = frontmatter_region(tree)
     titles = detect_title(tree, region)

@@ -11,11 +11,12 @@ not interpreted and macros are never expanded.
 
 from __future__ import annotations
 
+import gc
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate
 from typing import NamedTuple, Union
 
@@ -744,6 +745,32 @@ def build_tree(stream: TokenStream) -> BlockTree:
     return _TreeBuilder(stream).build()
 
 
+def pauses_collector(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    The trees, streams and reports a call builds hold no reference
+    cycles, so reference counting frees all that the call drops, and a
+    collection started by its allocations would scan them for nothing.
+    If the collector was on, it is turned back on when the call returns
+    or raises; if it was already off, turned off by the caller or by an
+    enclosing paused call, the call changes nothing.  The switch is the
+    process's: a thread that turns the collector off while another
+    thread's call runs may find it back on when that call returns.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@pauses_collector
 def parse(source: str | bytes) -> BlockTree:
     """Tokenize and build the tree in one step.
 

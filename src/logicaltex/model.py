@@ -27,6 +27,7 @@ from .lexer import (
     TokenKind,
     TokenStream,
     latin1_fallback,
+    pauses_collector,
     tokenize,
 )
 
@@ -782,6 +783,7 @@ def spliced(text: str, span: Span, edits) -> str:
     return "".join(parts)
 
 
+@pauses_collector
 def extract_logical(tree: BlockTree) -> LogicalDocument:
     """Read \\title, \\author(+\\thanks/\\affiliation), the abstract
     environment, \\maketitle, section commands and \\emph occurrences."""

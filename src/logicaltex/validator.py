@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .converter import RewritePlan
-from .lexer import decode_source, latin1_fallback, parse
+from .lexer import decode_source, latin1_fallback, parse, pauses_collector
 from .model import Metadata, collapse_blanks, fold_accents, strip_styling
 
 
@@ -228,6 +228,7 @@ def judge(structural_delta: list, body_preserved: bool,
     return Verdict.PASS
 
 
+@pauses_collector
 def validate(original: str | bytes, converted: str | bytes, plan: RewritePlan,
              metadata: MetadataScores | None = None,
              thresholds: Thresholds = Thresholds()) -> ValidationReport:

@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 from logicaltex import lexer
-from logicaltex.cli import main
+from logicaltex.cli import RunConfig, _batch_worker, main
 from logicaltex.converter import ConversionPolicy, Scope, convert
 from logicaltex.degrader import degrade
 from logicaltex.detector import classify, detect_all
@@ -239,6 +239,42 @@ def test_degrade_work_doubles_with_authors_and_sections(profiles, part, n):
             "sections": lambda k: _logical_paper(2, k)}[part]
     small, large = make(n), make(2 * n)
     ratio = line_events(degrade, large, profiles, 0) / line_events(degrade, small, profiles, 0)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
+def _fresh_line_events(fn, *args) -> int:
+    # Each count parses its texts itself, as a fresh process would.
+    lexer._parse_text.cache_clear()
+    return line_events(fn, *args)
+
+
+def test_validate_work_doubles_with_length():
+    # The lines validate runs on a document of n and 2n blocks, each with
+    # its heading converted: the structural delta and the body's edits
+    # each cost the same per block.
+    def events(n):
+        src = _blocks(n)
+        out, report = convert(src, AGGRESSIVE)
+        assert report.plan.edits
+        return _fresh_line_events(validate, src, out, report.plan)
+
+    ratio = events(400) / events(200)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
+@pytest.mark.parametrize("scope", ["metadata", "full"])
+def test_batch_worker_work_doubles_with_length(tmp_path, scope):
+    # The lines one batch file costs, from reading it to its record, at n
+    # and 2n blocks, under each scope with --aggressive.
+    cfg = RunConfig(scope=scope, aggressive=True)
+
+    def events(n):
+        path = tmp_path / f"blocks{n}.tex"
+        path.write_text(_blocks(n), encoding="utf-8")
+        assert "error" not in _batch_worker(path, cfg)
+        return _fresh_line_events(_batch_worker, path, cfg)
+
+    ratio = events(400) / events(200)
     assert ratio <= COUNTED_RATIO, ratio
 
 

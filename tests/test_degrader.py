@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from logicaltex.converter import RewritePlan, apply, convert
 from logicaltex.degrader import (
     PROFILE_CODES,
     NotLogicalError,
+    _break_after,
+    _break_before,
     _Degrader,
     degrade,
     emit_pairs,
@@ -165,6 +168,44 @@ def test_par_after_a_heading_is_delimited_before_a_letter(seed, heading):
     assert heading in visual
     out, _ = convert(visual, AGGRESSIVE)
     assert "\\section{One} Words follow here." in out
+
+
+def _copying_break_before(text, pos):
+    # The reference: the whole text before the section, copied.
+    prefix = text[:pos].rstrip(" \t")
+    if not prefix:
+        return True
+    if prefix.endswith("\\par"):
+        return True
+    if prefix.endswith("\n"):
+        return prefix[:-1].rstrip(" \t").endswith("\n") or not prefix[:-1].strip()
+    return False
+
+
+def _copying_break_after(text, pos):
+    suffix = text[pos:].lstrip(" \t")
+    if not suffix:
+        return True
+    if suffix.startswith("\\par"):
+        return True
+    if suffix.startswith("\n"):
+        return suffix[1:].lstrip(" \t").startswith("\n") or not suffix[1:].strip()
+    return False
+
+
+def test_paragraph_breaks_read_as_the_copying_checks_did():
+    # Every offset of random strings of blanks, line ends, \par and its
+    # near misses, and whitespace that str.strip removes but TeX's blank
+    # scan does not: vertical tab, no-break space and em space.
+    pieces = (" ", "\t", "\n", "\r", "\x0c", "\x0b", "\xa0", "\u2003",
+              "\\par", "\\pa", "\\parx", "x", "}")
+    rng = random.Random(5)
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        first, last = len(text) - len(text.lstrip()), len(text.rstrip())
+        for pos in range(len(text) + 1):
+            assert _break_before(text, pos, first) is _copying_break_before(text, pos), (text, pos)
+            assert _break_after(text, pos, last) is _copying_break_after(text, pos), (text, pos)
 
 
 def test_inline_emphasis_degraded_to_old_style():
