@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from pathlib import Path
 
 from .converter import Edit, RewritePlan, apply
@@ -17,13 +18,22 @@ from .detector import DocumentClass, classify, document_body
 from .lexer import (
     BLANKS,
     Span,
-    SpanIndex,
+    Token,
+    TokenKind,
     decode_source,
     encode_source,
     parse,
     pauses_collector,
 )
-from .model import PROFILE_CODES, LogicalDocument, closed, extract_logical, spliced
+from .model import (
+    PAR,
+    PROFILE_CODES,
+    TOKEN_START,
+    LogicalDocument,
+    closed,
+    extract_logical,
+    spliced,
+)
 
 
 class NotLogicalError(Exception):
@@ -40,44 +50,16 @@ def _profile_names(profiles) -> list[str]:
     return sorted(names)
 
 
-def _blanks_before(text: str, pos: int) -> int:
-    """Where the run of spaces and tabs that ends at ``pos`` starts."""
-    while pos and text[pos - 1] in " \t":
-        pos -= 1
-    return pos
-
-
-def _blanks_after(text: str, pos: int) -> int:
-    """Where the run of spaces and tabs that starts at ``pos`` ends."""
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
-
-
-def _break_before(text: str, pos: int, first: int) -> bool:
-    """Whether a paragraph ends before ``pos``: at the start of the text,
-    at ``\\par``, at a blank line, or after nothing but whitespace.
-    ``first`` is the offset of the text's first non-whitespace character
-    (its length when it has none).  Only the blanks before ``pos`` are
-    read, so a check costs no more than they do."""
-    p = _blanks_before(text, pos)
-    if not p or text.endswith("\\par", 0, p):
+def _paragraph_ends(toks: list[Token], i: int, step: int) -> bool:
+    """Whether a paragraph ends at token ``i``, read over blanks in the
+    direction ``step`` (-1 or 1): the text's edge, a paragraph break and
+    ``\\par`` end one, as the line segmenter cuts paragraphs."""
+    while 0 <= i < len(toks) and toks[i].kind is TokenKind.WHITESPACE:
+        i += step
+    if not 0 <= i < len(toks):
         return True
-    if text[p - 1] == "\n":
-        return text.endswith("\n", 0, _blanks_before(text, p - 1)) or first >= p - 1
-    return False
-
-
-def _break_after(text: str, pos: int, last: int) -> bool:
-    """Whether a paragraph ends after ``pos``, read as ``_break_before``
-    reads the text before it; ``last`` is the offset just past the text's
-    last non-whitespace character (0 when it has none)."""
-    q = _blanks_after(text, pos)
-    if q == len(text) or text.startswith("\\par", q):
-        return True
-    if text[q] == "\n":
-        return text.startswith("\n", _blanks_after(text, q + 1)) or last <= q + 1
-    return False
+    t = toks[i]
+    return t.kind is TokenKind.PAR_BREAK or t.kind is TokenKind.CONTROL_WORD and t.value == PAR
 
 
 # Marker alphabets.  The "text" families stay out of math mode entirely.
@@ -90,8 +72,7 @@ _SYM_TEXT = ("\\dag", "\\ddag", "\\S", "\\P")
 
 
 class _Degrader:
-    def __init__(self, text: str, names: list[str], seed: int):
-        self.text = text
+    def __init__(self, names: list[str], seed: int):
         self.names = set(names)
         self.rng = random.Random(seed)
 
@@ -103,8 +84,7 @@ class _Degrader:
         variant = self.rng.choice(("skip-bold", "textbf-large"))
         counters = [0, 0, 0]
         edits = []
-        text = self.text
-        first, last = len(text) - len(text.lstrip()), len(text.rstrip())
+        toks = doc.stream.tokens
         for sec in doc.sections:
             lvl = min(sec.level, 3)
             counters[lvl - 1] += 1
@@ -123,26 +103,26 @@ class _Degrader:
                     repl = f"\\textbf{{{num} {heading}}}"
                 has_trailing_break = False
             # the header must sit in a paragraph of its own even when the
-            # surrounding source has no blank lines
-            if not _break_before(text, sec.span.start, first):
+            # surrounding source has no blank lines: the tokens before the
+            # command and after its closing brace tell
+            i = bisect_left(toks, sec.span.start, key=TOKEN_START)
+            k = bisect_left(toks, sec.span.end, i, key=TOKEN_START)
+            if not _paragraph_ends(toks, i - 1, -1):
                 repl = "\\par" + repl
-            if not has_trailing_break and not _break_after(text, sec.span.end, last):
+            if not has_trailing_break and not _paragraph_ends(toks, k, 1):
                 repl = repl + "\\par"
             # A letter right after \par would lengthen its name.
-            after = text[sec.span.end:sec.span.end + 1]
+            after = doc.stream.source[sec.span.end:sec.span.end + 1]
             if after.isascii() and after.isalpha():
                 repl = repl + " "
             edits.append(Edit(sec.span, repl, "degrade-section"))
         return edits
 
-    def degrade_emphasis(self, doc: LogicalDocument, taken: list[Span]) -> list[Edit]:
+    def degrade_emphasis(self, doc: LogicalDocument) -> list[Edit]:
         if "inline-emphasis" not in self.names:
             return []
         edits = []
-        sections = SpanIndex(taken)
         for raw, span in doc.emphases:
-            if sections.intersects(span):
-                continue
             style = "it" if self.rng.random() < 0.75 else "bf"
             edits.append(Edit(span, f"{{\\{style} {raw}}}", "degrade-emphasis"))
         return edits
@@ -348,10 +328,9 @@ def degrade(source: str | bytes, profiles, seed: int = 0):
     names = _profile_names(profiles)
     doc = extract_logical(tree)
     truth = doc.metadata()
-    worker = _Degrader(text, names, seed)
+    worker = _Degrader(names, seed)
 
-    body = worker.degrade_sections(doc)
-    body += worker.degrade_emphasis(doc, [e.span for e in body])
+    body = worker.degrade_sections(doc) + worker.degrade_emphasis(doc)
     edits = worker.merge_front_matter(doc, body, document_body(tree)[1].start)
     visual = apply(text, RewritePlan(tuple(edits))) if edits else text
 

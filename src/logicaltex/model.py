@@ -248,7 +248,7 @@ def strip_styling(raw: str) -> str:
     TokenKind.BEGIN_GROUP, TokenKind.END_GROUP, TokenKind.MATH_SHIFT,
     TokenKind.ALIGNMENT, TokenKind.ACTIVE_CHAR, TokenKind.PARAMETER,
     TokenKind.CONTROL_SYMBOL, TokenKind.CONTROL_WORD)
-_START = attrgetter("start")  # a token's offset, as a search key
+TOKEN_START = attrgetter("start")  # a token's offset, as a search key
 
 # TeX glue: a dimension, then an optional stretch and shrink, each a
 # keyword and a dimension.  A dimension is a factor and a unit, or a
@@ -461,8 +461,8 @@ def span_plain(stream: TokenStream, span: Span, cuts=()) -> str:
     toks, run, pos = stream.tokens, [], span.start
     for cut_start, cut_end in (*sorted(cuts), (span.end, span.end)):
         if pos < cut_start:
-            i = bisect_right(toks, pos, key=_START) - 1
-            part = toks[i:bisect_left(toks, cut_start, i, key=_START)]
+            i = bisect_right(toks, pos, key=TOKEN_START) - 1
+            part = toks[i:bisect_left(toks, cut_start, i, key=TOKEN_START)]
             for k in {0, len(part) - 1}:
                 t = part[k]
                 if t.kind is _TEXT and (t.start < pos or t.end > cut_start):

@@ -12,14 +12,19 @@ from logicaltex.converter import RewritePlan, apply, convert
 from logicaltex.degrader import (
     PROFILE_CODES,
     NotLogicalError,
-    _break_after,
-    _break_before,
     _Degrader,
     degrade,
     emit_pairs,
     profile_tag,
 )
-from logicaltex.detector import DocumentClass, classify, detect_all, document_body, extract_frontmatter
+from logicaltex.detector import (
+    DocumentClass,
+    classify,
+    detect_all,
+    document_body,
+    extract_frontmatter,
+    segment_lines,
+)
 from logicaltex.lexer import parse
 from logicaltex import lexer, model
 from logicaltex.model import Metadata, extract_logical
@@ -170,42 +175,29 @@ def test_par_after_a_heading_is_delimited_before_a_letter(seed, heading):
     assert "\\section{One} Words follow here." in out
 
 
-def _copying_break_before(text, pos):
-    # The reference: the whole text before the section, copied.
-    prefix = text[:pos].rstrip(" \t")
-    if not prefix:
-        return True
-    if prefix.endswith("\\par"):
-        return True
-    if prefix.endswith("\n"):
-        return prefix[:-1].rstrip(" \t").endswith("\n") or not prefix[:-1].strip()
-    return False
+# What may stand on either side of a \section: blanks, line ends of CRs,
+# a form feed, paragraph breaks, \par and words that begin with it, a
+# comment and a word.
+_SEPARATORS = (" ", "\t", "\n", "\r", "\x0c", "\r\r", "\n\x0c\n", "\r\n\r\n", "\\par",
+               "\\parskip=0pt", "\\paragraph{P}", "% note\n", "word")
 
 
-def _copying_break_after(text, pos):
-    suffix = text[pos:].lstrip(" \t")
-    if not suffix:
-        return True
-    if suffix.startswith("\\par"):
-        return True
-    if suffix.startswith("\n"):
-        return suffix[1:].lstrip(" \t").startswith("\n") or not suffix[1:].strip()
-    return False
-
-
-def test_paragraph_breaks_read_as_the_copying_checks_did():
-    # Every offset of random strings of blanks, line ends, \par and its
-    # near misses, and whitespace that str.strip removes but TeX's blank
-    # scan does not: vertical tab, no-break space and em space.
-    pieces = (" ", "\t", "\n", "\r", "\x0c", "\x0b", "\xa0", "\u2003",
-              "\\par", "\\pa", "\\parx", "x", "}")
-    rng = random.Random(5)
-    for _ in range(3000):
-        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
-        first, last = len(text) - len(text.lstrip()), len(text.rstrip())
-        for pos in range(len(text) + 1):
-            assert _break_before(text, pos, first) is _copying_break_before(text, pos), (text, pos)
-            assert _break_after(text, pos, last) is _copying_break_after(text, pos), (text, pos)
+def test_a_degraded_heading_is_a_paragraph_of_its_own():
+    # The degrader reads where a paragraph ends from the tokens, as the
+    # line segmenter does, so the segmenter reads every degraded heading
+    # as a bold line alone in its block, whatever separates it from the
+    # text around it, under both variants (seed 0 writes \textbf, 1 \bf).
+    rng = random.Random(7)
+    cases = [("", "\\paragraph{Setup.} We ran it."), ("\r\r", "\\parskip=0pt\r\r")]
+    cases += [tuple("".join(rng.choice(_SEPARATORS) for _ in range(rng.randrange(5)))
+                    for _ in "ab") for _ in range(150)]
+    for before, after in cases:
+        text = MINI.replace("\\section{Two}\n", before + "\\section{Two}" + after + "\n")
+        for seed in (0, 1):
+            visual, _ = degrade(text, ("bold-solitary-sections",), seed)
+            lines = [ln for ln in segment_lines(parse(visual)) if "2 Two" in ln.raw
+                     or "2. Two" in ln.raw]
+            assert len(lines) == 1 and lines[0].solitary_bold, (before, after, seed, visual)
 
 
 def test_inline_emphasis_degraded_to_old_style():
@@ -244,9 +236,8 @@ def _degrade_in_two_passes(text: str, profiles, seed: int) -> tuple[str, Metadat
     if classify(tree).label is not DocumentClass.LOGICAL:
         raise NotLogicalError("input does not classify as logically formatted")
     doc = extract_logical(tree)
-    worker = _Degrader(text, profiles, seed)
-    sections = worker.degrade_sections(doc)
-    body = sections + worker.degrade_emphasis(doc, [e.span for e in sections])
+    worker = _Degrader(profiles, seed)
+    body = worker.degrade_sections(doc) + worker.degrade_emphasis(doc)
     body.sort(key=lambda e: (e.span.start, e.span.end))
     stage = apply(text, RewritePlan(tuple(body))) if body else text
     staged = parse(stage)
