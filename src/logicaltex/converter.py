@@ -31,12 +31,15 @@ from .lexer import (
     EnvNode,
     Span,
     SpanIndex,
+    TokenKind,
+    TokenStream,
     decode_source,
     encode_source,
+    env_name,
     parse,
     pauses_collector,
 )
-from .model import MAKETITLE, SECTION_LEVELS, TITLE, FrontMatter, closed
+from .model import MAKETITLE, SECTION_LEVELS, TITLE, TOKEN_START, FrontMatter, closed
 
 MARKER_RESIDUE = re.compile(
     r"\$\s*\^|\\dag\b|\\ddag\b|\\dagger\b|\\ddagger\b|\\footnotemark\b|\\textsuperscript\b"
@@ -311,6 +314,23 @@ def _render(det: Detection, author_block: str | None) -> str:
     return ""  # an affiliation line moves into the author block
 
 
+def _declared_theorems(stream: TokenStream, starts: list[int]) -> set[str]:
+    """The environments declared by the ``\\newtheorem`` commands that
+    start at ``starts``, starred or not, each name read as the tree
+    builder reads an environment's."""
+    toks, names = stream.tokens, set()
+    for start in starts:
+        i = j = bisect_left(toks, start, key=TOKEN_START)
+        while j + 1 < len(toks) and toks[j + 1].kind in (TokenKind.WHITESPACE, TokenKind.COMMENT):
+            j += 1
+        if j + 1 < len(toks) and toks[j + 1].kind is TokenKind.TEXT and toks[j + 1].value == "*":
+            i = j + 1
+        named = env_name(stream, i)
+        if named is not None:
+            names.add(named[0])
+    return names
+
+
 def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> ConversionReport:
     """Resolve the claims of the detections the gate accepted, then build
     the ordered, non-overlapping edit list of the accepted ones, with
@@ -352,8 +372,9 @@ def plan(tree: BlockTree, dets: DetectionSet, policy: ConversionPolicy) -> Conve
         else:
             warnings.append("no title available; \\maketitle not inserted")
     envs = {d.keyword.lower() for d in dets.theorems if d.skip_reason is None}
-    needed_theorems = sorted(env for env in envs if not re.search(
-        r"\\newtheorem\s*\{\s*" + re.escape(env) + r"\s*\}", stream.source))
+    if envs:
+        envs -= _declared_theorems(stream, words.get("newtheorem", []))
+    needed_theorems = sorted(envs)
     if needed_theorems:
         at = next((nd.start for nd in tree.nodes
                    if isinstance(nd, EnvNode) and nd.name == "document"), 0)

@@ -20,10 +20,12 @@ from .lexer import (
     Span,
     Token,
     TokenKind,
+    build_tree,
     decode_source,
     encode_source,
     parse,
     pauses_collector,
+    tokenize,
 )
 from .model import (
     PAR,
@@ -62,6 +64,18 @@ def _paragraph_ends(toks: list[Token], i: int, step: int) -> bool:
     return t.kind is TokenKind.PAR_BREAK or t.kind is TokenKind.CONTROL_WORD and t.value == PAR
 
 
+def _wrap_point(text: str) -> int | None:
+    """Where an affiliation may wrap: after its first comma that a blank
+    follows and that stands outside every group, math and comment, or
+    None when it has none."""
+    for nd in build_tree(tokenize(text)).nodes:
+        if nd.__class__ is Token and nd.kind is TokenKind.TEXT:
+            at = text.find(", ", nd.start, nd.end + 1)  # the blank may be a token of its own
+            if at >= 0:
+                return at + 1
+    return None
+
+
 # Marker alphabets.  The "text" families stay out of math mode entirely.
 _NUM_FAMILIES = (
     ("$^{%s}$", "$^{%s}$"),
@@ -87,20 +101,22 @@ class _Degrader:
         toks = doc.stream.tokens
         for sec in doc.sections:
             lvl = min(sec.level, 3)
-            counters[lvl - 1] += 1
-            for k in range(lvl, 3):
-                counters[k] = 0
-            num = ".".join(str(c) for c in counters[:lvl])
             heading = closed(sec.heading_raw)
+            if not sec.starred:  # a starred section prints no number and steps no counter
+                counters[lvl - 1] += 1
+                for k in range(lvl, 3):
+                    counters[k] = 0
+                num = ".".join(str(c) for c in counters[:lvl])
+                heading = f"{num}. {heading}" if variant == "skip-bold" else f"{num} {heading}"
             if variant == "skip-bold":
                 lead = "\\medskip" if lvl == 1 else "\\smallskip"
-                repl = f"{lead}\\noindent{{\\bf {num}. {heading}}}\\par"
+                repl = f"{lead}\\noindent{{\\bf {heading}}}\\par"
                 has_trailing_break = True
             else:
                 if lvl == 1:
-                    repl = f"\\textbf{{\\large {num} {heading}}}"
+                    repl = f"\\textbf{{\\large {heading}}}"
                 else:
-                    repl = f"\\textbf{{{num} {heading}}}"
+                    repl = f"\\textbf{{{heading}}}"
                 has_trailing_break = False
             # the header must sit in a paragraph of its own even when the
             # surrounding source has no blank lines: the tokens before the
@@ -231,8 +247,9 @@ class _Degrader:
         # Long affiliations sometimes wrap onto a continuation line, which
         # the extractor is expected to re-join.
         if len(text) > 45 and ", " in text and self.rng.random() < 0.3:
-            cut = text.index(", ") + 1
-            return [closed(lead + text[:cut]), closed(text[cut:].strip(BLANKS))]
+            cut = _wrap_point(text)
+            if cut is not None:
+                return [closed(lead + text[:cut]), closed(text[cut:].strip(BLANKS))]
         return [closed(lead + text)]
 
     def build_abstract(self, text: str) -> str:

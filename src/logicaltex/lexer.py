@@ -502,8 +502,9 @@ class BlockTree:
 _new = tuple.__new__
 
 
-def _env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
-    """Read the {name} after a \\begin/\\end token at index ``i``.
+def env_name(stream: TokenStream, i: int) -> tuple[str, int, int] | None:
+    """Read the {name} after the token at index ``i``: a \\begin, an
+    \\end, or the star or \\newtheorem before a declared name.
 
     Returns (name, index of the closing brace token, offset after it),
     or None when no well-formed name group follows.
@@ -689,7 +690,7 @@ class _TreeBuilder:
 
     def _begin(self, i: int) -> int:
         t = self.toks[i]
-        named = _env_name(self.stream, i)
+        named = env_name(self.stream, i)
         if named is None:
             self.sink().append(t)
             return i + 1
@@ -708,7 +709,7 @@ class _TreeBuilder:
         for sj in range(bisect_right(structural, name_idx), len(structural)):
             j = structural[sj]
             if toks[j].is_control_word("end"):
-                named = _env_name(self.stream, j)
+                named = env_name(self.stream, j)
                 if named is not None and named[0] == name:
                     return self._math("display", i, named[2], named[1] + 1)
         self.diags.append(Diagnostic("unclosed-environment", name, Span(start, start + 1)))
@@ -716,7 +717,7 @@ class _TreeBuilder:
 
     def _end(self, i: int) -> int:
         t = self.toks[i]
-        named = _env_name(self.stream, i)
+        named = env_name(self.stream, i)
         if named is None:
             self.sink().append(t)
             return i + 1

@@ -266,17 +266,17 @@ _STRETCH_SHRINK = (re.compile(r"[ \t]*plus", re.IGNORECASE),
 def read_arguments(nodes: list[Node], i: int) -> tuple[int, int, bool, GroupNode | None]:
     """Read what the known command ``nodes[i - 1]`` reads by its
     ``ARGUMENTS`` entry from the nodes after it, tree nodes or tokens.
-    Blanks and comments may stand before any argument but a star.
-    Reading stops at the first braced argument or glue missing.  Returns
-    the index of the first node not wholly read, the offset where reading
-    stopped (inside that node when a star, a bracket or glue ends inside
-    a text run), whether a star was read, and the braced argument if it
-    is a tree node."""
+    Blanks and comments may stand before any argument, a star too, since
+    LaTeX's ``\\@ifstar`` skips them.  Reading stops at the first braced
+    argument or glue missing.  Returns the index of the first node not
+    wholly read, the offset where reading stopped (inside that node when
+    a star, a bracket or glue ends inside a text run), whether a star was
+    read, and the braced argument if it is a tree node."""
     n, end = len(nodes), nodes[i - 1].end
     star, group = False, None
     for letter in ARGUMENTS[nodes[i - 1].value]:
         j = i
-        if letter != "s" and (j == n or nodes[j].start == end):
+        if j == n or nodes[j].start == end:
             # At a node's edge: blanks and comments before the argument.
             while j < n and nodes[j].__class__ is Token and (
                     nodes[j].kind is _WHITESPACE or nodes[j].kind is _COMMENT):
@@ -536,10 +536,7 @@ def resolve_affiliations(fm: FrontMatter) -> None:
     by_marker: dict[Marker, int] = {}
     for j, aff in enumerate(affiliations):
         if aff.marker is not None:
-            if aff.marker in by_marker:
-                fm.notes.append(f"duplicate affiliation marker {aff.marker}")
-            else:
-                by_marker[aff.marker] = j
+            by_marker.setdefault(aff.marker, j)  # a repeated marker's later line is left uncarried
     for i, author in enumerate(authors):
         for mk in sorted(set(author.markers), key=str):
             j = by_marker.get(mk)

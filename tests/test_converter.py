@@ -324,6 +324,24 @@ def test_theorem_rewrite_respects_existing_newtheorem():
     assert out.count("\\newtheorem{lemma}") == 1
 
 
+@pytest.mark.parametrize("preamble, declared", [
+    ("\\newtheorem{theorem}{Theorem}", True),
+    ("\\newtheorem { theorem }{Theorem}", True),
+    ("\\newtheorem*{theorem}{Theorem}", True),
+    ("% \\newtheorem{theorem}{Theorem}", False),
+    ("\\begin{verbatim}\n\\newtheorem{theorem}{Theorem}\n\\end{verbatim}", False),
+])
+def test_theorem_declarations_are_read_as_tex_reads_them(preamble, declared):
+    # A declaration counts when TeX would read one: starred or not, with
+    # blanks around the name, and not in a comment or a verbatim body.
+    src = wrap("\\maketitle\n\n{\\bf Theorem 1.} Every case holds.",
+               preamble="\\title{T}\n" + preamble)
+    out, _ = convert(src, AGGRESSIVE)
+    assert "\\begin{theorem}" in out
+    plain = "\\newtheorem{theorem}{Theorem}"
+    assert out.count(plain) == src.count(plain) + (not declared), out
+
+
 def test_section_rewrite_strips_number_and_par():
     src = wrap("\\maketitle\n\n\\medskip\\noindent{\\bf 2. Results}\\par\n\nText.",
                preamble="\\title{T}")
@@ -531,6 +549,13 @@ UNCARRIED = [
           "$^1$Department of Physics, University of X\\\\\n"
           "$^2$Institute of Mathematics, University of Y\n\\end{center}\n\nText."),
      "Institute of Mathematics, University of Y", set(POLICIES)),
+    # a marker that an earlier affiliation line already gave
+    (wrap("\\centerline{\\Large\\bf On Random Walks}\n\n"
+          "\\centerline{Ann Lee$^{1}$ and Bob Stone$^{1}$}\n\n"
+          "\\centerline{$^{1}$Department of Physics, University of X}\n\n"
+          "\\centerline{$^{1}$Institute of Chemistry, University of Y}\n\n"
+          "\\section{Introduction}"),
+     "Institute of Chemistry, University of Y", set(POLICIES)),
 ]
 
 
@@ -553,6 +578,28 @@ def test_carried_affiliations_still_move_into_the_author_block():
     assert "\\author{Ann Lee\\thanks{Department of Physics, University of X}}" in out
     assert "\\title{A Title}" in out and "\\begin{center}" in out
     assert "$^1$Department" not in out
+
+
+def test_a_marker_inside_an_affiliation_is_warned_about():
+    # A marker that is not where a marker is read stays in the affiliation
+    # text, and so in the \thanks written from it.
+    src = wrap("\\centerline{\\bf A Study of Residue Markers}\n"
+               "\\centerline{Ann Lee and Bob Stone}\n"
+               "\\centerline{Department of Physics$^{1a}$, University of X}\n\n"
+               "\\section{Intro}\nText.")
+    out, rep = convert(src)
+    assert "\\thanks{Department of Physics$^{1a}$, University of X}" in out
+    assert rep.warnings == ["marker rendering survived into an author command"]
+
+
+def test_a_repeated_marker_goes_to_its_first_affiliation_without_a_warning():
+    # The first line with a marker takes it; the later line is left in
+    # place as uncarried, which the skip records, so no warning repeats it.
+    src = UNCARRIED[4][0]
+    for label, policy in POLICIES.items():
+        out, rep = convert(src, policy)
+        assert rep.warnings == [], label
+        assert "\\thanks{Department of Physics, University of X}" in out, label
 
 
 @pytest.mark.parametrize("seed", HOSTILE_SEEDS)

@@ -248,6 +248,14 @@ def _fresh_line_events(fn, *args) -> int:
     return line_events(fn, *args)
 
 
+def test_convert_work_doubles_with_length():
+    # The lines a full-scope aggressive convert runs on a document of n
+    # and 2n blocks, each heading converted: README's linear-time claim.
+    ratio = _fresh_line_events(convert, _blocks(400), AGGRESSIVE) \
+        / _fresh_line_events(convert, _blocks(200), AGGRESSIVE)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
 def test_validate_work_doubles_with_length():
     # The lines validate runs on a document of n and 2n blocks, each with
     # its heading converted: the structural delta and the body's edits

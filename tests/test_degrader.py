@@ -30,7 +30,7 @@ from logicaltex import lexer, model
 from logicaltex.model import Metadata, extract_logical
 from logicaltex.validator import normalize_for_compare, validate_structure
 
-from conftest import AGGRESSIVE, FULL_PROFILES, PROFILE_SETS
+from conftest import AGGRESSIVE, FIXTURES, FULL_PROFILES, PROFILE_SETS
 
 MINI = r"""\documentclass{article}
 \title{X}
@@ -198,6 +198,41 @@ def test_a_degraded_heading_is_a_paragraph_of_its_own():
             lines = [ln for ln in segment_lines(parse(visual)) if "2 Two" in ln.raw
                      or "2. Two" in ln.raw]
             assert len(lines) == 1 and lines[0].solitary_bold, (before, after, seed, visual)
+
+
+@pytest.mark.parametrize("seed, heading", [
+    (0, "\\textbf{\\large Acknowledgements}"),
+    (1, "\\noindent{\\bf Acknowledgements}\\par"),
+])
+def test_a_starred_section_is_not_numbered_and_comes_back_starred(seed, heading):
+    # A starred section prints no number and steps no counter, so the
+    # conversion back reads it as a starred section again.
+    source = (FIXTURES / "logical" / "auction_dynamics.tex").read_text(encoding="utf-8")
+    visual, _ = degrade(source, ("bold-solitary-sections",), seed)
+    assert heading in visual
+    out, _ = convert(visual, AGGRESSIVE)
+    sections = lambda text: [(s.heading_raw, s.starred) for s in extract_logical(parse(text)).sections]
+    assert sections(out) == sections(source)
+    assert ("Acknowledgements", True) in sections(out)
+
+
+def test_a_long_affiliation_wraps_only_at_a_comma_outside_groups():
+    # The first ", " is inside \textit's argument: a cut there would close
+    # the line in the middle of the group.
+    authors = ("\\author{Ann Lee\\thanks{\\textit{Department of Physics, Univ.} of Somewhere, "
+               "Country} \\and Bob Stone\\thanks{Institute of Things, Elsewhere}}")
+    text = MINI.replace("\\author{Ada Byron\\thanks{Analytical Institute, Greyton}}", authors)
+    visual, _ = degrade(text, ("centerline-style",), 2)
+    assert "\\centerline{\\textit{Department of Physics, Univ.} of Somewhere,}\n" \
+           "\\centerline{Country}" in visual
+    # With no comma outside a group, the affiliation is never wrapped.
+    grouped = authors.replace("\\textit{Department of Physics, Univ.} of Somewhere, Country",
+                              "\\textit{Department of Physics, Univ. of Somewhere, Country}")
+    for seed in range(12):
+        visual, _ = degrade(MINI.replace("\\author{Ada Byron\\thanks{Analytical Institute, "
+                                         "Greyton}}", grouped), ("centerline-style",), seed)
+        assert "\\centerline{\\textit{Department of Physics, Univ. of Somewhere, Country}}" \
+            in visual, visual
 
 
 def test_inline_emphasis_degraded_to_old_style():

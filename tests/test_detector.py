@@ -218,6 +218,18 @@ def test_title_candidates_ranked_confidence_then_position():
 # authors and affiliations
 # ---------------------------------------------------------------------------
 
+def test_an_affiliation_command_suppresses_affiliation_lines():
+    # \affiliation states the affiliations even without an \author, so no
+    # line is read as one; the author line still is.
+    src = ("\\documentclass{article}\n\\affiliation{Somewhere}\n\\begin{document}\n"
+           "\\centerline{\\bf A Study of Suppressed Lines}\n\\centerline{Ann Lee and Bob Stone}\n"
+           "\\centerline{Department of Physics, University of X}\n\n"
+           "\\section{Intro}\nText.\n\\end{document}\n")
+    for text, affiliations in ((src, 0), (src.replace("\\affiliation{Somewhere}\n", ""), 1)):
+        dets = detect_all(parse(text))
+        assert (len(dets.authors), len(dets.affiliations)) == (1, affiliations)
+
+
 def test_author_centerline_name():
     src = wrap("\\centerline{\\bf A Title Line}\n\n\\centerline{Giuseppe Gaeta}\n\nrest")
     tree = parse(src)

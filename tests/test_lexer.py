@@ -161,6 +161,15 @@ def test_tree_broken_def_yields_diagnostics():
     assert "unclosed-group" in diag_kinds
 
 
+@pytest.mark.parametrize("source", ["\\begin{a{b}}x\\end{a{b}}", "\\begin{abc"])
+def test_a_malformed_environment_name_opens_no_environment(source):
+    # A brace inside the name, or no closing brace, leaves \begin a plain
+    # control word.
+    tree = parse(source)
+    assert not any(isinstance(nd, EnvNode) for nd in walk(tree.nodes))
+    assert tree.nodes[0].kind is TokenKind.CONTROL_WORD and tree.nodes[0].value == "begin"
+
+
 def test_math_spans_hand_indexed():
     tree = parse(r"a $x$ b \[y\]")
     spans = [(s.start, s.end) for s in math_spans(tree)]

@@ -385,6 +385,20 @@ def test_thanks_reads_its_argument_as_tex_does(source):
     assert (author.name_plain, author.affiliations_plain) == ("Ann Lee", ["MIT"])
 
 
+@pytest.mark.parametrize("source", [r"\section *{A}", "\\section % note\n*{A}"])
+def test_a_star_after_blanks_is_read_as_latex_reads_it(source):
+    # LaTeX's \@ifstar skips the blanks before a star.
+    [sec] = extract_logical(parse(source)).sections
+    assert (sec.level, sec.heading_raw, sec.starred) == (1, "A", True)
+    assert strip_styling(source.replace("section", "vspace") + "Text") == "Text"
+
+
+def test_a_title_without_its_argument_is_no_title():
+    doc = extract_logical(parse("\\title\n\\section{A}"))
+    assert doc.title_raw is None and doc.title_span is None
+    assert [s.heading_raw for s in doc.sections] == ["A"]
+
+
 def test_extract_logical_affiliation_style_and_commas():
     ld = extract_logical(parse(r"""\begin{document}
 \title{T}
