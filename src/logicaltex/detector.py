@@ -70,6 +70,10 @@ class CueKind(Enum):
     NEAR_DOCUMENT_START = "near-document-start"
     INSIDE_TITLEPAGE = "inside-titlepage"
 
+    # Identity hashes, as ``TokenKind``'s: Enum's own runs Python code for
+    # every weight looked up and every cue put in a set.
+    __hash__ = object.__hash__
+
 
 # Fixed scoring table, in integer hundredths to keep sums exact.
 CUE_WEIGHTS = {
@@ -104,6 +108,8 @@ class DetectionKind(Enum):
     SECTION_HEADER = "section-header"
     EMPHASIS = "emphasis"
     THEOREM_LIKE = "theorem-like"
+
+    __hash__ = object.__hash__
 
 
 class Detection:
@@ -219,8 +225,9 @@ def index_contents(tree: BlockTree) -> Contents:
 
 class Region:
     """A stretch of the document body, its lines sliced from the body's one
-    segmentation, plus the document's protected and damaged spans and its
-    contents; every detector reads them from here."""
+    segmentation (of the blocks ``segment_lines`` keeps, the only lines a
+    detector can read), plus the document's protected and damaged spans
+    and its contents; every detector reads them from here."""
 
     __slots__ = ("span", "lines", "protected", "damaged", "contents", "whole_body_fallback",
                  "abstract", "rest")
@@ -507,6 +514,15 @@ def analyze_styles(content: list[Node]) -> _StyleInfo:
     return info
 
 
+# The environments whose rows are centred lines, and the control words
+# that can make a line centred, bold or large.  Every line a detector
+# reads either lies in a block holding one of them, or is one of the front
+# matter's lines when its author and abstract searches read every line.
+_CENTER_ENVS = ("center", "centering")
+_FLAG_WORDS = frozenset([CENTERLINE, *(word for word, (look, _) in STYLE_WORDS.items()
+                                       if look in ("bold", "large", "centered"))])
+
+
 class _Segmenter:
     def __init__(self, stream: TokenStream):
         self.stream = stream
@@ -575,7 +591,7 @@ class _Segmenter:
                             i = run = j
                             continue
                 elif cls is EnvNode:
-                    if nd.name in ("center", "centering"):
+                    if nd.name in _CENTER_ENVS:
                         flush(block, run, i, in_titlepage)
                         self._center_env(nd, in_titlepage)
                         i = run = i + 1
@@ -667,11 +683,21 @@ def document_body(tree: BlockTree) -> tuple[list[Node], Span]:
     return tree.nodes, Span(0, len(tree.stream.source))
 
 
-def segment_lines(tree: BlockTree) -> list[Line]:
-    """The document body's lines in document order, each holding the block
-    it was cut from."""
+def segment_lines(tree: BlockTree, end: int, contents: Contents) -> list[Line]:
+    """The lines of the document body's blocks that a detector can read, in
+    document order, each holding the block it was cut from: every block
+    that starts before ``end`` when the front matter's author and abstract
+    searches read every line, and every block that ``contents`` shows to
+    hold a word or environment that can make a line centred, bold or
+    large.  No other line can yield a finding."""
     nodes, _ = document_body(tree)
-    return _Segmenter(tree.stream).run(nodes)
+    reads_all = AUTHOR not in contents.words or "abstract" not in contents.envs
+    segmenter = _Segmenter(tree.stream)
+    for block in segmenter._blocks(nodes):
+        if reads_all and block[0].start < end \
+                or contents.within(_nodes_span(block), _FLAG_WORDS, _CENTER_ENVS):
+            segmenter._emit_block(block)
+    return segmenter.lines
 
 
 def _split(lines: list[Line], stream: TokenStream, at: int) -> tuple[list[Line], list[Line]]:
@@ -848,9 +874,13 @@ def frontmatter_region(tree: BlockTree) -> Region:
     first sectioning command, an existing \\maketitle, the end of a
     titlepage environment, the first line of body text (a numbered heading
     or a theorem-like label), or the end of the abstract.  The body is
-    segmented once; the region holds the lines before its end, keeps the
-    lines after it for ``body_region``, and keeps the abstract detected
-    while bounding it."""
+    segmented once, and only in the blocks a detector can read: those
+    before the first of the boundaries the index shows, when the front
+    matter's author and abstract searches read every line, and those
+    holding a word or environment that can make a line centred, bold or
+    large.  The region holds the lines before its end, keeps the lines
+    after it for ``body_region``, and keeps the abstract detected while
+    bounding it."""
     _, body = document_body(tree)
     contents = index_contents(tree)
     # Nodes of the body are exactly those that start inside it.
@@ -864,7 +894,7 @@ def frontmatter_region(tree: BlockTree) -> Region:
     # escape the closing brace of an edit that covers it.
     damaged = [d.span for d in tree.diagnostics] + [
         t.span for t in stream.tokens[-1:] if t.kind is TokenKind.CONTROL_SYMBOL and not t.value]
-    whole = Region(body, segment_lines(tree), SpanIndex(protected_spans(tree)),
+    whole = Region(body, segment_lines(tree, end, contents), SpanIndex(protected_spans(tree)),
                    SpanIndex(damaged), contents)
     # Only lines of blocks wholly before the boundary are segmented alike
     # on either side of it.
@@ -1244,6 +1274,12 @@ def _is_argument(siblings: list[Node], group: GroupNode) -> bool:
     return False
 
 
+# The words that open an old-style group: bold and italic styles that
+# read no argument.
+_GROUP_HEADS = frozenset(word for word, (look, how) in STYLE_WORDS.items()
+                         if how == "style" and look in ("bold", "italic") and not ARGUMENTS[word])
+
+
 def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detection]:
     """Old-style {\\bf ...}/{\\it ...} groups in running text, and
     paragraphs opened by a bold theorem-like keyword."""
@@ -1314,13 +1350,14 @@ def detect_emphasis_and_theorems(tree: BlockTree, region: Region) -> list[Detect
         if not kids:
             return None
         head = kids[0]
-        if head.__class__ is Token and head.kind is TokenKind.CONTROL_WORD:
-            look, how = STYLE_WORDS.get(head.value, _NO_STYLE)
-            if how == "style" and look in ("bold", "italic") and not ARGUMENTS[head.value]:
-                return look
+        if head.__class__ is Token and head.kind is TokenKind.CONTROL_WORD \
+                and head.value in _GROUP_HEADS:
+            return STYLE_WORDS[head.value][0]
         return None
 
-    body_nodes, _ = document_body(tree)
+    # A region that holds no group head holds no candidate to search for.
+    body_nodes = document_body(tree)[0] if region.contents.within(region.span, _GROUP_HEADS) \
+        else []
     taken = SpanIndex(claimed)
     for group, style, argument in group_candidates(body_nodes):
         span = group.span

@@ -159,8 +159,11 @@ class TokenStream:
         return self.source[span.start:span.end]
 
     def line_of(self, offset: int) -> int:
-        """1-based line number of ``offset``."""
-        return self.source.count("\n", 0, offset) + 1
+        """1-based line number of ``offset``.  A line ends, as the lexer
+        reads it, at a CRLF, a lone CR or an LF."""
+        source = self.source
+        return source.count("\n", 0, offset) + source.count("\r", 0, offset) \
+            - source.count("\r\n", 0, offset) + 1
 
     def reassemble(self) -> str:
         return "".join(self.lexeme(t) for t in self.tokens)

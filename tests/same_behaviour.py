@@ -19,8 +19,9 @@ offsets, name and number of children, so a change of the tree shows even
 where no output byte moves.  The same line digests what the detectors read
 of the tree: its index of control words and environments; the plain
 text, core plain text and segments (each one's span, raw and plain name,
-markers and marker spans) of every line of the front matter and of the
-body after it; the raw text and marker of every author and affiliation
+markers and marker spans) of every line of the whole body's segmentation,
+cut where the front matter ends, whether a detector reads it or not; the
+raw text and marker of every author and affiliation
 detection; and the protected spans (math, verbatim and comments) that no
 rewrite may touch.  Each corpus pair gets one more line with four
 digests: the degrader's visual bytes, its ground truth, the bytes of its
@@ -45,7 +46,9 @@ import hostile  # noqa: E402
 from corpusgen import build_corpus  # noqa: E402
 
 from logicaltex.converter import ConversionPolicy, Scope, convert  # noqa: E402
-from logicaltex.detector import detect_all, frontmatter_region, index_contents  # noqa: E402
+from logicaltex.detector import (  # noqa: E402
+    _Segmenter, _split, detect_all, document_body, frontmatter_region, index_contents,
+)
 from logicaltex.degrader import degrade  # noqa: E402
 from logicaltex.lexer import (  # noqa: E402
     EnvNode, GroupNode, MathNode, encode_source, parse, protected_spans,
@@ -125,9 +128,12 @@ def tree_digest(source: str | bytes) -> str:
     diagnostics = [(d.kind, d.detail, tuple(d.span)) for d in tree.diagnostics]
     contents = index_contents(tree)
     envs = {name: [tuple(span) for span in spans] for name, spans in contents.envs.items()}
-    region = frontmatter_region(tree)
+    # Every line of the body, cut where the front matter ends, whether or
+    # not a detector reads it.
+    full = _Segmenter(tree.stream).run(document_body(tree)[0])
+    head, rest = _split(full, tree.stream, frontmatter_region(tree).span.end)
     plain = [(ln.plain, ln.core_plain, [_segment(s) for s in ln.segments])
-             for ln in region.lines + region.rest]
+             for ln in head + rest]
     dets = detect_all(tree)
     front = [(d.kind.value, tuple(d.span), d.data.get("text_raw"), str(d.data.get("marker")))
              for d in dets.authors + dets.affiliations]

@@ -158,6 +158,21 @@ def test_detect_line_is_the_line_of_the_span_start(capsys):
             assert det["line"] == source.count("\n", 0, det["span"][0]) + 1
 
 
+def test_detect_lines_read_alike_under_every_line_end(tmp_path, capsys):
+    # The lexer ends a line at a CRLF, a lone CR or an LF, and so does the
+    # line a report prints.
+    source = VISUAL_FIXTURES[0].read_text(encoding="utf-8").replace("\r\n", "\n")
+    reported = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.tex"
+        path.write_bytes(source.replace("\n", end).encode("utf-8"))
+        code, out, _ = run(capsys, "--report", "machine", "detect", str(path))
+        assert code == 0
+        reported.append([det["line"] for det in machine_records(out)[0]["detections"]])
+    assert reported[0] and len(set(reported[0])) > 1
+    assert reported[1] == reported[0] and reported[2] == reported[0]
+
+
 def test_convert_inplace_requires_force(degraded_file, capsys):
     code, _, err = run(capsys, "convert", str(degraded_file), "--output", "inplace")
     assert code == 3

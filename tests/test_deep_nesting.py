@@ -256,6 +256,31 @@ def test_convert_work_doubles_with_length():
     assert ratio <= COUNTED_RATIO, ratio
 
 
+@pytest.mark.parametrize("form", FORMS)
+def test_convert_work_doubles_with_depth(form):
+    # The lines a full-scope aggressive convert runs on each nested form
+    # at half depth and at full depth, counted rather than timed.
+    ratio = _fresh_line_events(convert, FORMS[form](DEPTH), AGGRESSIVE) \
+        / _fresh_line_events(convert, FORMS[form](DEPTH // 2), AGGRESSIVE)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
+def test_cli_detect_work_doubles_with_length(tmp_path, capsys):
+    # The lines ``logicaltex detect`` runs on a document of n and 2n
+    # blocks, from reading the file to its machine record.
+    def events(n):
+        path = tmp_path / f"blocks{n}.tex"
+        path.write_text(_blocks(n), encoding="utf-8")
+        argv = ["--report", "machine", "detect", str(path)]
+        assert main(argv) == 0
+        count = _fresh_line_events(main, argv)
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["detections"]
+        return count
+
+    ratio = events(400) / events(200)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
 def test_validate_work_doubles_with_length():
     # The lines validate runs on a document of n and 2n blocks, each with
     # its heading converted: the structural delta and the body's edits

@@ -18,12 +18,12 @@ from logicaltex.degrader import (
     profile_tag,
 )
 from logicaltex.detector import (
+    _Segmenter,
     DocumentClass,
     classify,
     detect_all,
     document_body,
     extract_frontmatter,
-    segment_lines,
 )
 from logicaltex.lexer import parse
 from logicaltex import lexer, model
@@ -195,8 +195,9 @@ def test_a_degraded_heading_is_a_paragraph_of_its_own():
         text = MINI.replace("\\section{Two}\n", before + "\\section{Two}" + after + "\n")
         for seed in (0, 1):
             visual, _ = degrade(text, ("bold-solitary-sections",), seed)
-            lines = [ln for ln in segment_lines(parse(visual)) if "2 Two" in ln.raw
-                     or "2. Two" in ln.raw]
+            tree = parse(visual)
+            lines = [ln for ln in _Segmenter(tree.stream).run(document_body(tree)[0])
+                     if "2 Two" in ln.raw or "2. Two" in ln.raw]
             assert len(lines) == 1 and lines[0].solitary_bold, (before, after, seed, visual)
 
 

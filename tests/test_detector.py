@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -32,7 +33,6 @@ from logicaltex.detector import (
     index_contents,
     looks_like_person_names,
     passes,
-    segment_lines,
 )
 from logicaltex.degrader import degrade
 from logicaltex.lexer import (
@@ -50,6 +50,11 @@ def cue_names(det):
 
 def wrap(body, preamble=""):
     return f"\\documentclass{{article}}\n{preamble}\n\\begin{{document}}\n{body}\n\\end{{document}}\n"
+
+
+def _body_lines(tree):
+    # Every line of the body, whether or not a detector can read it.
+    return _Segmenter(tree.stream).run(document_body(tree)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +411,12 @@ def test_paragraph_break_in_a_center_environment_skips_no_bracket():
     # Only a \\ takes a [..] skip after it; after a paragraph break the
     # bracket is text of the next line.
     tree = parse(wrap("\\begin{center}\nAnn Lee\n\n[2mm]\nBob Stone\n\\end{center}"))
-    assert [line.raw for line in segment_lines(tree)] == ["Ann Lee", "[2mm]\nBob Stone"]
+    assert [line.raw for line in _body_lines(tree)] == ["Ann Lee", "[2mm]\nBob Stone"]
 
 
 def test_a_line_without_segments_lists_no_names():
     tree = parse(wrap("\\centerline{" + ", " * 40 + "}"))
-    [line] = segment_lines(tree)
+    [line] = _body_lines(tree)
     assert line.segments == []
     assert not _lists_person_names(line)
 
@@ -669,7 +674,7 @@ def test_line_plain_matches_strip_styling_of_raw(small_corpus):
         body = body_region(tree, fm)
         # The regions hold the lines of a block an edge cuts, segmented
         # again, besides the body's own lines.
-        for line in segment_lines(tree) + fm.lines + body.lines:
+        for line in _body_lines(tree) + fm.lines + body.lines:
             assert line.plain == strip_styling(line.raw), (name, profiles, line.raw)
             checked += 1
             if line.label is not None:
@@ -712,7 +717,8 @@ def test_body_lines_leave_their_plain_text_unread(small_corpus, monkeypatch):
     for source in (text, degrade(text, FULL_PROFILES, 0)[0]):
         bodies.clear()
         dets = detect_all(parse(source))
-        assert len(bodies) == 1 and bodies[0].lines, name
+        # The logical source's body holds no line a detector can read.
+        assert len(bodies) == 1 and bool(bodies[0].lines) == (source != text), name
         assert "\\section" in source or dets.sections
         assert [line.raw for line in bodies[0].lines if "plain" in vars(line)] == []
 
@@ -855,13 +861,35 @@ def test_detect_all_searches_each_abstract_once(monkeypatch, small_corpus):
     _detect_all_calls_once_per_tree(monkeypatch, small_corpus, "detect_abstract")
 
 
+def test_detect_all_segments_no_line_of_a_logical_document(monkeypatch, small_corpus):
+    # A logical document's body holds no block that a detector can read a
+    # line of, so detecting it builds no line; its degraded copy's does.
+    from logicaltex import detector
+
+    made = []
+    add_line = detector._Segmenter._add_line
+
+    def recording_add_line(self, *args, **kwargs):
+        made.append(add_line(self, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(detector._Segmenter, "_add_line", recording_add_line)
+    for name, text in small_corpus:
+        made.clear()
+        detect_all(parse(text))
+        assert [line.raw for line in made] == [], name
+    detect_all(parse(degrade(small_corpus[0][1], FULL_PROFILES, 0)[0]))
+    assert made
+
+
 # Fragments that bound the front matter explicitly, by an abstract or by
 # body text, and that cut paragraph blocks at every kind of edge.
 REGION_FRAGMENTS = [
     "\\maketitle", "\\section{A}", "\\begin{titlepage}", "\\end{titlepage}",
     "{\\bf Abstract.}", "\\noindent{\\bf 2. Results}\\par", "\\centerline{\\bf 1 Intro}",
     "\\centerline{Ann Lee}", "{\\bf Theorem 1.}", "\\par", "\n", "\n\n", " ",
-    "Words of running text.",
+    "Words of running text.", "\\author{Ann Lee}", "\\begin{abstract}Text.\\end{abstract}",
+    "\\begin{center}Ann Lee\\\\Bob Stone\\end{center}", "{\\Large Ann Lee}",
 ]
 
 
@@ -878,15 +906,53 @@ def _line_record(line):
             line.label.span if line.label is not None else None)
 
 
+# The words that can make a line centred, bold or large.
+_FLAG_WORDS = ("bf", "bfseries", "textbf", "large", "Large", "LARGE", "huge", "Huge",
+               "centering", "centerline")
+
+
+def _read_by_a_detector(tree):
+    """Whether a detector can read a line: whether its block of the whole
+    body starts before the index's front-matter boundary, when the author
+    and abstract searches read every line, or holds a word or environment
+    that can make a line centred, bold or large."""
+    contents = index_contents(tree)
+    nodes, body = document_body(tree)
+    end = min([start for name in ("section", "subsection", "subsubsection", "maketitle")
+               for start in contents.words.get(name, []) if body.contains(start)]
+              + [span.end for name in ("titlepage", "abstract")
+                 for span in contents.envs.get(name, []) if body.contains(span.start)],
+              default=body.end)
+    reads_all = "author" not in contents.words or "abstract" not in contents.envs
+    blocks = _Segmenter._blocks(nodes)
+
+    def read(line):
+        block = blocks[bisect_right(blocks, line.span.start, key=lambda b: b[0].start) - 1]
+        return reads_all and block[0].start < end or contents.within(
+            Span(block[0].start, block[-1].end), _FLAG_WORDS, ("center", "centering"))
+
+    return read, reads_all, end
+
+
 @given(st.lists(st.sampled_from(REGION_FRAGMENTS), max_size=24))
 @settings(max_examples=200, deadline=None)
 def test_regions_read_as_if_segmented_apart(pieces):
+    # Each region holds the lines of its own segmentation that a detector
+    # can read, and only those; no line left out is centred, bold or
+    # large, or lies before the boundary when the front matter's searches
+    # read every line.
     tree = parse(wrap("".join(pieces)))
     fm = frontmatter_region(tree)
     body = body_region(tree, fm)
+    read, reads_all, end = _read_by_a_detector(tree)
     for region in (fm, body):
+        lines = _segmented_apart(tree, region.span)
         assert [_line_record(ln) for ln in region.lines] == \
-            [_line_record(ln) for ln in _segmented_apart(tree, region.span)]
+            [_line_record(ln) for ln in lines if read(ln)]
+        for ln in lines:
+            if not read(ln):
+                assert not (ln.centered or ln.bold or ln.large), ln.raw
+                assert not reads_all or ln.span.start >= end, ln.raw
     # The abstract found while bounding the region is the one a search of
     # the region, segmented on its own, finds.
     apart = Region(fm.span, _segmented_apart(tree, fm.span), fm.protected, fm.damaged,

@@ -94,9 +94,11 @@ def test_text_run_boundaries(text, expected):
 
 
 def test_line_numbers():
-    st_ = tokenize("one\ntwo\n\nthree")
-    texts = [t for t in st_.tokens if t.kind is TokenKind.TEXT]
-    assert [st_.line_of(t.span.start) for t in texts] == [1, 2, 4]
+    # A CRLF and a lone CR each end one line, as an LF does.
+    for end in ("\n", "\r\n", "\r"):
+        st_ = tokenize(f"one{end}two{end}{end}three")
+        texts = [t for t in st_.tokens if t.kind is TokenKind.TEXT]
+        assert [st_.line_of(t.span.start) for t in texts] == [1, 2, 4], repr(end)
 
 
 @given(st.text(alphabet="\\{}$&~^_#% \n\tabXY19", max_size=300))
