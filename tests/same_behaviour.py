@@ -9,7 +9,8 @@ behaviour:
 
 The inputs are the corpusgen documents degraded under the five acceptance
 bundles and three degrader seeds (the acceptance sweep's pairs), the
-fixtures, and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
+fixtures as written and again with every LF byte a CRLF and a lone CR,
+and ``perfbench/hostile.py``'s generators at seeds 1-3.  Each is
 converted under the four policies (metadata or full scope, each with and
 without ``aggressive``).  A line hashes the output bytes, the plan, the
 applied and skipped detections with their cues and skip reasons, the
@@ -76,8 +77,11 @@ POLICIES = {
 def inputs(docs: int):
     """(name, source, ground truth or None) for every input, in a fixed
     order."""
-    for path in sorted((TESTS / "fixtures").rglob("*.tex")):
-        yield f"fixture/{path.parent.name}/{path.name}", path.read_bytes(), None
+    fixtures = sorted((TESTS / "fixtures").rglob("*.tex"))
+    for label, end in (("fixture", b"\n"), ("fixture-crlf", b"\r\n"), ("fixture-cr", b"\r")):
+        for path in fixtures:
+            source = path.read_bytes().replace(b"\n", end)
+            yield f"{label}/{path.parent.name}/{path.name}", source, None
     for seed in HOSTILE_SEEDS:
         for generator, size, source in hostile.hostile_inputs(seed):
             yield f"hostile/{seed}/{generator}/{size}", source, None
