@@ -20,19 +20,25 @@ from functools import lru_cache, wraps
 from itertools import accumulate
 from typing import NamedTuple, Union
 
-# One token per match; the alternatives tile any input.  A text run is
-# ordinary characters, with spaces and tabs between them belonging to the
-# run; whitespace at a boundary is its own token.  The classes are spelled
-# out because ``\s`` is wider than TeX's blanks (space, tab, CR, LF, FF).
-# The pattern captures nothing, so ``findall`` returns the lexemes, and
-# each alternative is told apart by its first character.
+# One token per match; the alternatives tile any input.  A text run starts
+# with an ordinary character and takes every character up to the next
+# special, CR, LF or form feed, spaces and tabs included; the look-behind
+# then gives back the spaces and tabs it ends with, so whitespace at a
+# run's boundary is its own token.  The run's first character is not a
+# blank, so the look-behind never reads before the run, nor before the
+# start of a window.  At a window's cut the run stops there and gives back
+# the same blanks as at any other end.  Each alternative is told apart by
+# its first character, so their order changes no match: the one-character
+# specials come first, the cheapest to try.  The classes are spelled out
+# because ``\s`` is wider than TeX's blanks (space, tab, CR, LF, FF).  The
+# pattern captures nothing, so ``findall`` returns the lexemes.
 _TOKEN = re.compile(
-    r"[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*"
+    r"[{}$&~^_#]"
+    r"|[^\\{}$&~^_#% \t\r\n\x0c][^\\{}$&~^_#%\r\n\x0c]*(?<![ \t])"
     r"|[ \t\r\n\x0c]+"
     r"|\\[A-Za-z]+"
     r"|\\(?s:.)?"
     r"|%[^\n]*"
-    r"|[{}$&~^_#]"
 )
 
 # What may stand between \begin or \end and its {name}: the blanks and
