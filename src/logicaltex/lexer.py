@@ -38,14 +38,17 @@ _TOKEN = re.compile(
     r"|[ \t\r\n\x0c]+"
     r"|\\[A-Za-z]+"
     r"|\\(?s:.)?"
-    r"|%[^\n]*"
+    r"|%[^\r\n]*"
 )
+
+# A line ends at a CRLF, a lone CR or an LF.
+_LINE_END = re.compile(r"\r\n?|\n")
 
 # What may stand between \begin or \end and its {name}: the blanks and
 # comments the tree builder skips there.  A blank run that is a paragraph
-# break (two LF, or two CR without an LF) ends the search for a name.
-_BLANK_RUN = r"(?:[ \t\x0c\r]*\n[ \t\x0c\r]*|[ \t\x0c]*(?:\r[ \t\x0c]*)?)"
-_BEFORE_NAME = r"(?:" + _BLANK_RUN + r"%[^\n]*(?=\n))*" + _BLANK_RUN
+# break (two line ends) ends the search for a name.
+_BLANK_RUN = r"[ \t\x0c]*(?:(?:" + _LINE_END.pattern + r")[ \t\x0c]*)?"
+_BEFORE_NAME = r"(?:" + _BLANK_RUN + r"%[^\r\n]*(?=[\r\n]))*" + _BLANK_RUN
 
 # Environments whose whole extent is treated as an opaque math region.
 MATH_ENVIRONMENTS = frozenset({
@@ -297,7 +300,11 @@ class _Scanner:
                     if kind is TEXT:
                         add(new(Token, (TEXT, start, end, lex)))
                     elif kind is WHITESPACE:
-                        if end - start > 1 and (lex.count("\n") or lex.count("\r")) >= 2:
+                        # Two line ends make a paragraph break, a CRLF
+                        # counting as one; only a run with a CR pays for it.
+                        if end - start > 1 and (
+                                lex.count("\n") + lex.count("\r") - lex.count("\r\n")
+                                if "\r" in lex else lex.count("\n")) >= 2:
                             mark(len(tokens))
                             add(new(Token, (PAR_BREAK, start, end, None)))
                         else:
@@ -369,22 +376,19 @@ class _Scanner:
 
     def _verb_argument(self, cmd_start: int, arg_start: int) -> int:
         # \verb<delim>...<delim> (or \verb* form); the delimited body is one
-        # opaque text token, never scanned for specials.
+        # opaque text token, never scanned for specials.  Neither the
+        # delimiter nor the body is a line end (a CR, an LF or a CRLF): an
+        # argument not closed on its line ends before the line end.
         s, n = self.s, len(self.s)
         k = arg_start
         if k < n and s[k] == "*":
             k += 1
-        if k >= n or s[k] == "\n":
+        if k >= n or s[k] in "\r\n":
             return arg_start
-        delim = s[k]
-        close = s.find(delim, k + 1)
-        eol = s.find("\n", k + 1)
-        if eol == -1:
-            eol = n
-        if close == -1 or close > eol:
-            end = eol
-        else:
-            end = close + 1
+        eol = _LINE_END.search(s, k + 1)
+        eol = eol.start() if eol else n
+        close = s.find(s[k], k + 1, eol)
+        end = eol if close == -1 else close + 1
         self.tokens.append(tuple.__new__(Token, (TokenKind.TEXT, arg_start, end,
                                                  s[arg_start:end])))
         self.verbatim_spans.append(tuple.__new__(Span, (cmd_start, end)))

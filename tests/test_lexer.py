@@ -369,6 +369,9 @@ def test_verbatim_begin_name_tokenizes_like_any_begin():
     "\\begin%%{%s}\n$x$\\end{%s}$y$",
     "\\begin\n\n{%s}$x$\\end{%s}$y$",
     "\\begin\r\r{%s}$x$\\end{%s}$y$",
+    "\\begin\r\n\r{%s}$x$\\end{%s}$y$",
+    "\\begin\n\r{%s}$x$\\end{%s}$y$",
+    "\\begin %%c\r{%s}$x$\\end %%c\r\n{%s}$y$",
 ])
 def test_verbatim_spans_are_the_verbatim_environments(template):
     # The scanner makes a verbatim span exactly where the tree builder
@@ -397,11 +400,33 @@ K = TokenKind
     ("\\\nb", [(K.CONTROL_SYMBOL, 0, 2, "\n"), (K.TEXT, 2, 3, "b")]),
     ("x %", [(K.TEXT, 0, 1, "x"), (K.WHITESPACE, 1, 2, None), (K.COMMENT, 2, 3, "%")]),
     ("a\\verb", [(K.TEXT, 0, 1, "a"), (K.CONTROL_WORD, 1, 6, "verb")]),
+    # A line ends at a CRLF, a lone CR or an LF, and two line ends make a
+    # paragraph break, whatever their mix.
+    ("a\r\n\rb", [(K.TEXT, 0, 1, "a"), (K.PAR_BREAK, 1, 4, None), (K.TEXT, 4, 5, "b")]),
+    ("a\n\rb", [(K.TEXT, 0, 1, "a"), (K.PAR_BREAK, 1, 3, None), (K.TEXT, 3, 4, "b")]),
+    ("a\r\nb", [(K.TEXT, 0, 1, "a"), (K.WHITESPACE, 1, 3, None), (K.TEXT, 3, 4, "b")]),
+    ("%c\rb", [(K.COMMENT, 0, 2, "%c"), (K.WHITESPACE, 2, 3, None), (K.TEXT, 3, 4, "b")]),
+    # A line end is no \verb delimiter.
+    ("\\verb\rx", [(K.CONTROL_WORD, 0, 5, "verb"), (K.WHITESPACE, 5, 6, None),
+                   (K.TEXT, 6, 7, "x")]),
 ])
 def test_scanner_rules(text, expected):
     stream = tokenize(text)
     assert [(t.kind, t.span.start, t.span.end, t.value) for t in stream.tokens] == expected
     assert stream.verbatim_spans == []
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_every_line_end_ends_a_comment_a_verb_argument_and_a_name_search(end):
+    comment = tokenize(f"a %c{end}b").tokens
+    assert comment[2:4] == [(K.COMMENT, 2, 4, "%c"), (K.WHITESPACE, 4, 4 + len(end), None)]
+    verb = tokenize(f"\\verb|x{end}y|")
+    assert verb.tokens[1] == (K.TEXT, 5, 7, "|x") and verb.verbatim_spans == [Span(0, 7)]
+    # A comment and one line end may stand before a verbatim name; two
+    # line ends are a paragraph break, which ends the search for it.
+    src = f"\\begin %c{end}{{verbatim}}x\\end{{verbatim}}"
+    assert tokenize(src).verbatim_spans == [Span(0, len(src))]
+    assert tokenize(f"\\begin{end}{end}{{verbatim}}x\\end{{verbatim}}").verbatim_spans == []
 
 
 def test_lone_trailing_backslash_is_not_math():
@@ -433,7 +458,9 @@ FRAGMENTS = [
 
 # The scanner before it read windows of lexemes, kept as the reference:
 # one match object per token, told apart by its named group, and a new
-# ``finditer`` after each restart.
+# ``finditer`` after each restart.  Its text alternative is the one the
+# scanner used before a text run became one character-class scan with a
+# look-behind, so the two agree on every lexeme only if the scan does.
 _REFERENCE_TOKEN = re.compile(
     r"(?P<text>[^\\{}$&~^_#% \t\r\n\x0c]+(?:[ \t]+[^\\{}$&~^_#% \t\r\n\x0c]+)*)"
     r"|(?P<blank>[ \t\r\n\x0c]+)"
@@ -444,7 +471,7 @@ _REFERENCE_TOKEN = re.compile(
     r"|(?P<math_shift>\$)"
     r"|(?P<alignment>&)"
     r"|(?P<active_char>[~^_])"
-    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<comment>%[^\r\n]*)"
     r"|(?P<parameter>\#)"
 )
 _GROUP_KINDS = (None,) + tuple({
@@ -479,7 +506,8 @@ class _ReferenceScanner(lexer._Scanner):
                 if group == _TEXT_GROUP:
                     add(Token(kinds[group], start, end, m.group()))
                 elif group == _BLANK_GROUP:
-                    if (s.count("\n", start, end) or s.count("\r", start, end)) >= 2:
+                    if s.count("\n", start, end) + s.count("\r", start, end) \
+                            - s.count("\r\n", start, end) >= 2:
                         mark(len(tokens))
                         add(Token(K.PAR_BREAK, start, end, None))
                     else:
@@ -536,7 +564,7 @@ _RESTART_FRAGMENTS = FRAGMENTS + [
     "\\verb*|a b|", "\\verb|\n", "\\verb\n", "\\verb|x|y", "\\verb+a+ b", "\\verb!%!",
     "\\verb|{|", "#\u00b2", "#12", "#1 a", "\\begin %c\n{lstlisting}", "\\end{lstlisting}",
     "\\begin{verbatim*}", "x\\end{verbatim*}", "\r", " \r \r ", "\t", "\\", "\\\u00e9", "ab",
-    "\\foo", "%", "&", "~",
+    "\\foo", "%", "&", "~", "%c\r", "\\verb|x\r", "\\verb\r", "\n\r",
 ]
 
 
