@@ -43,6 +43,12 @@ def _center_line(k: int) -> str:
     return _document("\\begin{center}\n" + items + "\n\\end{center}")
 
 
+def _emphasis_row(n: int) -> str:
+    """A row of ``n`` old-style italic groups after a section and a
+    command's argument."""
+    return _document("\\section{A}\n\\mbox{x}" + "{\\it a}" * n)
+
+
 def _environments(name: str, depth: int) -> str:
     return _document(f"\\begin{{{name}}}\n" * depth + "word\n" + f"\\end{{{name}}}\n" * depth)
 
@@ -169,8 +175,7 @@ def test_restart_storm_scales_linearly(storm):
 def test_row_of_emphasis_groups_scales_linearly():
     # Whether a group is a command's argument is read back over at most
     # nine earlier groups, the most a macro reads, not over the whole row.
-    row = lambda n: _document("\\section{A}\n\\mbox{x}" + "{\\it a}" * n)
-    _assert_doubles(row(2000), row(4000))
+    _assert_doubles(_emphasis_row(2000), _emphasis_row(4000))
 
 
 # A cost linear in n doubles at most from n to 2n: the counts below read
@@ -262,6 +267,26 @@ def test_convert_work_doubles_with_depth(form):
     # at half depth and at full depth, counted rather than timed.
     ratio = _fresh_line_events(convert, FORMS[form](DEPTH), AGGRESSIVE) \
         / _fresh_line_events(convert, FORMS[form](DEPTH // 2), AGGRESSIVE)
+    assert ratio <= COUNTED_RATIO, ratio
+
+
+# name -> a document of n units: each restart storm, a centred line of n
+# items and a row of n emphasis groups.
+ROWS = {
+    **{f"{name}-storm": lambda n, unit=unit: _document(unit * n) for name, unit in STORMS.items()},
+    "center-line": _center_line,
+    "emphasis-row": _emphasis_row,
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_convert_work_doubles_with_row_length(row):
+    # The lines a full-scope aggressive convert runs on each row at 250
+    # and 500 units, counted rather than timed: the scanner's restart
+    # windows, the author line's separators and the look-back over a
+    # command's arguments each cost the same per unit.
+    ratio = _fresh_line_events(convert, ROWS[row](500), AGGRESSIVE) \
+        / _fresh_line_events(convert, ROWS[row](250), AGGRESSIVE)
     assert ratio <= COUNTED_RATIO, ratio
 
 
