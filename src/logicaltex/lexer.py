@@ -41,13 +41,11 @@ _TOKEN = re.compile(
     r"|%[^\r\n]*"
 )
 
-# A line ends at a CRLF, a lone CR or an LF.
-_LINE_END = re.compile(r"\r\n?|\n")
-
 # What may stand between \begin or \end and its {name}: the blanks and
 # comments the tree builder skips there.  A blank run that is a paragraph
-# break (two line ends) ends the search for a name.
-_BLANK_RUN = r"[ \t\x0c]*(?:(?:" + _LINE_END.pattern + r")[ \t\x0c]*)?"
+# break (two line ends, each a CRLF, a lone CR or an LF) ends the search
+# for a name.
+_BLANK_RUN = r"[ \t\x0c]*(?:(?:\r\n?|\n)[ \t\x0c]*)?"
 _BEFORE_NAME = r"(?:" + _BLANK_RUN + r"%[^\r\n]*(?=[\r\n]))*" + _BLANK_RUN
 
 # Environments whose whole extent is treated as an opaque math region.
@@ -385,10 +383,14 @@ class _Scanner:
             k += 1
         if k >= n or s[k] in "\r\n":
             return arg_start
-        eol = _LINE_END.search(s, k + 1)
-        eol = eol.start() if eol else n
-        close = s.find(s[k], k + 1, eol)
-        end = eol if close == -1 else close + 1
+        # Line ends are looked for only up to the closing delimiter, so
+        # the scan of a line of closed arguments reads each once.
+        close = s.find(s[k], k + 1)
+        end = n if close == -1 else close + 1
+        for line_end in "\n\r":
+            eol = s.find(line_end, k + 1, end)
+            if eol != -1:
+                end = eol
         self.tokens.append(tuple.__new__(Token, (TokenKind.TEXT, arg_start, end,
                                                  s[arg_start:end])))
         self.verbatim_spans.append(tuple.__new__(Span, (cmd_start, end)))
