@@ -172,7 +172,9 @@ def test_detect_lines_read_alike_under_every_line_end(fixture, tmp_path, capsys)
         assert code == 0
         reported.append([(det["kind"], det["line"])
                          for det in machine_records(out)[0]["detections"]])
-    assert reported[0]
+    # A detection past line 1, which a count of LFs alone misplaces in
+    # the CR copy.
+    assert any(line > 1 for _, line in reported[0])
     assert reported[1] == reported[0] and reported[2] == reported[0]
 
 
