@@ -299,10 +299,10 @@ class _Scanner:
                         add(new(Token, (TEXT, start, end, lex)))
                     elif kind is WHITESPACE:
                         # Two line ends make a paragraph break, a CRLF
-                        # counting as one; only a run with a CR pays for it.
-                        if end - start > 1 and (
-                                lex.count("\n") + lex.count("\r") - lex.count("\r\n")
-                                if "\r" in lex else lex.count("\n")) >= 2:
+                        # counting as one; only a run with a CR and fewer
+                        # than two LFs pays for counting the CRs.
+                        if end - start > 1 and (lex.count("\n") >= 2 or "\r" in lex and (
+                                lex.count("\n") + lex.count("\r") - lex.count("\r\n") >= 2)):
                             mark(len(tokens))
                             add(new(Token, (PAR_BREAK, start, end, None)))
                         else:
