@@ -171,12 +171,39 @@ def multiset_f1(a: list[str], b: list[str]) -> float:
     if not a and not b:
         return 1.0
     ca, cb = Counter(a), Counter(b)
-    inter = sum(min(ca[k], cb[k]) for k in ca)
+    return _f1(sum(min(ca[k], cb[k]) for k in ca), len(a), len(b))
+
+
+def _f1(inter: int, n_a: int, n_b: int) -> float:
+    """The F1 score of ``inter`` shared items of ``n_a`` and ``n_b``."""
     if inter == 0:
         return 0.0
-    precision = inter / sum(ca.values())
-    recall = inter / sum(cb.values())
+    precision = inter / n_a
+    recall = inter / n_b
     return 2 * precision * recall / (precision + recall)
+
+
+def _text_similarity(a: str, b: str) -> float:
+    # Equal texts normalise alike, and a text is at distance 0 from itself.
+    if a == b:
+        return 1.0
+    return edit_similarity(normalize_for_compare(a), normalize_for_compare(b))
+
+
+def _names_f1(a: list[str], b: list[str]) -> float:
+    """``multiset_f1`` of the normalised names, with only the names left
+    unmatched as given normalised: per normalised name, the shared count
+    of the whole lists is the shared count as given, m, plus that of the
+    leftovers, since min(m + x, m + y) = m + min(x, y)."""
+    ca, cb = Counter(a), Counter(b)
+    same = ca & cb
+    inter = sum(same.values())
+    rest_a, rest_b = ca - same, cb - same
+    if rest_a and rest_b:
+        na = Counter(normalize_for_compare(name) for name in rest_a.elements())
+        nb = Counter(normalize_for_compare(name) for name in rest_b.elements())
+        inter += sum((na & nb).values())
+    return _f1(inter, len(a), len(b))
 
 
 # The name that extraction's callers know the one metadata record by.
@@ -186,24 +213,24 @@ ExtractedMetadata = Metadata
 def compare_metadata(extracted: Metadata, reference: Metadata) -> MetadataScores:
     """Normalized similarity scores of one record against another, field
     by field: the title and the abstract by edit similarity, the author
-    names as a multiset.  A field either side lacks is noted as missing
-    instead of scored.  Affiliations, sections and emphases are not
-    scored yet."""
+    names as a multiset.  Texts are compared as given first: a title or
+    abstract equal to its reference scores 1.0 without being normalised,
+    and only the names left unmatched as given are normalised and matched
+    again, so each score is the one the normalised texts give.  A field
+    either side lacks is noted as missing instead of scored.
+    Affiliations, sections and emphases are not scored yet."""
     scores = MetadataScores()
     if extracted.title is not None and reference.title:
-        scores.title_similarity = edit_similarity(
-            normalize_for_compare(extracted.title), normalize_for_compare(reference.title))
+        scores.title_similarity = _text_similarity(extracted.title, reference.title)
     else:
         scores.missing.append("title")
     if extracted.authors and reference.authors:
-        scores.author_set_f1 = multiset_f1(
-            [normalize_for_compare(name) for name, _ in extracted.authors],
-            [normalize_for_compare(name) for name, _ in reference.authors])
+        scores.author_set_f1 = _names_f1([name for name, _ in extracted.authors],
+                                         [name for name, _ in reference.authors])
     else:
         scores.missing.append("authors")
     if extracted.abstract is not None and reference.abstract:
-        scores.abstract_similarity = edit_similarity(
-            normalize_for_compare(extracted.abstract), normalize_for_compare(reference.abstract))
+        scores.abstract_similarity = _text_similarity(extracted.abstract, reference.abstract)
     else:
         scores.missing.append("abstract")
     return scores

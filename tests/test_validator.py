@@ -1,6 +1,7 @@
 import random
 import re
 import unicodedata
+from collections import Counter
 
 import pytest
 
@@ -190,6 +191,131 @@ def test_similarity_matches_independent_oracle():
                          ExtractedMetadata(b, [], None))
     assert m.title_similarity == pytest.approx(expected, abs=1e-9)
     assert max(len(na), len(nb)) == 13
+
+
+def _compare_normalising_all(extracted, reference) -> dict:
+    # The scores as normalising every text of both records gives them.
+    missing = []
+    title = authors = abstract = None
+    if extracted.title is not None and reference.title:
+        title = edit_similarity(normalize_for_compare(extracted.title),
+                                normalize_for_compare(reference.title))
+    else:
+        missing.append("title")
+    if extracted.authors and reference.authors:
+        authors = multiset_f1([normalize_for_compare(n) for n, _ in extracted.authors],
+                              [normalize_for_compare(n) for n, _ in reference.authors])
+    else:
+        missing.append("authors")
+    if extracted.abstract is not None and reference.abstract:
+        abstract = edit_similarity(normalize_for_compare(extracted.abstract),
+                                   normalize_for_compare(reference.abstract))
+    else:
+        missing.append("abstract")
+    return {"title_similarity": title, "author_set_f1": authors,
+            "abstract_similarity": abstract, "missing": missing}
+
+
+# Each group holds texts that differ as given: some normalise alike
+# (styled and plain, accent and letter commands against Unicode, case and
+# blanks), some do not.
+_TEXT_VARIANTS = [
+    ["Quantum Groups", r"{\bf Quantum Groups}", r"\textbf{Quantum  Groups}", "quantum groups",
+     "Quantum Group"],
+    [r"Erd\H{o}s Numbers", "Erdős Numbers", r"Erd\H os Numbers", "Erdos numbers",
+     "Erdös Numbers"],
+    ["Sparse cuts in $O(n)$ time.", "Sparse cuts in O(n) time.",
+     r"{\em Sparse} cuts in $O(n)$ time.", "Dense cuts in $O(n^2)$ time."],
+    ["", " ", "x"],
+]
+_NAME_VARIANTS = [
+    ["Søren Berg", r"S\o ren Berg", r"S\o{}ren Berg", r"{\bf S\o ren Berg}", "soren  berg",
+     "Soren Bergh"],
+    ["Paul Erdős", r"Paul Erd\H{o}s", r"P.~Erd\H os", "Paul Erdos"],
+    ["Ann B", "ann b", r"\textsc{Ann B}", "Ann  B"],
+    ["Łukasz Nowak", r"\L ukasz Nowak", "Lukasz Nowak"],
+    ["", "Zed"],
+]
+
+
+def _draw_text(rng):
+    return rng.choice([None, *rng.choice(_TEXT_VARIANTS)])
+
+
+def _draw_pair_text(rng):
+    # Equal as given half the time, else mostly a text of the same group.
+    a = _draw_text(rng)
+    if rng.random() < 0.5:
+        return a, a
+    group = next((g for g in _TEXT_VARIANTS if a in g), None)
+    return a, rng.choice(group) if group and rng.random() < 0.8 else _draw_text(rng)
+
+
+def _draw_names(rng):
+    return [rng.choice(rng.choice(_NAME_VARIANTS)) for _ in range(rng.randrange(0, 5))]
+
+
+def _draw_pair_names(rng):
+    a = _draw_names(rng)
+    mode = rng.randrange(4)
+    if mode == 0:  # the same names, perhaps in another order
+        b = rng.sample(a, len(a))
+    elif mode == 1:  # some names kept, some swapped for a variant, some added
+        b = [n if rng.random() < 0.5 else rng.choice(next(g for g in _NAME_VARIANTS if n in g))
+             for n in a] + _draw_names(rng)[:rng.randrange(2)]
+        rng.shuffle(b)
+    elif mode == 2:  # duplicates on one side
+        b = a + a[:rng.randrange(len(a) + 1)]
+    else:  # drawn apart
+        b = _draw_names(rng)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_compare_metadata_scores_as_normalising_every_text():
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(3000):
+        (ta, tb), (sa, sb), (na, nb) = \
+            _draw_pair_text(rng), _draw_pair_text(rng), _draw_pair_names(rng)
+        a = ExtractedMetadata(ta, [(n, ["Aff"]) for n in na], sa)
+        b = ExtractedMetadata(tb, nb, sb)
+        got = compare_metadata(a, b).to_dict()
+        assert got == _compare_normalising_all(a, b), (a.to_dict(), b.to_dict())
+        ca, cb = Counter(na), Counter(nb)
+        kinds = {
+            "titles equal": bool(tb) and ta == tb,
+            "titles unequal": bool(tb) and ta is not None and ta != tb,
+            "titles normalise alike": ta != tb and got["title_similarity"] == 1.0,
+            "names equal": bool(na) and ca == cb,
+            "names partly equal": bool(ca & cb) and ca != cb,
+            "names apart": bool(na and nb) and not ca & cb,
+            "names normalise alike": bool(na) and ca != cb and got["author_set_f1"] == 1.0,
+            "duplicate names": len(ca) < len(na),
+            "missing": bool(got["missing"]),
+        }
+        seen.update(kind for kind, drawn in kinds.items() if drawn)
+    assert len(seen) == len(kinds) and min(seen.values()) >= 50, seen
+
+
+def test_compare_metadata_normalises_only_what_differs(monkeypatch):
+    from logicaltex import validator
+
+    normalised = []
+    normalize = validator.normalize_for_compare
+
+    def counting_normalize(text):
+        normalised.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(validator, "normalize_for_compare", counting_normalize)
+    rec = ExtractedMetadata(r"{\bf A Title}", ["Ann B", r"S\o ren Berg", "Paul Erdős"],
+                            r"Abstract with $x$ and Erd\H{o}s.")
+    assert compare_metadata(rec, rec).to_dict() == {
+        "title_similarity": 1.0, "author_set_f1": 1.0, "abstract_similarity": 1.0, "missing": []}
+    assert normalised == []
+    other = ExtractedMetadata(rec.title, ["Paul Erdős", "Søren Berg", "Ann B"], rec.abstract)
+    assert compare_metadata(rec, other).author_set_f1 == 1.0
+    assert sorted(normalised) == sorted([r"S\o ren Berg", "Søren Berg"])
 
 
 def test_levenshtein_against_oracle_randomized():
