@@ -690,8 +690,13 @@ def segment_lines(tree: BlockTree, end: int, contents: Contents) -> list[Line]:
     searches read every line, and every block that ``contents`` shows to
     hold a word or environment that can make a line centred, bold or
     large.  No other line can yield a finding."""
-    nodes, _ = document_body(tree)
     reads_all = AUTHOR not in contents.words or "abstract" not in contents.envs
+    # No block qualifies when the searches skip line reading and no word or
+    # environment can flag a line, so the body is not split at all.
+    if not reads_all and contents.words.keys().isdisjoint(_FLAG_WORDS) \
+            and contents.envs.keys().isdisjoint(_CENTER_ENVS):
+        return []
+    nodes, _ = document_body(tree)
     segmenter = _Segmenter(tree.stream)
     for block in segmenter._blocks(nodes):
         if reads_all and block[0].start < end \
@@ -737,6 +742,9 @@ def _line_has_logical_commands(line: Line, contents: Contents) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_BLANKS_BEFORE_COMMA = re.compile(r"\s+,")
+
+
 class Segment:
     """One author's part of an author line: raw name, markers and their
     spans.  The front matter's record of an accepted author."""
@@ -753,7 +761,8 @@ class Segment:
     def name_plain(self) -> str:
         # The edits ``_less_markers`` and the comma strip make to an
         # author's raw name, made to the plain text of the same tokens.
-        plain = re.sub(r"\s+,", ",", span_plain(self.stream, self.span, self.marker_spans))
+        plain = _BLANKS_BEFORE_COMMA.sub(",", span_plain(self.stream, self.span,
+                                                        self.marker_spans))
         return plain.strip(",").strip()
 
 
@@ -792,7 +801,7 @@ def _less_markers(stream: TokenStream, span: Span, marker_spans: list[Span]) -> 
     """The raw text of ``span`` without the marker spans in it, trimmed,
     with no blank before a comma."""
     raw = spliced(stream.source, span, [(s, "") for s in marker_spans]).strip()
-    return re.sub(r"\s+,", ",", raw).strip()
+    return _BLANKS_BEFORE_COMMA.sub(",", raw).strip()
 
 
 _AND_SPLIT = re.compile(r",|\s+and\s+")

@@ -882,6 +882,35 @@ def test_detect_all_segments_no_line_of_a_logical_document(monkeypatch, small_co
     assert made
 
 
+def test_segmenting_splits_no_body_that_no_line_of_can_be_read(monkeypatch, small_corpus):
+    # A document that names its authors and abstract, and holds no word or
+    # environment that can make a line centred, bold or large, offers a
+    # detector no line, so its body is not split into blocks at all.
+    from logicaltex import detector
+
+    split = []
+    blocks = _Segmenter._blocks
+
+    def counting_blocks(nodes):
+        split.append(nodes)
+        return blocks(nodes)
+
+    monkeypatch.setattr(_Segmenter, "_blocks", staticmethod(counting_blocks))
+    plain = []
+    for name, text in small_corpus:
+        tree = parse(text)
+        contents = index_contents(tree)
+        if contents.words.keys().isdisjoint(detector._FLAG_WORDS) \
+                and contents.envs.keys().isdisjoint(detector._CENTER_ENVS):
+            plain.append(name)
+            split.clear()
+            detect_all(tree)
+            assert split == [], name
+    assert plain
+    detect_all(parse(degrade(small_corpus[0][1], FULL_PROFILES, 0)[0]))
+    assert split
+
+
 # Fragments that bound the front matter explicitly, by an abstract or by
 # body text, and that cut paragraph blocks at every kind of edge.
 REGION_FRAGMENTS = [
